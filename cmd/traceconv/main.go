@@ -1,8 +1,8 @@
 // Command traceconv is the trace-format transformer (paper Section
 // III-A2): it converts HP SRT-style trace files into the blktrace
 // ".replay" format TRACER loads, between the binary and readable text
-// formats, and into the memory-mapped ".rmap" format the sharded
-// replayer consumes zero-copy.
+// formats, and into and out of the memory-mapped ".rmap" format that
+// `tracer replay -mmap` loads.
 //
 // Conversions stream bunch-by-bunch — the full record set is never
 // materialized — except from SRT sources, whose unsorted timestamps

@@ -9,12 +9,11 @@
 // more than 15% run to run, and a real regression in the code moves
 // the whole family, not one lucky row.
 //
-// Only throughput gates.  Speedup columns (speedup_vs_1shard,
-// speedup_vs_1worker) are never compared: they measure goroutine
-// overlap, which the committed single-CPU baselines cannot exhibit, so
-// gating on them would reward noise.  Wall-clock benchmarks are noisy
-// in the other direction too — a row can only fail by regressing, never
-// by being "too fast".
+// Only throughput gates.  Speedup columns (speedup_vs_1worker) are
+// never compared: they measure goroutine overlap, which the committed
+// single-CPU baselines cannot exhibit, so gating on them would reward
+// noise.  Wall-clock benchmarks are noisy in the other direction too —
+// a row can only fail by regressing, never by being "too fast".
 package main
 
 import (
@@ -37,41 +36,27 @@ const defaultCompareTol = 0.15
 
 // benchKeys are the identifying (non-metric) fields a benchmark row is
 // matched by across the committed and fresh reports, in key order.
-var benchKeys = []string{"name", "source", "config", "tier", "shards", "arrays", "workers", "target_hit_rate"}
+var benchKeys = []string{"name", "config", "tier", "arrays", "workers", "target_hit_rate"}
 
 // benchThroughput lists the throughput fields gated, in preference
 // order; the first one present and positive in both reports wins.
 var benchThroughput = []string{"events_per_sec", "events_per_s", "ios_per_sec", "ios_per_s"}
 
 // compareFamily binds one benchmark experiment to the committed
-// baseline files it refreshes and the output-path variables that
-// redirect the fresh reports.
+// baseline file it refreshes and the output-path variable that
+// redirects the fresh report.
 type compareFamily struct {
-	exp   string
-	files []struct {
-		committed string
-		out       *string
-	}
+	exp       string
+	committed string
+	out       *string
 }
 
 func compareFamilies() []compareFamily {
 	return []compareFamily{
-		{exp: "kernel", files: []struct {
-			committed string
-			out       *string
-		}{{"BENCH_kernel.json", &benchOut}, {"BENCH_replay.json", &replayBenchOut}}},
-		{exp: "fleet", files: []struct {
-			committed string
-			out       *string
-		}{{"BENCH_fleet.json", &fleetBenchOut}}},
-		{exp: "optimize", files: []struct {
-			committed string
-			out       *string
-		}{{"BENCH_optimize.json", &optimizeBenchOut}}},
-		{exp: "cache", files: []struct {
-			committed string
-			out       *string
-		}{{"BENCH_cache.json", &cacheBenchOut}}},
+		{"kernel", "BENCH_kernel.json", &benchOut},
+		{"fleet", "BENCH_fleet.json", &fleetBenchOut},
+		{"optimize", "BENCH_optimize.json", &optimizeBenchOut},
+		{"cache", "BENCH_cache.json", &cacheBenchOut},
 	}
 }
 
@@ -92,47 +77,32 @@ func runCompare(cfg experiments.Config, tol float64, w io.Writer) error {
 	bench := map[string]func(experiments.Config, io.Writer) error{
 		"kernel": benchKernel, "fleet": benchFleet, "optimize": benchOptimize, "cache": benchCache,
 	}
-	type pair struct{ name, committed, fresh string }
-	var pairs []pair
-	ranFamilies := 0
+	var ran []compareFamily
 	for _, fam := range compareFamilies() {
-		present := false
-		for _, f := range fam.files {
-			if _, err := os.Stat(f.committed); err == nil {
-				present = true
-			}
-		}
-		if !present {
+		if _, err := os.Stat(fam.committed); err != nil {
 			fmt.Fprintf(w, "compare: skipping %s (no committed baseline)\n", fam.exp)
 			continue
 		}
-		for _, f := range fam.files {
-			fresh := filepath.Join(tmp, filepath.Base(f.committed))
-			*f.out = fresh
-			pairs = append(pairs, pair{fam.exp, f.committed, fresh})
-		}
+		*fam.out = filepath.Join(tmp, filepath.Base(fam.committed))
 		fmt.Fprintf(w, "=== compare: %s ===\n", fam.exp)
 		if err := bench[fam.exp](cfg, w); err != nil {
 			return fmt.Errorf("compare: %s: %w", fam.exp, err)
 		}
-		ranFamilies++
+		ran = append(ran, fam)
 	}
-	if ranFamilies == 0 {
+	if len(ran) == 0 {
 		return fmt.Errorf("compare: no committed BENCH_*.json baselines in the working directory")
 	}
 
 	regressed, compared := 0, 0
 	var failedFiles []string
 	fmt.Fprintf(w, "\nfile\trow\tcommitted\tfresh\tdelta\n")
-	for _, p := range pairs {
-		if _, err := os.Stat(p.committed); err != nil {
-			continue // family ran for its sibling file; nothing committed here
-		}
-		base, err := loadBenchRows(p.committed)
+	for _, fam := range ran {
+		base, err := loadBenchRows(fam.committed)
 		if err != nil {
 			return fmt.Errorf("compare: %w", err)
 		}
-		fresh, err := loadBenchRows(p.fresh)
+		fresh, err := loadBenchRows(*fam.out)
 		if err != nil {
 			return fmt.Errorf("compare: %w", err)
 		}
@@ -146,20 +116,20 @@ func runCompare(cfg experiments.Config, tol float64, w io.Writer) error {
 			bv := base[k]
 			fv, ok := fresh[k]
 			if !ok {
-				return fmt.Errorf("compare: %s: row %q missing from the fresh run", p.committed, k)
+				return fmt.Errorf("compare: %s: row %q missing from the fresh run", fam.committed, k)
 			}
 			compared++
 			logSum += math.Log(fv / bv)
-			fmt.Fprintf(w, "%s\t%s\t%.0f\t%.0f\t%+.1f%%\n", p.committed, k, bv, fv, (fv/bv-1)*100)
+			fmt.Fprintf(w, "%s\t%s\t%.0f\t%.0f\t%+.1f%%\n", fam.committed, k, bv, fv, (fv/bv-1)*100)
 		}
 		geo := math.Exp(logSum / float64(len(keys)))
 		verdict := ""
 		if geo < 1-tol {
 			verdict = "\tREGRESSION"
 			regressed++
-			failedFiles = append(failedFiles, p.committed)
+			failedFiles = append(failedFiles, fam.committed)
 		}
-		fmt.Fprintf(w, "%s\tgeomean over %d rows\t\t\t%+.1f%%%s\n", p.committed, len(keys), (geo-1)*100, verdict)
+		fmt.Fprintf(w, "%s\tgeomean over %d rows\t\t\t%+.1f%%%s\n", fam.committed, len(keys), (geo-1)*100, verdict)
 	}
 	if compared == 0 {
 		return fmt.Errorf("compare: no comparable rows between committed and fresh reports")

@@ -8,8 +8,8 @@ import (
 
 // TestLoadBenchRows pins the generic row matcher against the three
 // report shapes -compare must read: kernel-style named rows (some with
-// only an IOs/sec column), replay/fleet-style keyed rows, and
-// cache-style "rows" arrays with per_s field names.
+// only an IOs/sec column), fleet-style keyed rows, and cache-style
+// "rows" arrays with per_s field names.
 func TestLoadBenchRows(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, blob string) string {
@@ -29,18 +29,6 @@ func TestLoadBenchRows(t *testing.T) {
 	}
 	if rows["schedule-run/closure"] != 100 || rows["end-to-end-replay"] != 42 {
 		t.Fatalf("kernel rows = %v", rows)
-	}
-
-	replay := write("replay.json", `{"gomaxprocs":1,"benchmarks":[
-		{"shards":1,"source":"buffered","events_per_sec":10,"speedup_vs_1shard":1},
-		{"shards":2,"source":"buffered","events_per_sec":9,"speedup_vs_1shard":0.9},
-		{"shards":1,"source":"mmap","events_per_sec":8,"speedup_vs_1shard":1}]}`)
-	rows, err = loadBenchRows(replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 || rows["buffered/shards=2"] != 9 || rows["mmap/shards=1"] != 8 {
-		t.Fatalf("replay rows = %v", rows)
 	}
 
 	cache := write("cache.json", `{"tier":"dram","rows":[

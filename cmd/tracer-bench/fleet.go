@@ -1,7 +1,7 @@
 // Fleet benchmark: the "fleet" experiment measures the shared-clock
 // fleet coordinator at several array and worker counts and writes
 // BENCH_fleet.json, so coordinator scaling is diffable across commits
-// the same way the kernel and sharded-replay numbers are.
+// the same way the kernel numbers are.
 package main
 
 import (

@@ -10,11 +10,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 
-	"repro/internal/blktrace"
 	"repro/internal/experiments"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -24,10 +21,6 @@ import (
 // benchOut is where the "kernel" experiment writes its JSON report; set
 // by the -benchout flag.
 var benchOut = "BENCH_kernel.json"
-
-// replayBenchOut is where the "kernel" experiment writes the sharded
-// replay benchmark report; set by the -replay-benchout flag.
-var replayBenchOut = "BENCH_replay.json"
 
 // kernelEvents is the number of events scheduled per benchmark
 // iteration, matching BenchmarkEngineScheduleRun in internal/simtime.
@@ -159,146 +152,5 @@ func benchKernel(cfg experiments.Config, w io.Writer) error {
 		return fmt.Errorf("kernel: %w", err)
 	}
 	fmt.Fprintf(w, "wrote %s\n", benchOut)
-
-	return benchShardedReplay(cfg, w)
-}
-
-// replayBench is one row of BENCH_replay.json.
-type replayBench struct {
-	Shards       int     `json:"shards"`
-	Source       string  `json:"source"` // "buffered" or "mmap"
-	NsPerOp      float64 `json:"ns_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	IOsPerSec    float64 `json:"ios_per_sec"`
-	// SpeedupVsOneShard is ns_per_op(1 shard, same source) / ns_per_op.
-	SpeedupVsOneShard float64 `json:"speedup_vs_1shard"`
-}
-
-// replayReport is the top-level BENCH_replay.json document.  GOMAXPROCS
-// and NumCPU record the execution environment: shard goroutines can
-// only overlap when the host grants the process more than one CPU, so
-// speedup numbers are meaningless without them.
-type replayReport struct {
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	NumCPU      int           `json:"num_cpu"`
-	TraceIOs    int           `json:"trace_ios"`
-	DiskOps     int64         `json:"disk_ops_per_replay"`
-	Benchmarks  []replayBench `json:"benchmarks"`
-	Environment string        `json:"environment_note"`
-}
-
-// benchShardedReplay measures replay.ReplaySharded at several shard
-// counts over the buffered and memory-mapped trace sources and writes
-// BENCH_replay.json.
-func benchShardedReplay(cfg experiments.Config, w io.Writer) error {
-	warnSingleCPU(w)
-	wp := synth.DefaultWebServer()
-	wp.Duration = 2 * simtime.Second
-	trace := synth.WebServerTrace(wp)
-
-	dir, err := os.MkdirTemp("", "tracer-bench-rmap")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "bench.rmap")
-	if err := blktrace.WriteMappedFile(path, trace); err != nil {
-		return err
-	}
-	mapped, err := blktrace.OpenMapped(path)
-	if err != nil {
-		return err
-	}
-	defer mapped.Close()
-
-	// One warm-up run pins the per-replay disk-op count (every disk op
-	// is one completion event on its shard's loop), so events/sec below
-	// is events actually processed, not a guess.
-	var diskOps int64
-	{
-		engines, array, err := experiments.NewSystemSharded(cfg, experiments.HDDArray, 1)
-		if err != nil {
-			return err
-		}
-		if _, err := replay.ReplaySharded(engines, array, trace, replay.ShardedOptions{}); err != nil {
-			return err
-		}
-		s := array.Stats()
-		diskOps = s.DiskReads + s.DiskWrites
-	}
-
-	report := replayReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		TraceIOs:   trace.NumIOs(),
-		DiskOps:    diskOps,
-		Environment: "speedup_vs_1shard reflects wall-clock on this host; shard goroutines " +
-			"only run concurrently when GOMAXPROCS > 1",
-	}
-	baseNs := map[string]float64{}
-	var benchErr error
-	for _, src := range []struct {
-		name string
-		src  replay.BunchSource
-	}{{"buffered", trace}, {"mmap", mapped}} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			shards := shards
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					engines, array, err := experiments.NewSystemSharded(cfg, experiments.HDDArray, shards)
-					if err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-					if _, err := replay.ReplaySharded(engines, array, src.src, replay.ShardedOptions{}); err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-				}
-			})
-			if benchErr != nil {
-				return fmt.Errorf("kernel: sharded replay benchmark: %w", benchErr)
-			}
-			ns := float64(r.NsPerOp())
-			row := replayBench{
-				Shards:      shards,
-				Source:      src.name,
-				NsPerOp:     ns,
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-			}
-			if ns > 0 {
-				row.EventsPerSec = float64(diskOps) / ns * 1e9
-				row.IOsPerSec = float64(trace.NumIOs()) / ns * 1e9
-			}
-			if shards == 1 {
-				baseNs[src.name] = ns
-			}
-			if base := baseNs[src.name]; base > 0 && ns > 0 {
-				row.SpeedupVsOneShard = base / ns
-			}
-			report.Benchmarks = append(report.Benchmarks, row)
-		}
-	}
-
-	fmt.Fprintf(w, "\nsharded replay (GOMAXPROCS=%d, %d disk ops/replay)\n", report.GOMAXPROCS, diskOps)
-	fmt.Fprintf(w, "source\tshards\tns/op\tallocs/op\tevents/sec\tIOs/sec\tspeedup\n")
-	for _, b := range report.Benchmarks {
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%d\t%.0f\t%.0f\t%.2fx\n",
-			b.Source, b.Shards, b.NsPerOp, b.AllocsPerOp, b.EventsPerSec, b.IOsPerSec, b.SpeedupVsOneShard)
-	}
-
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(replayBenchOut, blob, 0o644); err != nil {
-		return fmt.Errorf("kernel: %w", err)
-	}
-	fmt.Fprintf(w, "wrote %s\n", replayBenchOut)
 	return nil
 }

@@ -367,7 +367,6 @@ func run(args []string, out io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	benchout := fs.String("benchout", benchOut, "kernel experiment: JSON report path")
-	replayBenchout := fs.String("replay-benchout", replayBenchOut, "kernel experiment: sharded replay JSON report path")
 	fleetBenchout := fs.String("fleet-benchout", fleetBenchOut, "fleet experiment: JSON report path")
 	optimizeBenchout := fs.String("optimize-benchout", optimizeBenchOut, "optimize experiment: JSON report path")
 	cacheBenchout := fs.String("cache-benchout", cacheBenchOut, "cache experiment: JSON report path")
@@ -379,7 +378,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	benchOut = *benchout
-	replayBenchOut = *replayBenchout
 	fleetBenchOut = *fleetBenchout
 	optimizeBenchOut = *optimizeBenchout
 	cacheBenchOut = *cacheBenchout

@@ -263,10 +263,11 @@ func TestReplayAndReportCommands(t *testing.T) {
 	}
 }
 
-// TestShardedAndMappedReplayCommands drives -replay-shards and -mmap
-// through the CLI and requires the reported numbers to match the serial
-// run exactly at every shard count and via the zero-copy trace.
-func TestShardedAndMappedReplayCommands(t *testing.T) {
+// TestMappedReplayMatchesBuffered drives -mmap through the CLI and
+// requires an .rmap replay to report exactly what the same trace
+// replayed from a .replay file reports — at full load, filtered, and
+// behind a cache tier — and to export the same artifact set.
+func TestMappedReplayMatchesBuffered(t *testing.T) {
 	dir := t.TempDir()
 	repoDir := filepath.Join(dir, "traces")
 	runOK(t, "gen-real", "-repo", repoDir, "-kind", "web")
@@ -288,33 +289,29 @@ func TestShardedAndMappedReplayCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The numeric tail after the shard annotation must be identical
-	// across executors and trace formats.
-	numbers := func(out string) string {
-		i := strings.LastIndex(out, "): ")
-		j := strings.Index(out, "\ntelemetry")
-		if i < 0 || j < 0 || j < i {
+	// Everything before the telemetry line (the result line, plus the
+	// cache line with a tier) must be identical across trace formats.
+	results := func(out string) string {
+		j := strings.Index(out, "\ntelemetry written")
+		if !strings.HasPrefix(out, "replayed ") || j < 0 {
 			t.Fatalf("unexpected replay output: %s", out)
 		}
-		return out[i:j]
+		return out[:j]
 	}
-	serial := runOK(t, "replay", "-in", bin, "-telemetry-dir", filepath.Join(dir, "tel-serial"))
-	for i, args := range [][]string{
-		{"replay", "-in", bin, "-replay-shards", "4", "-telemetry-dir", filepath.Join(dir, "tel-s4")},
-		{"replay", "-in", rmap, "-mmap", "-telemetry-dir", filepath.Join(dir, "tel-mmap")},
-		{"replay", "-in", rmap, "-mmap", "-replay-shards", "2", "-telemetry-dir", filepath.Join(dir, "tel-mmap-s2")},
-	} {
-		out := runOK(t, args...)
-		if numbers(out) != numbers(serial) {
-			t.Errorf("case %d: results diverged from serial:\n got %s\nwant %s", i, numbers(out), numbers(serial))
+	for _, extra := range [][]string{nil, {"-load", "50"}, {"-cache-tier", "dram"}} {
+		name := strings.Join(extra, " ")
+		bufDir := filepath.Join(dir, "tel-replay", name)
+		mapDir := filepath.Join(dir, "tel-rmap", name)
+		want := runOK(t, append([]string{"replay", "-in", bin, "-telemetry-dir", bufDir}, extra...)...)
+		got := runOK(t, append([]string{"replay", "-in", rmap, "-mmap", "-telemetry-dir", mapDir}, extra...)...)
+		if results(got) != results(want) {
+			t.Errorf("-mmap %s: results diverged from .replay:\n got %s\nwant %s", name, results(got), results(want))
 		}
-	}
-
-	// A filtered mmap replay materializes and still works.
-	out := runOK(t, "replay", "-in", rmap, "-mmap", "-load", "50", "-replay-shards", "2",
-		"-telemetry-dir", filepath.Join(dir, "tel-mmap-load"))
-	if !strings.Contains(out, "load 50%") {
-		t.Fatalf("filtered mmap replay output: %s", out)
+		for _, f := range []string{"summary.json", "series.csv", "power_wall.csv"} {
+			if _, err := os.Stat(filepath.Join(mapDir, f)); err != nil {
+				t.Errorf("-mmap %s: artifact %s missing: %v", name, f, err)
+			}
+		}
 	}
 }
 
@@ -325,7 +322,6 @@ func TestReplayAndReportErrors(t *testing.T) {
 		{"replay", "-trace", "a", "-in", "b"}, // both sources
 		{"replay", "-in", "x.replay", "-load", "0"},
 		{"replay", "-in", "x.replay", "-device", "tape"},
-		{"replay", "-in", "x.replay", "-replay-shards", "0"},
 		{"replay", "-trace", "a", "-mmap"}, // mmap needs -in
 		{"report", "-dir", filepath.Join(t.TempDir(), "missing")},
 	}

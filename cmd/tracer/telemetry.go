@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
-	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/simtime"
 	"repro/internal/slo"
@@ -26,18 +25,14 @@ import (
 // series.csv, events.jsonl, power_wall.csv and a Chrome trace that
 // opens in Perfetto.  `tracer report -dir DIR` renders the result.
 //
-// -replay-shards N > 1 runs the sharded executor (one event loop per
-// shard, member disks striped across shards); results are bit-identical
-// to the serial run at any shard count.  -mmap loads -in as a
-// memory-mapped ".rmap" trace (see traceconv -mode bin2map) and replays
-// it zero-copy; a load below 100% still materializes, since filtering
-// rewrites the bunch list.
+// -mmap loads -in as a memory-mapped ".rmap" trace (see traceconv -mode
+// bin2map) and materializes it, so it replays exactly like the same
+// trace read from a ".replay" file.
 //
 // -cache-tier interposes a writeback cache (see internal/cache) between
 // the replay and the array; the remaining -cache-* flags tune it and
 // are rejected without a tier, so a typo cannot silently replay
-// uncached.  The cache front end is serial-engine only: it composes
-// with neither -replay-shards above 1 nor -mmap.
+// uncached.
 func cmdReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	dir := fs.String("repo", "traces", "trace repository directory")
@@ -47,8 +42,7 @@ func cmdReplay(args []string, out io.Writer) error {
 	load := fs.Float64("load", 100, "load percentage")
 	telemetryDir := fs.String("telemetry-dir", "telemetry", "artifact output directory")
 	cadence := fs.Duration("cadence", 1_000_000_000, "time-series sampling cadence (sim time)")
-	shards := fs.Int("replay-shards", 1, "event-loop shards for the replay (1 = serial engine)")
-	mmap := fs.Bool("mmap", false, "load -in as a memory-mapped .rmap trace (zero-copy)")
+	mmap := fs.Bool("mmap", false, "load -in as a memory-mapped .rmap trace")
 	cf := registerCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,51 +53,34 @@ func cmdReplay(args []string, out io.Writer) error {
 	if *load <= 0 || *load > 1000 {
 		return fmt.Errorf("replay: bad load percentage %v", *load)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("replay: bad shard count %d", *shards)
-	}
 	if *mmap && *in == "" {
 		return fmt.Errorf("replay: -mmap requires -in (repository entries are not .rmap files)")
 	}
 	if err := cf.validate("replay", fs); err != nil {
 		return err
 	}
-	if *cf.tier != "" && *shards > 1 {
-		return fmt.Errorf("replay: -cache-tier does not compose with -replay-shards %d (the cache tier is serial-engine only)", *shards)
-	}
-	if *cf.tier != "" && *mmap {
-		return fmt.Errorf("replay: -cache-tier does not compose with -mmap")
-	}
 	kind, err := experiments.KindFromString(*device)
 	if err != nil {
 		return err
 	}
-	var src replay.BunchSource
-	if *mmap {
-		m, err := blktrace.OpenMapped(*in)
-		if err != nil {
-			return err
+	var tr *blktrace.Trace
+	switch {
+	case *mmap:
+		tr, err = readMapped(*in)
+	case *in != "":
+		tr, err = blktrace.ReadFile(*in)
+	default:
+		var repo *repository.Repository
+		if repo, err = repository.Open(*dir); err == nil {
+			tr, err = repo.Load(*name)
 		}
-		defer m.Close()
-		src = m
-	} else {
-		var tr *blktrace.Trace
-		if *in != "" {
-			tr, err = blktrace.ReadFile(*in)
-		} else {
-			var repo *repository.Repository
-			if repo, err = repository.Open(*dir); err == nil {
-				tr, err = repo.Load(*name)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		src = tr
+	}
+	if err != nil {
+		return err
 	}
 	set := telemetry.New(telemetry.Options{Cadence: simtime.FromStd(*cadence)})
 	if *cf.tier != "" {
-		m, err := experiments.MeasureCachedAtLoadTelemetry(experiments.DefaultConfig(), kind, cf.spec(), src.(*blktrace.Trace), *load/100, set)
+		m, err := experiments.MeasureCachedAtLoadTelemetry(experiments.DefaultConfig(), kind, cf.spec(), tr, *load/100, set)
 		if err != nil {
 			return err
 		}
@@ -120,12 +97,7 @@ func cmdReplay(args []string, out io.Writer) error {
 			*telemetryDir, *telemetryDir)
 		return nil
 	}
-	var run *experiments.TelemetryRun
-	if *shards > 1 || *mmap {
-		run, err = experiments.MeasureAtLoadTelemetrySharded(experiments.DefaultConfig(), kind, src, *load/100, set, *shards)
-	} else {
-		run, err = experiments.MeasureAtLoadTelemetry(experiments.DefaultConfig(), kind, src.(*blktrace.Trace), *load/100, set)
-	}
+	run, err := experiments.MeasureAtLoadTelemetry(experiments.DefaultConfig(), kind, tr, *load/100, set)
 	if err != nil {
 		return err
 	}
@@ -133,11 +105,22 @@ func cmdReplay(args []string, out io.Writer) error {
 		return err
 	}
 	r := run.Meas.Result
-	fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s (%d shard(s)%s): %.1f IOPS, %.3f MBPS, %.1f W\n",
-		r.Completed, *load, kind, *shards, map[bool]string{true: ", mmap"}[*mmap], r.IOPS, r.MBPS, run.Meas.Power)
+	fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
+		r.Completed, *load, kind, r.IOPS, r.MBPS, run.Meas.Power)
 	fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
 		*telemetryDir, *telemetryDir)
 	return nil
+}
+
+// readMapped opens a format-v2 ".rmap" trace and copies it into a heap
+// trace, releasing the mapping before the replay starts.
+func readMapped(path string) (*blktrace.Trace, error) {
+	m, err := blktrace.OpenMapped(path)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Materialize()
 }
 
 // cmdReport renders a telemetry artifact directory as text tables:

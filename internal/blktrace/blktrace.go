@@ -65,12 +65,9 @@ type Trace struct {
 // NumBunches reports the number of bunches.
 func (t *Trace) NumBunches() int { return len(t.Bunches) }
 
-// Label reports the device label; together with BunchTime, BunchSize
-// and Package it forms the read-only view interface (replay.BunchSource)
-// shared with the memory-mapped MappedTrace.
-func (t *Trace) Label() string { return t.Device }
-
-// BunchTime reports bunch i's arrival offset.
+// BunchTime reports bunch i's arrival offset.  BunchTime, BunchSize and
+// Package mirror MappedTrace's accessors; fleet.TraceStream reads
+// through them.
 func (t *Trace) BunchTime(i int) simtime.Duration { return t.Bunches[i].Time }
 
 // BunchSize reports the number of packages in bunch i.

@@ -43,10 +43,9 @@ const (
 
 // MappedTrace is a read-only trace view backed by raw format-v2 bytes —
 // a file mapping or an in-memory buffer.  Package records decode on
-// access; nothing is materialized.  It implements the same view
-// interface as *Trace (replay.BunchSource), so the sharded replayer
-// consumes either interchangeably.  A MappedTrace must not be used
-// after Close.
+// access; nothing is materialized until Materialize copies the view
+// into a *Trace for replay.  Its accessors mirror *Trace's (BunchTime,
+// BunchSize, Package).  A MappedTrace must not be used after Close.
 type MappedTrace struct {
 	device   string
 	nb       int

@@ -12,7 +12,7 @@ import (
 )
 
 // viewsEqual compares a mapped view against a materialized trace
-// field-by-field through the shared BunchSource interface.
+// field-by-field through their shared accessors.
 func viewsEqual(t *testing.T, m *MappedTrace, want *Trace) {
 	t.Helper()
 	if m.Label() != want.Device {

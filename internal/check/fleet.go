@@ -5,7 +5,7 @@
 // fixed by its fleet index.  FleetChecked runs a canonical fleet
 // workload, validates the conservation and invariant gates, and hands
 // back the summary.json bytes so the test can diff worker counts
-// byte-for-byte, exactly like the sharded replay goldens.
+// byte-for-byte.
 package check
 
 import (

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -414,7 +415,14 @@ func (a *AnalyzerAgent) serve(conn *netproto.Conn) {
 				isHost = true
 				a.mu.Lock()
 				a.hosts = append(a.hosts, conn)
+				// Dial waits for this acknowledgement, so no report is
+				// broadcast before the host is subscribed; sending it under
+				// the lock puts it ahead of every report on this conn.
+				err := conn.Send(netproto.TypeHello, env.Seq, netproto.Hello{Role: "analyzer"})
 				a.mu.Unlock()
+				if err != nil {
+					return
+				}
 			}
 		case netproto.TypePowerSamples:
 			var ps netproto.PowerSamples
@@ -483,7 +491,10 @@ func Dial(generatorAddr, analyzerAddr string, db *host.DB) (*Host, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial generator: %w", err)
 	}
-	h := &Host{gen: netproto.NewConn(rawG), db: db, reports: map[uint64]chan netproto.PowerReport{}}
+	// The analyzer broadcasts every report to every host and a host
+	// matches reports by sequence number, so each host numbers its tests
+	// from its own random base.
+	h := &Host{gen: netproto.NewConn(rawG), db: db, seq: uint64(rand.Uint32()) << 32, reports: map[uint64]chan netproto.PowerReport{}}
 	if err := h.gen.Send(netproto.TypeHello, 0, netproto.Hello{Role: "host", Name: "evaluation-host"}); err != nil {
 		h.gen.Close()
 		return nil, err
@@ -498,6 +509,14 @@ func Dial(generatorAddr, analyzerAddr string, db *host.DB) (*Host, error) {
 		if err := h.analyzer.Send(netproto.TypeHello, 0, netproto.Hello{Role: "host", Name: "evaluation-host"}); err != nil {
 			h.Close()
 			return nil, err
+		}
+		env, err := h.analyzer.Recv()
+		if err == nil && env.Type != netproto.TypeHello {
+			err = fmt.Errorf("unexpected %s frame", env.Type)
+		}
+		if err != nil {
+			h.Close()
+			return nil, fmt.Errorf("cluster: analyzer subscription: %w", err)
 		}
 		go h.analyzerLoop()
 	}

@@ -270,13 +270,6 @@ func (d *HDD) Stats() HDDStats { return d.stats }
 // QueueDepth reports queued-but-unstarted requests (tests use it).
 func (d *HDD) QueueDepth() int { return len(d.queue) }
 
-// MinServiceTime returns a lower bound on the service time of any
-// request: the fixed command overhead.  Seek and rotational latency can
-// both be zero but the transfer is strictly positive, so every real
-// service exceeds this bound.  The sharded replay coordinator uses it as
-// conservative lookahead when computing synchronization windows.
-func (d *HDD) MinServiceTime() simtime.Duration { return d.params.CmdOverhead }
-
 // Standby stops the spindle to save power.  It reports false (and does
 // nothing) when the drive is busy or already stopped; a policy should
 // simply retry later.  The next Submit transparently spins the drive

@@ -179,12 +179,6 @@ func (d *SSD) Stats() SSDStats { return d.stats }
 // QueueDepth reports queued-but-unstarted requests.
 func (d *SSD) QueueDepth() int { return len(d.queue) }
 
-// MinServiceTime returns a lower bound on the service time of any
-// request: the fixed command overhead (the flash transfer on top of it
-// is strictly positive).  Used as conservative lookahead by the sharded
-// replay coordinator.
-func (d *SSD) MinServiceTime() simtime.Duration { return d.params.CmdOverhead }
-
 // CheckInvariants verifies the device's internal accounting.  It is
 // meaningful once the simulation has drained; call it after engine.Run
 // returns.  now is the engine clock, bounding wall time since the

@@ -253,7 +253,7 @@ func WritePathStudy(cfg Config) (*WritePathResult, error) {
 			if err != nil {
 				return WritePathRow{}, err
 			}
-			e, a, err := newSystem(cfg, HDDArray)
+			e, a, err := NewSystem(cfg, HDDArray)
 			if err != nil {
 				return WritePathRow{}, err
 			}

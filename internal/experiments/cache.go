@@ -98,7 +98,7 @@ func (s CacheSpec) Label() string {
 // pass-through cache whose behaviour — event sequence, power samples,
 // replay results — is byte-identical to the bare NewSystem array.
 func NewCachedSystem(cfg Config, kind ArrayKind, spec CacheSpec) (*simtime.Engine, *cache.Cache, *raid.Array, error) {
-	e, a, err := newSystem(cfg.normalize(), kind)
+	e, a, err := NewSystem(cfg, kind)
 	if err != nil {
 		return nil, nil, nil, err
 	}

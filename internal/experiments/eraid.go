@@ -59,7 +59,7 @@ func ERAIDStudy(cfg Config) (*ERAIDResult, error) {
 			var c cell
 			var r *replay.Result
 			if config == "always-on" {
-				e2, array, err := newSystem(cfg, HDDArray)
+				e2, array, err := NewSystem(cfg, HDDArray)
 				if err != nil {
 					return cell{}, err
 				}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/blktrace"
-	"repro/internal/disksim"
 	"repro/internal/metrics"
 	"repro/internal/parsweep"
 	"repro/internal/powersim"
@@ -112,34 +111,9 @@ func (k ArrayKind) String() string {
 
 // NewSystem provisions a pristine simulated array of the given kind on
 // a fresh engine; commands and examples share it with the experiment
-// harnesses.
+// harnesses.  It is fleet member 0 (see NewFleetMember).
 func NewSystem(cfg Config, kind ArrayKind) (*simtime.Engine, *raid.Array, error) {
-	return newSystem(cfg.normalize(), kind)
-}
-
-// NewSystemSharded provisions the same simulated array as NewSystem but
-// over one engine per shard, for replay.ReplaySharded: member disk i
-// lives on engines[i%shards].  With shards == 1 the system is identical
-// to NewSystem's (same seeds, same names, one engine).
-func NewSystemSharded(cfg Config, kind ArrayKind, shards int) ([]*simtime.Engine, *raid.Array, error) {
-	cfg = cfg.normalize()
-	if shards <= 0 {
-		shards = 1
-	}
-	engines := make([]*simtime.Engine, shards)
-	for i := range engines {
-		engines[i] = simtime.NewEngine()
-	}
-	params := raid.DefaultParams()
-	switch kind {
-	case SSDArray:
-		params.Chassis = raid.SSDChassis()
-		a, err := raid.NewSSDArrayEngines(engines, params, cfg.SSDs, disksim.MemorightSLC32())
-		return engines, a, err
-	default:
-		a, err := raid.NewHDDArrayEngines(engines, params, cfg.HDDs, disksim.Seagate7200())
-		return engines, a, err
-	}
+	return NewFleetMember(cfg, kind, 0)
 }
 
 // KindFromString parses "hdd"/"ssd" (or the full array labels).
@@ -154,24 +128,9 @@ func KindFromString(s string) (ArrayKind, error) {
 	}
 }
 
-// newSystem provisions a pristine simulated array of the given kind.
-func newSystem(cfg Config, kind ArrayKind) (*simtime.Engine, *raid.Array, error) {
-	e := simtime.NewEngine()
-	params := raid.DefaultParams()
-	switch kind {
-	case SSDArray:
-		params.Chassis = raid.SSDChassis()
-		a, err := raid.NewSSDArray(e, params, cfg.SSDs, disksim.MemorightSLC32())
-		return e, a, err
-	default:
-		a, err := raid.NewHDDArray(e, params, cfg.HDDs, disksim.Seagate7200())
-		return e, a, err
-	}
-}
-
 // collectTrace collects a peak trace for mode on a pristine array.
 func collectTrace(cfg Config, kind ArrayKind, mode synth.Mode) (*blktrace.Trace, error) {
-	e, a, err := newSystem(cfg, kind)
+	e, a, err := NewSystem(cfg, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +158,7 @@ type Measurement struct {
 // measureReplay replays trace on a fresh array at the given load and
 // meters wall power over the run.
 func measureReplay(cfg Config, kind ArrayKind, trace *blktrace.Trace, f replay.Filter) (*Measurement, error) {
-	e, a, err := newSystem(cfg, kind)
+	e, a, err := NewSystem(cfg, kind)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func DegradedStudy(cfg Config) (*DegradedResult, error) {
 		},
 		func(i int) (Measurement, error) {
 			fail := i%2 == 1
-			engine, array, err := newSystem(cfg, HDDArray)
+			engine, array, err := NewSystem(cfg, HDDArray)
 			if err != nil {
 				return Measurement{}, err
 			}

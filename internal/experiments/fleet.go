@@ -10,7 +10,7 @@ import (
 
 // FleetSeedStride separates the PCG seed ranges of fleet members.
 // Member disks within one array are seeded drive.Seed + i*1000003 (see
-// raid.NewHDDArrayEngines), so a stride of 1000003<<10 keeps every
+// raid.NewHDDArray), so a stride of 1000003<<10 keeps every
 // array's per-disk seed block disjoint for any member count below 1024
 // — each array draws an independent variate sequence that depends only
 // on its fleet index, never on worker count or run order.
@@ -23,10 +23,9 @@ const FleetSeedStride = 1000003 << 10
 func NormalizeConfig(c Config) Config { return c.normalize() }
 
 // NewFleetMember provisions fleet member index: a pristine array of the
-// given kind on a fresh engine, identical to NewSystem except that the
-// member-disk seeds are offset by index*FleetSeedStride.  Member 0 is
-// byte-identical to NewSystem's system; every other member is the same
-// hardware with an independent variate sequence.
+// given kind on a fresh engine, with member-disk seeds offset by
+// index*FleetSeedStride.  Member 0 is NewSystem's system; every other
+// member is the same hardware with an independent variate sequence.
 func NewFleetMember(cfg Config, kind ArrayKind, index int) (*simtime.Engine, *raid.Array, error) {
 	if index < 0 {
 		return nil, nil, fmt.Errorf("experiments: negative fleet index %d", index)

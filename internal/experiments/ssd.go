@@ -39,7 +39,7 @@ func SSDStudy(cfg Config) (*SSDStudyResult, error) {
 
 	// Idle power.
 	{
-		e, a, err := newSystem(cfg, SSDArray)
+		e, a, err := NewSystem(cfg, SSDArray)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/blktrace"
 	"repro/internal/metrics"
 	"repro/internal/powersim"
@@ -41,7 +39,7 @@ type TelemetryRun struct {
 // MeasureAtLoad, which skips all of this.
 func MeasureAtLoadTelemetry(cfg Config, kind ArrayKind, trace *blktrace.Trace, load float64, set *telemetry.Set) (*TelemetryRun, error) {
 	cfg = cfg.normalize()
-	e, a, err := newSystem(cfg, kind)
+	e, a, err := NewSystem(cfg, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -81,76 +79,4 @@ func MeasureAtLoadTelemetry(cfg Config, kind ArrayKind, trace *blktrace.Trace, l
 		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
 	}
 	return &TelemetryRun{Meas: m, Set: set, Meter: meter, Channel: ch, Start: start, Horizon: horizon}, nil
-}
-
-// MeasureAtLoadTelemetrySharded is the sharded-executor counterpart of
-// MeasureAtLoadTelemetry: the array is provisioned over one engine per
-// shard, controller-level probes record into set, and each member
-// disk's probe records into a private per-shard Set so shard goroutines
-// never share telemetry state.  After the run the per-shard registries
-// are folded into set in shard order, so counters, watermarks and
-// histograms land in a deterministic layout regardless of shard count.
-//
-// src may be a materialized *blktrace.Trace or a zero-copy
-// *blktrace.MappedTrace; a load below 100% forces materialization
-// (filtering rewrites the bunch list).  Two instrumentation channels of
-// the serial path are deliberately absent: engine gauges (WireEngine)
-// and online power/registry sampling, both of which would schedule
-// sampling callbacks onto one shard's event loop while other shards run
-// — power is still metered post-hoc over the full run, identically to
-// MeasureAtLoad.
-func MeasureAtLoadTelemetrySharded(cfg Config, kind ArrayKind, src replay.BunchSource, load float64, set *telemetry.Set, shards int) (*TelemetryRun, error) {
-	cfg = cfg.normalize()
-	engines, a, err := NewSystemSharded(cfg, kind, shards)
-	if err != nil {
-		return nil, err
-	}
-	shardSets := make([]*telemetry.Set, len(engines))
-	for i := range shardSets {
-		shardSets[i] = telemetry.New(telemetry.Options{Cadence: set.Cadence()})
-	}
-	a.AttachTelemetryShards(set, shardSets)
-	probe := telemetry.NewReplayProbe(set)
-
-	filterName := ""
-	if load > 0 && load < 1 {
-		tr, ok := src.(*blktrace.Trace)
-		if !ok {
-			mt, okm := src.(*blktrace.MappedTrace)
-			if !okm {
-				return nil, fmt.Errorf("experiments: load filtering needs a materialized trace (got %T)", src)
-			}
-			if tr, err = mt.Materialize(); err != nil {
-				return nil, err
-			}
-		}
-		f := replay.UniformFilter{Proportion: load}
-		filtered := f.Apply(tr)
-		probe.OnFilter(filtered.NumIOs(), tr.NumIOs()-filtered.NumIOs())
-		src = filtered
-		filterName = f.Name()
-	}
-
-	start := engines[0].Now()
-	res, err := replay.ReplaySharded(engines, a, src, replay.ShardedOptions{Telemetry: probe})
-	if err != nil {
-		return nil, err
-	}
-	res.Filter = filterName
-	for _, ss := range shardSets {
-		set.Registry().Merge(ss.Registry())
-	}
-	set.Flush(engines[0].Now())
-
-	meter := powersim.DefaultMeter(a.PowerSource())
-	meter.Seed = cfg.Seed
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	m := &Measurement{
-		Load:   load,
-		Result: res,
-		Power:  watts,
-		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-	}
-	return &TelemetryRun{Meas: m, Set: set, Meter: meter, Start: start, Horizon: engines[0].Now()}, nil
 }

@@ -51,7 +51,7 @@ func ThermalStudy(cfg Config) (*ThermalResult, error) {
 		func(i int) string { return fmt.Sprintf("load %v", cfg.Loads[i]) },
 		func(i int) (ThermalRow, error) {
 			load := cfg.Loads[i]
-			engine, array, err := newSystem(cfg, HDDArray)
+			engine, array, err := NewSystem(cfg, HDDArray)
 			if err != nil {
 				return ThermalRow{}, err
 			}

@@ -2,8 +2,8 @@
 // fleet: N independent arrays — each an experiments-provisioned
 // engine + RAID array — behind a front-end router, partitioned across
 // W worker goroutines that advance in lock-stepped shared-clock
-// windows (the PR 6 sharded-replay pattern, lifted from disks-within-
-// an-array to arrays-within-a-fleet).
+// windows.  Run is the repository's only windowed-barrier executor:
+// a single array always replays on one serial engine (DESIGN.md §12).
 //
 // Arrays only interact through the front end, so the conservative
 // lookahead is the router's decision interval: the coordinator routes
@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/powersim"
 	"repro/internal/raid"
 	"repro/internal/simtime"
@@ -392,7 +393,7 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 	}
 	// barrier drains every worker through limit and republishes member
 	// state to the coordinator (the channel handshake orders the
-	// cross-goroutine field accesses, as in replay/sharded.go).
+	// cross-goroutine field accesses).
 	outstanding := 0
 	states := make([]ArrayState, n)
 	barrier := func(limit simtime.Time) {
@@ -625,20 +626,8 @@ func tailStats(responses []simtime.Duration) Tails {
 	return Tails{
 		Mean: sum / simtime.Duration(len(responses)),
 		Max:  responses[len(responses)-1],
-		P50:  quantile(responses, 0.50),
-		P99:  quantile(responses, 0.99),
-		P999: quantile(responses, 0.999),
+		P50:  metrics.NearestRank(responses, 0.50),
+		P99:  metrics.NearestRank(responses, 0.99),
+		P999: metrics.NearestRank(responses, 0.999),
 	}
-}
-
-// quantile returns the nearest-rank quantile of a sorted slice.
-func quantile(sorted []simtime.Duration, q float64) simtime.Duration {
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -130,6 +130,19 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
+// NearestRank returns the nearest-rank q-quantile of an ascending
+// sample: the element of 1-based rank int(q·n+0.5), clamped to [1, n].
+// An empty sample yields the zero value.  Replay and fleet response
+// tails both report through it.
+func NearestRank[S ~[]E, E any](sorted S, q float64) E {
+	if len(sorted) == 0 {
+		var zero E
+		return zero
+	}
+	idx := int(q*float64(len(sorted))+0.5) - 1
+	return sorted[max(0, min(idx, len(sorted)-1))]
+}
+
 // Pearson computes the linear correlation coefficient of two equal-
 // length series; the paper's headline observation is that efficiency is
 // linearly proportional to load, which experiments assert via r ≈ 1.

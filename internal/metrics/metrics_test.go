@@ -155,3 +155,18 @@ func TestPropertySummaryBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestNearestRank(t *testing.T) {
+	sorted := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.5, 5}, {1.0, 10}, {0.01, 1}, {0.95, 10}, {0.94, 9}, {0, 1}} {
+		if got := NearestRank(sorted, c.q); got != c.want {
+			t.Errorf("NearestRank(1..10, %v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := NearestRank([]int64(nil), 0.5); got != 0 {
+		t.Fatalf("empty sample = %v, want 0", got)
+	}
+}

@@ -185,31 +185,6 @@ func (a *Array) AttachTelemetry(s *telemetry.Set) {
 	}
 }
 
-// AttachTelemetryShards wires controller-level probes into parent and
-// each member disk's probe into shards[i%len(shards)] — the same
-// disk-to-shard mapping as NewHDDArrayEngines — so during a sharded
-// replay every disk records only into its own shard's Set and no
-// cross-goroutine writes occur.  After the run the caller merges the
-// shard registries into the parent in shard order, which is
-// deterministic for any shard count (counters add, watermarks max).
-// Unlike AttachTelemetry this registers no queue-depth probe gauges:
-// sampling callbacks would read disk state from outside its shard.
-func (a *Array) AttachTelemetryShards(parent *telemetry.Set, shards []*telemetry.Set) {
-	if parent == nil || len(shards) == 0 {
-		return
-	}
-	a.tel = telemetry.NewRAIDProbe(parent)
-	for i, d := range a.disks {
-		label := fmt.Sprintf("%d", i)
-		if n, ok := d.(named); ok && n.Name() != "" {
-			label = n.Name()
-		}
-		if at, ok := d.(diskAttacher); ok {
-			at.AttachTelemetry(telemetry.NewDiskProbe(shards[i%len(shards)], label, i))
-		}
-	}
-}
-
 // FailDisk marks member i failed (RAID5 only): subsequent reads that
 // touch it are served by reconstruction from the survivors, and writes
 // follow the degraded paths.  A second failure is rejected — RAID5
@@ -269,50 +244,29 @@ func New(engine *simtime.Engine, params Params, disks []Disk) (*Array, error) {
 
 // NewHDDArray builds a RAID array of n identical HDDs, seeding each
 // drive's RNG distinctly so rotational latencies decorrelate.
+// Member i is seeded drive.Seed + i*1000003 and named "<drive.Name>-i".
 func NewHDDArray(engine *simtime.Engine, params Params, n int, drive disksim.HDDParams) (*Array, error) {
-	return NewHDDArrayEngines([]*simtime.Engine{engine}, params, n, drive)
-}
-
-// NewHDDArrayEngines builds the same array as NewHDDArray but attaches
-// member i to engines[i%len(engines)], the shard-assignment contract of
-// the sharded replay executor.  The per-drive seed and name scheme is
-// identical to the single-engine constructor, so every member behaves
-// bit-for-bit as in a serial run; with one engine the two constructors
-// are the same.  The array itself (command overhead, completions for
-// the serial path) lives on engines[0].
-func NewHDDArrayEngines(engines []*simtime.Engine, params Params, n int, drive disksim.HDDParams) (*Array, error) {
-	if len(engines) == 0 {
-		return nil, fmt.Errorf("raid: need at least one engine")
-	}
 	disks := make([]Disk, n)
 	for i := range disks {
 		p := drive
 		p.Seed = drive.Seed + uint64(i)*1000003
 		p.Name = fmt.Sprintf("%s-%d", drive.Name, i)
-		disks[i] = disksim.NewHDD(engines[i%len(engines)], p)
+		disks[i] = disksim.NewHDD(engine, p)
 	}
-	return New(engines[0], params, disks)
+	return New(engine, params, disks)
 }
 
-// NewSSDArray builds a RAID array of n identical SSDs.
+// NewSSDArray builds a RAID array of n identical SSDs, seeded and named
+// like NewHDDArray's members.
 func NewSSDArray(engine *simtime.Engine, params Params, n int, drive disksim.SSDParams) (*Array, error) {
-	return NewSSDArrayEngines([]*simtime.Engine{engine}, params, n, drive)
-}
-
-// NewSSDArrayEngines is the sharded counterpart of NewSSDArray; see
-// NewHDDArrayEngines for the shard-assignment contract.
-func NewSSDArrayEngines(engines []*simtime.Engine, params Params, n int, drive disksim.SSDParams) (*Array, error) {
-	if len(engines) == 0 {
-		return nil, fmt.Errorf("raid: need at least one engine")
-	}
 	disks := make([]Disk, n)
 	for i := range disks {
 		p := drive
 		p.Seed = drive.Seed + uint64(i)*1000003
 		p.Name = fmt.Sprintf("%s-%d", drive.Name, i)
-		disks[i] = disksim.NewSSD(engines[i%len(engines)], p)
+		disks[i] = disksim.NewSSD(engine, p)
 	}
-	return New(engines[0], params, disks)
+	return New(engine, params, disks)
 }
 
 // Capacity implements storage.Device: usable data capacity.
@@ -543,82 +497,27 @@ func (a *Array) Submit(req storage.Request, done func(simtime.Time)) {
 	a.engine.AfterEvent(a.params.CmdOverhead, &pendingCmd{a: a, req: req, done: done}, simtime.EventArg{})
 }
 
-// PlannedOp is one member-disk operation planned by the controller.
-// The serial write path issues planned ops directly; the sharded replay
-// executor obtains them from PlanRequest and schedules them on per-shard
-// engines itself.
-type PlannedOp struct {
+// plannedOp is one member-disk operation planned by the controller.
+type plannedOp struct {
 	// Disk is the member index the operation targets.
 	Disk int
 	// Req is the member-disk request (offsets already in disk space).
 	Req storage.Request
 }
 
-// PlannedGroup is one dependency unit of an array request: all Reads
+// plannedGroup is one dependency unit of an array request: all Reads
 // complete first (phase 1), then all Writes issue concurrently (phase
-// 2).  A group with no Reads issues its Writes immediately; a group
-// with neither completes at plan time.  For reads the plan is a single
-// group holding only Reads; a RAID-5 write yields one group per touched
-// stripe (full-stripe groups carry only Writes, read-modify-write
-// groups carry both phases).  The group — not the individual op — is
-// the only place disks couple to each other, which is what makes the
-// sharded executor's conservative windows sound.
-type PlannedGroup struct {
-	Reads  []PlannedOp
-	Writes []PlannedOp
-}
-
-// PlanRequest maps one array-level request onto member-disk operations
-// without issuing them, mutating the controller counters exactly as the
-// serial execution path would (request, disk-op, parity and stripe
-// classification counts all land at plan time; totals after a run match
-// the serial end state).  Both paths share the same planning helpers, so
-// the returned operations are identical — in content and in order — to
-// what Submit would issue.  Like Submit, it panics on a malformed
-// request and folds out-of-range offsets into the array's data space.
-func (a *Array) PlanRequest(req storage.Request) []PlannedGroup {
-	if err := req.Validate(0); err != nil {
-		panic(fmt.Sprintf("raid: invalid request: %v", err))
-	}
-	req.Offset = foldOffset(req.Offset, req.Size, a.Capacity())
-	var groups []PlannedGroup
-	switch req.Op {
-	case storage.Read:
-		a.stats.Reads++
-		groups = []PlannedGroup{{Reads: a.planRead(req)}}
-	case storage.Write:
-		a.stats.Writes++
-		segs := a.mapRange(req.Offset, req.Size)
-		if a.params.Level == RAID0 {
-			groups = []PlannedGroup{a.planWriteRAID0(segs)}
-		} else {
-			plans := a.planStripes(segs)
-			groups = make([]PlannedGroup, 0, len(plans))
-			for _, p := range plans {
-				groups = append(groups, a.planStripeWrite(p))
-			}
-		}
-	}
-	// The serial path counts member ops at issue; counting the full plan
-	// here yields the same totals (every planned op is issued once).
-	for gi := range groups {
-		a.stats.DiskReads += int64(len(groups[gi].Reads))
-		a.stats.DiskWrites += int64(len(groups[gi].Writes))
-	}
-	return groups
-}
-
-// ObserveDiskOp forwards one member-disk operation to the array's
-// telemetry probe, if attached.  The sharded executor calls it at window
-// barriers, where the serial path would have emitted the span from its
-// completion callback.
-func (a *Array) ObserveDiskOp(disk int, write bool, start, end simtime.Time, bytes int64) {
-	a.tel.OnDiskOp(disk, write, start, end, bytes)
+// 2).  A group with no Reads issues its Writes immediately.  A RAID-5
+// write yields one group per touched stripe (full-stripe groups carry
+// only Writes, read-modify-write groups carry both phases).
+type plannedGroup struct {
+	Reads  []plannedOp
+	Writes []plannedOp
 }
 
 // issueAll submits the planned ops and calls done with the slowest
 // completion time.
-func (a *Array) issueAll(ops []PlannedOp, done func(simtime.Time)) {
+func (a *Array) issueAll(ops []plannedOp, done func(simtime.Time)) {
 	outstanding := len(ops)
 	if outstanding == 0 {
 		a.engine.ScheduleEvent(a.engine.Now(), doneNow{}, simtime.EventArg{Ptr: done})
@@ -666,9 +565,9 @@ func (a *Array) submitRead(req storage.Request, done func(simtime.Time)) {
 // planRead maps a read onto member ops.  Segments on a failed member
 // are reconstructed by reading the same byte range from every survivor
 // of the stripe and XOR-ing in controller memory.
-func (a *Array) planRead(req storage.Request) []PlannedOp {
+func (a *Array) planRead(req storage.Request) []plannedOp {
 	segs := a.mapRange(req.Offset, req.Size)
-	var ops []PlannedOp
+	var ops []plannedOp
 	for _, seg := range segs {
 		if seg.disk == a.failed {
 			a.stats.ReconstructReads++
@@ -677,11 +576,11 @@ func (a *Array) planRead(req storage.Request) []PlannedOp {
 				if j == a.failed {
 					continue
 				}
-				ops = append(ops, PlannedOp{Disk: j, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
+				ops = append(ops, plannedOp{Disk: j, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
 			}
 			continue
 		}
-		ops = append(ops, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
+		ops = append(ops, plannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
 	}
 	return ops
 }
@@ -722,19 +621,19 @@ func (a *Array) submitWrite(req storage.Request, done func(simtime.Time)) {
 }
 
 // planWriteRAID0 maps write segments straight onto member strips.
-func (a *Array) planWriteRAID0(segs []segment) PlannedGroup {
-	var ops []PlannedOp
+func (a *Array) planWriteRAID0(segs []segment) plannedGroup {
+	var ops []plannedOp
 	for _, seg := range segs {
-		ops = append(ops, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
+		ops = append(ops, plannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
 	}
-	return PlannedGroup{Writes: ops}
+	return plannedGroup{Writes: ops}
 }
 
 // executeGroup issues one planned group on the array's own engine: the
 // read phase first (when present), then the write phase on its
 // completion.  done receives the latest completion time of the final
 // phase, matching the classic RMW chain.
-func (a *Array) executeGroup(g PlannedGroup, done func(simtime.Time)) {
+func (a *Array) executeGroup(g plannedGroup, done func(simtime.Time)) {
 	if len(g.Reads) == 0 {
 		a.issueAll(g.Writes, done)
 		return
@@ -789,24 +688,24 @@ func (a *Array) planStripes(segs []segment) []stripePlan {
 // plan adapts: a failed parity disk drops all parity traffic; a failed
 // data disk forces reconstruct-write — read the union range from every
 // surviving data disk to recompute parity, skip the lost data write.
-func (a *Array) planStripeWrite(p stripePlan) PlannedGroup {
+func (a *Array) planStripeWrite(p stripePlan) plannedGroup {
 	degraded := a.failed >= 0 && a.stripeTouchesFailed(p)
 	if degraded {
 		a.stats.DegradedStripes++
 	}
 	parityAlive := p.parityDisk != a.failed
 
-	var writes []PlannedOp
+	var writes []plannedOp
 	for _, seg := range p.segs {
 		if seg.disk == a.failed {
 			continue // the lost member absorbs no writes; parity covers it
 		}
-		writes = append(writes, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
+		writes = append(writes, plannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
 	}
 	if parityAlive {
 		a.stats.ParityWrites++
 		a.tel.OnParity(false)
-		writes = append(writes, PlannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Write, Offset: p.parityOffset, Size: p.paritySize}})
+		writes = append(writes, plannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Write, Offset: p.parityOffset, Size: p.paritySize}})
 	}
 
 	if p.fullStripe {
@@ -814,21 +713,21 @@ func (a *Array) planStripeWrite(p stripePlan) PlannedGroup {
 		a.tel.OnStripeWrite(true, degraded)
 		// Parity is computed from the new data in controller memory —
 		// no pre-reads needed.
-		return PlannedGroup{Writes: writes}
+		return plannedGroup{Writes: writes}
 	}
 
 	a.stats.RMWStripes++
 	a.tel.OnStripeWrite(false, degraded)
-	var reads []PlannedOp
+	var reads []plannedOp
 	switch {
 	case !degraded:
 		// Classic RMW: old data under each segment plus old parity.
 		for _, seg := range p.segs {
-			reads = append(reads, PlannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
+			reads = append(reads, plannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
 		}
 		a.stats.ParityReads++
 		a.tel.OnParity(true)
-		reads = append(reads, PlannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
+		reads = append(reads, plannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
 	case !parityAlive:
 		// Parity lost: data writes need no pre-reads at all.
 	default:
@@ -839,10 +738,10 @@ func (a *Array) planStripeWrite(p stripePlan) PlannedGroup {
 			if j == a.failed || j == p.parityDisk {
 				continue
 			}
-			reads = append(reads, PlannedOp{Disk: j, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
+			reads = append(reads, plannedOp{Disk: j, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
 		}
 	}
-	return PlannedGroup{Reads: reads, Writes: writes}
+	return plannedGroup{Reads: reads, Writes: writes}
 }
 
 // stripeTouchesFailed reports whether the plan involves the failed

@@ -50,8 +50,7 @@ func (a *Array) Rebuilding() bool { return a.rebuild != nil }
 // Non-positive span/chunk take the defaults; the span is clamped to
 // the smallest member capacity.  The array must be RAID5, degraded,
 // and not already rebuilding.  All member traffic is issued from
-// completion callbacks, so in a sharded setup the members must share
-// one engine (fleet member arrays do).
+// completion callbacks on the array's engine.
 func (a *Array) StartRebuild(span, chunk int64, done func(simtime.Time)) error {
 	if a.params.Level != RAID5 {
 		return fmt.Errorf("raid: %v cannot rebuild", a.params.Level)

@@ -138,19 +138,3 @@ func TestPercentilesOrdering(t *testing.T) {
 		t.Fatalf("median %v implausibly above mean %v", res.P50Response, res.MeanResponse)
 	}
 }
-
-func TestPercentileHelper(t *testing.T) {
-	sorted := []simtime.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := percentile(sorted, 0.5); p != 5 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := percentile(sorted, 1.0); p != 10 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if p := percentile(sorted, 0.01); p != 1 {
-		t.Fatalf("p1 = %v", p)
-	}
-	if p := percentile(nil, 0.5); p != 0 {
-		t.Fatalf("empty percentile = %v", p)
-	}
-}

@@ -6,31 +6,11 @@ import (
 	"slices"
 
 	"repro/internal/blktrace"
+	"repro/internal/metrics"
 	"repro/internal/simtime"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
-
-// percentileIndex returns the nearest-rank index for quantile q in a
-// sorted slice of length n.
-func percentileIndex(n int, q float64) int {
-	idx := int(q*float64(n)+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return idx
-}
-
-// percentile returns the nearest-rank percentile of a sorted slice.
-func percentile(sorted []simtime.Duration, q float64) simtime.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[percentileIndex(len(sorted), q)]
-}
 
 // Options tune a replay run.
 type Options struct {
@@ -276,9 +256,9 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 		slices.SortFunc(completions, func(a, b completion) int {
 			return cmp.Compare(a.response, b.response)
 		})
-		res.P50Response = completions[percentileIndex(len(completions), 0.50)].response
-		res.P95Response = completions[percentileIndex(len(completions), 0.95)].response
-		res.P99Response = completions[percentileIndex(len(completions), 0.99)].response
+		res.P50Response = metrics.NearestRank(completions, 0.50).response
+		res.P95Response = metrics.NearestRank(completions, 0.95).response
+		res.P99Response = metrics.NearestRank(completions, 0.99).response
 	}
 	if secs := res.Duration().Seconds(); secs > 0 {
 		res.IOPS = float64(res.Completed) / secs

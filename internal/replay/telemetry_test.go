@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/blktrace"
@@ -19,21 +20,28 @@ func allocTestTrace() *blktrace.Trace {
 }
 
 // replayAllocs measures allocations of one full end-to-end replay
-// (engine + array construction excluded) with the given options and
-// optional array-level telemetry attachment.
+// (engine + array construction included) with the given options and
+// optional array-level telemetry attachment.  The process-wide malloc
+// counter also sees other goroutines (finalizers, runtime workers), and
+// they can only add to a sample, so the minimum of a few samples is the
+// replay's own count.
 func replayAllocs(t *testing.T, tr *blktrace.Trace, set *telemetry.Set, opts Options) float64 {
 	t.Helper()
-	return testing.AllocsPerRun(3, func() {
-		e := simtime.NewEngine()
-		arr, err := raid.NewHDDArray(e, raid.DefaultParams(), 5, disksim.Seagate7200())
-		if err != nil {
-			t.Fatal(err)
-		}
-		arr.AttachTelemetry(set)
-		if _, err := Replay(e, arr, tr, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
+	best := math.Inf(1)
+	for range 3 {
+		best = min(best, testing.AllocsPerRun(3, func() {
+			e := simtime.NewEngine()
+			arr, err := raid.NewHDDArray(e, raid.DefaultParams(), 5, disksim.Seagate7200())
+			if err != nil {
+				t.Fatal(err)
+			}
+			arr.AttachTelemetry(set)
+			if _, err := Replay(e, arr, tr, opts); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	return best
 }
 
 // TestDisabledTelemetryReplayAllocsMatchBaseline is the satellite

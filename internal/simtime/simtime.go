@@ -299,24 +299,13 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// NextEventAt reports the timestamp of the earliest pending event, or
-// MaxTime when the queue is empty.  The sharded replay coordinator uses
-// it as a per-shard lower bound on any future completion when computing
-// the next conservative synchronization window.
-func (e *Engine) NextEventAt() Time {
-	if len(e.heap) == 0 {
-		return MaxTime
-	}
-	return e.heap[0].at
-}
-
 // DrainThrough executes events with timestamps <= limit, like RunUntil,
 // but leaves the clock at the last fired event instead of pinning it to
 // the limit.  That keeps ScheduleEvent legal for any time >= the last
-// event fired, which window-synchronized shards rely on: the coordinator
-// may inject cross-shard completions (null messages) exactly at the
-// window boundary after the drain.  Events an in-window event schedules
-// inside the window still run, exactly as in RunUntil.
+// event fired, which the fleet's window barriers rely on: the
+// coordinator may schedule admitted requests exactly at the window
+// boundary after the drain.  Events an in-window event schedules inside
+// the window still run, exactly as in RunUntil.
 func (e *Engine) DrainThrough(limit Time) {
 	for len(e.heap) > 0 && e.heap[0].at <= limit {
 		e.Step()

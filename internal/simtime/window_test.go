@@ -2,29 +2,6 @@ package simtime
 
 import "testing"
 
-// TestNextEventAt verifies the head-of-queue bound used by the sharded
-// replay coordinator.
-func TestNextEventAt(t *testing.T) {
-	e := NewEngine()
-	if got := e.NextEventAt(); got != MaxTime {
-		t.Fatalf("empty engine NextEventAt = %v, want MaxTime", got)
-	}
-	e.Schedule(30, func() {})
-	e.Schedule(10, func() {})
-	e.Schedule(20, func() {})
-	if got := e.NextEventAt(); got != 10 {
-		t.Fatalf("NextEventAt = %v, want 10", got)
-	}
-	e.Step()
-	if got := e.NextEventAt(); got != 20 {
-		t.Fatalf("NextEventAt after step = %v, want 20", got)
-	}
-	e.Run()
-	if got := e.NextEventAt(); got != MaxTime {
-		t.Fatalf("drained engine NextEventAt = %v, want MaxTime", got)
-	}
-}
-
 // TestDrainThrough checks the window-drain semantics: events at or
 // before the limit fire in order, the clock stays at the last fired
 // event, and scheduling at the window boundary afterwards is legal.
@@ -42,8 +19,8 @@ func TestDrainThrough(t *testing.T) {
 	if e.Now() != 15 {
 		t.Fatalf("clock = %v after drain, want 15 (last fired, not pinned)", e.Now())
 	}
-	// Injecting a cross-shard completion exactly at the boundary must not
-	// panic even though the boundary exceeds the clock.
+	// Scheduling exactly at the boundary must not panic even though the
+	// boundary exceeds the clock.
 	e.Schedule(20, note)
 	e.DrainThrough(20)
 	if len(fired) != 3 || fired[2] != 20 {
@@ -80,7 +57,7 @@ func TestDrainThroughReentrant(t *testing.T) {
 
 // TestDrainThroughMatchesRun replays the same schedule through one full
 // Run and through a sequence of windowed drains and requires identical
-// fire orders — the determinism contract sharded replay rests on.
+// fire orders — the determinism contract fleet barriers rest on.
 func TestDrainThroughMatchesRun(t *testing.T) {
 	build := func(e *Engine, out *[]Time) {
 		for i := 0; i < 50; i++ {
