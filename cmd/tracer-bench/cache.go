@@ -42,9 +42,9 @@ type cacheBenchRow struct {
 
 // cacheBenchReport is the top-level BENCH_cache.json document.
 type cacheBenchReport struct {
-	IOs  int     `json:"ios"`
-	Tier string  `json:"tier"`
-	MB   float64 `json:"capacity_mb"`
+	IOs  int             `json:"ios"`
+	Tier string          `json:"tier"`
+	MB   float64         `json:"capacity_mb"`
 	Rows []cacheBenchRow `json:"rows"`
 }
 

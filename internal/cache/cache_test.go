@@ -247,9 +247,9 @@ func TestZoneAdmission(t *testing.T) {
 	p.Admission = "zone"
 	p.AdmitZoneBytes = 256 << 10 // first 4 extents
 	engine, dev, c := newTestCache(t, p)
-	submit(t, engine, c, storage.Read, 0, 4096)        // in zone: install
-	submit(t, engine, c, storage.Read, 512<<10, 4096)  // out of zone: bypass
-	submit(t, engine, c, storage.Read, 512<<10, 4096)  // still a miss
+	submit(t, engine, c, storage.Read, 0, 4096)       // in zone: install
+	submit(t, engine, c, storage.Read, 512<<10, 4096) // out of zone: bypass
+	submit(t, engine, c, storage.Read, 512<<10, 4096) // still a miss
 	st := c.Stats()
 	if st.Installs != 1 {
 		t.Fatalf("Installs = %d, want 1 (zone policy)", st.Installs)

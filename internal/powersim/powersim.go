@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -66,21 +66,29 @@ func (tl *Timeline) At(t simtime.Time) float64 {
 	if len(tl.times) == 0 {
 		return 0
 	}
-	// Index of the last step at or before t.
-	i := sort.Search(len(tl.times), func(i int) bool { return tl.times[i] > t }) - 1
-	if i < 0 {
-		i = 0
-	}
-	return tl.watts[i]
+	return tl.watts[tl.stepAt(t)]
 }
 
-// EnergyJ integrates the timeline over [t0, t1), returning joules.
+// stepAt returns the index of the last step at or before t, or 0 when t
+// precedes the first step.  The timeline must not be empty.
+func (tl *Timeline) stepAt(t simtime.Time) int {
+	i, found := slices.BinarySearch(tl.times, t)
+	if !found {
+		i--
+	}
+	return max(i, 0)
+}
+
+// EnergyJ integrates the timeline over [t0, t1), returning joules.  The
+// scan starts at the step in force at t0: every earlier segment ends by
+// t0 and adds nothing, so a window costs O(log steps) plus the steps
+// inside it.
 func (tl *Timeline) EnergyJ(t0, t1 simtime.Time) float64 {
 	if t1 <= t0 || len(tl.times) == 0 {
 		return 0
 	}
 	var joules float64
-	for i := range tl.times {
+	for i := tl.stepAt(t0); i < len(tl.times); i++ {
 		segStart := tl.times[i]
 		segEnd := simtime.MaxTime
 		if i+1 < len(tl.times) {
@@ -115,13 +123,14 @@ type Segment struct {
 }
 
 // Segments returns the constant-power spans covering [t0, t1), clipped
-// to that window.  Thermal models integrate over these exactly.
+// to that window.  Thermal models integrate over these exactly.  Like
+// EnergyJ, it starts at the step in force at t0.
 func (tl *Timeline) Segments(t0, t1 simtime.Time) []Segment {
 	if t1 <= t0 || len(tl.times) == 0 {
 		return nil
 	}
 	var segs []Segment
-	for i := range tl.times {
+	for i := tl.stepAt(t0); i < len(tl.times); i++ {
 		segStart := tl.times[i]
 		segEnd := simtime.MaxTime
 		if i+1 < len(tl.times) {

@@ -3,6 +3,7 @@ package powersim
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -271,6 +272,108 @@ func TestPropertyTimelineEnergyConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refEnergyJ, refSegments and refAt scan a timeline from step 0, the
+// way EnergyJ, Segments and At did before they started at the step in
+// force at t0.  TestTimelineIntegralsMatchFullScan holds the real
+// methods to them bit for bit.
+func refEnergyJ(tl *Timeline, t0, t1 simtime.Time) float64 {
+	var joules float64
+	for _, s := range refSegments(tl, t0, t1) {
+		joules += s.Watts * s.End.Sub(s.Start).Seconds()
+	}
+	return joules
+}
+
+func refSegments(tl *Timeline, t0, t1 simtime.Time) []Segment {
+	if t1 <= t0 {
+		return nil
+	}
+	var segs []Segment
+	for i := range tl.times {
+		lo, hi := max(tl.times[i], t0), t1
+		if i+1 < len(tl.times) {
+			hi = min(tl.times[i+1], t1)
+		}
+		if hi > lo {
+			segs = append(segs, Segment{Start: lo, End: hi, Watts: tl.watts[i]})
+		}
+	}
+	return segs
+}
+
+func refAt(tl *Timeline, t simtime.Time) float64 {
+	if len(tl.times) == 0 {
+		return 0
+	}
+	w := tl.watts[0]
+	for i, st := range tl.times {
+		if st <= t {
+			w = tl.watts[i]
+		}
+	}
+	return w
+}
+
+func refMeanWatts(tl *Timeline, t0, t1 simtime.Time) float64 {
+	if t1 <= t0 {
+		return refAt(tl, t0)
+	}
+	return refEnergyJ(tl, t0, t1) / t1.Sub(t0).Seconds()
+}
+
+// Differential: on seeded random timelines, the integrals that start at
+// the step in force at t0 equal a scan from step 0 exactly.  Draws come
+// from a small set, so Set often compacts a repeated value away, and
+// some timelines start after time zero, so windows can open before the
+// first step as well as on a step, between steps and after the last.
+func TestTimelineIntegralsMatchFullScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 99))
+	levels := []float64{0, 4.5, 7.25, 11.8}
+	for trial := 0; trial < 300; trial++ {
+		var tl *Timeline
+		tcur := simtime.Time(0)
+		if trial%2 == 0 {
+			tl = NewTimeline(levels[rng.IntN(len(levels))])
+		} else {
+			tl = &Timeline{}
+			tcur = simtime.Time(rng.Int64N(int64(3 * sec)))
+		}
+		for i, n := 0, rng.IntN(40); i < n; i++ {
+			tl.Set(tcur, levels[rng.IntN(len(levels))])
+			tcur = tcur.Add(simtime.Duration(rng.Int64N(int64(sec)))) // zero gaps overwrite
+		}
+		pick := func() simtime.Time {
+			if len(tl.times) == 0 {
+				return simtime.Time(rng.Int64N(int64(10 * sec)))
+			}
+			first, last := tl.times[0], tl.times[len(tl.times)-1]
+			j := rng.IntN(len(tl.times))
+			switch rng.IntN(4) {
+			case 0: // before the first step
+				return first - simtime.Time(1+rng.Int64N(int64(sec)))
+			case 1: // exactly on a step
+				return tl.times[j]
+			case 2: // between steps
+				return tl.times[j] + simtime.Time(rng.Int64N(int64(sec/2)))
+			default: // after the last step
+				return last + simtime.Time(1+rng.Int64N(int64(sec)))
+			}
+		}
+		for w := 0; w < 40; w++ {
+			t0, t1 := pick(), pick() // t1 <= t0 makes an empty window
+			if got, want := tl.EnergyJ(t0, t1), refEnergyJ(tl, t0, t1); got != want {
+				t.Fatalf("trial %d: EnergyJ(%v, %v) = %v, full scan %v", trial, t0, t1, got, want)
+			}
+			if got, want := tl.MeanWatts(t0, t1), refMeanWatts(tl, t0, t1); got != want {
+				t.Fatalf("trial %d: MeanWatts(%v, %v) = %v, full scan %v", trial, t0, t1, got, want)
+			}
+			if got, want := tl.Segments(t0, t1), refSegments(tl, t0, t1); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: Segments(%v, %v) = %v, full scan %v", trial, t0, t1, got, want)
+			}
+		}
 	}
 }
 

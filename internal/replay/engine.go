@@ -105,12 +105,12 @@ func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, o
 	start := engine.Now()
 	res := &Result{Trace: trace.Device, Start: start}
 	// One run handler serves every bunch-issue event, carrying the bunch
-	// index in the event argument: no closure per bunch, and the engine
-	// heap is grown once so bulk scheduling never pays an append growth.
-	// The completion slice is the hottest remaining allocation of a
-	// replay run: one record per IO package, appended from the tightest
-	// callback.  The trace knows its package count up front, so reserve
-	// it all.
+	// index in the event argument: no closure per bunch.  The bunches go
+	// in as one series, so the heap holds only the next bunch instead of
+	// the whole unissued trace.  The completion slice is the hottest
+	// remaining allocation of a replay run: one record per IO package,
+	// appended from the tightest callback.  The trace knows its package
+	// count up front, so reserve it all.
 	run := &openLoopRun{
 		dev:         dev,
 		trace:       trace,
@@ -119,10 +119,9 @@ func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, o
 		tel:         opts.Telemetry,
 		completions: make([]completion, 0, trace.NumIOs()),
 	}
-	engine.Grow(len(trace.Bunches))
-	for i := range trace.Bunches {
-		engine.ScheduleEvent(start.Add(trace.Bunches[i].Time), run, simtime.EventArg{I64: int64(i)})
-	}
+	engine.ScheduleSeries(len(trace.Bunches), func(i int) simtime.Time {
+		return start.Add(trace.Bunches[i].Time)
+	}, run)
 	if opts.Tail > 0 {
 		engine.RunUntil(start.Add(trace.Duration() + opts.Tail))
 	} else {

@@ -149,6 +149,32 @@ func makeTraceSpaced(n int, gap simtime.Duration) *blktrace.Trace {
 	return t
 }
 
+// TestReplayHeapDepthIndependentOfTraceLength pins streamed arrivals:
+// a replay keeps only its next bunch in the event heap, so the heap's
+// high-water mark is set by the IOs in flight, not by the trace length.
+// Queuing every bunch up front would put all 10,000 in the heap at once.
+func TestReplayHeapDepthIndependentOfTraceLength(t *testing.T) {
+	const bunches, maxDepth = 10_000, 64
+	e := simtime.NewEngine()
+	arr, err := raid.NewHDDArray(e, raid.DefaultParams(), 5, disksim.Seagate7200())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(e, arr, makeTraceSpaced(bunches, 20*simtime.Millisecond), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Issued != bunches || res.Completed != bunches {
+		t.Fatalf("issued=%d completed=%d, want %d", res.Issued, res.Completed, bunches)
+	}
+	if got := e.MaxHeapDepth(); got >= maxDepth {
+		t.Fatalf("max heap depth = %d, want < %d for a %d-bunch trace", got, maxDepth, bunches)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after the replay drained", e.Pending())
+	}
+}
+
 func TestReplayTailCutsWait(t *testing.T) {
 	e := simtime.NewEngine()
 	dev := &fixedLatencyDevice{engine: e, latency: simtime.Hour} // pathological device

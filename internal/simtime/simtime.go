@@ -11,7 +11,7 @@
 // The event queue is a value-typed 4-ary min-heap stored in one flat
 // slice: no per-event heap object, no container/heap interface boxing,
 // and sift-up/sift-down specialised on the (at, seq) key.  Callbacks
-// come in two forms:
+// are scheduled in three forms:
 //
 //   - Schedule(at, func()) — the legacy closure form, kept as a thin
 //     compatibility wrapper.  Each call typically allocates the closure.
@@ -19,6 +19,8 @@
 //     device models use.  The handler is a prebound object (usually the
 //     device itself) and the argument is a small value struct, so
 //     steady-state scheduling performs zero heap allocations.
+//   - ScheduleSeries(n, at, Handler) — n time-ordered events for one
+//     handler (a trace's bunches) that occupy a single heap slot.
 package simtime
 
 import (
@@ -137,7 +139,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of events not yet executed.
+// Pending reports the number of events in the heap.  A live series
+// counts once, for its next member, so zero still means every scheduled
+// event has fired.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // Fired reports the number of events executed since the engine was
@@ -148,20 +152,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // kernel-side signal of scheduling pressure.
 func (e *Engine) MaxHeapDepth() int { return e.maxHeap }
 
-// Grow reserves heap capacity for at least n additional pending events.
-// Bulk schedulers (trace replay) call it once up front so the steady
-// state never pays an append growth.
-func (e *Engine) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if free := cap(e.heap) - len(e.heap); free < n {
-		grown := make([]event, len(e.heap), len(e.heap)+n)
-		copy(grown, e.heap)
-		e.heap = grown
-	}
-}
-
 // ScheduleEvent registers h to run at virtual time at with the given
 // argument.  This is the closure-free path: the event lives by value in
 // the heap slice, so scheduling allocates nothing once the slice has
@@ -169,11 +159,55 @@ func (e *Engine) Grow(n int) {
 // bug in a device model, and a silently reordered event would corrupt
 // every downstream measurement.
 func (e *Engine) ScheduleEvent(at Time, h Handler, arg EventArg) {
-	if at < e.now {
-		panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, e.now))
-	}
 	e.seq++
-	e.heap = append(e.heap, event{at: at, seq: e.seq, h: h, arg: arg})
+	e.push(event{at: at, seq: e.seq, h: h, arg: arg})
+}
+
+// ScheduleSeries registers n events for h: member i runs at virtual time
+// at(i) with EventArg{I64: i}.  The series takes n consecutive sequence
+// numbers at this call, so every member dispatches at exactly the
+// (at, seq) key that n ScheduleEvent calls made here would have given
+// it.  Only the next member waits in the heap; each member queues its
+// successor as it fires, so a trace of any length costs one heap slot.
+// Member times must not decrease: a member earlier than its predecessor
+// panics when the predecessor fires, as scheduling in the past does.
+func (e *Engine) ScheduleSeries(n int, at func(i int) Time, h Handler) {
+	if n <= 0 {
+		return
+	}
+	s := &series{at: at, h: h, n: n, seq: e.seq + 1}
+	e.seq += uint64(n)
+	s.queue(e, 0)
+}
+
+// series is the heap-resident handler of one ScheduleSeries call.
+type series struct {
+	at  func(i int) Time
+	h   Handler
+	n   int
+	seq uint64 // seq of member 0
+}
+
+// queue pushes member i at its reserved key.
+func (s *series) queue(e *Engine, i int) {
+	e.push(event{at: s.at(i), seq: s.seq + uint64(i), h: s, arg: EventArg{I64: int64(i)}})
+}
+
+// OnEvent queues the successor, then runs the member's handler.
+func (s *series) OnEvent(e *Engine, arg EventArg) {
+	if next := int(arg.I64) + 1; next < s.n {
+		s.queue(e, next)
+	}
+	s.h.OnEvent(e, arg)
+}
+
+// push inserts ev into the heap and tracks the depth high-water mark.
+// An event before now panics.
+func (e *Engine) push(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("simtime: schedule at %v before now %v", ev.at, e.now))
+	}
+	e.heap = append(e.heap, ev)
 	if len(e.heap) > e.maxHeap {
 		e.maxHeap = len(e.heap)
 	}
@@ -204,9 +238,9 @@ func (e *Engine) After(d Duration, fn func()) {
 }
 
 // siftUp restores the heap invariant after appending at index i, moving
-// the hole up instead of swapping.  An event scheduled for an already-
-// pending timestamp carries the largest seq, so ties never move and
-// FIFO order is preserved.
+// the hole up instead of swapping.  Ties compare on seq, so a series
+// member, whose seq was reserved before later-scheduled events at its
+// timestamp, still rises above them.
 func (e *Engine) siftUp(i int) {
 	h := e.heap
 	ev := h[i]

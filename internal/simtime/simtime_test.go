@@ -230,22 +230,59 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestGrowPreservesPendingEvents(t *testing.T) {
+// handlerFunc adapts a test closure to Handler.
+type handlerFunc func(*Engine, EventArg)
+
+func (f handlerFunc) OnEvent(e *Engine, arg EventArg) { f(e, arg) }
+
+// A series holds one heap slot however long it is, and Pending counts
+// that one queued member until the last has fired.
+func TestScheduleSeriesPendingCountsOneMember(t *testing.T) {
 	e := NewEngine()
-	r := &recorder{}
-	for i := 0; i < 10; i++ {
-		e.ScheduleEvent(Time(10-i), r, EventArg{I64: int64(i)})
-	}
-	e.Grow(100000)
-	e.Run()
-	if len(r.args) != 10 {
-		t.Fatalf("ran %d events, want 10", len(r.args))
-	}
-	for i, v := range r.args {
-		if v != int64(9-i) {
-			t.Fatalf("order after Grow: %v", r.args)
+	const n = 5
+	e.ScheduleSeries(n, func(i int) Time { return Time(10 * i) }, &recorder{})
+	for i := 0; i < n; i++ {
+		if got := e.Pending(); got != 1 {
+			t.Fatalf("before member %d: Pending = %d, want 1", i, got)
 		}
+		e.Step()
 	}
+	if e.Pending() != 0 || e.Fired() != n || e.MaxHeapDepth() != 1 {
+		t.Fatalf("after the series: pending=%d fired=%d maxheap=%d, want 0, %d, 1",
+			e.Pending(), e.Fired(), e.MaxHeapDepth(), n)
+	}
+	e.ScheduleSeries(0, func(int) Time { panic("empty series read a time") }, &recorder{})
+	if e.Pending() != 0 {
+		t.Fatalf("empty series left %d pending", e.Pending())
+	}
+}
+
+func TestScheduleSeriesDecreasingTimePanics(t *testing.T) {
+	e := NewEngine()
+	times := []Time{10, 20, 15}
+	r := &recorder{}
+	e.ScheduleSeries(len(times), func(i int) Time { return times[i] }, r)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a decreasing series time did not panic")
+		}
+		if len(r.args) != 1 {
+			t.Fatalf("ran %d members before the panic, want 1", len(r.args))
+		}
+	}()
+	e.Run()
+}
+
+func TestScheduleSeriesInThePastPanics(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(10, func() {})
+	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a series starting before now did not panic")
+		}
+	}()
+	e.ScheduleSeries(2, func(i int) Time { return Time(5 + i) }, &recorder{})
 }
 
 // Property: for any batch of events with random timestamps, execution
@@ -276,9 +313,13 @@ func TestPropertyClockMonotone(t *testing.T) {
 	}
 }
 
-// Property: random interleavings of Schedule/ScheduleEvent/Step drain
-// in exact (at, seq) order, checked against a reference stable sort of
-// everything scheduled.  This pins the heap's tie-breaking, not just
+// Property: random interleavings of Schedule/ScheduleEvent/
+// ScheduleSeries/Step drain in exact (at, seq) order, checked against a
+// reference stable sort of everything scheduled.  A series enters the
+// reference as that many ScheduleEvent calls made at the ScheduleSeries
+// call, and some members schedule a same-time event from their own
+// handler, so members tie with events scheduled before the series, after
+// it and during it.  This pins the heap's tie-breaking, not just
 // monotonicity.
 func TestPropertyDrainsInAtSeqOrder(t *testing.T) {
 	type stamped struct {
@@ -291,22 +332,49 @@ func TestPropertyDrainsInAtSeqOrder(t *testing.T) {
 		r := &recorder{}
 		var scheduled []stamped
 		var seq int64
+		// schedule records one ScheduleEvent in the reference, then makes it.
+		schedule := func(at Time) {
+			scheduled = append(scheduled, stamped{at: at, seq: seq})
+			e.ScheduleEvent(at, r, EventArg{I64: seq})
+			seq++
+		}
 		count := int(n) + 1
 		for i := 0; i < count; i++ {
 			// Bias toward scheduling; interleave Steps to exercise pops
 			// against a part-drained heap.
-			if rng.IntN(4) != 0 || e.Pending() == 0 {
+			switch choice := rng.IntN(8); {
+			case choice < 2 && e.Pending() > 0:
+				e.Step()
+			case choice == 2:
+				m := 1 + rng.IntN(8)
+				times := make([]Time, m)
 				at := e.Now() + Time(rng.Int64N(100))
-				scheduled = append(scheduled, stamped{at: at, seq: seq})
+				for k := range times {
+					times[k] = at
+					at += Time(rng.IntN(3) * rng.IntN(20)) // ties are common
+				}
+				base := seq
+				for _, at := range times {
+					scheduled = append(scheduled, stamped{at: at, seq: seq})
+					seq++
+				}
+				spawn := rng.IntN(2) == 0
+				e.ScheduleSeries(m, func(k int) Time { return times[k] }, handlerFunc(func(e *Engine, arg EventArg) {
+					r.OnEvent(e, EventArg{I64: base + arg.I64})
+					if spawn && arg.I64%2 == 0 {
+						schedule(e.Now())
+					}
+				}))
+			default:
+				at := e.Now() + Time(rng.Int64N(100))
 				if rng.IntN(2) == 0 {
-					e.ScheduleEvent(at, r, EventArg{I64: seq})
+					schedule(at)
 				} else {
+					scheduled = append(scheduled, stamped{at: at, seq: seq})
 					s := seq
 					e.Schedule(at, func() { r.OnEvent(e, EventArg{I64: s}) })
+					seq++
 				}
-				seq++
-			} else {
-				e.Step()
 			}
 		}
 		e.Run()
@@ -485,8 +553,11 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.Run("closure-free", func(b *testing.B) {
 		rng := rand.New(rand.NewPCG(1, 2))
 		e := NewEngine()
-		e.Grow(events)
 		var h nopHandler
+		for j := 0; j < events; j++ { // grow the heap slice before timing
+			e.ScheduleEvent(Time(j), h, EventArg{})
+		}
+		e.Run()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -92,7 +92,6 @@ func TestDrainThroughNoAlloc(t *testing.T) {
 	e := NewEngine()
 	h := countHandler{n: new(int)}
 	allocs := testing.AllocsPerRun(10, func() {
-		e.Grow(64)
 		for i := 0; i < 64; i++ {
 			e.ScheduleEvent(e.Now().Add(Duration(i)), h, EventArg{})
 		}
