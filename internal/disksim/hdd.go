@@ -128,8 +128,11 @@ type hddPending struct {
 type HDD struct {
 	engine *simtime.Engine
 	params HDDParams
-	power  *powersim.Timeline
-	rng    *rand.Rand
+	// The power timeline and the PCG state live in the drive, so a
+	// service start or completion stays on the drive's own cache lines.
+	power powersim.Timeline
+	pcg   rand.PCG
+	rng   rand.Rand // draws from &pcg
 
 	queue    []hddPending
 	inflight hddPending // the request being served (drive is strictly serial)
@@ -247,22 +250,24 @@ func NewHDD(engine *simtime.Engine, params HDDParams) *HDD {
 	if params.MinRPMFraction <= 0 || params.MinRPMFraction > 1 {
 		params.MinRPMFraction = 0.5
 	}
-	return &HDD{
+	d := &HDD{
 		engine:   engine,
 		params:   params,
-		power:    powersim.NewTimeline(params.IdleW),
-		rng:      rand.New(rand.NewPCG(params.Seed, 0xd15c)),
+		power:    *powersim.NewTimeline(params.IdleW),
+		pcg:      *rand.NewPCG(params.Seed, 0xd15c),
 		rpmFrac:  1,
 		lastEnd:  -1,
 		sweepDir: 1,
 	}
+	d.rng = *rand.New(&d.pcg)
+	return d
 }
 
 // Capacity implements storage.Device.
 func (d *HDD) Capacity() int64 { return d.params.CapacityBytes }
 
 // Timeline exposes the drive's power timeline for metering.
-func (d *HDD) Timeline() *powersim.Timeline { return d.power }
+func (d *HDD) Timeline() *powersim.Timeline { return &d.power }
 
 // Stats returns a snapshot of the accounting counters.
 func (d *HDD) Stats() HDDStats { return d.stats }

@@ -20,7 +20,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -72,6 +72,20 @@ type member struct {
 	// sloFed counts completions already fed to the SLO engine; the
 	// coordinator consumes completions[sloFed:] at each barrier.
 	sloFed int
+	// free is a LIFO list of idle in-flight records.  Only the worker
+	// draining this member touches it.
+	free []*inflight
+}
+
+// inflight is one issued request awaiting its array completion.
+// Records recycle through their member's free list, and each binds its
+// completion callback once, when first created.
+type inflight struct {
+	m     *member
+	size  int64
+	issue simtime.Time
+	class int
+	done  func(simtime.Time) // onDone, bound once
 }
 
 // OnEvent implements simtime.Handler: issue the pending request to the
@@ -79,18 +93,32 @@ type member struct {
 // controller completes the request.
 func (m *member) OnEvent(_ *simtime.Engine, arg simtime.EventArg) {
 	p := m.pending[arg.I64]
-	m.array.Submit(p.req, func(finish simtime.Time) {
-		m.outstanding--
-		m.queuedBytes -= p.req.Size
-		m.completed++
-		m.bytes += p.req.Size
-		resp := finish.Sub(p.issue)
-		if resp > m.maxResp {
-			m.maxResp = resp
-		}
-		m.completions = append(m.completions, completion{response: resp, finish: finish, class: p.class})
-		m.probe.observe(p.req.Size, resp)
-	})
+	var r *inflight
+	if n := len(m.free); n > 0 {
+		r = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		r = &inflight{m: m}
+		r.done = r.onDone
+	}
+	r.size, r.issue, r.class = p.req.Size, p.issue, p.class
+	m.array.Submit(p.req, r.done)
+}
+
+// onDone accounts one completed request and recycles its record.
+func (r *inflight) onDone(finish simtime.Time) {
+	m := r.m
+	m.outstanding--
+	m.queuedBytes -= r.size
+	m.completed++
+	m.bytes += r.size
+	resp := finish.Sub(r.issue)
+	if resp > m.maxResp {
+		m.maxResp = resp
+	}
+	m.completions = append(m.completions, completion{response: resp, finish: finish, class: r.class})
+	m.probe.observe(r.size, resp)
+	m.free = append(m.free, r)
 }
 
 // workerProbe is one worker's telemetry: a private Set whose registry
@@ -618,7 +646,7 @@ type Tails struct {
 
 // tailStats sorts responses in place and computes its tails.
 func tailStats(responses []simtime.Duration) Tails {
-	sort.Slice(responses, func(i, j int) bool { return responses[i] < responses[j] })
+	slices.Sort(responses)
 	var sum simtime.Duration
 	for _, r := range responses {
 		sum += r

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -76,6 +77,36 @@ func TestFleetConservation(t *testing.T) {
 	}
 	if res.P50Response <= 0 || res.P99Response < res.P50Response || res.P999Response < res.P99Response {
 		t.Fatalf("tail latency disordered: p50=%v p99=%v p999=%v", res.P50Response, res.P99Response, res.P999Response)
+	}
+}
+
+// TestFleetRunAllocsPerIO: a member's IO path recycles its in-flight
+// records and the array's commands and joins, so a 16-array, 2 s run
+// allocates well under 2 objects per completed IO.
+func TestFleetRunAllocsPerIO(t *testing.T) {
+	f := testFleet(t, 16, 2)
+	stream := NewSynthStream(SynthParams{
+		Duration:   2 * simtime.Second,
+		MeanIOPS:   16 * 64,
+		Size:       16 << 10,
+		ReadRatio:  0.6,
+		WorkingSet: 1 << 30,
+		Seed:       7,
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := f.Run(stream, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed < 1000 {
+		t.Fatalf("run completed only %d IOs", res.Completed)
+	}
+	perIO := float64(after.Mallocs-before.Mallocs) / float64(res.Completed)
+	t.Logf("%.3f allocations per IO over %d IOs", perIO, res.Completed)
+	if perIO >= 2 {
+		t.Fatalf("%.2f allocations per completed IO, want < 2", perIO)
 	}
 }
 

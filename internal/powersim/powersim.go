@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
+	"sort"
 
 	"repro/internal/simtime"
 )
@@ -24,59 +24,68 @@ import (
 // changes; times must be non-decreasing, which the single-threaded
 // simulation kernel guarantees naturally.
 type Timeline struct {
-	times []simtime.Time
-	watts []float64
+	steps []step
+	// last copies steps[len(steps)-1] when steps is non-empty, so Set
+	// decides on the header alone instead of loading the slice's tail.
+	last step
+}
+
+// step is one point of a timeline: the draw is w watts from at onward.
+// Time and draw share one slice element, so an append dirties one
+// cache line.
+type step struct {
+	at simtime.Time
+	w  float64
 }
 
 // NewTimeline returns a timeline drawing base watts from time zero.
 func NewTimeline(base float64) *Timeline {
-	return &Timeline{times: []simtime.Time{0}, watts: []float64{base}}
+	first := step{at: 0, w: base}
+	return &Timeline{steps: []step{first}, last: first}
 }
 
 // Set records that the power draw is w watts from time t onward.
 // Setting at a time earlier than the last recorded step panics; setting
 // at exactly the last step's time overwrites it.
 func (tl *Timeline) Set(t simtime.Time, w float64) {
-	if n := len(tl.times); n > 0 {
-		last := tl.times[n-1]
-		if t < last {
-			panic(fmt.Sprintf("powersim: Set at %v before last step %v", t, last))
+	if n := len(tl.steps); n > 0 {
+		last := tl.last
+		if t < last.at {
+			panic(fmt.Sprintf("powersim: Set at %v before last step %v", t, last.at))
 		}
-		if t == last {
-			tl.watts[n-1] = w
+		if t == last.at {
+			tl.last.w = w
+			tl.steps[n-1].w = w
 			return
 		}
-		if tl.watts[n-1] == w {
+		if last.w == w {
 			return // no change; keep the timeline compact
 		}
 	}
-	tl.times = append(tl.times, t)
-	tl.watts = append(tl.watts, w)
+	tl.last = step{at: t, w: w}
+	tl.steps = append(tl.steps, tl.last)
 }
 
 // Add records a relative change of dw watts at time t.
 func (tl *Timeline) Add(t simtime.Time, dw float64) {
-	tl.Set(t, tl.At(simtime.MaxTime)+dw)
+	tl.Set(t, tl.last.w+dw) // last is the current draw; zero when empty
 }
 
 // At reports the power draw at time t.  Before the first step it
 // reports the first step's value (a timeline created by NewTimeline
 // always has a step at zero).
 func (tl *Timeline) At(t simtime.Time) float64 {
-	if len(tl.times) == 0 {
+	if len(tl.steps) == 0 {
 		return 0
 	}
-	return tl.watts[tl.stepAt(t)]
+	return tl.steps[tl.stepAt(t)].w
 }
 
 // stepAt returns the index of the last step at or before t, or 0 when t
 // precedes the first step.  The timeline must not be empty.
 func (tl *Timeline) stepAt(t simtime.Time) int {
-	i, found := slices.BinarySearch(tl.times, t)
-	if !found {
-		i--
-	}
-	return max(i, 0)
+	i := sort.Search(len(tl.steps), func(i int) bool { return tl.steps[i].at > t })
+	return max(i-1, 0)
 }
 
 // EnergyJ integrates the timeline over [t0, t1), returning joules.  The
@@ -84,19 +93,19 @@ func (tl *Timeline) stepAt(t simtime.Time) int {
 // t0 and adds nothing, so a window costs O(log steps) plus the steps
 // inside it.
 func (tl *Timeline) EnergyJ(t0, t1 simtime.Time) float64 {
-	if t1 <= t0 || len(tl.times) == 0 {
+	if t1 <= t0 || len(tl.steps) == 0 {
 		return 0
 	}
 	var joules float64
-	for i := tl.stepAt(t0); i < len(tl.times); i++ {
-		segStart := tl.times[i]
+	for i := tl.stepAt(t0); i < len(tl.steps); i++ {
+		segStart := tl.steps[i].at
 		segEnd := simtime.MaxTime
-		if i+1 < len(tl.times) {
-			segEnd = tl.times[i+1]
+		if i+1 < len(tl.steps) {
+			segEnd = tl.steps[i+1].at
 		}
 		lo, hi := maxTime(segStart, t0), minTime(segEnd, t1)
 		if hi > lo {
-			joules += tl.watts[i] * hi.Sub(lo).Seconds()
+			joules += tl.steps[i].w * hi.Sub(lo).Seconds()
 		}
 		if segStart >= t1 {
 			break
@@ -114,7 +123,7 @@ func (tl *Timeline) MeanWatts(t0, t1 simtime.Time) float64 {
 }
 
 // Steps reports the number of recorded steps (useful in tests).
-func (tl *Timeline) Steps() int { return len(tl.times) }
+func (tl *Timeline) Steps() int { return len(tl.steps) }
 
 // Segment is one constant-power span of a timeline.
 type Segment struct {
@@ -126,19 +135,19 @@ type Segment struct {
 // to that window.  Thermal models integrate over these exactly.  Like
 // EnergyJ, it starts at the step in force at t0.
 func (tl *Timeline) Segments(t0, t1 simtime.Time) []Segment {
-	if t1 <= t0 || len(tl.times) == 0 {
+	if t1 <= t0 || len(tl.steps) == 0 {
 		return nil
 	}
 	var segs []Segment
-	for i := tl.stepAt(t0); i < len(tl.times); i++ {
-		segStart := tl.times[i]
+	for i := tl.stepAt(t0); i < len(tl.steps); i++ {
+		segStart := tl.steps[i].at
 		segEnd := simtime.MaxTime
-		if i+1 < len(tl.times) {
-			segEnd = tl.times[i+1]
+		if i+1 < len(tl.steps) {
+			segEnd = tl.steps[i+1].at
 		}
 		lo, hi := maxTime(segStart, t0), minTime(segEnd, t1)
 		if hi > lo {
-			segs = append(segs, Segment{Start: lo, End: hi, Watts: tl.watts[i]})
+			segs = append(segs, Segment{Start: lo, End: hi, Watts: tl.steps[i].w})
 		}
 		if segStart >= t1 {
 			break
@@ -472,13 +481,16 @@ func ApproxEqual(a, b, tol float64) bool {
 // time travel at write time; this re-validates the stored data so the
 // conformance layer can assert it after a full run.
 func (tl *Timeline) CheckMonotone() error {
-	for i := range tl.times {
-		if i > 0 && tl.times[i] <= tl.times[i-1] {
-			return fmt.Errorf("powersim: timeline step %d at %v does not advance past %v", i, tl.times[i], tl.times[i-1])
+	for i, s := range tl.steps {
+		if i > 0 && s.at <= tl.steps[i-1].at {
+			return fmt.Errorf("powersim: timeline step %d at %v does not advance past %v", i, s.at, tl.steps[i-1].at)
 		}
-		if math.IsNaN(tl.watts[i]) || math.IsInf(tl.watts[i], 0) {
-			return fmt.Errorf("powersim: timeline step %d has non-finite draw %v", i, tl.watts[i])
+		if math.IsNaN(s.w) || math.IsInf(s.w, 0) {
+			return fmt.Errorf("powersim: timeline step %d has non-finite draw %v", i, s.w)
 		}
+	}
+	if n := len(tl.steps); n > 0 && tl.last != tl.steps[n-1] {
+		return fmt.Errorf("powersim: timeline header step %+v disagrees with last stored step %+v", tl.last, tl.steps[n-1])
 	}
 	return nil
 }

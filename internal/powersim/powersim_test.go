@@ -292,26 +292,26 @@ func refSegments(tl *Timeline, t0, t1 simtime.Time) []Segment {
 		return nil
 	}
 	var segs []Segment
-	for i := range tl.times {
-		lo, hi := max(tl.times[i], t0), t1
-		if i+1 < len(tl.times) {
-			hi = min(tl.times[i+1], t1)
+	for i, s := range tl.steps {
+		lo, hi := max(s.at, t0), t1
+		if i+1 < len(tl.steps) {
+			hi = min(tl.steps[i+1].at, t1)
 		}
 		if hi > lo {
-			segs = append(segs, Segment{Start: lo, End: hi, Watts: tl.watts[i]})
+			segs = append(segs, Segment{Start: lo, End: hi, Watts: s.w})
 		}
 	}
 	return segs
 }
 
 func refAt(tl *Timeline, t simtime.Time) float64 {
-	if len(tl.times) == 0 {
+	if len(tl.steps) == 0 {
 		return 0
 	}
-	w := tl.watts[0]
-	for i, st := range tl.times {
-		if st <= t {
-			w = tl.watts[i]
+	w := tl.steps[0].w
+	for _, s := range tl.steps {
+		if s.at <= t {
+			w = s.w
 		}
 	}
 	return w
@@ -346,18 +346,18 @@ func TestTimelineIntegralsMatchFullScan(t *testing.T) {
 			tcur = tcur.Add(simtime.Duration(rng.Int64N(int64(sec)))) // zero gaps overwrite
 		}
 		pick := func() simtime.Time {
-			if len(tl.times) == 0 {
+			if len(tl.steps) == 0 {
 				return simtime.Time(rng.Int64N(int64(10 * sec)))
 			}
-			first, last := tl.times[0], tl.times[len(tl.times)-1]
-			j := rng.IntN(len(tl.times))
+			first, last := tl.steps[0].at, tl.steps[len(tl.steps)-1].at
+			j := rng.IntN(len(tl.steps))
 			switch rng.IntN(4) {
 			case 0: // before the first step
 				return first - simtime.Time(1+rng.Int64N(int64(sec)))
 			case 1: // exactly on a step
-				return tl.times[j]
+				return tl.steps[j].at
 			case 2: // between steps
-				return tl.times[j] + simtime.Time(rng.Int64N(int64(sec/2)))
+				return tl.steps[j].at + simtime.Time(rng.Int64N(int64(sec/2)))
 			default: // after the last step
 				return last + simtime.Time(1+rng.Int64N(int64(sec)))
 			}

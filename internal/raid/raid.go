@@ -138,13 +138,29 @@ type Array struct {
 	engine *simtime.Engine
 	params Params
 	disks  []Disk
+	// diskCap is the smallest member capacity.  The members never
+	// change, so New computes it once for Capacity and Submit.
+	diskCap int64
 
 	chassis *powersim.Timeline
 	failed  int // index of the failed member, or -1 when healthy
 	stats   Stats
 	tel     *telemetry.RAIDProbe
+	// landed counts foreground member-op completions; once drained it
+	// must equal DiskReads+DiskWrites.
+	landed int64
 
 	rebuild *rebuildRun // in-flight background rebuild, or nil
+
+	// Planning scratch reused by every request.  A request is planned
+	// in full before any of its member ops completes, so one set per
+	// array is enough.
+	segs          []segment
+	plans         []stripePlan
+	reads, writes []plannedOp
+	// free is a LIFO list of idle commands.  Only the goroutine driving
+	// the array's engine touches it.
+	free []*pendingCmd
 }
 
 // diskAttacher is satisfied by disk models that accept a telemetry
@@ -233,10 +249,17 @@ func New(engine *simtime.Engine, params Params, disks []Disk) (*Array, error) {
 	if params.Level != RAID0 && params.Level != RAID5 {
 		return nil, fmt.Errorf("raid: unsupported level %v", params.Level)
 	}
+	diskCap := disks[0].Capacity()
+	for _, d := range disks[1:] {
+		if c := d.Capacity(); c < diskCap {
+			diskCap = c
+		}
+	}
 	return &Array{
 		engine:  engine,
 		params:  params,
 		disks:   disks,
+		diskCap: diskCap,
 		chassis: powersim.NewTimeline(params.Chassis.BaseW),
 		failed:  -1,
 	}, nil
@@ -271,23 +294,12 @@ func NewSSDArray(engine *simtime.Engine, params Params, n int, drive disksim.SSD
 
 // Capacity implements storage.Device: usable data capacity.
 func (a *Array) Capacity() int64 {
-	per := a.minDiskCapacity()
 	switch a.params.Level {
 	case RAID5:
-		return per * int64(len(a.disks)-1)
+		return a.diskCap * int64(len(a.disks)-1)
 	default:
-		return per * int64(len(a.disks))
+		return a.diskCap * int64(len(a.disks))
 	}
-}
-
-func (a *Array) minDiskCapacity() int64 {
-	min := a.disks[0].Capacity()
-	for _, d := range a.disks[1:] {
-		if c := d.Capacity(); c < min {
-			min = c
-		}
-	}
-	return min
 }
 
 // Disks exposes the member devices (experiments inspect per-disk stats).
@@ -328,7 +340,8 @@ type memberChecker interface {
 
 // CheckInvariants verifies the controller's bookkeeping against the
 // RAID-5 write-path algebra and delegates to each member disk's own
-// self-check.  Call it after the simulation has drained.
+// self-check.  Call it after the simulation has drained: every member
+// op the controller issued must have completed exactly once.
 //
 // For a healthy RAID-5 run the read-modify-write accounting is exact:
 // every full-stripe write and every RMW stripe writes parity once, and
@@ -384,6 +397,10 @@ func (a *Array) CheckInvariants() error {
 	if s.DiskReads < s.ParityReads {
 		return fmt.Errorf("raid: disk reads %d below parity reads %d", s.DiskReads, s.ParityReads)
 	}
+	if issued := s.DiskReads + s.DiskWrites; a.landed != issued {
+		return fmt.Errorf("raid: %d member op completions landed for %d issued (a member dropped or repeated a completion)",
+			a.landed, issued)
+	}
 	if err := a.chassis.CheckMonotone(); err != nil {
 		return err
 	}
@@ -411,11 +428,12 @@ type segment struct {
 	parityDisk int   // RAID5 only
 }
 
-// mapRange splits [off, off+size) into per-disk segments.
+// mapRange splits [off, off+size) into per-disk segments in address
+// order.  The result lives in the array's scratch until the next call.
 func (a *Array) mapRange(off, size int64) []segment {
 	s := a.params.StripBytes
 	n := int64(len(a.disks))
-	var segs []segment
+	segs := a.segs[:0]
 	for size > 0 {
 		strip := off / s
 		within := off % s
@@ -451,17 +469,49 @@ func (a *Array) mapRange(off, size int64) []segment {
 		off += take
 		size -= take
 	}
+	a.segs = segs
 	return segs
 }
 
 // pendingCmd carries one array request across the controller
-// command-overhead delay.  It is the closure-free kernel callback for
-// the array's hottest scheduling site: one small struct per array
-// command replaces the capturing closure the old path allocated.
+// command-overhead delay, then serves as the join that completes it.
+// A join counts the parts still outstanding in its current phase —
+// member ops, or a RAID-5 write's stripe joins — and keeps the latest
+// completion time.  A read-modify-write stripe's join also holds its
+// write phase and issues it when the pre-reads land.  Commands recycle
+// through the array's free list and bind their landing callback once,
+// when first created, so a warm request path allocates nothing.
 type pendingCmd struct {
 	a    *Array
 	req  storage.Request
 	done func(simtime.Time)
+	// parent is the request's command when this is a stripe join; the
+	// stripe reports to it instead of calling done.
+	parent  *pendingCmd
+	waiting int
+	latest  simtime.Time
+	// writes is the write phase of a read-modify-write stripe.
+	writes []plannedOp
+	// land is onLand bound once: the callback member ops complete to.
+	land func(simtime.Time)
+}
+
+// getCmd takes an idle command off the array's free list.
+func (a *Array) getCmd() *pendingCmd {
+	if n := len(a.free); n > 0 {
+		p := a.free[n-1]
+		a.free = a.free[:n-1]
+		return p
+	}
+	p := &pendingCmd{a: a}
+	p.land = p.onLand
+	return p
+}
+
+// putCmd returns a finished command to the free list.
+func (a *Array) putCmd(p *pendingCmd) {
+	p.req, p.done, p.parent, p.latest = storage.Request{}, nil, nil, 0
+	a.free = append(a.free, p)
 }
 
 // OnEvent implements simtime.Handler: the command overhead has elapsed,
@@ -471,20 +521,49 @@ func (p *pendingCmd) OnEvent(*simtime.Engine, simtime.EventArg) {
 	switch p.req.Op {
 	case storage.Read:
 		a.stats.Reads++
-		a.submitRead(p.req, p.done)
+		a.issue(p, a.planRead(p.req))
 	case storage.Write:
 		a.stats.Writes++
-		a.submitWrite(p.req, p.done)
+		a.submitWrite(p)
 	}
 }
 
-// doneNow defers a stored completion callback by one kernel event, so
-// zero-disk-op completions stay asynchronous without a closure: the
-// func value rides in EventArg.Ptr (pointer-shaped, no boxing).
-type doneNow struct{}
+// onLand records one member op's completion.  A join waiting for
+// nothing cannot be owed one: a member completed an op twice, and the
+// join may already belong to a later request.
+func (p *pendingCmd) onLand(t simtime.Time) {
+	if p.waiting <= 0 {
+		panic(fmt.Sprintf("raid: member op completion at %v landed on an idle join (a member completed an op twice)", t))
+	}
+	p.a.landed++
+	p.arrive(t)
+}
 
-func (doneNow) OnEvent(e *simtime.Engine, arg simtime.EventArg) {
-	arg.Ptr.(func(simtime.Time))(e.Now())
+// arrive records one finished part of the join's current phase.  When
+// the last part lands, a read-modify-write stripe issues its write
+// phase; any other join recycles itself and passes its latest
+// completion to its parent or, at the top, to done.
+func (p *pendingCmd) arrive(t simtime.Time) {
+	if t > p.latest {
+		p.latest = t
+	}
+	if p.waiting--; p.waiting > 0 {
+		return
+	}
+	a := p.a
+	if len(p.writes) > 0 {
+		writes := p.writes
+		p.writes = p.writes[:0]
+		a.issue(p, writes)
+		return
+	}
+	parent, done, latest := p.parent, p.done, p.latest
+	a.putCmd(p)
+	if parent != nil {
+		parent.arrive(latest)
+		return
+	}
+	done(latest)
 }
 
 // Submit implements storage.Device.
@@ -494,7 +573,9 @@ func (a *Array) Submit(req storage.Request, done func(simtime.Time)) {
 	}
 	req.Offset = foldOffset(req.Offset, req.Size, a.Capacity())
 	// Controller command overhead before member-disk issue.
-	a.engine.AfterEvent(a.params.CmdOverhead, &pendingCmd{a: a, req: req, done: done}, simtime.EventArg{})
+	p := a.getCmd()
+	p.req, p.done = req, done
+	a.engine.AfterEvent(a.params.CmdOverhead, p, simtime.EventArg{})
 }
 
 // plannedOp is one member-disk operation planned by the controller.
@@ -515,24 +596,11 @@ type plannedGroup struct {
 	Writes []plannedOp
 }
 
-// issueAll submits the planned ops and calls done with the slowest
-// completion time.
-func (a *Array) issueAll(ops []plannedOp, done func(simtime.Time)) {
-	outstanding := len(ops)
-	if outstanding == 0 {
-		a.engine.ScheduleEvent(a.engine.Now(), doneNow{}, simtime.EventArg{Ptr: done})
-		return
-	}
-	var latest simtime.Time
-	finish := func(t simtime.Time) {
-		if t > latest {
-			latest = t
-		}
-		outstanding--
-		if outstanding == 0 {
-			done(latest)
-		}
-	}
+// issue submits one phase of member ops against join j, which lands
+// when the slowest of them completes.  Every phase holds at least one
+// op: requests are non-empty, and a stripe always writes something.
+func (a *Array) issue(j *pendingCmd, ops []plannedOp) {
+	j.waiting, j.latest = len(ops), 0
 	start := a.engine.Now()
 	for _, op := range ops {
 		switch op.Req.Op {
@@ -542,33 +610,25 @@ func (a *Array) issueAll(ops []plannedOp, done func(simtime.Time)) {
 			a.stats.DiskWrites++
 		}
 		if a.tel == nil {
-			a.disks[op.Disk].Submit(op.Req, finish)
+			a.disks[op.Disk].Submit(op.Req, j.land)
 			continue
 		}
 		// The span closure captures the op's identity; it exists only on
-		// the instrumented path so disabled telemetry allocates nothing
-		// beyond the shared finish closure.
+		// the instrumented path so disabled telemetry allocates nothing.
 		disk, write, size := op.Disk, op.Req.Op == storage.Write, op.Req.Size
 		a.disks[op.Disk].Submit(op.Req, func(t simtime.Time) {
 			a.tel.OnDiskOp(disk, write, start, t, size)
-			finish(t)
+			j.land(t)
 		})
 	}
-}
-
-// submitRead fans the request out and completes when the slowest member
-// finishes.
-func (a *Array) submitRead(req storage.Request, done func(simtime.Time)) {
-	a.issueAll(a.planRead(req), done)
 }
 
 // planRead maps a read onto member ops.  Segments on a failed member
 // are reconstructed by reading the same byte range from every survivor
 // of the stripe and XOR-ing in controller memory.
 func (a *Array) planRead(req storage.Request) []plannedOp {
-	segs := a.mapRange(req.Offset, req.Size)
-	var ops []plannedOp
-	for _, seg := range segs {
+	ops := a.reads[:0]
+	for _, seg := range a.mapRange(req.Offset, req.Size) {
 		if seg.disk == a.failed {
 			a.stats.ReconstructReads++
 			a.tel.OnReconstructRead()
@@ -582,6 +642,7 @@ func (a *Array) planRead(req storage.Request) []plannedOp {
 		}
 		ops = append(ops, plannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Read, Offset: seg.diskOffset, Size: seg.size}})
 	}
+	a.reads = ops
 	return ops
 }
 
@@ -596,89 +657,72 @@ type stripePlan struct {
 	parityOffset, paritySize int64
 }
 
-// submitWrite executes the RAID-0 or RAID-5 write path.
-func (a *Array) submitWrite(req storage.Request, done func(simtime.Time)) {
-	segs := a.mapRange(req.Offset, req.Size)
+// submitWrite executes the RAID-0 or RAID-5 write path for command p.
+// A RAID-5 write gives each touched stripe its own join, and p waits
+// for the stripes.
+func (a *Array) submitWrite(p *pendingCmd) {
+	segs := a.mapRange(p.req.Offset, p.req.Size)
 	if a.params.Level == RAID0 {
-		a.issueAll(a.planWriteRAID0(segs).Writes, done)
+		a.issue(p, a.planWriteRAID0(segs))
 		return
 	}
-
 	plans := a.planStripes(segs)
-	outstanding := len(plans)
-	var latest simtime.Time
-	for _, p := range plans {
-		a.executeGroup(a.planStripeWrite(p), func(t simtime.Time) {
-			if t > latest {
-				latest = t
-			}
-			outstanding--
-			if outstanding == 0 {
-				done(latest)
-			}
-		})
+	p.waiting = len(plans)
+	for _, sp := range plans {
+		g := a.planStripeWrite(sp)
+		j := a.getCmd()
+		j.parent = p
+		if len(g.Reads) == 0 {
+			a.issue(j, g.Writes)
+			continue
+		}
+		j.writes = append(j.writes, g.Writes...)
+		a.issue(j, g.Reads)
 	}
 }
 
 // planWriteRAID0 maps write segments straight onto member strips.
-func (a *Array) planWriteRAID0(segs []segment) plannedGroup {
-	var ops []plannedOp
+func (a *Array) planWriteRAID0(segs []segment) []plannedOp {
+	ops := a.writes[:0]
 	for _, seg := range segs {
 		ops = append(ops, plannedOp{Disk: seg.disk, Req: storage.Request{Op: storage.Write, Offset: seg.diskOffset, Size: seg.size}})
 	}
-	return plannedGroup{Writes: ops}
+	a.writes = ops
+	return ops
 }
 
-// executeGroup issues one planned group on the array's own engine: the
-// read phase first (when present), then the write phase on its
-// completion.  done receives the latest completion time of the final
-// phase, matching the classic RMW chain.
-func (a *Array) executeGroup(g plannedGroup, done func(simtime.Time)) {
-	if len(g.Reads) == 0 {
-		a.issueAll(g.Writes, done)
-		return
-	}
-	a.issueAll(g.Reads, func(simtime.Time) { a.issueAll(g.Writes, done) })
-}
-
-// planStripes groups segments by stripe and classifies each stripe as a
-// full-stripe write or a read-modify-write.
+// planStripes groups a write's segments by stripe and classifies each
+// stripe as a full-stripe write or a read-modify-write.  Segments come
+// in address order, so each stripe's segments are adjacent.
 func (a *Array) planStripes(segs []segment) []stripePlan {
-	var plans []stripePlan
-	byStripe := map[int64]*stripePlan{}
-	var order []int64
-	for _, seg := range segs {
-		p, ok := byStripe[seg.stripe]
-		if !ok {
-			p = &stripePlan{stripe: seg.stripe, parityDisk: seg.parityDisk, parityOffset: seg.diskOffset, paritySize: seg.size}
-			byStripe[seg.stripe] = p
-			order = append(order, seg.stripe)
-		}
-		p.segs = append(p.segs, seg)
-		// Extend the parity union range.
-		lo, hi := p.parityOffset, p.parityOffset+p.paritySize
-		if seg.diskOffset < lo {
-			lo = seg.diskOffset
-		}
-		if end := seg.diskOffset + seg.size; end > hi {
-			hi = end
-		}
-		p.parityOffset, p.paritySize = lo, hi-lo
-	}
+	strip := a.params.StripBytes
 	dataWidth := int64(len(a.disks) - 1)
-	for _, st := range order {
-		p := byStripe[st]
+	plans := a.plans[:0]
+	for i := 0; i < len(segs); {
+		first := segs[i]
+		j := i + 1
+		for j < len(segs) && segs[j].stripe == first.stripe {
+			j++
+		}
+		p := stripePlan{stripe: first.stripe, parityDisk: first.parityDisk, segs: segs[i:j]}
+		// The parity strip is updated over the union of the segments'
+		// byte ranges.
+		lo, hi := first.diskOffset, first.diskOffset+first.size
 		var covered int64
 		full := true
 		for _, seg := range p.segs {
+			lo, hi = min(lo, seg.diskOffset), max(hi, seg.diskOffset+seg.size)
 			covered += seg.size
-			if seg.size != a.params.StripBytes || seg.diskOffset != p.stripe*a.params.StripBytes {
+			if seg.size != strip || seg.diskOffset != p.stripe*strip {
 				full = false
 			}
 		}
-		p.fullStripe = full && covered == dataWidth*a.params.StripBytes
-		plans = append(plans, *p)
+		p.parityOffset, p.paritySize = lo, hi-lo
+		p.fullStripe = full && covered == dataWidth*strip
+		plans = append(plans, p)
+		i = j
 	}
+	a.plans = plans
 	return plans
 }
 
@@ -695,7 +739,7 @@ func (a *Array) planStripeWrite(p stripePlan) plannedGroup {
 	}
 	parityAlive := p.parityDisk != a.failed
 
-	var writes []plannedOp
+	writes := a.writes[:0]
 	for _, seg := range p.segs {
 		if seg.disk == a.failed {
 			continue // the lost member absorbs no writes; parity covers it
@@ -707,6 +751,7 @@ func (a *Array) planStripeWrite(p stripePlan) plannedGroup {
 		a.tel.OnParity(false)
 		writes = append(writes, plannedOp{Disk: p.parityDisk, Req: storage.Request{Op: storage.Write, Offset: p.parityOffset, Size: p.paritySize}})
 	}
+	a.writes = writes
 
 	if p.fullStripe {
 		a.stats.FullStripeWrites++
@@ -718,7 +763,7 @@ func (a *Array) planStripeWrite(p stripePlan) plannedGroup {
 
 	a.stats.RMWStripes++
 	a.tel.OnStripeWrite(false, degraded)
-	var reads []plannedOp
+	reads := a.reads[:0]
 	switch {
 	case !degraded:
 		// Classic RMW: old data under each segment plus old parity.
@@ -741,6 +786,7 @@ func (a *Array) planStripeWrite(p stripePlan) plannedGroup {
 			reads = append(reads, plannedOp{Disk: j, Req: storage.Request{Op: storage.Read, Offset: p.parityOffset, Size: p.paritySize}})
 		}
 	}
+	a.reads = reads
 	return plannedGroup{Reads: reads, Writes: writes}
 }
 

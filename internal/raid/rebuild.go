@@ -67,9 +67,7 @@ func (a *Array) StartRebuild(span, chunk int64, done func(simtime.Time)) error {
 	if chunk <= 0 {
 		chunk = DefaultRebuildChunk
 	}
-	if cap := a.minDiskCapacity(); span > cap {
-		span = cap
-	}
+	span = min(span, a.diskCap)
 	if chunk > span {
 		chunk = span
 	}
