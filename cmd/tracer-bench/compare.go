@@ -1,6 +1,8 @@
-// Regression sentinel: -compare re-runs every benchmark family with a
-// committed BENCH_*.json baseline in the working directory, redirecting
-// the fresh reports to a temp dir, and diffs throughput row by row.  A
+// Regression sentinel: -compare re-runs every benchmark family against
+// its committed BENCH_*.json baseline in the working directory,
+// redirecting the fresh reports to a temp dir, and diffs throughput row
+// by row.  A missing baseline fails the run before any benchmark starts,
+// so no family drops out of the gate unnoticed.  A
 // report whose rows lose more than the tolerance (default 15%) of
 // their committed events/sec on geometric mean fails the run — CI's
 // guard against a silent performance regression riding in with a
@@ -40,7 +42,7 @@ var benchKeys = []string{"name", "config", "tier", "arrays", "workers", "target_
 
 // benchThroughput lists the throughput fields gated, in preference
 // order; the first one present and positive in both reports wins.
-var benchThroughput = []string{"events_per_sec", "events_per_s", "ios_per_sec", "ios_per_s"}
+var benchThroughput = []string{"events_per_sec", "events_per_s", "ios_per_sec", "ios_per_s", "cells_per_s"}
 
 // compareFamily binds one benchmark experiment to the committed
 // baseline file it refreshes and the output-path variable that
@@ -60,9 +62,19 @@ func compareFamilies() []compareFamily {
 	}
 }
 
-// runCompare is the -compare mode: re-run each family whose committed
-// baseline exists, then gate fresh throughput against it.
+// runCompare is the -compare mode: re-run every family, then gate fresh
+// throughput against its committed baseline.
 func runCompare(cfg experiments.Config, tol float64, w io.Writer) error {
+	families := compareFamilies()
+	var missing []string
+	for _, fam := range families {
+		if _, err := os.Stat(fam.committed); err != nil {
+			missing = append(missing, fam.committed)
+		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("compare: no committed baseline %s in the working directory (record one with -run <family>)", strings.Join(missing, ", "))
+	}
 	fmt.Fprintf(w, "compare: GOMAXPROCS=%d, NumCPU=%d — wall-clock rows; speedup columns are not gated\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU())
 	if runtime.GOMAXPROCS(0) == 1 {
@@ -77,27 +89,18 @@ func runCompare(cfg experiments.Config, tol float64, w io.Writer) error {
 	bench := map[string]func(experiments.Config, io.Writer) error{
 		"kernel": benchKernel, "fleet": benchFleet, "optimize": benchOptimize, "cache": benchCache,
 	}
-	var ran []compareFamily
-	for _, fam := range compareFamilies() {
-		if _, err := os.Stat(fam.committed); err != nil {
-			fmt.Fprintf(w, "compare: skipping %s (no committed baseline)\n", fam.exp)
-			continue
-		}
+	for _, fam := range families {
 		*fam.out = filepath.Join(tmp, filepath.Base(fam.committed))
 		fmt.Fprintf(w, "=== compare: %s ===\n", fam.exp)
 		if err := bench[fam.exp](cfg, w); err != nil {
 			return fmt.Errorf("compare: %s: %w", fam.exp, err)
 		}
-		ran = append(ran, fam)
-	}
-	if len(ran) == 0 {
-		return fmt.Errorf("compare: no committed BENCH_*.json baselines in the working directory")
 	}
 
 	regressed, compared := 0, 0
 	var failedFiles []string
 	fmt.Fprintf(w, "\nfile\trow\tcommitted\tfresh\tdelta\n")
-	for _, fam := range ran {
+	for _, fam := range families {
 		base, err := loadBenchRows(fam.committed)
 		if err != nil {
 			return fmt.Errorf("compare: %w", err)

@@ -370,7 +370,7 @@ func run(args []string, out io.Writer) error {
 	fleetBenchout := fs.String("fleet-benchout", fleetBenchOut, "fleet experiment: JSON report path")
 	optimizeBenchout := fs.String("optimize-benchout", optimizeBenchOut, "optimize experiment: JSON report path")
 	cacheBenchout := fs.String("cache-benchout", cacheBenchOut, "cache experiment: JSON report path")
-	compare := fs.Bool("compare", false, "re-run benchmark families with committed BENCH_*.json baselines and fail on throughput regression")
+	compare := fs.Bool("compare", false, "re-run every benchmark family and fail on a missing BENCH_*.json baseline or a throughput regression")
 	compareTol := fs.Float64("compare-tol", defaultCompareTol, "fractional events/sec loss tolerated by -compare before failing")
 	traceFile := fs.String("trace", "", "sweep experiment: replay this .replay trace instead of the synthetic grid")
 	telDir := fs.String("telemetry-dir", "", "sweep experiment: export per-load telemetry artifacts under this directory")

@@ -3,10 +3,22 @@
 // "We will leverage TRACER to make further measurements on mainstream
 // energy-conservation techniques").
 //
-// Two classic techniques are provided, plus the always-on baseline:
+// Five techniques are provided, plus the always-on baseline:
 //
-//   - TPM (traditional power management): spin a disk down after a
-//     fixed idle timeout; the next request pays the spin-up latency.
+//   - TPM (traditional power management, ManagedDisk): spin a disk
+//     down after a fixed idle timeout; the next request pays the
+//     spin-up latency.
+//
+//   - DRPM (dynamic RPM, Gurumurthi et al. 2003, DRPMDisk): step the
+//     spindle speed down through discrete levels as the disk idles and
+//     back to full speed when load returns.
+//
+//   - eRAID (Li & Wang 2004, ERAIDArray): at low load rest one RAID-5
+//     member and serve its reads by parity reconstruction.
+//
+//   - PDC (popular data concentration, Pinheiro & Bianchini 2004):
+//     migrate hot chunks onto the first disks so the last ones idle
+//     long enough to spin down under TPM.
 //
 //   - MAID (massive array of idle disks, Colarelli & Grunwald 2002): a
 //     small set of always-on cache disks absorbs the hot working set
@@ -14,7 +26,7 @@
 //     cache never wake a data disk, writes are absorbed by the cache
 //     and destaged on eviction.
 //
-// Both are storage.Device implementations, so TRACER's load-controlled
+// All are storage.Device implementations, so TRACER's load-controlled
 // replay and power metering evaluate them exactly as they evaluate a
 // plain array — the uniform way of comparing energy-saving techniques
 // the paper calls for.
@@ -53,6 +65,10 @@ type ManagedDisk struct {
 	ctl    *Control
 	policy string
 	index  int
+
+	// free is a LIFO list of idle in-flight records.  Only the
+	// goroutine driving the disk's engine touches it.
+	free inflightList
 }
 
 // NewManagedDisk wraps disk with a timeout spin-down policy.  A zero
@@ -113,31 +129,34 @@ func (m *ManagedDisk) OnEvent(e *simtime.Engine, _ simtime.EventArg) {
 }
 
 // check spins the disk down when it has been idle for a full timeout.
+// Construction and each completion that drains the disk arm exactly
+// one check, a timeout later, so only the latest can find a full
+// timeout of idleness.  An older check finds a request in flight, the
+// disk in standby or activity since it was armed, and fires once and
+// returns.
 func (m *ManagedDisk) check(deadline simtime.Time) {
 	if m.outstanding > 0 || m.disk.InStandby() {
 		return // a completion or wake re-arms as needed
 	}
-	if idle := deadline.Sub(m.lastActivity); idle >= m.timeout {
-		if !m.ctl.propose(Decision{
-			At:          int64(deadline),
-			Kind:        DecisionSpinDown,
-			Policy:      m.policy,
-			Disk:        m.index,
-			IdleNs:      int64(idle),
-			QueueDepth:  queueDepthOf(m.disk),
-			Outstanding: m.outstanding,
-		}) {
-			// Vetoed (counterfactual): the disk stays up until the next
-			// activity cycle re-arms the idle timer, i.e. "what if it
-			// had not spun down here".
-			return
-		}
-		m.disk.Standby()
+	idle := deadline.Sub(m.lastActivity)
+	if idle < m.timeout {
+		return // stale: the draining completion armed the live check
+	}
+	if !m.ctl.propose(Decision{
+		At:          int64(deadline),
+		Kind:        DecisionSpinDown,
+		Policy:      m.policy,
+		Disk:        m.index,
+		IdleNs:      int64(idle),
+		QueueDepth:  queueDepthOf(m.disk),
+		Outstanding: m.outstanding,
+	}) {
+		// Vetoed (counterfactual): the disk stays up until the next
+		// activity cycle re-arms the idle timer, i.e. "what if it had
+		// not spun down here".
 		return
 	}
-	// Activity happened since this timer was armed; re-check at
-	// lastActivity+timeout.
-	scheduleClamped(m.engine, m.lastActivity.Add(m.timeout), m)
+	m.disk.Standby()
 }
 
 // Submit implements storage.Device.
@@ -158,14 +177,69 @@ func (m *ManagedDisk) Submit(req storage.Request, done func(simtime.Time)) {
 	}
 	m.lastActivity = m.engine.Now()
 	m.outstanding++
-	m.disk.Submit(req, func(finish simtime.Time) {
-		m.outstanding--
-		m.lastActivity = finish
-		if m.outstanding == 0 {
-			scheduleClamped(m.engine, finish.Add(m.timeout), m)
-		}
-		done(finish)
-	})
+	m.disk.Submit(req, m.free.get(m, done).land)
+}
+
+// landed completes one request: the disk's bookkeeping and, when it
+// drains the disk, the idle check run before done.
+func (m *ManagedDisk) landed(r *inflight, finish simtime.Time) {
+	done := m.free.put(r, finish)
+	m.outstanding--
+	m.lastActivity = finish
+	if m.outstanding == 0 {
+		scheduleClamped(m.engine, finish.Add(m.timeout), m)
+	}
+	done(finish)
+}
+
+// inflight is one request in flight through a ManagedDisk or DRPMDisk.
+// Records recycle through their disk's free list and bind their landing
+// callback once, when first created, so a warm request path allocates
+// nothing.
+type inflight struct {
+	disk lander
+	done func(simtime.Time)
+	land func(simtime.Time) // onLand, bound once
+}
+
+// lander is the disk half of a completion: the policy's bookkeeping
+// for one landed request.
+type lander interface {
+	landed(r *inflight, finish simtime.Time)
+}
+
+func (r *inflight) onLand(finish simtime.Time) { r.disk.landed(r, finish) }
+
+// inflightList is a LIFO free list of idle in-flight records.  Each
+// list belongs to one disk, and only the goroutine driving that disk's
+// engine touches it.
+type inflightList []*inflight
+
+// get takes an idle record for disk, or makes one, and loads done.
+func (l *inflightList) get(disk lander, done func(simtime.Time)) *inflight {
+	var r *inflight
+	if n := len(*l); n > 0 {
+		r = (*l)[n-1]
+		*l = (*l)[:n-1]
+	} else {
+		r = &inflight{disk: disk}
+		r.land = r.onLand
+	}
+	r.done = done
+	return r
+}
+
+// put recycles a landed record and returns the done it carried.  A
+// record carrying none is not in flight: the wrapped disk completed a
+// request twice, and the record may already serve a later one.
+func (l *inflightList) put(r *inflight, finish simtime.Time) func(simtime.Time) {
+	done := r.done
+	if done == nil {
+		panic(fmt.Sprintf("conserve: request completion at %v landed on an idle record (the wrapped disk completed a request twice)", finish))
+	}
+	r.done = nil
+	*l = append(*l, r)
+	return done
 }
 
 // Capacity implements storage.Device.

@@ -28,6 +28,10 @@ type DRPMDisk struct {
 
 	ctl   *Control
 	index int
+
+	// free is a LIFO list of idle in-flight records.  Only the
+	// goroutine driving the disk's engine touches it.
+	free inflightList
 }
 
 // DefaultDRPMLevels are four speed steps down to half speed.
@@ -73,41 +77,44 @@ func (d *DRPMDisk) OnEvent(e *simtime.Engine, _ simtime.EventArg) {
 	d.check(e.Now())
 }
 
-// check steps the speed down one level after a full idle window.
+// check steps the speed down one level after a full idle window.  As
+// in ManagedDisk, only the latest check armed (at construction, by the
+// completion that drained the disk or by the previous step) can find a
+// full window of idleness; an older one fires once and returns.
 func (d *DRPMDisk) check(deadline simtime.Time) {
 	if d.outstanding > 0 {
 		return // completion re-arms
 	}
-	if idle := deadline.Sub(d.lastActivity); idle >= d.stepDown {
-		// Propose only shifts the drive will accept (it refuses while a
-		// previous shift settles), so the ledger records exactly the
-		// transitions that happen.
-		if d.level+1 < len(d.levels) && d.disk.CanSetRPM() {
-			if !d.ctl.propose(Decision{
-				At:          int64(deadline),
-				Kind:        DecisionRPMShift,
-				Policy:      "drpm",
-				Disk:        d.index,
-				FromLevel:   d.level,
-				Level:       d.level + 1,
-				IdleNs:      int64(idle),
-				QueueDepth:  d.disk.QueueDepth(),
-				Outstanding: d.outstanding,
-			}) {
-				// Vetoed (counterfactual): hold this speed until the
-				// next activity cycle re-arms the step-down timer.
-				return
-			}
-			if d.disk.SetRPMFraction(d.levels[d.level+1]) {
-				d.level++
-			}
-		}
-		if d.level+1 < len(d.levels) {
-			d.armTimer()
-		}
-		return
+	idle := deadline.Sub(d.lastActivity)
+	if idle < d.stepDown {
+		return // stale: the draining completion armed the live check
 	}
-	scheduleClamped(d.engine, d.lastActivity.Add(d.stepDown), d)
+	// Propose only shifts the drive will accept (it refuses while a
+	// previous shift settles), so the ledger records exactly the
+	// transitions that happen.
+	if d.level+1 < len(d.levels) && d.disk.CanSetRPM() {
+		if !d.ctl.propose(Decision{
+			At:          int64(deadline),
+			Kind:        DecisionRPMShift,
+			Policy:      "drpm",
+			Disk:        d.index,
+			FromLevel:   d.level,
+			Level:       d.level + 1,
+			IdleNs:      int64(idle),
+			QueueDepth:  d.disk.QueueDepth(),
+			Outstanding: d.outstanding,
+		}) {
+			// Vetoed (counterfactual): hold this speed until the next
+			// activity cycle re-arms the step-down timer.
+			return
+		}
+		if d.disk.SetRPMFraction(d.levels[d.level+1]) {
+			d.level++
+		}
+	}
+	if d.level+1 < len(d.levels) {
+		d.armTimer()
+	}
 }
 
 // Submit implements storage.Device.  Arrival at reduced speed requests
@@ -116,27 +123,33 @@ func (d *DRPMDisk) check(deadline simtime.Time) {
 func (d *DRPMDisk) Submit(req storage.Request, done func(simtime.Time)) {
 	d.lastActivity = d.engine.Now()
 	d.outstanding++
-	d.disk.Submit(req, func(finish simtime.Time) {
-		d.outstanding--
-		d.lastActivity = finish
-		if d.outstanding == 0 {
-			// Load present: restore full speed for the next burst.
-			if d.level != 0 && d.disk.CanSetRPM() && d.ctl.propose(Decision{
-				At:          int64(finish),
-				Kind:        DecisionRPMShift,
-				Policy:      "drpm",
-				Disk:        d.index,
-				FromLevel:   d.level,
-				Level:       0,
-				QueueDepth:  d.disk.QueueDepth(),
-				Outstanding: d.outstanding,
-			}) && d.disk.SetRPMFraction(d.levels[0]) {
-				d.level = 0
-			}
-			scheduleClamped(d.engine, finish.Add(d.stepDown), d)
+	d.disk.Submit(req, d.free.get(d, done).land)
+}
+
+// landed completes one request: the disk's bookkeeping and, when it
+// drains the disk, the speed restore and step-down check run before
+// done.
+func (d *DRPMDisk) landed(r *inflight, finish simtime.Time) {
+	done := d.free.put(r, finish)
+	d.outstanding--
+	d.lastActivity = finish
+	if d.outstanding == 0 {
+		// Load present: restore full speed for the next burst.
+		if d.level != 0 && d.disk.CanSetRPM() && d.ctl.propose(Decision{
+			At:          int64(finish),
+			Kind:        DecisionRPMShift,
+			Policy:      "drpm",
+			Disk:        d.index,
+			FromLevel:   d.level,
+			Level:       0,
+			QueueDepth:  d.disk.QueueDepth(),
+			Outstanding: d.outstanding,
+		}) && d.disk.SetRPMFraction(d.levels[0]) {
+			d.level = 0
 		}
-		done(finish)
-	})
+		scheduleClamped(d.engine, finish.Add(d.stepDown), d)
+	}
+	done(finish)
 }
 
 // Capacity implements storage.Device.

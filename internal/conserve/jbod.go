@@ -17,10 +17,13 @@ type JBOD struct {
 	timelines  []*powersim.Timeline
 	chunkBytes int64
 	perDisk    int64
+	// free is a LIFO list of idle joins.  Only the goroutine driving
+	// the members' engine touches it.
+	free []*jbodJoin
 }
 
 // Member is the JBOD member contract: service plus a power timeline.
-// *disksim.HDD, *disksim.SSD and *ManagedDisk all satisfy it.
+// *disksim.HDD, *disksim.SSD, *ManagedDisk and *DRPMDisk all satisfy it.
 type Member interface {
 	storage.Device
 	Timeline() *powersim.Timeline
@@ -62,43 +65,66 @@ func (j *JBOD) Submit(req storage.Request, done func(simtime.Time)) {
 	if err := req.Validate(0); err != nil {
 		panic(fmt.Sprintf("conserve: invalid request: %v", err))
 	}
-	off, remaining := req.Offset%j.Capacity(), req.Size
-	type frag struct {
-		disk   int
-		offset int64
-		size   int64
-	}
-	var frags []frag
-	for remaining > 0 {
+	off := req.Offset % j.Capacity()
+	jn := j.getJoin()
+	// Arm the join with every fragment before issuing any, so none can
+	// complete it early.
+	jn.done = done
+	jn.waiting = int((off+req.Size-1)/j.chunkBytes - off/j.chunkBytes + 1)
+	n := int64(len(j.disks))
+	for remaining := req.Size; remaining > 0; {
 		chunk := off / j.chunkBytes
 		within := off % j.chunkBytes
-		take := j.chunkBytes - within
-		if take > remaining {
-			take = remaining
-		}
+		take := min(j.chunkBytes-within, remaining)
 		// Round-robin chunk striping, matching MAID's data layout.
-		n := int64(len(j.disks))
-		frags = append(frags, frag{
-			disk:   int(chunk % n),
-			offset: (chunk/n)*j.chunkBytes + within,
-			size:   take,
-		})
+		j.disks[chunk%n].Submit(storage.Request{Op: req.Op, Offset: (chunk/n)*j.chunkBytes + within, Size: take}, jn.land)
 		off += take
 		remaining -= take
 	}
-	outstanding := len(frags)
-	var latest simtime.Time
-	for _, f := range frags {
-		j.disks[f.disk].Submit(storage.Request{Op: req.Op, Offset: f.offset, Size: f.size}, func(t simtime.Time) {
-			if t > latest {
-				latest = t
-			}
-			outstanding--
-			if outstanding == 0 {
-				done(latest)
-			}
-		})
+}
+
+// jbodJoin completes one JBOD request when its slowest fragment lands.
+// Joins recycle through the JBOD's free list and bind their landing
+// callback once, when first created, so a warm request path allocates
+// nothing.
+type jbodJoin struct {
+	j       *JBOD
+	done    func(simtime.Time)
+	waiting int
+	latest  simtime.Time
+	land    func(simtime.Time) // onLand, bound once
+}
+
+// getJoin takes an idle join off the free list, or makes one.
+func (j *JBOD) getJoin() *jbodJoin {
+	if n := len(j.free); n > 0 {
+		jn := j.free[n-1]
+		j.free = j.free[:n-1]
+		return jn
 	}
+	jn := &jbodJoin{j: j}
+	jn.land = jn.onLand
+	return jn
+}
+
+// onLand records one fragment's completion; the last one recycles the
+// join and completes the request.  A join waiting for nothing cannot be
+// owed one: a member completed a fragment twice, and the join may
+// already belong to a later request.
+func (jn *jbodJoin) onLand(t simtime.Time) {
+	if jn.waiting <= 0 {
+		panic(fmt.Sprintf("conserve: JBOD fragment completion at %v landed on an idle join (a member completed a fragment twice)", t))
+	}
+	if t > jn.latest {
+		jn.latest = t
+	}
+	if jn.waiting--; jn.waiting > 0 {
+		return
+	}
+	done, latest := jn.done, jn.latest
+	jn.done, jn.latest = nil, 0
+	jn.j.free = append(jn.j.free, jn)
+	done(latest)
 }
 
 var _ storage.Device = (*JBOD)(nil)

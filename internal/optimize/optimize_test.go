@@ -256,6 +256,62 @@ func TestCounterfactualSpinDown(t *testing.T) {
 	}
 }
 
+// TestVetoedDecisionHolds: a counterfactual veto must stick.  For every
+// replayable decision of a TPM and a DRPM run, the rerun that vetoes it
+// must match the recorded run up to the pin and never make the same
+// proposal again later; the policy may only act on that disk once new
+// activity re-arms its idle check.  Vetoing the first decision must
+// change the energy.
+func TestVetoedDecisionHolds(t *testing.T) {
+	trace := testTrace(5)
+	opts := testOptions(1)
+	// sameProposal reports whether two decisions agree in every field
+	// but the sequence number and the veto.
+	sameProposal := func(a, b conserve.Decision) bool {
+		a.Seq, a.Vetoed = b.Seq, b.Vetoed
+		return a == b
+	}
+	for _, pt := range []Point{
+		{Policy: "tpm", Params: map[string]float64{"timeout_s": 5}},
+		{Policy: "drpm", Params: map[string]float64{"levels": 4, "stepdown_s": 5}},
+	} {
+		t.Run(pt.String(), func(t *testing.T) {
+			_, decisions, err := Record(opts, pt, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayable := ReplayableDecisions(decisions)
+			if len(replayable) == 0 || replayable[0].Seq != 0 {
+				t.Fatalf("decision 0 is not replayable (%d of %d decisions are)", len(replayable), len(decisions))
+			}
+			for _, pinned := range replayable {
+				rec := &Recorder{}
+				if _, err := Evaluate(opts, pt, trace, &conserve.Control{Observer: rec, Arbiter: pinArbiter{seq: pinned.Seq}}); err != nil {
+					t.Fatal(err)
+				}
+				rerun := rec.Decisions()
+				if int64(len(rerun)) <= pinned.Seq || !rerun[pinned.Seq].Vetoed || !sameProposal(rerun[pinned.Seq], pinned) {
+					t.Fatalf("rerun pinning decision %d does not reach it as recorded", pinned.Seq)
+				}
+				for _, d := range rerun[pinned.Seq+1:] {
+					if sameProposal(d, pinned) {
+						t.Fatalf("decision %d (%s disk %d at %d ns) was vetoed and proposed again as decision %d",
+							pinned.Seq, pinned.Kind, pinned.Disk, pinned.At, d.Seq)
+					}
+				}
+			}
+			h := LedgerHeader{Policy: pt.Policy, Params: pt.Params, Load: opts.Load, Seed: opts.Config.Seed}
+			w, err := Counterfactual(opts, h, decisions, 0, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.DeltaEnergyJ == 0 {
+				t.Fatalf("vetoing decision 0 left energy unchanged: %+v", w)
+			}
+		})
+	}
+}
+
 func TestCounterfactualDetectsLedgerDrift(t *testing.T) {
 	trace := testTrace(5)
 	pt := Point{Policy: "tpm", Params: map[string]float64{"timeout_s": 2}}
