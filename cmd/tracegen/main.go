@@ -142,11 +142,11 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
-	engine, array, err := experiments.NewSystem(cfg, kind)
+	s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
 	if err != nil {
 		return err
 	}
-	tr, err := synth.Collect(engine, array, synth.CollectParams{
+	tr, err := synth.Collect(s.Engine, s.Device, synth.CollectParams{
 		Mode:            synth.Mode{RequestBytes: *size, ReadRatio: *read, RandomRatio: *random},
 		Duration:        simtime.FromStd(*duration),
 		QueueDepth:      *qd,

@@ -100,39 +100,38 @@ func benchCache(cfg experiments.Config, w io.Writer) error {
 		tr := cacheBenchTrace(target)
 
 		// Uncached baseline.
-		engine, array, err := experiments.NewSystem(cfg, experiments.HDDArray)
+		s, err := experiments.Build(cfg, experiments.StackSpec{Kind: experiments.HDDArray})
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		res, err := replay.Replay(engine, array, tr, replay.Options{})
+		res, err := replay.Replay(s.Engine, s.Device, tr, replay.Options{})
 		if err != nil {
 			return err
 		}
 		secs := time.Since(start).Seconds()
 		row(cacheBenchRow{
 			Config: "uncached", TargetHit: target,
-			IOs: res.Completed, Events: engine.Fired(), Seconds: secs,
-			EventsPS: float64(engine.Fired()) / secs,
+			IOs: res.Completed, Events: s.Engine.Fired(), Seconds: secs,
+			EventsPS: float64(s.Engine.Fired()) / secs,
 			IOsPS:    float64(res.Completed) / secs,
 		})
 
 		// Cached run on a fresh system.
-		engine, c, _, err := experiments.NewCachedSystem(cfg, experiments.HDDArray, spec)
-		if err != nil {
+		if s, err = experiments.Build(cfg, experiments.StackSpec{Kind: experiments.HDDArray, Cache: &spec}); err != nil {
 			return err
 		}
 		start = time.Now()
-		res, err = replay.Replay(engine, c, tr, replay.Options{})
+		res, err = replay.Replay(s.Engine, s.Device, tr, replay.Options{})
 		if err != nil {
 			return err
 		}
 		secs = time.Since(start).Seconds()
-		stats := c.Stats()
+		stats := s.Cache.Stats()
 		r := cacheBenchRow{
 			Config: spec.Label(), TargetHit: target, HitRate: stats.HitRate(),
-			IOs: res.Completed, Events: engine.Fired(), Seconds: secs,
-			EventsPS: float64(engine.Fired()) / secs,
+			IOs: res.Completed, Events: s.Engine.Fired(), Seconds: secs,
+			EventsPS: float64(s.Engine.Fired()) / secs,
 			IOsPS:    float64(res.Completed) / secs,
 		}
 		// The pinned streams must land on their targets, or the bench is

@@ -117,12 +117,12 @@ func benchKernel(cfg experiments.Config, w io.Writer) error {
 	rr := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			engine, array, err := experiments.NewSystem(cfg, experiments.HDDArray)
+			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: experiments.HDDArray})
 			if err != nil {
 				replayErr = err
 				b.FailNow()
 			}
-			if _, err := replay.Replay(engine, array, trace, replay.Options{}); err != nil {
+			if _, err := replay.Replay(s.Engine, s.Device, trace, replay.Options{}); err != nil {
 				replayErr = err
 				b.FailNow()
 			}

@@ -33,6 +33,7 @@ import (
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
 	"repro/internal/parsweep"
+	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -283,7 +284,7 @@ func runSweep(cfg experiments.Config, w io.Writer) error {
 	opts.Label = func(i int) string { return fmt.Sprintf("%s load %v", modes[i/nLoads], loads[i%nLoads]) }
 	cells, err := parsweep.Map(context.Background(), opts, len(modes)*nLoads,
 		func(i int) (*experiments.Measurement, error) {
-			return experiments.MeasureAtLoad(cfg, experiments.HDDArray, traces[i/nLoads], loads[i%nLoads])
+			return measureAtLoad(cfg, traces[i/nLoads], loads[i%nLoads], nil)
 		})
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
@@ -297,6 +298,16 @@ func runSweep(cfg experiments.Config, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%d runs (paper's full grid: 125 modes x 10 loads = 1250)\n", len(cells))
 	return nil
+}
+
+// measureAtLoad measures trace at one load on a fresh HDD array,
+// instrumented into set when it is non-nil.
+func measureAtLoad(cfg experiments.Config, trace *blktrace.Trace, load float64, set *telemetry.Set) (*experiments.Measurement, error) {
+	s, err := experiments.Build(cfg, experiments.StackSpec{Kind: experiments.HDDArray})
+	if err != nil {
+		return nil, err
+	}
+	return experiments.Measure(s, trace, replay.UniformFilter{Proportion: load}, set)
 }
 
 // telemetryDir optionally exports per-load telemetry artifact
@@ -323,16 +334,12 @@ func runTraceSweep(cfg experiments.Config, path string, w io.Writer) error {
 	}
 	cells, err := parsweep.Map(context.Background(), opts, len(loads),
 		func(i int) (sweepCell, error) {
-			if telemetryDir == "" {
-				m, err := experiments.MeasureAtLoad(cfg, experiments.HDDArray, tr, loads[i])
-				return sweepCell{m: m}, err
+			var set *telemetry.Set
+			if telemetryDir != "" {
+				set = telemetry.New(telemetry.Options{})
 			}
-			set := telemetry.New(telemetry.Options{})
-			run, err := experiments.MeasureAtLoadTelemetry(cfg, experiments.HDDArray, tr, loads[i], set)
-			if err != nil {
-				return sweepCell{}, err
-			}
-			return sweepCell{m: run.Meas, set: set}, nil
+			m, err := measureAtLoad(cfg, tr, loads[i], set)
+			return sweepCell{m: m, set: set}, err
 		})
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -52,9 +53,13 @@ func registerCacheFlags(fs *flag.FlagSet) *cacheFlags {
 }
 
 // validate rejects -cache-* flags given without -cache-tier: a tuning
-// knob that silently does nothing would hide an operator typo.
+// knob that silently does nothing would hide an operator typo.  With a
+// tier, -cache-mb must be a finite size > 0.
 func (cf *cacheFlags) validate(cmd string, fs *flag.FlagSet) error {
 	if *cf.tier != "" {
+		if !validCapacityMB(*cf.mb) {
+			return fmt.Errorf("%s: bad -cache-mb %v (want a finite size > 0)", cmd, *cf.mb)
+		}
 		return nil
 	}
 	var stray string
@@ -85,6 +90,13 @@ func (cf *cacheFlags) spec() experiments.CacheSpec {
 	}
 }
 
+// validCapacityMB reports whether mb is a cache size a user may
+// request: finite and > 0.  experiments.Build rejects sizes whose byte
+// count does not fit an int64.
+func validCapacityMB(mb float64) bool {
+	return mb > 0 && !math.IsInf(mb, 1)
+}
+
 // parseCacheSpecs decodes the -specs column list: "uncached" or
 // "tier:MB[:evict[:admit]]" per comma-separated entry, e.g.
 // "uncached,dram:32,dram:32:2q:bypass-seq,ssd:256".
@@ -104,7 +116,7 @@ func parseCacheSpecs(s string) ([]experiments.CacheSpec, error) {
 			return nil, fmt.Errorf("cachestudy: bad spec %q (want tier:MB[:evict[:admit]] or uncached)", col)
 		}
 		mb, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || mb <= 0 {
+		if err != nil || !validCapacityMB(mb) {
 			return nil, fmt.Errorf("cachestudy: bad capacity %q in spec %q", parts[1], col)
 		}
 		spec := experiments.CacheSpec{Tier: parts[0], CapacityMB: mb}

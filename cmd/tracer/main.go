@@ -156,11 +156,11 @@ func cmdCollect(args []string, out io.Writer) error {
 		},
 		len(modes),
 		func(i int) (*blktrace.Trace, error) {
-			e, a, err := experiments.NewSystem(cfg, kind)
+			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
 			if err != nil {
 				return nil, err
 			}
-			return synth.Collect(e, a, synth.CollectParams{
+			return synth.Collect(s.Engine, s.Device, synth.CollectParams{
 				Mode:            modes[i],
 				Duration:        simtime.FromStd(*duration),
 				QueueDepth:      *qd,
@@ -319,7 +319,6 @@ func cmdTest(args []string, out io.Writer) error {
 	device := fs.String("device", "hdd", "array kind: hdd or ssd")
 	loadsStr := fs.String("loads", "100", "comma-separated load percentages (e.g. 10,50,100)")
 	dbPath := fs.String("db", "", "results database file (JSON); empty disables persistence")
-	cycle := fs.Duration("cycle", 1_000_000_000, "sampling cycle")
 	workers := fs.Int("workers", 0, "parallel load-level replays (0 = all cores, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -367,15 +366,15 @@ func cmdTest(args []string, out io.Writer) error {
 		},
 		len(loads),
 		func(i int) (cell, error) {
-			e, a, err := experiments.NewSystem(cfg, kind)
+			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
 			if err != nil {
 				return cell{}, err
 			}
-			res, err := replay.ReplayAtLoad(e, a, tr, loads[i], replay.Options{SamplingCycle: simtime.FromStd(*cycle)})
+			res, err := replay.ReplayAtLoad(s.Engine, s.Device, tr, loads[i], replay.Options{})
 			if err != nil {
 				return cell{}, err
 			}
-			meter := powersim.DefaultMeter(a.PowerSource())
+			meter := powersim.DefaultMeter(s.PowerSource())
 			samples := meter.Measure(res.Start, res.End)
 			watts := powersim.MeanWatts(samples)
 			return cell{

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
+	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/simtime"
 	"repro/internal/slo"
@@ -78,35 +79,35 @@ func cmdReplay(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	set := telemetry.New(telemetry.Options{Cadence: simtime.FromStd(*cadence)})
+	spec := experiments.StackSpec{Kind: kind}
 	if *cf.tier != "" {
-		m, err := experiments.MeasureCachedAtLoadTelemetry(experiments.DefaultConfig(), kind, cf.spec(), tr, *load/100, set)
-		if err != nil {
-			return err
-		}
-		if err := set.WriteDir(*telemetryDir); err != nil {
-			return err
-		}
-		r := m.Result
-		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s behind %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
-			r.Completed, *load, kind, m.Spec, r.IOPS, r.MBPS, m.Power)
-		fmt.Fprintf(out, "cache: %.1f%% hit (%d/%d), %d writebacks (%.1f KiB), %d evictions\n",
-			m.Cache.HitRate()*100, m.Cache.Hits, m.Cache.Hits+m.Cache.Misses,
-			m.Cache.Writebacks, float64(m.Cache.WritebackBytes)/1024, m.Cache.Evictions)
-		fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
-			*telemetryDir, *telemetryDir)
-		return nil
+		cs := cf.spec()
+		spec.Cache = &cs
 	}
-	run, err := experiments.MeasureAtLoadTelemetry(experiments.DefaultConfig(), kind, tr, *load/100, set)
+	s, err := experiments.Build(experiments.DefaultConfig(), spec)
+	if err != nil {
+		return err
+	}
+	set := telemetry.New(telemetry.Options{Cadence: simtime.FromStd(*cadence)})
+	m, err := experiments.Measure(s, tr, replay.UniformFilter{Proportion: *load / 100}, set)
 	if err != nil {
 		return err
 	}
 	if err := set.WriteDir(*telemetryDir); err != nil {
 		return err
 	}
-	r := run.Meas.Result
-	fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
-		r.Completed, *load, kind, r.IOPS, r.MBPS, run.Meas.Power)
+	r := m.Result
+	if s.Cache == nil {
+		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
+			r.Completed, *load, kind, r.IOPS, r.MBPS, m.Power)
+	} else {
+		st := s.Cache.Stats()
+		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s behind %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
+			r.Completed, *load, kind, spec.Cache.Label(), r.IOPS, r.MBPS, m.Power)
+		fmt.Fprintf(out, "cache: %.1f%% hit (%d/%d), %d writebacks (%.1f KiB), %d evictions\n",
+			st.HitRate()*100, st.Hits, st.Hits+st.Misses,
+			st.Writebacks, float64(st.WritebackBytes)/1024, st.Evictions)
+	}
 	fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
 		*telemetryDir, *telemetryDir)
 	return nil

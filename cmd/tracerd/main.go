@@ -99,11 +99,11 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		factory := func() (*cluster.SystemUnderTest, error) {
-			e, a, err := experiments.NewSystem(experiments.DefaultConfig(), kind)
+			s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: kind})
 			if err != nil {
 				return nil, err
 			}
-			return &cluster.SystemUnderTest{Engine: e, Device: a, Power: a.PowerSource(), Name: kind.String()}, nil
+			return &cluster.SystemUnderTest{Engine: s.Engine, Device: s.Device, Power: s.PowerSource(), Name: kind.String()}, nil
 		}
 		g := cluster.NewGeneratorAgent(repo, factory, *analyzerAddr, *channel, logger)
 		var set *telemetry.Set

@@ -34,12 +34,12 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := experiments.DefaultConfig()
-	engine, array, err := experiments.NewSystem(cfg, experiments.HDDArray)
+	s, err := experiments.Build(cfg, experiments.StackSpec{Kind: experiments.HDDArray})
 	if err != nil {
 		log.Fatal(err)
 	}
 	mode := synth.Mode{RequestBytes: 4096, ReadRatio: 0.5, RandomRatio: 0.5}
-	trace, err := synth.Collect(engine, array, synth.CollectParams{
+	trace, err := synth.Collect(s.Engine, s.Device, synth.CollectParams{
 		Mode: mode, Duration: 2 * simtime.Second, QueueDepth: 8, WorkingSetBytes: 8 << 30, Seed: 1,
 	})
 	if err != nil {
@@ -61,11 +61,11 @@ func main() {
 
 	// Workload generator agent: owns the array, taps its wall power.
 	factory := func() (*cluster.SystemUnderTest, error) {
-		e, a, err := experiments.NewSystem(cfg, experiments.HDDArray)
+		s, err := experiments.Build(cfg, experiments.StackSpec{Kind: experiments.HDDArray})
 		if err != nil {
 			return nil, err
 		}
-		return &cluster.SystemUnderTest{Engine: e, Device: a, Power: a.PowerSource(), Name: "raid5-hdd"}, nil
+		return &cluster.SystemUnderTest{Engine: s.Engine, Device: s.Device, Power: s.PowerSource(), Name: "raid5-hdd"}, nil
 	}
 	generator := cluster.NewGeneratorAgent(repo, factory, aAddr.String(), "hdd-array", nil)
 	gAddr, err := generator.Listen("127.0.0.1:0")

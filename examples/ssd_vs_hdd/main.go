@@ -20,44 +20,32 @@ import (
 func evaluate(kind experiments.ArrayKind, mode synth.Mode) metrics.Efficiency {
 	cfg := experiments.DefaultConfig()
 	// Collect the peak trace on a pristine array of this kind.
-	engine, array, err := experiments.NewSystem(cfg, kind)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trace, err := synth.Collect(engine, array, synth.CollectParams{
-		Mode:            mode,
-		Duration:        2 * simtime.Second,
-		QueueDepth:      8,
-		WorkingSetBytes: 8 << 30,
-		Seed:            1,
-	})
+	trace, err := experiments.CollectModeTrace(cfg, kind, mode)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Replay at full load on a fresh array and meter power.
-	engine, array, err = experiments.NewSystem(cfg, kind)
+	s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := replay.ReplayAtLoad(engine, array, trace, 1.0, replay.Options{})
+	m, err := experiments.Measure(s, trace, replay.UniformFilter{Proportion: 1.0}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	meter := powersim.DefaultMeter(array.PowerSource())
-	watts := powersim.MeanWatts(meter.Measure(res.Start, res.End))
-	return metrics.NewEfficiency(res.IOPS, res.MBPS, watts, 0)
+	return m.Eff
 }
 
 func main() {
 	// Idle baselines first (the paper reports 195.8 W for the SSD array).
 	for _, kind := range []experiments.ArrayKind{experiments.HDDArray, experiments.SSDArray} {
-		engine, array, err := experiments.NewSystem(experiments.DefaultConfig(), kind)
+		s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
-		engine.RunUntil(simtime.Time(5 * simtime.Second))
-		meter := powersim.DefaultMeter(array.PowerSource())
-		fmt.Printf("%s idle: %.1f W\n", kind, powersim.MeanWatts(meter.Measure(0, engine.Now())))
+		s.Engine.RunUntil(simtime.Time(5 * simtime.Second))
+		meter := powersim.DefaultMeter(s.PowerSource())
+		fmt.Printf("%s idle: %.1f W\n", kind, powersim.MeanWatts(meter.Measure(0, s.Engine.Now())))
 	}
 
 	modes := []synth.Mode{

@@ -23,6 +23,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -168,12 +169,12 @@ func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
 	}
 
 	// Live invariant pass through the DRAM tier.
-	cfg := cacheConfig(1)
-	engine, c, _, err := experiments.NewCachedSystem(cfg, cacheGoldenKind, cacheGateSpec())
+	gateSpec := cacheGateSpec()
+	s, err := experiments.Build(cacheConfig(1), experiments.StackSpec{Kind: cacheGoldenKind, Cache: &gateSpec})
 	if err != nil {
 		return nil, err
 	}
-	res, err := ReplayChecked(engine, c, trace, Options{})
+	res, err := ReplayChecked(s.Engine, s.Device, trace, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -202,18 +203,18 @@ func BuildGoldenCached(name string, trace *blktrace.Trace, spec experiments.Cach
 	cfg := experiments.DefaultConfig()
 	for _, kind := range goldenKinds {
 		for _, load := range goldenLoads {
-			engine, c, array, err := experiments.NewCachedSystem(cfg, kind, spec)
+			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind, Cache: &spec})
 			if err != nil {
 				return nil, fmt.Errorf("golden %s: %w", name, err)
 			}
-			res, err := ReplayChecked(engine, c, trace, Options{Load: load})
+			res, err := ReplayChecked(s.Engine, s.Device, trace, Options{Load: load})
 			if err != nil {
 				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
 			}
 			if err := res.Report.Err(); err != nil {
 				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
 			}
-			st := array.Stats()
+			st := s.Array.Stats()
 			r := res.Replay
 			eff := metrics.NewEfficiency(r.IOPS, r.MBPS, res.MeanWatts, res.EnergyJ)
 			g.Runs = append(g.Runs, GoldenRun{
@@ -448,7 +449,12 @@ func writeCacheFailureTelemetry(dir, name string, trace *blktrace.Trace, out io.
 	set := telemetry.New(telemetry.Options{})
 	cfg := cacheConfig(1)
 	load := cfg.Loads[len(cfg.Loads)-1]
-	if _, err := experiments.MeasureCachedAtLoadTelemetry(cfg, cacheGoldenKind, cacheGateSpec(), trace, load, set); err != nil {
+	gateSpec := cacheGateSpec()
+	s, err := experiments.Build(cfg, experiments.StackSpec{Kind: cacheGoldenKind, Cache: &gateSpec})
+	if err == nil {
+		_, err = experiments.Measure(s, trace, replay.UniformFilter{Proportion: load}, set)
+	}
+	if err != nil {
 		fmt.Fprintf(out, "  telemetry capture for %s failed: %v\n", name, err)
 		return
 	}

@@ -29,12 +29,12 @@ func requireChecked(t *testing.T, r *Report, names ...string) {
 // causality, busy-time bounds, parity accounting, FIFO issue order,
 // drain and operation conservation must all hold.
 func TestReplayCheckedHDDArrayConforms(t *testing.T) {
-	engine, array, err := experiments.NewSystem(experiments.DefaultConfig(), experiments.HDDArray)
+	s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: experiments.HDDArray})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := RandomTrace(DefaultFuzzParams(1))
-	res, err := ReplayChecked(engine, array, trace, Options{})
+	res, err := ReplayChecked(s.Engine, s.Device, trace, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestReplayCheckedHDDArrayConforms(t *testing.T) {
 // TestReplayCheckedSSDArrayConforms exercises the filtered-replay path
 // and the SSD models under the same invariant suite.
 func TestReplayCheckedSSDArrayConforms(t *testing.T) {
-	engine, array, err := experiments.NewSystem(experiments.DefaultConfig(), experiments.SSDArray)
+	s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: experiments.SSDArray})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trace := RandomTrace(DefaultFuzzParams(2))
-	res, err := ReplayChecked(engine, array, trace, Options{Load: 0.6})
+	res, err := ReplayChecked(s.Engine, s.Device, trace, Options{Load: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

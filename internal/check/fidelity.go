@@ -96,11 +96,11 @@ func RoundTripFidelity(trace *blktrace.Trace, name string, kind experiments.Arra
 		return nil, err
 	}
 	replayOne := func(t *blktrace.Trace, label string) (*Result, error) {
-		engine, array, err := experiments.NewSystem(experiments.DefaultConfig(), kind)
+		s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: kind})
 		if err != nil {
 			return nil, err
 		}
-		res, err := ReplayChecked(engine, array, t, Options{})
+		res, err := ReplayChecked(s.Engine, s.Device, t, Options{})
 		if err != nil {
 			return nil, fmt.Errorf("fidelity %s (%s): %w", name, label, err)
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/replay"
 	"repro/internal/telemetry"
 )
 
@@ -104,18 +105,18 @@ func BuildGolden(name string, trace *blktrace.Trace) (*Golden, error) {
 	cfg := experiments.DefaultConfig()
 	for _, kind := range goldenKinds {
 		for _, load := range goldenLoads {
-			engine, array, err := experiments.NewSystem(cfg, kind)
+			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
 			if err != nil {
 				return nil, fmt.Errorf("golden %s: %w", name, err)
 			}
-			res, err := ReplayChecked(engine, array, trace, Options{Load: load})
+			res, err := ReplayChecked(s.Engine, s.Device, trace, Options{Load: load})
 			if err != nil {
 				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
 			}
 			if err := res.Report.Err(); err != nil {
 				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
 			}
-			st := array.Stats()
+			st := s.Array.Stats()
 			r := res.Replay
 			eff := metrics.NewEfficiency(r.IOPS, r.MBPS, res.MeanWatts, res.EnergyJ)
 			g.Runs = append(g.Runs, GoldenRun{
@@ -341,7 +342,11 @@ func VerifyGolden(dir string, opts VerifyOptions, out io.Writer) error {
 // itself.
 func writeFailureTelemetry(dir, name string, trace *blktrace.Trace, out io.Writer) {
 	set := telemetry.New(telemetry.Options{})
-	if _, err := experiments.MeasureAtLoadTelemetry(experiments.DefaultConfig(), goldenKinds[0], trace, goldenLoads[0], set); err != nil {
+	s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: goldenKinds[0]})
+	if err == nil {
+		_, err = experiments.Measure(s, trace, replay.UniformFilter{Proportion: goldenLoads[0]}, set)
+	}
+	if err != nil {
 		fmt.Fprintf(out, "  telemetry capture for %s failed: %v\n", name, err)
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/conserve"
 	"repro/internal/disksim"
 	"repro/internal/experiments"
+	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/storage"
 )
@@ -98,7 +99,11 @@ func TestZeroLengthTraceAllPolicies(t *testing.T) {
 	for _, technique := range experiments.ConserveTechniques {
 		t.Run(technique, func(t *testing.T) {
 			spec := experiments.ConserveSpec{Technique: technique, Control: &conserve.Control{Observer: &recorder{}}}
-			m, sys, err := experiments.MeasureConserve(cfg, spec, empty, 0.5)
+			sys, err := experiments.Build(cfg, experiments.StackSpec{Conserve: spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := experiments.Measure(sys, empty, replay.UniformFilter{Proportion: 0.5}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

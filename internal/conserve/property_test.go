@@ -29,16 +29,15 @@ func idleTrace(seed uint64) *blktrace.Trace {
 
 // runTechnique provisions spec with a recording control, replays the
 // idle trace and returns the system plus the decision stream.
-func runTechnique(t *testing.T, spec experiments.ConserveSpec, seed uint64) (*experiments.ConserveSystem, []conserve.Decision) {
+func runTechnique(t *testing.T, spec experiments.ConserveSpec, seed uint64) (experiments.Stack, []conserve.Decision) {
 	t.Helper()
 	rec := &recorder{}
 	spec.Control = &conserve.Control{Observer: rec}
-	engine := simtime.NewEngine()
-	sys, err := experiments.NewConserveSystem(engine, spec)
+	sys, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Conserve: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replay.ReplayAtLoad(engine, sys.Device, idleTrace(seed), 0.5, replay.Options{}); err != nil {
+	if _, err := replay.ReplayAtLoad(sys.Engine, sys.Device, idleTrace(seed), 0.5, replay.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return sys, rec.decisions
@@ -278,7 +277,11 @@ func TestConservationNeverExceedsBaselineEnergy(t *testing.T) {
 	const load = 0.25
 
 	measure := func(spec experiments.ConserveSpec) float64 {
-		m, _, err := experiments.MeasureConserve(cfg, spec, trace, load)
+		s, err := experiments.Build(cfg, experiments.StackSpec{Conserve: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := experiments.Measure(s, trace, replay.UniformFilter{Proportion: load}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,14 +307,13 @@ func TestConservationNeverExceedsBaselineEnergy(t *testing.T) {
 // — the observed run's device-side counters match the unobserved run's.
 func TestNilControlIsInert(t *testing.T) {
 	run := func(ctl *conserve.Control) disksim.HDDStats {
-		engine := simtime.NewEngine()
-		sys, err := experiments.NewConserveSystem(engine, experiments.ConserveSpec{
+		sys, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Conserve: experiments.ConserveSpec{
 			Technique: "tpm", TPMTimeout: 2 * simtime.Second, Control: ctl,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := replay.ReplayAtLoad(engine, sys.Device, idleTrace(16), 0.5, replay.Options{}); err != nil {
+		if _, err := replay.ReplayAtLoad(sys.Engine, sys.Device, idleTrace(16), 0.5, replay.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		var total disksim.HDDStats

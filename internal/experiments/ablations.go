@@ -253,11 +253,12 @@ func WritePathStudy(cfg Config) (*WritePathResult, error) {
 			if err != nil {
 				return WritePathRow{}, err
 			}
-			e, a, err := NewSystem(cfg, HDDArray)
+			s, err := Build(cfg, StackSpec{Kind: HDDArray})
 			if err != nil {
 				return WritePathRow{}, err
 			}
-			r, err := replay.Replay(e, a, trace, replay.Options{})
+			a := s.Array
+			r, err := replay.Replay(s.Engine, a, trace, replay.Options{})
 			if err != nil {
 				return WritePathRow{}, err
 			}

@@ -6,17 +6,13 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/cache"
-	"repro/internal/metrics"
-	"repro/internal/powersim"
-	"repro/internal/raid"
 	"repro/internal/replay"
 	"repro/internal/simtime"
-	"repro/internal/telemetry"
 )
 
-// CacheSpec configures the cache tier of a cached experiment system.
-// The zero value is "no cache"; MB/KB units keep CLI flags and
-// optimizer parameters human-sized.
+// CacheSpec configures the cache tier a StackSpec fronts its base
+// device with.  The zero value is a pass-through tier; MB/KB units keep
+// CLI flags and optimizer parameters human-sized.
 type CacheSpec struct {
 	// Tier is "none", "dram" or "ssd".
 	Tier string
@@ -72,6 +68,19 @@ func (s CacheSpec) Params() cache.Params {
 	}
 }
 
+// maxCapacityMB bounds CapacityMB so its byte count fits an int64.
+const maxCapacityMB = 1 << 43
+
+// checkCapacity rejects a capacity Params cannot convert to bytes:
+// NaN, infinite, negative, or too large for int64.  Zero is valid and
+// selects the tier's default.
+func (s CacheSpec) checkCapacity() error {
+	if !(s.CapacityMB >= 0 && s.CapacityMB < maxCapacityMB) {
+		return fmt.Errorf("experiments: cache capacity %v MiB is not a finite size in [0, 2^43) MiB", s.CapacityMB)
+	}
+	return nil
+}
+
 // Label names the spec for tables and fixtures, e.g. "uncached" or
 // "dram-32MB".
 func (s CacheSpec) Label() string {
@@ -91,108 +100,6 @@ func (s CacheSpec) Label() string {
 		label += "/" + strings.Join(opts, "/")
 	}
 	return label
-}
-
-// NewCachedSystem provisions a pristine array of the given kind with a
-// cache tier in front on a fresh engine.  A disabled spec yields a
-// pass-through cache whose behaviour — event sequence, power samples,
-// replay results — is byte-identical to the bare NewSystem array.
-func NewCachedSystem(cfg Config, kind ArrayKind, spec CacheSpec) (*simtime.Engine, *cache.Cache, *raid.Array, error) {
-	e, a, err := NewSystem(cfg, kind)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	c, err := cache.New(e, a, a.PowerSource(), spec.Params())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return e, c, a, nil
-}
-
-// CachedMeasurement is a Measurement plus the cache tier's accounting.
-type CachedMeasurement struct {
-	Measurement
-	// Spec labels the cache configuration.
-	Spec string
-	// Cache holds the tier's counters at end of run.
-	Cache cache.Stats
-}
-
-// MeasureCachedAtLoad replays trace through a cached system at the
-// given load and meters wall power (backing plus tier).
-func MeasureCachedAtLoad(cfg Config, kind ArrayKind, spec CacheSpec, trace *blktrace.Trace, load float64) (*CachedMeasurement, error) {
-	cfg = cfg.normalize()
-	e, c, _, err := NewCachedSystem(cfg, kind, spec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := replay.ReplayAtLoad(e, c, trace, load, replay.Options{})
-	if err != nil {
-		return nil, err
-	}
-	meter := powersim.DefaultMeter(c.PowerSource())
-	meter.Seed = cfg.Seed
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	return &CachedMeasurement{
-		Measurement: Measurement{
-			Load:   load,
-			Result: res,
-			Power:  watts,
-			Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-		},
-		Spec:  spec.Label(),
-		Cache: c.Stats(),
-	}, nil
-}
-
-// MeasureCachedAtLoadTelemetry is MeasureCachedAtLoad with full
-// instrumentation: engine, array, replay and cache probes plus "wall"
-// and (for a real tier) "cache" power channels.
-func MeasureCachedAtLoadTelemetry(cfg Config, kind ArrayKind, spec CacheSpec, trace *blktrace.Trace, load float64, set *telemetry.Set) (*CachedMeasurement, error) {
-	cfg = cfg.normalize()
-	e, c, a, err := NewCachedSystem(cfg, kind, spec)
-	if err != nil {
-		return nil, err
-	}
-	telemetry.WireEngine(set, e)
-	a.AttachTelemetry(set)
-	c.AttachTelemetry(set)
-	probe := telemetry.NewReplayProbe(set)
-
-	f := replay.UniformFilter{Proportion: load}
-	filtered := f.Apply(trace)
-	probe.OnFilter(filtered.NumIOs(), trace.NumIOs()-filtered.NumIOs())
-
-	start := e.Now()
-	horizon := start.Add(filtered.Duration() + 2*set.Cadence())
-	meter := powersim.DefaultMeter(c.PowerSource())
-	meter.Seed = cfg.Seed
-	set.AddPowerChannel(e, "wall", meter, horizon)
-	if tier := c.TierSource(); tier != nil {
-		set.AddPowerChannel(e, "cache", powersim.DefaultMeter(tier), horizon)
-	}
-	set.StartSampling(e, horizon)
-
-	res, err := replay.Replay(e, c, filtered, replay.Options{Telemetry: probe})
-	if err != nil {
-		return nil, err
-	}
-	res.Filter = f.Name()
-	set.Flush(e.Now())
-
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	return &CachedMeasurement{
-		Measurement: Measurement{
-			Load:   load,
-			Result: res,
-			Power:  watts,
-			Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-		},
-		Spec:  spec.Label(),
-		Cache: c.Stats(),
-	}, nil
 }
 
 // CacheStudyRow is one cell of the cache study: a (spec, load) pair
@@ -247,25 +154,30 @@ func CacheStudy(cfg Config, kind ArrayKind, trace *blktrace.Trace, specs []Cache
 		},
 		func(i int) (CacheStudyRow, error) {
 			spec, load := specs[i/len(loads)], loads[i%len(loads)]
-			m, err := MeasureCachedAtLoad(cfg, kind, spec, trace, load)
+			s, err := Build(cfg, StackSpec{Kind: kind, Cache: &spec})
 			if err != nil {
 				return CacheStudyRow{}, err
 			}
+			m, err := Measure(s, trace, replay.UniformFilter{Proportion: load}, nil)
+			if err != nil {
+				return CacheStudyRow{}, err
+			}
+			st := s.Cache.Stats()
 			return CacheStudyRow{
 				Spec:           spec.Label(),
 				Tier:           spec.withDefaults().Tier,
 				Load:           load,
-				HitRate:        m.Cache.HitRate(),
+				HitRate:        st.HitRate(),
 				IOPS:           m.Result.IOPS,
 				MeanWatts:      m.Power,
 				IOPSPerWatt:    m.Eff.IOPSPerWatt,
 				MeanMs:         m.Result.MeanResponse.Seconds() * 1000,
 				P99Ms:          m.Result.P99Response.Seconds() * 1000,
 				EnergyJ:        m.Eff.EnergyJ,
-				Hits:           m.Cache.Hits,
-				Misses:         m.Cache.Misses,
-				Writebacks:     m.Cache.Writebacks,
-				WritebackBytes: m.Cache.WritebackBytes,
+				Hits:           st.Hits,
+				Misses:         st.Misses,
+				Writebacks:     st.Writebacks,
+				WritebackBytes: st.WritebackBytes,
 			}, nil
 		})
 }

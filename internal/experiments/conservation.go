@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/conserve"
-	"repro/internal/powersim"
 	"repro/internal/replay"
-	"repro/internal/simtime"
-	"repro/internal/storage"
 )
 
 // ConservationRow is one (technique, load) measurement: the columns
@@ -64,29 +60,26 @@ func ConservationStudy(cfg Config) (*ConservationResult, error) {
 		func(i int) string { return fmt.Sprintf("%s load %v", techniques[i/nLoads], loads[i%nLoads]) },
 		func(i int) (cell, error) {
 			technique, load := techniques[i/nLoads], loads[i%nLoads]
-			engine := simtime.NewEngine()
-			dev, src, maid, err := buildConservation(engine, technique)
+			s, err := Build(cfg, StackSpec{Conserve: ConserveSpec{Technique: technique}})
 			if err != nil {
 				return cell{}, err
 			}
-			r, err := replay.ReplayAtLoad(engine, dev, trace, load, replay.Options{})
+			m, err := Measure(s, trace, replay.UniformFilter{Proportion: load}, nil)
 			if err != nil {
 				return cell{}, err
 			}
-			meter := powersim.DefaultMeter(src)
-			meter.Seed = cfg.Seed
-			samples := meter.Measure(r.Start, r.End)
+			r := m.Result
 			c := cell{row: ConservationRow{
 				Technique:      technique,
 				Load:           load,
-				EnergyJ:        powersim.EnergyJ(samples),
-				MeanWatts:      powersim.MeanWatts(samples),
+				EnergyJ:        m.Eff.EnergyJ,
+				MeanWatts:      m.Power,
 				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
 				MaxResponseMs:  r.MaxResponse.Seconds() * 1000,
 				IOPS:           r.IOPS,
 			}}
-			if maid != nil && load == 1.0 {
-				st := maid.Stats()
+			if s.MAID != nil && load == 1.0 {
+				st := s.MAID.Stats()
 				if total := st.ReadHits + st.ReadMisses; total > 0 {
 					c.hitRate = float64(st.ReadHits) / float64(total)
 					c.hasHit = true
@@ -113,16 +106,6 @@ func ConservationStudy(cfg Config) (*ConservationResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// buildConservation provisions the device stack for one technique with
-// the study's default spec.
-func buildConservation(engine *simtime.Engine, technique string) (storage.Device, powersim.Source, *conserve.MAID, error) {
-	sys, err := NewConserveSystem(engine, ConserveSpec{Technique: technique})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return sys.Device, sys.Source, sys.MAID, nil
 }
 
 // RenderConservationStudy prints the comparison.

@@ -1,22 +1,15 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/blktrace"
-	"repro/internal/cache"
 	"repro/internal/conserve"
 	"repro/internal/disksim"
-	"repro/internal/metrics"
-	"repro/internal/powersim"
-	"repro/internal/replay"
 	"repro/internal/simtime"
-	"repro/internal/storage"
 	"repro/internal/synth"
 )
 
-// ConserveTechniques lists every technique NewConserveSystem builds, in
-// the order the energy studies report them.
+// ConserveTechniques lists every technique Build provisions, in the
+// order the energy studies report them.
 var ConserveTechniques = []string{"always-on", "tpm", "drpm", "eraid", "pdc", "maid"}
 
 // ConserveSpec parameterises one conservation-technique device stack.
@@ -71,12 +64,6 @@ type ConserveSpec struct {
 	MAIDCacheChunks int
 	MAIDDataTimeout simtime.Duration
 
-	// Cache fronts the stack with a writeback cache tier when the
-	// technique is "cache" (a TPM-managed JBOD behind a DRAM tier —
-	// the writeback/spin-down energy coupling).  An unset spec
-	// defaults to a 32 MiB DRAM tier.
-	Cache CacheSpec
-
 	// Control, when non-nil, receives every policy decision (and can
 	// veto them) — the optimize ledger and counterfactual replayer hook
 	// in here.  Nil runs are completely unobserved.
@@ -128,134 +115,7 @@ func (s ConserveSpec) withDefaults() ConserveSpec {
 	if s.MAIDDataTimeout <= 0 {
 		s.MAIDDataTimeout = s.TPMTimeout
 	}
-	if s.Technique == "cache" && !s.Cache.Enabled() {
-		s.Cache = CacheSpec{Tier: cache.TierDRAM, CapacityMB: 32}
-	}
 	return s
-}
-
-// ConserveSystem is one provisioned technique stack: the device to
-// replay against, its wall-power source, and the member drives for
-// wear accounting and invariant checks.
-type ConserveSystem struct {
-	Device storage.Device
-	Source powersim.Source
-	// HDDs are every member drive (MAID: cache first, then data).
-	HDDs []*disksim.HDD
-	// Exactly one of the policy pointers is set for its technique.
-	MAID  *conserve.MAID
-	PDC   *conserve.PDC
-	ERAID *conserve.ERAIDArray
-	// Cache is the front tier of the "cache" technique.
-	Cache *cache.Cache
-}
-
-// WearCounts totals the spindle wear the policies inflicted across the
-// members: spin-up cycles (the dominant mechanical cost) and RPM
-// shifts.
-func (s *ConserveSystem) WearCounts() (spinUps, rpmShifts int64) {
-	for _, h := range s.HDDs {
-		st := h.Stats()
-		spinUps += st.SpinUps
-		rpmShifts += st.RPMShifts
-	}
-	return spinUps, rpmShifts
-}
-
-// NewConserveSystem provisions the device stack for one technique on
-// engine.  Member seeds derive from the drive seed exactly as the
-// conservation study's builder always has, so a default spec reproduces
-// its measurements bit-for-bit.
-func NewConserveSystem(engine *simtime.Engine, spec ConserveSpec) (*ConserveSystem, error) {
-	spec = spec.withDefaults()
-	sys := &ConserveSystem{}
-	switch spec.Technique {
-	case "always-on", "tpm", "drpm", "cache":
-		members := make([]conserve.Member, spec.Disks)
-		for i := range members {
-			p := spec.Drive
-			p.Seed += uint64(i) * 104729
-			hdd := disksim.NewHDD(engine, p)
-			sys.HDDs = append(sys.HDDs, hdd)
-			switch spec.Technique {
-			case "tpm", "cache":
-				m := conserve.NewManagedDisk(engine, hdd, spec.TPMTimeout)
-				m.AttachDecisions(spec.Control, "tpm", i)
-				members[i] = m
-			case "drpm":
-				d := conserve.NewDRPMDisk(engine, hdd, spec.DRPMLevels, spec.DRPMStepDown)
-				d.AttachDecisions(spec.Control, i)
-				members[i] = d
-			default:
-				members[i] = hdd
-			}
-		}
-		jbod, err := conserve.NewJBOD(members, spec.ChunkBytes)
-		if err != nil {
-			return nil, err
-		}
-		sys.Device, sys.Source = jbod, jbod.PowerSource()
-		if spec.Technique == "cache" {
-			// The cache fronts a spin-down-managed JBOD: its flush and
-			// idle-drain cadence decides whether members ever see idle
-			// windows longer than the TPM timeout.
-			c, err := cache.New(engine, jbod, jbod.PowerSource(), spec.Cache.Params())
-			if err != nil {
-				return nil, err
-			}
-			sys.Device, sys.Source, sys.Cache = c, c.PowerSource(), c
-		}
-	case "eraid":
-		p := conserve.DefaultERAIDParams()
-		p.Disks = spec.Disks
-		p.Drive = spec.Drive
-		p.LowIOPS, p.HighIOPS = spec.ERAIDLowIOPS, spec.ERAIDHighIOPS
-		p.Window = spec.ERAIDWindow
-		p.MaxOffline = spec.ERAIDMaxOffline
-		// eRAID takes its control at construction: the load evaluator
-		// ticks once at t=0 and may rest a member immediately.
-		p.Control = spec.Control
-		arr, err := conserve.NewERAIDArray(engine, p)
-		if err != nil {
-			return nil, err
-		}
-		sys.Device, sys.Source, sys.ERAID, sys.HDDs = arr, arr.PowerSource(), arr, arr.HDDs()
-	case "pdc":
-		p := conserve.DefaultPDCParams()
-		p.Disks = spec.Disks
-		p.Drive = spec.Drive
-		p.ChunkBytes = spec.ChunkBytes
-		p.ReorgInterval = spec.PDCReorgInterval
-		p.SpinDownTimeout = spec.PDCSpinDownTimeout
-		if spec.PDCMaxMigrations > 0 {
-			p.MaxMigrations = spec.PDCMaxMigrations
-		}
-		if spec.PDCDecay > 0 {
-			p.Decay = spec.PDCDecay
-		}
-		pdc, err := conserve.NewPDC(engine, p)
-		if err != nil {
-			return nil, err
-		}
-		pdc.AttachDecisions(spec.Control)
-		sys.Device, sys.Source, sys.PDC, sys.HDDs = pdc, pdc.PowerSource(), pdc, pdc.HDDs()
-	case "maid":
-		p := conserve.DefaultMAIDParams()
-		p.CacheDisks, p.DataDisks = spec.MAIDCacheDisks, spec.Disks
-		p.Drive = spec.Drive
-		p.ChunkBytes = spec.ChunkBytes
-		p.CacheChunks = spec.MAIDCacheChunks
-		p.DataTimeout = spec.MAIDDataTimeout
-		maid, err := conserve.NewMAID(engine, p)
-		if err != nil {
-			return nil, err
-		}
-		maid.AttachDecisions(spec.Control)
-		sys.Device, sys.Source, sys.MAID, sys.HDDs = maid, maid.PowerSource(), maid, maid.MemberHDDs()
-	default:
-		return nil, fmt.Errorf("unknown technique %q", spec.Technique)
-	}
-	return sys, nil
 }
 
 // ConservationTrace synthesises the sparse web-server workload the
@@ -269,33 +129,4 @@ func ConservationTrace(seed uint64) *blktrace.Trace {
 	wp.MeanIOPS = 4
 	wp.FootprintBytes = 4 << 20
 	return synth.WebServerTrace(wp)
-}
-
-// MeasureConserve provisions spec on a fresh engine, replays trace at
-// the given load proportion and meters wall power over the run — the
-// fitness-measurement cell the optimize search fans out.  The built
-// system is returned alongside so callers can read wear counters and
-// policy stats.
-func MeasureConserve(cfg Config, spec ConserveSpec, trace *blktrace.Trace, load float64) (*Measurement, *ConserveSystem, error) {
-	cfg = cfg.normalize()
-	engine := simtime.NewEngine()
-	sys, err := NewConserveSystem(engine, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := replay.ReplayAtLoad(engine, sys.Device, trace, load, replay.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	meter := powersim.DefaultMeter(sys.Source)
-	meter.Seed = cfg.Seed
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	m := &Measurement{
-		Load:   load,
-		Result: res,
-		Power:  watts,
-		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-	}
-	return m, sys, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/conserve"
-	"repro/internal/powersim"
 	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
@@ -54,42 +52,30 @@ func ERAIDStudy(cfg Config) (*ERAIDResult, error) {
 		func(i int) string { return configs[i] },
 		func(i int) (cell, error) {
 			config := configs[i]
-			engine := simtime.NewEngine()
-			var src powersim.Source
-			var c cell
-			var r *replay.Result
-			if config == "always-on" {
-				e2, array, err := NewSystem(cfg, HDDArray)
-				if err != nil {
-					return cell{}, err
-				}
-				engine = e2
-				src = array.PowerSource()
-				if r, err = replay.ReplayAtLoad(engine, array, trace, 1.0, replay.Options{}); err != nil {
-					return cell{}, err
-				}
-			} else {
-				arr, err := conserve.NewERAIDArray(engine, conserve.DefaultERAIDParams())
-				if err != nil {
-					return cell{}, err
-				}
-				src = arr.PowerSource()
-				if r, err = replay.ReplayAtLoad(engine, arr, trace, 1.0, replay.Options{}); err != nil {
-					return cell{}, err
-				}
-				c.reconstructReads = arr.Array().Stats().ReconstructReads
-				c.offlines = arr.Stats().Offlines
+			spec := StackSpec{Kind: HDDArray}
+			if config == "eraid" {
+				spec.Conserve.Technique = "eraid"
 			}
-			meter := powersim.DefaultMeter(src)
-			meter.Seed = cfg.Seed
-			samples := meter.Measure(r.Start, r.End)
-			c.row = ERAIDRow{
+			s, err := Build(cfg, spec)
+			if err != nil {
+				return cell{}, err
+			}
+			m, err := Measure(s, trace, replay.UniformFilter{Proportion: 1.0}, nil)
+			if err != nil {
+				return cell{}, err
+			}
+			r := m.Result
+			c := cell{row: ERAIDRow{
 				Config:         config,
-				EnergyJ:        powersim.EnergyJ(samples),
-				MeanWatts:      powersim.MeanWatts(samples),
+				EnergyJ:        m.Eff.EnergyJ,
+				MeanWatts:      m.Power,
 				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
 				P99Ms:          r.P99Response.Seconds() * 1000,
 				IOPS:           r.IOPS,
+			}}
+			if s.ERAID != nil {
+				c.reconstructReads = s.ERAID.Array().Stats().ReconstructReads
+				c.offlines = s.ERAID.Stats().Offlines
 			}
 			return c, nil
 		})

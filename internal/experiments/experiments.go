@@ -17,8 +17,6 @@ import (
 	"repro/internal/blktrace"
 	"repro/internal/metrics"
 	"repro/internal/parsweep"
-	"repro/internal/powersim"
-	"repro/internal/raid"
 	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
@@ -109,13 +107,6 @@ func (k ArrayKind) String() string {
 	return "raid5-hdd"
 }
 
-// NewSystem provisions a pristine simulated array of the given kind on
-// a fresh engine; commands and examples share it with the experiment
-// harnesses.  It is fleet member 0 (see NewFleetMember).
-func NewSystem(cfg Config, kind ArrayKind) (*simtime.Engine, *raid.Array, error) {
-	return NewFleetMember(cfg, kind, 0)
-}
-
 // KindFromString parses "hdd"/"ssd" (or the full array labels).
 func KindFromString(s string) (ArrayKind, error) {
 	switch s {
@@ -130,11 +121,11 @@ func KindFromString(s string) (ArrayKind, error) {
 
 // collectTrace collects a peak trace for mode on a pristine array.
 func collectTrace(cfg Config, kind ArrayKind, mode synth.Mode) (*blktrace.Trace, error) {
-	e, a, err := NewSystem(cfg, kind)
+	s, err := Build(cfg, StackSpec{Kind: kind})
 	if err != nil {
 		return nil, err
 	}
-	return synth.Collect(e, a, synth.CollectParams{
+	return synth.Collect(s.Engine, s.Array, synth.CollectParams{
 		Mode:            mode,
 		Duration:        cfg.CollectDuration,
 		QueueDepth:      cfg.QueueDepth,
@@ -155,30 +146,14 @@ type Measurement struct {
 	Eff metrics.Efficiency
 }
 
-// measureReplay replays trace on a fresh array at the given load and
-// meters wall power over the run.
+// measureReplay replays trace through f on a fresh array of the given
+// kind and meters wall power over the run.
 func measureReplay(cfg Config, kind ArrayKind, trace *blktrace.Trace, f replay.Filter) (*Measurement, error) {
-	e, a, err := NewSystem(cfg, kind)
+	s, err := Build(cfg, StackSpec{Kind: kind})
 	if err != nil {
 		return nil, err
 	}
-	res, err := replay.ReplayFiltered(e, a, trace, f, replay.Options{})
-	if err != nil {
-		return nil, err
-	}
-	meter := powersim.DefaultMeter(a.PowerSource())
-	meter.Seed = cfg.Seed
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
-	m := &Measurement{
-		Result: res,
-		Power:  watts,
-		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-	}
-	if uf, ok := f.(replay.UniformFilter); ok {
-		m.Load = uf.Proportion
-	}
-	return m, nil
+	return Measure(s, trace, f, nil)
 }
 
 // measureAtLoad is measureReplay with the paper's uniform filter.
@@ -213,13 +188,6 @@ func loadSweep(cfg Config, kind ArrayKind, trace *blktrace.Trace) ([]Measurement
 // across cores.
 func CollectModeTrace(cfg Config, kind ArrayKind, mode synth.Mode) (*blktrace.Trace, error) {
 	return collectTrace(cfg.normalize(), kind, mode)
-}
-
-// MeasureAtLoad replays trace on a fresh array at the given load
-// proportion and meters wall power — the exported per-cell measurement
-// sweep tools fan out with CollectModeTrace.
-func MeasureAtLoad(cfg Config, kind ArrayKind, trace *blktrace.Trace, load float64) (*Measurement, error) {
-	return measureAtLoad(cfg.normalize(), kind, trace, load)
 }
 
 // ModeSweep collects a peak trace for mode on a pristine array of the

@@ -57,29 +57,20 @@ func DegradedStudy(cfg Config) (*DegradedResult, error) {
 			return fmt.Sprintf("%s %s", modes[i/2], state)
 		},
 		func(i int) (Measurement, error) {
-			fail := i%2 == 1
-			engine, array, err := NewSystem(cfg, HDDArray)
+			s, err := Build(cfg, StackSpec{Kind: HDDArray})
 			if err != nil {
 				return Measurement{}, err
 			}
-			if fail {
-				if err := array.FailDisk(0); err != nil {
+			if i%2 == 1 {
+				if err := s.Array.FailDisk(0); err != nil {
 					return Measurement{}, err
 				}
 			}
-			r, err := replay.ReplayAtLoad(engine, array, traces[i/2], 1.0, replay.Options{})
+			m, err := Measure(s, traces[i/2], replay.UniformFilter{Proportion: 1.0}, nil)
 			if err != nil {
 				return Measurement{}, err
 			}
-			meter := powersim.DefaultMeter(array.PowerSource())
-			meter.Seed = cfg.Seed
-			samples := meter.Measure(r.Start, r.End)
-			return Measurement{
-				Load:   1.0,
-				Result: r,
-				Power:  powersim.MeanWatts(samples),
-				Eff:    metrics.NewEfficiency(r.IOPS, r.MBPS, powersim.MeanWatts(samples), powersim.EnergyJ(samples)),
-			}, nil
+			return *m, nil
 		})
 	if err != nil {
 		return nil, err

@@ -39,14 +39,14 @@ func SSDStudy(cfg Config) (*SSDStudyResult, error) {
 
 	// Idle power.
 	{
-		e, a, err := NewSystem(cfg, SSDArray)
+		s, err := Build(cfg, StackSpec{Kind: SSDArray})
 		if err != nil {
 			return nil, err
 		}
-		e.RunUntil(simtime.Time(10 * simtime.Second))
-		meter := powersim.DefaultMeter(a.PowerSource())
+		s.Engine.RunUntil(simtime.Time(10 * simtime.Second))
+		meter := powersim.DefaultMeter(s.PowerSource())
 		meter.Seed = cfg.Seed
-		res.IdleWatts = powersim.MeanWatts(meter.Measure(0, e.Now()))
+		res.IdleWatts = powersim.MeanWatts(meter.Measure(0, s.Engine.Now()))
 	}
 
 	// The random-ratio sweep, read-ratio sweep and HDD-vs-SSD

@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"repro/internal/blktrace"
+	"repro/internal/cache"
 	"repro/internal/powersim"
+	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -26,42 +28,61 @@ func telemetryTestTrace() *blktrace.Trace {
 	return synth.WebServerTrace(p)
 }
 
+// TestMeasureAtLoadTelemetryMatchesPlainMeasurement: instrumenting a
+// run must not change what Measure reports, on every kind of stack.
 func TestMeasureAtLoadTelemetryMatchesPlainMeasurement(t *testing.T) {
 	tr := telemetryTestTrace()
-	set := telemetry.New(telemetry.Options{})
-	run, err := MeasureAtLoadTelemetry(DefaultConfig(), HDDArray, tr, 0.5, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := MeasureAtLoad(DefaultConfig(), HDDArray, tr, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Meas.Result.IOPS != plain.Result.IOPS ||
-		run.Meas.Result.Completed != plain.Result.Completed ||
-		run.Meas.Power != plain.Power {
-		t.Fatalf("instrumented measurement diverges from plain:\n got %+v\nwant %+v",
-			run.Meas, plain)
-	}
-	// Registry counters agree with the replay result.
-	reg := set.Registry()
-	if got := reg.Counter("replay.issued").Value(); got != run.Meas.Result.Issued {
-		t.Fatalf("replay.issued = %d, want %d", got, run.Meas.Result.Issued)
-	}
-	if got := reg.Counter("replay.completed").Value(); got != run.Meas.Result.Completed {
-		t.Fatalf("replay.completed = %d, want %d", got, run.Meas.Result.Completed)
-	}
-	pass := reg.Counter("replay.filter_pass").Value()
-	drop := reg.Counter("replay.filter_drop").Value()
-	if pass != run.Meas.Result.Issued || pass+drop != int64(tr.NumIOs()) {
-		t.Fatalf("filter pass/drop = %d/%d over %d IOs (issued %d)",
-			pass, drop, tr.NumIOs(), run.Meas.Result.Issued)
-	}
-	if len(set.Windows()) == 0 {
-		t.Fatal("no sampled windows")
-	}
-	if len(set.Tracer().Spans()) == 0 {
-		t.Fatal("no spans recorded")
+	for _, tc := range []struct {
+		name string
+		spec StackSpec
+	}{
+		{"hdd", StackSpec{Kind: HDDArray}},
+		{"ssd", StackSpec{Kind: SSDArray}},
+		{"hdd-dram", StackSpec{Kind: HDDArray, Cache: &CacheSpec{Tier: cache.TierDRAM, CapacityMB: 32}}},
+		{"tpm", StackSpec{Conserve: ConserveSpec{Technique: "tpm", TPMTimeout: 100 * simtime.Millisecond}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			measure := func(set *telemetry.Set) *Measurement {
+				t.Helper()
+				s, err := Build(DefaultConfig(), tc.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := Measure(s, tr, replay.UniformFilter{Proportion: 0.5}, set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			set := telemetry.New(telemetry.Options{})
+			run, plain := measure(set), measure(nil)
+			got, want := *run.Result, *plain.Result
+			got.Intervals, want.Intervals = nil, nil
+			if run.Load != plain.Load || run.Power != plain.Power || run.Eff != plain.Eff || !reflect.DeepEqual(got, want) {
+				t.Fatalf("instrumented measurement diverges from plain:\n got %+v %+v\nwant %+v %+v",
+					run, got, plain, want)
+			}
+			// Registry counters agree with the replay result.
+			reg := set.Registry()
+			if got := reg.Counter("replay.issued").Value(); got != run.Result.Issued {
+				t.Fatalf("replay.issued = %d, want %d", got, run.Result.Issued)
+			}
+			if got := reg.Counter("replay.completed").Value(); got != run.Result.Completed {
+				t.Fatalf("replay.completed = %d, want %d", got, run.Result.Completed)
+			}
+			pass := reg.Counter("replay.filter_pass").Value()
+			drop := reg.Counter("replay.filter_drop").Value()
+			if pass != run.Result.Issued || pass+drop != int64(tr.NumIOs()) {
+				t.Fatalf("filter pass/drop = %d/%d over %d IOs (issued %d)",
+					pass, drop, tr.NumIOs(), run.Result.Issued)
+			}
+			if len(set.Windows()) == 0 {
+				t.Fatal("no sampled windows")
+			}
+			if len(set.Tracer().Spans()) == 0 {
+				t.Fatal("no spans recorded")
+			}
+		})
 	}
 }
 
@@ -71,12 +92,18 @@ func TestMeasureAtLoadTelemetryMatchesPlainMeasurement(t *testing.T) {
 func TestTelemetryPowerAgreesWithMeasure(t *testing.T) {
 	tr := telemetryTestTrace()
 	set := telemetry.New(telemetry.Options{})
-	run, err := MeasureAtLoadTelemetry(DefaultConfig(), HDDArray, tr, 1.0, set)
+	s, err := Build(DefaultConfig(), StackSpec{Kind: HDDArray})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run.Meter.Measure(run.Start, run.Horizon)
-	got := run.Channel.Samples()
+	if _, err := Measure(s, tr, replay.UniformFilter{Proportion: 1.0}, set); err != nil {
+		t.Fatal(err)
+	}
+	ch := set.PowerChannels()[0]
+	meter := powersim.DefaultMeter(s.PowerSource())
+	meter.Seed = DefaultConfig().Seed
+	want := meter.Measure(ch.Span())
+	got := ch.Samples()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("online channel is not bit-identical to Measure: %d vs %d samples", len(got), len(want))
 	}
@@ -124,7 +151,11 @@ func TestTelemetryPowerAgreesWithMeasure(t *testing.T) {
 func TestTelemetryDirArtifacts(t *testing.T) {
 	tr := telemetryTestTrace()
 	set := telemetry.New(telemetry.Options{})
-	run, err := MeasureAtLoadTelemetry(DefaultConfig(), SSDArray, tr, 0.5, set)
+	s, err := Build(DefaultConfig(), StackSpec{Kind: SSDArray})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Measure(s, tr, replay.UniformFilter{Proportion: 0.5}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +201,7 @@ func TestTelemetryDirArtifacts(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, buf.String())
 		}
 	}
-	if run.Meas.Result.Completed == 0 {
+	if m.Result.Completed == 0 {
 		t.Fatal("run completed no IOs")
 	}
 }

@@ -51,11 +51,12 @@ func ThermalStudy(cfg Config) (*ThermalResult, error) {
 		func(i int) string { return fmt.Sprintf("load %v", cfg.Loads[i]) },
 		func(i int) (ThermalRow, error) {
 			load := cfg.Loads[i]
-			engine, array, err := NewSystem(cfg, HDDArray)
+			s, err := Build(cfg, StackSpec{Kind: HDDArray})
 			if err != nil {
 				return ThermalRow{}, err
 			}
-			r, err := replay.ReplayAtLoad(engine, array, trace, load, replay.Options{})
+			array := s.Array
+			r, err := replay.ReplayAtLoad(s.Engine, array, trace, load, replay.Options{})
 			if err != nil {
 				return ThermalRow{}, err
 			}

@@ -12,7 +12,7 @@
 // then barrier-drains all workers through t+Δ.  Every routing and
 // admission decision happens on the coordinator at a barrier, and each
 // array's variate sequence is fixed by its fleet index (per-array PCG
-// seed derivation in experiments.NewFleetMember), so fleet results are
+// seed derivation in experiments.Build), so fleet results are
 // byte-identical at any worker count — the determinism gate in
 // internal/check holds summary.json to that at workers 1/2/8.
 package fleet
@@ -178,9 +178,10 @@ type Fleet struct {
 
 // New provisions a fleet of the given size.  workers <= 0 uses
 // GOMAXPROCS; the count is clamped to the array count.  Array i is
-// provisioned by experiments.NewFleetMember(cfg, kind, i) and assigned
-// to worker i mod W, so the fleet's composition — and therefore every
-// array's variate sequence — is independent of the worker count.
+// provisioned by experiments.Build as StackSpec{Kind: kind, Member: i}
+// and assigned to worker i mod W, so the fleet's composition — and
+// therefore every array's variate sequence — is independent of the
+// worker count.
 func New(cfg experiments.Config, kind experiments.ArrayKind, arrays, workers int) (*Fleet, error) {
 	if arrays <= 0 {
 		return nil, fmt.Errorf("fleet: need at least one array, got %d", arrays)
@@ -194,12 +195,12 @@ func New(cfg experiments.Config, kind experiments.ArrayKind, arrays, workers int
 	cfg = experiments.NormalizeConfig(cfg)
 	f := &Fleet{cfg: cfg, kind: kind, members: make([]*member, arrays), workers: make([]*worker, workers)}
 	for i := range f.members {
-		e, a, err := experiments.NewFleetMember(cfg, kind, i)
+		s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind, Member: i})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: member %d: %w", i, err)
 		}
-		f.members[i] = &member{index: i, engine: e, array: a}
-		if c := a.Capacity(); i == 0 || c < f.minCap {
+		f.members[i] = &member{index: i, engine: s.Engine, array: s.Array}
+		if c := s.Array.Capacity(); i == 0 || c < f.minCap {
 			f.minCap = c
 		}
 	}

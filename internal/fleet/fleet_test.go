@@ -223,40 +223,42 @@ func TestFleetTraceStream(t *testing.T) {
 	}
 }
 
-// TestFleetMemberSeedIndependence: member 0 matches NewSystem exactly;
-// later members draw distinct variate sequences.
+// TestFleetMemberSeedIndependence: member 0 is the single-array system
+// exactly; later members draw distinct variate sequences.
 func TestFleetMemberSeedIndependence(t *testing.T) {
 	cfg := experiments.DefaultConfig()
-	e0, a0, err := experiments.NewFleetMember(cfg, experiments.HDDArray, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, as, err := experiments.NewSystem(cfg, experiments.HDDArray)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, a1, err := experiments.NewFleetMember(cfg, experiments.HDDArray, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := storage.Request{Op: storage.Read, Offset: 1 << 20, Size: 64 << 10}
-	run := func(e *simtime.Engine, a interface {
-		Submit(storage.Request, func(simtime.Time))
-	}) simtime.Time {
+	run := func(spec experiments.StackSpec) simtime.Time {
+		t.Helper()
+		s, err := experiments.Build(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var done simtime.Time
-		a.Submit(req, func(at simtime.Time) { done = at })
-		e.Run()
+		s.Device.Submit(req, func(at simtime.Time) { done = at })
+		s.Engine.Run()
 		return done
 	}
-	t0 := run(e0, a0)
-	ts := run(es, as)
-	if t0 != ts {
-		t.Fatalf("member 0 diverges from NewSystem: %v vs %v", t0, ts)
-	}
-	// Member 1 has independently seeded rotational latencies; identical
-	// completion times would mean the seed stride is not applied.
-	t1 := run(e1, a1)
-	if t1 == t0 {
-		t.Fatalf("member 1 completion time equals member 0 (%v): seed stride not applied?", t1)
+	for _, tc := range []struct {
+		kind experiments.ArrayKind
+		// varies is false for the SSD model, which reserves its RNG
+		// stream but draws no variates: its members are identical.
+		varies bool
+	}{
+		{experiments.HDDArray, true},
+		{experiments.SSDArray, false},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			t0 := run(experiments.StackSpec{Kind: tc.kind, Member: 0})
+			if ts := run(experiments.StackSpec{Kind: tc.kind}); t0 != ts {
+				t.Fatalf("member 0 diverges from the single-array system: %v vs %v", t0, ts)
+			}
+			// Member 1 has independently seeded rotational latencies;
+			// identical completion times would mean the seed stride is
+			// not applied.
+			if t1 := run(experiments.StackSpec{Kind: tc.kind, Member: 1}); tc.varies && t1 == t0 {
+				t.Fatalf("member 1 completion time equals member 0 (%v): seed stride not applied?", t1)
+			}
+		})
 	}
 }

@@ -21,8 +21,10 @@ import (
 	"strings"
 
 	"repro/internal/blktrace"
+	"repro/internal/cache"
 	"repro/internal/conserve"
 	"repro/internal/experiments"
+	"repro/internal/replay"
 	"repro/internal/simtime"
 )
 
@@ -120,7 +122,8 @@ func (s Space) At(idx []int) Point {
 	return p
 }
 
-// Validate rejects empty or degenerate spaces.
+// Validate rejects empty or degenerate spaces, and any value of any
+// dimension that Point.Spec rejects, before a single cell runs.
 func (s Space) Validate() error {
 	if len(s.Dims) == 0 {
 		return fmt.Errorf("optimize: space for %q has no dimensions", s.Policy)
@@ -130,8 +133,15 @@ func (s Space) Validate() error {
 			return fmt.Errorf("optimize: dimension %q has no values", d.Name)
 		}
 	}
-	if _, err := s.Point(0).Spec(); err != nil {
-		return err
+	idx := make([]int, len(s.Dims))
+	for d, dim := range s.Dims {
+		for j := range dim.Values {
+			idx[d] = j
+			if _, err := s.At(idx).Spec(); err != nil {
+				return err
+			}
+		}
+		idx[d] = 0
 	}
 	return nil
 }
@@ -166,48 +176,54 @@ func dur(seconds float64) simtime.Duration {
 	return simtime.Duration(seconds * float64(simtime.Second))
 }
 
-// Spec translates the point into the conserve-system spec its
-// evaluation provisions.  Unknown parameter names are an error — a
-// typo'd space must fail loudly, not silently search defaults.
-func (p Point) Spec() (experiments.ConserveSpec, error) {
-	spec := experiments.ConserveSpec{Technique: p.Policy}
+// Spec translates the point into the device stack its evaluation
+// provisions.  The "cache" policy is a TPM-managed JBOD behind a DRAM
+// writeback tier (32 MiB unless capacity_mb says otherwise): the
+// writeback/spin-down energy coupling.  Unknown parameter names and
+// out-of-range values are an error — a typo'd space must fail loudly,
+// not silently search defaults.
+func (p Point) Spec() (experiments.StackSpec, error) {
+	spec := experiments.StackSpec{Conserve: experiments.ConserveSpec{Technique: p.Policy}}
+	if p.Policy == "cache" {
+		spec.Conserve.Technique = "tpm"
+		spec.Cache = &experiments.CacheSpec{Tier: cache.TierDRAM, CapacityMB: 32}
+	}
+	c := &spec.Conserve
 	for name, v := range p.Params {
 		switch p.Policy + "/" + name {
-		case "tpm/timeout_s":
-			spec.TPMTimeout = dur(v)
+		case "tpm/timeout_s", "cache/timeout_s":
+			c.TPMTimeout = dur(v)
 		case "drpm/stepdown_s":
-			spec.DRPMStepDown = dur(v)
+			c.DRPMStepDown = dur(v)
 		case "drpm/levels":
 			k := int(v)
 			if k < 2 || k > len(drpmTable) {
 				return spec, fmt.Errorf("optimize: drpm levels %v out of range [2,%d]", v, len(drpmTable))
 			}
-			spec.DRPMLevels = drpmTable[:k]
+			c.DRPMLevels = drpmTable[:k]
 		case "eraid/low_iops":
-			spec.ERAIDLowIOPS = v
+			c.ERAIDLowIOPS = v
 		case "eraid/high_iops":
-			spec.ERAIDHighIOPS = v
+			c.ERAIDHighIOPS = v
 		case "eraid/window_s":
-			spec.ERAIDWindow = dur(v)
+			c.ERAIDWindow = dur(v)
 		case "pdc/reorg_s":
-			spec.PDCReorgInterval = dur(v)
+			c.PDCReorgInterval = dur(v)
 		case "pdc/timeout_s":
-			spec.PDCSpinDownTimeout = dur(v)
+			c.PDCSpinDownTimeout = dur(v)
 		case "maid/cache_disks":
-			spec.MAIDCacheDisks = int(v)
+			c.MAIDCacheDisks = int(v)
 		case "maid/timeout_s":
-			spec.MAIDDataTimeout = dur(v)
+			c.MAIDDataTimeout = dur(v)
 		case "cache/capacity_mb":
-			spec.Cache.Tier = "dram"
+			if !(v > 0) || math.IsInf(v, 1) {
+				return spec, fmt.Errorf("optimize: cache capacity_mb %v is not a finite size > 0", v)
+			}
 			spec.Cache.CapacityMB = v
 		case "cache/flush_s":
-			spec.Cache.Tier = "dram"
 			spec.Cache.FlushInterval = dur(v)
 		case "cache/idle_drain_s":
-			spec.Cache.Tier = "dram"
 			spec.Cache.IdleDrain = dur(v)
-		case "cache/timeout_s":
-			spec.TPMTimeout = dur(v)
 		default:
 			return spec, fmt.Errorf("optimize: policy %q has no parameter %q", p.Policy, name)
 		}
@@ -297,12 +313,16 @@ func Evaluate(opts Options, pt Point, trace *blktrace.Trace, ctl *conserve.Contr
 	if err != nil {
 		return Eval{}, err
 	}
-	spec.Control = ctl
-	m, sys, err := experiments.MeasureConserve(opts.Config, spec, trace, opts.Load)
+	spec.Conserve.Control = ctl
+	s, err := experiments.Build(opts.Config, spec)
 	if err != nil {
 		return Eval{}, err
 	}
-	spinUps, rpmShifts := sys.WearCounts()
+	m, err := experiments.Measure(s, trace, replay.UniformFilter{Proportion: opts.Load}, nil)
+	if err != nil {
+		return Eval{}, err
+	}
+	spinUps, rpmShifts := s.WearCounts()
 	o := Objectives{
 		IOPS:        sanitize(m.Result.IOPS),
 		MeanWatts:   sanitize(m.Power),

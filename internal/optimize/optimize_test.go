@@ -338,17 +338,53 @@ func TestCounterfactualDetectsLedgerDrift(t *testing.T) {
 	}
 }
 
+// TestBaselineUsesPaperDefaults: every policy's baseline (its empty
+// point) is bit-identical to that policy's paper-default point spelled
+// out parameter by parameter.
 func TestBaselineUsesPaperDefaults(t *testing.T) {
 	trace := testTrace(6)
-	base, err := Baseline(testOptions(1), "tpm", trace)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		policy string
+		params map[string]float64
+	}{
+		{"tpm", map[string]float64{"timeout_s": 10}},
+		{"drpm", map[string]float64{"stepdown_s": 2, "levels": 4}},
+		{"eraid", map[string]float64{"low_iops": 20, "high_iops": 60, "window_s": 2}},
+		{"pdc", map[string]float64{"reorg_s": 5, "timeout_s": 10}},
+		{"maid", map[string]float64{"cache_disks": 1, "timeout_s": 10}},
+		{"cache", map[string]float64{"timeout_s": 10, "capacity_mb": 32}},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			base, err := Baseline(testOptions(1), tc.policy, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			explicit, err := Evaluate(testOptions(1), Point{Policy: tc.policy, Params: tc.params}, trace, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base.Fitness != explicit.Fitness || base.Objectives != explicit.Objectives {
+				t.Fatalf("baseline %v %+v != explicit %s %v %+v",
+					base.Fitness, base.Objectives, explicit.Point, explicit.Fitness, explicit.Objectives)
+			}
+		})
 	}
-	explicit, err := Evaluate(testOptions(1), Point{Policy: "tpm", Params: map[string]float64{"timeout_s": 10}}, trace, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Fitness != explicit.Fitness {
-		t.Fatalf("baseline fitness %v != explicit 10s fitness %v", base.Fitness, explicit.Fitness)
+}
+
+// TestCacheCapacityMustBeFinitePositive: a capacity_mb that is not a
+// finite size > 0 is an error, never a silent fallback to the default
+// tier — whether it reaches Evaluate directly or sits anywhere in a
+// space's dimension.
+func TestCacheCapacityMustBeFinitePositive(t *testing.T) {
+	trace := testTrace(6)
+	for _, mb := range []float64{math.NaN(), -5, 0, math.Inf(1)} {
+		pt := Point{Policy: "cache", Params: map[string]float64{"capacity_mb": mb}}
+		if _, err := Evaluate(testOptions(1), pt, trace, nil); err == nil {
+			t.Errorf("capacity_mb=%v evaluated without error", mb)
+		}
+		space := Space{Policy: "cache", Dims: []Dim{{Name: "capacity_mb", Values: []float64{32, mb}}}}
+		if err := space.Validate(); err == nil {
+			t.Errorf("space with capacity_mb=%v validated", mb)
+		}
 	}
 }
