@@ -560,7 +560,13 @@ func readFrom(br *bufio.Reader, pkgHint int) (*Trace, error) {
 //	device <name>
 //	B <time_ns> <npackages>
 //	<sector> <size> R|W
+//
+// The device name is the rest of its line, so it may hold inner spaces
+// but not leading or trailing whitespace or a line break.
 func WriteText(w io.Writer, t *Trace) error {
+	if err := checkTextDevice(t.Device); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# blktrace-text v1")
 	fmt.Fprintf(bw, "device %s\n", t.Device)
@@ -576,6 +582,21 @@ func WriteText(w io.Writer, t *Trace) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// checkTextDevice rejects a device name the text format's one-line
+// "device" header cannot carry back unchanged.
+func checkTextDevice(name string) error {
+	if name != strings.TrimSpace(name) || strings.ContainsAny(name, "\r\n") {
+		return fmt.Errorf("blktrace: device name %q cannot be written as text: leading or trailing whitespace or a line break", name)
+	}
+	return nil
+}
+
+// textDevice parses a trimmed "device" line: the name is the rest of
+// the line, trimmed.
+func textDevice(line string) string {
+	return strings.TrimSpace(strings.TrimPrefix(line, "device"))
 }
 
 // ReadText decodes the text format written by WriteText.
@@ -594,9 +615,7 @@ func ReadText(r io.Reader) (*Trace, error) {
 		fields := strings.Fields(line)
 		switch {
 		case fields[0] == "device":
-			if len(fields) >= 2 {
-				t.Device = fields[1]
-			}
+			t.Device = textDevice(line)
 		case fields[0] == "B":
 			if pending != 0 {
 				return nil, fmt.Errorf("%w: line %d: new bunch with %d packages pending", ErrBadFormat, lineNo, pending)

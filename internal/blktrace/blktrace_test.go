@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -275,18 +276,72 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTextRoundTrip runs device names through both text codec pairs:
+// WriteText/ReadText and NewTextStreamWriter/ScanText.  The device
+// line holds the rest of the line, so inner whitespace round-trips;
+// a name the line cannot hold is rejected by both writers.
 func TestTextRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteText(&buf, tr); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		device string
+		ok     bool
+	}{
+		{"raid5-hdd", true},
+		{"my dev", true},
+		{"a\tb", true},
+		{" lead", false},
+		{"trail ", false},
+		{"a\nb", false},
 	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatalf("%v\ntext was:\n%s", err, buf.String())
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", tr, got)
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%q", tc.device), func(t *testing.T) {
+			tr := sampleTrace()
+			tr.Device = tc.device
+
+			var buf bytes.Buffer
+			err := WriteText(&buf, tr)
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.device)) {
+					t.Fatalf("WriteText accepted or did not name device %q: %v", tc.device, err)
+				}
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ReadText(&buf)
+				if err != nil {
+					t.Fatalf("%v\ntext was:\n%s", err, buf.String())
+				}
+				if !reflect.DeepEqual(tr, got) {
+					t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", tr, got)
+				}
+			}
+
+			var stream bytes.Buffer
+			w, err := NewTextStreamWriter(&stream, tr.Device)
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.device)) {
+					t.Fatalf("NewTextStreamWriter accepted or did not name device %q: %v", tc.device, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range tr.Bunches {
+				if err := w.WriteBunch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := collectScan(t, func(dev func(string) error, fn ScanFunc) error {
+				return ScanText(bytes.NewReader(stream.Bytes()), dev, fn)
+			})
+			if !reflect.DeepEqual(tr, got) {
+				t.Fatalf("streamed round trip mismatch:\nwant %+v\ngot  %+v", tr, got)
+			}
+		})
 	}
 }
 

@@ -138,13 +138,9 @@ func ScanText(r io.Reader, device func(string) error, fn ScanFunc) error {
 		fields := strings.Fields(line)
 		switch {
 		case fields[0] == "device":
-			name := ""
-			if len(fields) >= 2 {
-				name = fields[1]
-			}
 			if !sentDev {
 				sentDev = true
-				if err := device(name); err != nil {
+				if err := device(textDevice(line)); err != nil {
 					return err
 				}
 			}
@@ -318,8 +314,11 @@ type TextStreamWriter struct {
 }
 
 // NewTextStreamWriter starts a text stream on w with the standard
-// header lines.
+// header lines.  It rejects a device name WriteText would reject.
 func NewTextStreamWriter(w io.Writer, device string) (*TextStreamWriter, error) {
+	if err := checkTextDevice(device); err != nil {
+		return nil, err
+	}
 	bw := bufio.NewWriterSize(w, fileBufSize)
 	if _, err := fmt.Fprintln(bw, "# blktrace-text v1"); err != nil {
 		return nil, err

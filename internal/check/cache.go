@@ -11,32 +11,23 @@ package check
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/blktrace"
 	"repro/internal/cache"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
-	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
-	"repro/internal/telemetry"
 )
 
 // CacheGoldenSuffix names the committed expected output of a cache
 // fixture (separate from replay and optimize goldens so the corpora
 // can share a testdata tree without colliding).
 const CacheGoldenSuffix = ".cache.json"
-
-// cacheWorkerCounts are the fan-out widths the determinism gate
-// cross-checks: every pair must produce byte-identical study tables.
-var cacheWorkerCounts = []int{1, 2, 8}
 
 // cacheConfig is the pinned evaluation cell for the cache gate: study
 // seed 7 and the two golden loads, on the default six-disk HDD array —
@@ -106,37 +97,19 @@ type CacheGolden struct {
 //     suite (write conservation, no dirty extent lost, backing-array
 //     algebra, energy conservation).
 func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
-	st := blktrace.ComputeStats(trace)
+	rows, err := sameAtWorkers("cachestudy", func(w int) ([]experiments.CacheStudyRow, []byte, error) {
+		return withJSON(experiments.CacheStudy(cacheConfig(w), cacheGoldenKind, trace, cacheStudySpecs()))
+	})
+	if err != nil {
+		return nil, err
+	}
 	g := &CacheGolden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
+		Name:  name,
+		Trace: traceInfo(trace),
 		Kind:  cacheGoldenKind.String(),
 		Seed:  cacheConfig(1).Seed,
 		Loads: cacheConfig(1).Loads,
-	}
-
-	// Determinism across worker counts.
-	var blob []byte
-	for _, w := range cacheWorkerCounts {
-		rows, err := experiments.CacheStudy(cacheConfig(w), cacheGoldenKind, trace, cacheStudySpecs())
-		if err != nil {
-			return nil, err
-		}
-		b, err := json.Marshal(rows)
-		if err != nil {
-			return nil, err
-		}
-		if blob == nil {
-			g.Rows, blob = rows, b
-		} else if !bytes.Equal(blob, b) {
-			return nil, fmt.Errorf("cachestudy not deterministic: workers %d and %d disagree", cacheWorkerCounts[0], w)
-		}
+		Rows:  rows,
 	}
 
 	// The tier must earn its power draw: at every load the plain DRAM
@@ -184,132 +157,6 @@ func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
 	return g, nil
 }
 
-// BuildGoldenCached rebuilds a replay golden with a cache of the given
-// spec interposed at every (kind, load) cell.  With a disabled spec
-// the result must be byte-identical to BuildGolden's — the pass-through
-// gate VerifyCache runs over the committed replay corpus.
-func BuildGoldenCached(name string, trace *blktrace.Trace, spec experiments.CacheSpec) (*Golden, error) {
-	st := blktrace.ComputeStats(trace)
-	g := &Golden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
-	}
-	cfg := experiments.DefaultConfig()
-	for _, kind := range goldenKinds {
-		for _, load := range goldenLoads {
-			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind, Cache: &spec})
-			if err != nil {
-				return nil, fmt.Errorf("golden %s: %w", name, err)
-			}
-			res, err := ReplayChecked(s.Engine, s.Device, trace, Options{Load: load})
-			if err != nil {
-				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
-			}
-			if err := res.Report.Err(); err != nil {
-				return nil, fmt.Errorf("golden %s %s load %v: %w", name, kind, load, err)
-			}
-			st := s.Array.Stats()
-			r := res.Replay
-			eff := metrics.NewEfficiency(r.IOPS, r.MBPS, res.MeanWatts, res.EnergyJ)
-			g.Runs = append(g.Runs, GoldenRun{
-				Kind: kind.String(), Load: load,
-				Issued: r.Issued, Completed: r.Completed, Bytes: r.Bytes,
-				IOPS: r.IOPS, MBPS: r.MBPS,
-				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
-				MaxResponseMs:  r.MaxResponse.Seconds() * 1000,
-				P50ResponseMs:  r.P50Response.Seconds() * 1000,
-				P95ResponseMs:  r.P95Response.Seconds() * 1000,
-				P99ResponseMs:  r.P99Response.Seconds() * 1000,
-				MeanWatts:      res.MeanWatts, EnergyJ: res.EnergyJ,
-				IOPSPerWatt: eff.IOPSPerWatt, MBPSPerKW: eff.MBPSPerKW,
-				DiskReads: st.DiskReads, DiskWrites: st.DiskWrites,
-				ParityReads: st.ParityReads, ParityWrites: st.ParityWrites,
-			})
-		}
-	}
-	return g, nil
-}
-
-// CompareCacheGolden diffs got against want: strings and integers
-// exactly, floats within tol.  One human-readable line per mismatch.
-func CompareCacheGolden(want, got *CacheGolden, tol float64) []string {
-	var diffs []string
-	intf := func(field string, w, g int64) {
-		if w != g {
-			diffs = append(diffs, fmt.Sprintf("%s: want %d, got %d", field, w, g))
-		}
-	}
-	flt := func(field string, w, g float64) {
-		if !withinTol(w, g, tol) {
-			diffs = append(diffs, fmt.Sprintf("%s: want %.9g, got %.9g (tol %g)", field, w, g, tol))
-		}
-	}
-	if want.Trace.Device != got.Trace.Device {
-		diffs = append(diffs, fmt.Sprintf("trace.device: want %q, got %q", want.Trace.Device, got.Trace.Device))
-	}
-	intf("trace.bunches", int64(want.Trace.Bunches), int64(got.Trace.Bunches))
-	intf("trace.ios", int64(want.Trace.IOs), int64(got.Trace.IOs))
-	intf("trace.total_bytes", want.Trace.TotalBytes, got.Trace.TotalBytes)
-	intf("trace.duration_ns", want.Trace.DurationNs, got.Trace.DurationNs)
-	if want.Kind != got.Kind {
-		diffs = append(diffs, fmt.Sprintf("kind: want %q, got %q", want.Kind, got.Kind))
-	}
-	intf("seed", int64(want.Seed), int64(got.Seed))
-	if len(want.Rows) != len(got.Rows) {
-		diffs = append(diffs, fmt.Sprintf("rows: want %d, got %d", len(want.Rows), len(got.Rows)))
-		return diffs
-	}
-	for i := range want.Rows {
-		w, g := &want.Rows[i], &got.Rows[i]
-		pfx := fmt.Sprintf("rows[%d] (%s load %v)", i, w.Spec, w.Load)
-		if w.Spec != g.Spec || w.Tier != g.Tier {
-			diffs = append(diffs, fmt.Sprintf("%s: spec changed to %s/%s", pfx, g.Spec, g.Tier))
-			continue
-		}
-		flt(pfx+".load", w.Load, g.Load)
-		flt(pfx+".hit_rate", w.HitRate, g.HitRate)
-		flt(pfx+".iops", w.IOPS, g.IOPS)
-		flt(pfx+".mean_watts", w.MeanWatts, g.MeanWatts)
-		flt(pfx+".iops_per_watt", w.IOPSPerWatt, g.IOPSPerWatt)
-		flt(pfx+".mean_ms", w.MeanMs, g.MeanMs)
-		flt(pfx+".p99_ms", w.P99Ms, g.P99Ms)
-		flt(pfx+".energy_j", w.EnergyJ, g.EnergyJ)
-		intf(pfx+".hits", w.Hits, g.Hits)
-		intf(pfx+".misses", w.Misses, g.Misses)
-		intf(pfx+".writebacks", w.Writebacks, g.Writebacks)
-		intf(pfx+".writeback_bytes", w.WritebackBytes, g.WritebackBytes)
-	}
-	return diffs
-}
-
-// ReadCacheGolden loads a committed cache golden document.
-func ReadCacheGolden(path string) (*CacheGolden, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g CacheGolden
-	if err := json.Unmarshal(blob, &g); err != nil {
-		return nil, fmt.Errorf("cache golden %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// WriteCacheGolden commits a cache golden document.
-func WriteCacheGolden(path string, g *CacheGolden) error {
-	blob, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
 // VerifyCache runs the cache conformance pass:
 //
 //  1. Pass-through gate: every committed replay golden under corpusDir
@@ -323,144 +170,43 @@ func WriteCacheGolden(path string, g *CacheGolden) error {
 // On the first fixture diff failure a full telemetry export of the
 // DRAM gate cell lands in opts.TelemetryDir (the artifact CI uploads).
 func VerifyCache(dir, corpusDir string, opts VerifyOptions, out io.Writer) error {
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	failed, total := 0, 0
-	var firstErr error
-	fail := func(name string, err error) {
-		failed++
-		if firstErr == nil {
-			firstErr = err
-		}
-		fmt.Fprintf(out, "FAIL %s: %v\n", name, err)
-	}
-
-	// Pass-through gate over the replay corpus.
+	var passErr error
 	if corpusDir != "" {
-		paths, err := filepath.Glob(filepath.Join(corpusDir, "*"+TraceSuffix))
-		if err != nil {
-			return err
-		}
-		sort.Strings(paths)
-		for _, tracePath := range paths {
-			name := "passthrough/" + strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-			goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + GoldenSuffix
-			want, err := os.ReadFile(goldenPath)
+		passErr = walkFixtures("verify cache pass-through", corpusDir, out, func(name string, trace *blktrace.Trace) error {
+			want, err := os.ReadFile(filepath.Join(corpusDir, name+GoldenSuffix))
 			if err != nil {
-				continue // trace without a committed golden; nothing to cross-check
+				return nil // trace without a committed golden; nothing to cross-check
 			}
-			total++
-			trace, err := LoadFixtureTrace(tracePath)
+			g, err := BuildGolden(name, trace, &experiments.CacheSpec{})
 			if err != nil {
-				fail(name, err)
-				continue
+				return err
 			}
-			g, err := BuildGoldenCached(strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix), trace, experiments.CacheSpec{})
+			got, err := marshalGolden(g)
 			if err != nil {
-				fail(name, err)
-				continue
+				return err
 			}
-			got, err := json.MarshalIndent(g, "", "  ")
-			if err != nil {
-				fail(name, err)
-				continue
-			}
-			got = append(got, '\n')
 			if !bytes.Equal(want, got) {
-				fail(name, fmt.Errorf("zero-capacity cache output differs from committed %s", filepath.Base(goldenPath)))
-				continue
+				return fmt.Errorf("zero-capacity cache output differs from committed %s", name+GoldenSuffix)
 			}
-			fmt.Fprintf(out, "PASS %s (byte-identical)\n", name)
-		}
+			fmt.Fprintf(out, "PASS passthrough/%s (byte-identical)\n", name)
+			return nil
+		})
 	}
-
-	// Fixture gate.
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceSuffix))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 && opts.Update {
-		path := filepath.Join(dir, "idle-web"+TraceSuffix)
-		if err := writeFixtureTrace(path, CacheFixtureTrace()); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "CREATED %s\n", path)
-		paths = []string{path}
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return fmt.Errorf("verify cache: no %s fixtures under %s (run with -update to bootstrap)", TraceSuffix, dir)
-	}
-	artifactDone := false
-	for _, tracePath := range paths {
-		total++
-		name := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-		goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + CacheGoldenSuffix
-		trace, err := LoadFixtureTrace(tracePath)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		got, err := CacheChecked(name, trace)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		if opts.Update {
-			if err := WriteCacheGolden(goldenPath, got); err != nil {
-				fail(name, err)
-				continue
-			}
-			fmt.Fprintf(out, "UPDATED %s (%d rows)\n", name, len(got.Rows))
-			continue
-		}
-		want, err := ReadCacheGolden(goldenPath)
-		if err != nil {
-			fail(name, fmt.Errorf("%w (run with -update to create)", err))
-			continue
-		}
-		diffs := CompareCacheGolden(want, got, tol)
-		if len(diffs) == 0 {
-			fmt.Fprintf(out, "PASS %s (%d rows)\n", name, len(got.Rows))
-			continue
-		}
-		fail(name, fmt.Errorf("%d mismatch(es)", len(diffs)))
-		for _, d := range diffs {
-			fmt.Fprintf(out, "  %s\n", d)
-		}
-		if opts.TelemetryDir != "" && !artifactDone {
-			artifactDone = true
-			writeCacheFailureTelemetry(opts.TelemetryDir, name, trace, out)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("verify cache: %d of %d checks failed: %w", failed, total, firstErr)
-	}
-	return nil
-}
-
-// writeCacheFailureTelemetry re-runs a failing fixture's DRAM gate
-// cell with full instrumentation (cache probes, tier power channel)
-// and exports the artifact directory.  Export problems are reported
-// but never mask the verification failure.
-func writeCacheFailureTelemetry(dir, name string, trace *blktrace.Trace, out io.Writer) {
-	set := telemetry.New(telemetry.Options{})
-	cfg := cacheConfig(1)
-	load := cfg.Loads[len(cfg.Loads)-1]
-	gateSpec := cacheGateSpec()
-	s, err := experiments.Build(cfg, experiments.StackSpec{Kind: cacheGoldenKind, Cache: &gateSpec})
-	if err == nil {
-		_, err = experiments.Measure(s, trace, replay.UniformFilter{Proportion: load}, set)
-	}
-	if err != nil {
-		fmt.Fprintf(out, "  telemetry capture for %s failed: %v\n", name, err)
-		return
-	}
-	if err := set.WriteDir(dir); err != nil {
-		fmt.Fprintf(out, "  telemetry export for %s failed: %v\n", name, err)
-		return
-	}
-	fmt.Fprintf(out, "  telemetry for %s (%s load %v) written to %s\n", name, cacheGateSpec().Label(), load, dir)
+	return errors.Join(passErr, verifyGoldens(goldenGate[CacheGolden]{
+		label:     "verify cache",
+		suffix:    CacheGoldenSuffix,
+		canonical: CacheFixtureTrace,
+		tally:     func(g *CacheGolden) string { return fmt.Sprintf("%d rows", len(g.Rows)) },
+		build: func(name string, trace *blktrace.Trace) (*CacheGolden, func(string, io.Writer), error) {
+			g, err := CacheChecked(name, trace)
+			return g, func(dir string, out io.Writer) {
+				// The DRAM gate cell, with cache probes and the tier's
+				// power channel, at the highest study load.
+				cfg := cacheConfig(1)
+				gateSpec := cacheGateSpec()
+				spec := experiments.StackSpec{Kind: cacheGoldenKind, Cache: &gateSpec}
+				exportTelemetry(dir, name, cfg, spec, cfg.Loads[len(cfg.Loads)-1], trace, out)
+			}, err
+		},
+	}, dir, opts, out))
 }

@@ -30,7 +30,7 @@ func TestCacheCorpus(t *testing.T) {
 // column hits >= 90% and strictly beats the uncached baseline on
 // IOPS/Watt.
 func TestCacheDRAMBeatsUncached(t *testing.T) {
-	g, err := ReadCacheGolden(filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
+	g, err := readGolden[CacheGolden](filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +67,9 @@ func TestCacheDRAMBeatsUncached(t *testing.T) {
 }
 
 // TestCompareCacheGoldenCatchesDrift tampers with every field family of
-// a loaded golden and requires a labelled diff per tamper.
+// a loaded golden and requires exactly one labelled diff per tamper.
 func TestCompareCacheGoldenCatchesDrift(t *testing.T) {
-	g, err := ReadCacheGolden(filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
+	g, err := readGolden[CacheGolden](filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,19 +97,23 @@ func TestCompareCacheGoldenCatchesDrift(t *testing.T) {
 		{"hit rate", func(c *CacheGolden) { c.Rows[cached].HitRate *= 1.5 }, "hit_rate"},
 		{"iops per watt", func(c *CacheGolden) { c.Rows[1].IOPSPerWatt += 1 }, "iops_per_watt"},
 		{"writebacks", func(c *CacheGolden) { c.Rows[1].Writebacks += 3 }, "writebacks"},
-		{"spec rename", func(c *CacheGolden) { c.Rows[0].Spec = "ghost" }, "spec changed"},
+		{"spec rename", func(c *CacheGolden) { c.Rows[0].Spec = "ghost" }, "rows[0].spec"},
 		{"row count", func(c *CacheGolden) { c.Rows = c.Rows[:1] }, "rows: want"},
+		{"name", func(c *CacheGolden) { c.Name = "zzz" }, "name: want"},
+		{"kind", func(c *CacheGolden) { c.Kind = "raid5-ssd" }, "kind: want"},
+		{"seed", func(c *CacheGolden) { c.Seed++ }, "seed: want"},
+		{"loads", func(c *CacheGolden) { c.Loads = []float64{0.5, 0.75} }, "loads[1]: want"},
 	}
 	for _, tc := range tampers {
 		t.Run(tc.name, func(t *testing.T) {
-			bad, err := ReadCacheGolden(filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
+			bad, err := readGolden[CacheGolden](filepath.Join("testdata/golden/cache", "idle-web"+CacheGoldenSuffix))
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.mut(bad)
-			diffs := CompareCacheGolden(g, bad, DefaultTol)
-			if len(diffs) == 0 {
-				t.Fatal("tamper not detected")
+			diffs := diffGolden(g, bad, DefaultTol)
+			if len(diffs) != 1 {
+				t.Fatalf("tamper produced %d diffs, want 1: %q", len(diffs), diffs)
 			}
 			if !strings.Contains(strings.Join(diffs, "\n"), tc.want) {
 				t.Fatalf("diff %q does not mention %q", diffs, tc.want)

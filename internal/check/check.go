@@ -18,6 +18,12 @@
 //     comparison by `tracer verify` and the test driver;
 //   - randomized differential testing (fuzz.go): a seeded trace fuzzer
 //     plus metamorphic properties over the replay and kernel layers.
+//
+// The golden gates (golden.go, cache.go, optimize.go, slo.go) and the
+// round-trip fidelity pass (fidelity.go) share one harness (gate.go):
+// a typed golden diff, one JSON read/write pair, the worker-count
+// identity runner and the fixture walk with its -update bootstrap and
+// first-failure export.
 package check
 
 import (

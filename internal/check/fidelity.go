@@ -9,8 +9,6 @@ package check
 import (
 	"fmt"
 	"io"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/blktrace"
@@ -51,6 +49,15 @@ type FidelityResult struct {
 // error listing the offenders (invariant violations surface earlier,
 // from RoundTripFidelity itself).
 func (r *FidelityResult) Err() error {
+	bad := r.offenders()
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("fidelity %s on %s:\n  %s", r.Name, r.Kind, strings.Join(bad, "\n  "))
+}
+
+// offenders describes each metric that disagrees beyond tolerance.
+func (r *FidelityResult) offenders() []string {
 	var bad []string
 	for _, c := range r.Cells {
 		if c.Err > r.Tol {
@@ -58,10 +65,7 @@ func (r *FidelityResult) Err() error {
 				c.Metric, c.Original, c.Synthetic, c.Err*100, r.Tol*100))
 		}
 	}
-	if len(bad) == 0 {
-		return nil
-	}
-	return fmt.Errorf("fidelity %s on %s:\n  %s", r.Name, r.Kind, strings.Join(bad, "\n  "))
+	return bad
 }
 
 // fidelityCell derives the LP/A comparison for one metric: the measured
@@ -134,32 +138,17 @@ func RoundTripFidelity(trace *blktrace.Trace, name string, kind experiments.Arra
 
 // VerifyFidelity runs the round trip for every *.trace.txt fixture
 // under dir on the golden HDD array, printing one PASS/FAIL line per
-// fixture (with per-metric detail on failure) to out.  The returned
+// fixture (with each offending metric indented under a FAIL) to out.
+// A broken fixture does not stop the rest of the corpus.  The returned
 // error is non-nil when any fixture fails or the corpus is empty.
 func VerifyFidelity(dir string, seed uint64, tol float64, out io.Writer) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceSuffix))
-	if err != nil {
-		return err
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return fmt.Errorf("fidelity: no %s fixtures under %s", TraceSuffix, dir)
-	}
-	failed := 0
-	for _, tracePath := range paths {
-		name := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-		trace, err := LoadFixtureTrace(tracePath)
-		if err != nil {
-			return fmt.Errorf("fidelity: %w", err)
-		}
+	return walkFixtures("fidelity", dir, out, func(name string, trace *blktrace.Trace) error {
 		res, err := RoundTripFidelity(trace, name, experiments.HDDArray, seed, tol)
 		if err != nil {
-			return fmt.Errorf("fidelity: %w", err)
+			return err
 		}
-		if err := res.Err(); err != nil {
-			failed++
-			fmt.Fprintf(out, "FAIL %s\n", err)
-			continue
+		if bad := res.offenders(); len(bad) > 0 {
+			return mismatches(bad)
 		}
 		var worst float64
 		for _, c := range res.Cells {
@@ -168,9 +157,6 @@ func VerifyFidelity(dir string, seed uint64, tol float64, out io.Writer) error {
 			}
 		}
 		fmt.Fprintf(out, "PASS %s (worst metric err %.2f%%)\n", name, worst*100)
-	}
-	if failed > 0 {
-		return fmt.Errorf("fidelity: %d of %d fixtures failed", failed, len(paths))
-	}
-	return nil
+		return nil
+	})
 }

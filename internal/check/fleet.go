@@ -10,8 +10,6 @@ package check
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -70,15 +68,7 @@ func FleetChecked(arrays, workers int) (*fleet.Result, []byte, error) {
 		}
 	}
 
-	dir, err := os.MkdirTemp("", "check-fleet")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer os.RemoveAll(dir)
-	if err := set.WriteDir(dir); err != nil {
-		return nil, nil, err
-	}
-	summary, err := os.ReadFile(filepath.Join(dir, telemetry.SummaryFile))
+	summary, err := exportSummary(set)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,25 +1,18 @@
 // Golden fixtures: small committed traces with committed replay
 // outputs.  `tracer verify` and the golden_test.go driver re-run every
 // fixture on the simulated arrays and diff the results against the
-// committed JSON with tolerance-aware comparison; `-update` regenerates
-// the JSON after an intentional model change.
+// committed JSON through the gate harness (gate.go); `-update`
+// regenerates the JSON after an intentional model change.
 package check
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/replay"
-	"repro/internal/telemetry"
 )
 
 // DefaultTol is the relative tolerance for golden float comparison.
@@ -89,23 +82,17 @@ type Golden struct {
 // BuildGolden replays the fixture trace at every golden (kind, load)
 // cell on a fresh array with the invariant suite armed, and returns the
 // document to commit.  Invariant violations fail the build: a golden
-// that does not conform to the physics must never be committed.
-func BuildGolden(name string, trace *blktrace.Trace) (*Golden, error) {
-	st := blktrace.ComputeStats(trace)
-	g := &Golden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
-	}
+// that does not conform to the physics must never be committed.  A nil
+// cache builds the bare arrays; a non-nil one fronts every array with
+// that cache tier, and a disabled &experiments.CacheSpec{} must rebuild
+// the bare document byte for byte — the pass-through gate VerifyCache
+// runs over the committed replay corpus.
+func BuildGolden(name string, trace *blktrace.Trace, cache *experiments.CacheSpec) (*Golden, error) {
+	g := &Golden{Name: name, Trace: traceInfo(trace)}
 	cfg := experiments.DefaultConfig()
 	for _, kind := range goldenKinds {
 		for _, load := range goldenLoads {
-			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
+			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind, Cache: cache})
 			if err != nil {
 				return nil, fmt.Errorf("golden %s: %w", name, err)
 			}
@@ -138,73 +125,16 @@ func BuildGolden(name string, trace *blktrace.Trace) (*Golden, error) {
 	return g, nil
 }
 
-// withinTol reports whether two floats agree within relative tolerance
-// (absolute near zero), mirroring powersim.ApproxEqual.
-func withinTol(a, b, tol float64) bool {
-	if a == b {
-		return true
+// traceInfo pins a fixture trace's structural identity.
+func traceInfo(trace *blktrace.Trace) TraceInfo {
+	st := blktrace.ComputeStats(trace)
+	return TraceInfo{
+		Device:     trace.Device,
+		Bunches:    st.Bunches,
+		IOs:        st.IOs,
+		TotalBytes: st.TotalBytes,
+		DurationNs: int64(st.Duration),
 	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		scale = 1
-	}
-	return diff <= tol*scale
-}
-
-// CompareGolden diffs got against want field by field: integers must
-// match exactly, floats within tol.  It returns one human-readable line
-// per mismatch; an empty slice means the documents agree.
-func CompareGolden(want, got *Golden, tol float64) []string {
-	var diffs []string
-	intf := func(field string, w, g int64) {
-		if w != g {
-			diffs = append(diffs, fmt.Sprintf("%s: want %d, got %d", field, w, g))
-		}
-	}
-	fltf := func(field string, w, g float64) {
-		if !withinTol(w, g, tol) {
-			diffs = append(diffs, fmt.Sprintf("%s: want %.9g, got %.9g (tol %g)", field, w, g, tol))
-		}
-	}
-	if want.Trace.Device != got.Trace.Device {
-		diffs = append(diffs, fmt.Sprintf("trace.device: want %q, got %q", want.Trace.Device, got.Trace.Device))
-	}
-	intf("trace.bunches", int64(want.Trace.Bunches), int64(got.Trace.Bunches))
-	intf("trace.ios", int64(want.Trace.IOs), int64(got.Trace.IOs))
-	intf("trace.total_bytes", want.Trace.TotalBytes, got.Trace.TotalBytes)
-	intf("trace.duration_ns", want.Trace.DurationNs, got.Trace.DurationNs)
-	if len(want.Runs) != len(got.Runs) {
-		diffs = append(diffs, fmt.Sprintf("runs: want %d, got %d", len(want.Runs), len(got.Runs)))
-		return diffs
-	}
-	for i := range want.Runs {
-		w, g := &want.Runs[i], &got.Runs[i]
-		pfx := fmt.Sprintf("runs[%d] (%s load %v)", i, w.Kind, w.Load)
-		if w.Kind != g.Kind || w.Load != g.Load {
-			diffs = append(diffs, fmt.Sprintf("%s: cell identity changed to (%s, %v)", pfx, g.Kind, g.Load))
-			continue
-		}
-		intf(pfx+".issued", w.Issued, g.Issued)
-		intf(pfx+".completed", w.Completed, g.Completed)
-		intf(pfx+".bytes", w.Bytes, g.Bytes)
-		fltf(pfx+".iops", w.IOPS, g.IOPS)
-		fltf(pfx+".mbps", w.MBPS, g.MBPS)
-		fltf(pfx+".mean_response_ms", w.MeanResponseMs, g.MeanResponseMs)
-		fltf(pfx+".max_response_ms", w.MaxResponseMs, g.MaxResponseMs)
-		fltf(pfx+".p50_response_ms", w.P50ResponseMs, g.P50ResponseMs)
-		fltf(pfx+".p95_response_ms", w.P95ResponseMs, g.P95ResponseMs)
-		fltf(pfx+".p99_response_ms", w.P99ResponseMs, g.P99ResponseMs)
-		fltf(pfx+".mean_watts", w.MeanWatts, g.MeanWatts)
-		fltf(pfx+".energy_j", w.EnergyJ, g.EnergyJ)
-		fltf(pfx+".iops_per_watt", w.IOPSPerWatt, g.IOPSPerWatt)
-		fltf(pfx+".mbps_per_kw", w.MBPSPerKW, g.MBPSPerKW)
-		intf(pfx+".disk_reads", w.DiskReads, g.DiskReads)
-		intf(pfx+".disk_writes", w.DiskWrites, g.DiskWrites)
-		intf(pfx+".parity_reads", w.ParityReads, g.ParityReads)
-		intf(pfx+".parity_writes", w.ParityWrites, g.ParityWrites)
-	}
-	return diffs
 }
 
 // LoadFixtureTrace reads one text-format fixture trace, wrapping decode
@@ -223,39 +153,19 @@ func LoadFixtureTrace(path string) (*blktrace.Trace, error) {
 	return tr, nil
 }
 
-// ReadGolden loads a committed golden document.
-func ReadGolden(path string) (*Golden, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g Golden
-	if err := json.Unmarshal(blob, &g); err != nil {
-		return nil, fmt.Errorf("golden %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// WriteGolden commits a golden document.
-func WriteGolden(path string, g *Golden) error {
-	blob, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
 // VerifyOptions configure a golden-corpus verification pass.
 type VerifyOptions struct {
 	// Update rewrites the committed JSON instead of diffing.
 	Update bool
 	// Tol is the relative float tolerance (0 = DefaultTol).
 	Tol float64
-	// TelemetryDir, when non-empty, receives a full telemetry export
-	// (replay spans, time series, power CSV) for the first fixture
-	// that fails the diff, re-run at the first golden cell — the
-	// artifact CI uploads so a conformance break can be inspected in
-	// Perfetto without re-running anything locally.
+	// TelemetryDir, when non-empty, receives the failure artifacts of
+	// the first fixture that fails its diff — what CI uploads so a
+	// conformance break can be inspected without re-running anything
+	// locally.  The replay and cache gates re-run one golden cell with
+	// full telemetry (replay spans, time series, power CSV, viewable in
+	// Perfetto); the optimize gate writes the winners' decision
+	// ledgers; the SLO gate writes its run's artifacts.
 	TelemetryDir string
 }
 
@@ -263,96 +173,21 @@ type VerifyOptions struct {
 // the rebuilt output against the committed *.golden.json.  With
 // opts.Update it rewrites the JSON instead of diffing.  Progress and
 // diffs go to out (one PASS/FAIL/UPDATED line per fixture).  A fixture
-// that fails to load, build or diff no longer aborts the pass: the
+// that fails to load, build or diff does not abort the pass: the
 // remaining fixtures still run, and the returned error is a one-line
 // summary counting the failures (wrapping the first underlying error,
 // so callers can still errors.Is/As into it).
 func VerifyGolden(dir string, opts VerifyOptions, out io.Writer) error {
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceSuffix))
-	if err != nil {
-		return err
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return fmt.Errorf("verify: no %s fixtures under %s", TraceSuffix, dir)
-	}
-	failed := 0
-	var firstErr error
-	fail := func(name string, err error) {
-		failed++
-		if firstErr == nil {
-			firstErr = err
-		}
-		fmt.Fprintf(out, "FAIL %s: %v\n", name, err)
-	}
-	telemetryDone := false
-	for _, tracePath := range paths {
-		name := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-		goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + GoldenSuffix
-		trace, err := LoadFixtureTrace(tracePath)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		got, err := BuildGolden(name, trace)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		if opts.Update {
-			if err := WriteGolden(goldenPath, got); err != nil {
-				fail(name, err)
-				continue
-			}
-			fmt.Fprintf(out, "UPDATED %s (%d runs)\n", name, len(got.Runs))
-			continue
-		}
-		want, err := ReadGolden(goldenPath)
-		if err != nil {
-			fail(name, fmt.Errorf("%w (run with -update to create)", err))
-			continue
-		}
-		diffs := CompareGolden(want, got, tol)
-		if len(diffs) == 0 {
-			fmt.Fprintf(out, "PASS %s (%d runs)\n", name, len(got.Runs))
-			continue
-		}
-		fail(name, fmt.Errorf("%d mismatch(es)", len(diffs)))
-		for _, d := range diffs {
-			fmt.Fprintf(out, "  %s\n", d)
-		}
-		if opts.TelemetryDir != "" && !telemetryDone {
-			telemetryDone = true
-			writeFailureTelemetry(opts.TelemetryDir, name, trace, out)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("verify: %d of %d fixtures failed: %w", failed, len(paths), firstErr)
-	}
-	return nil
-}
-
-// writeFailureTelemetry re-runs a failing fixture's first golden cell
-// with full instrumentation and exports the artifact directory.  Export
-// problems are reported on out but never mask the verification failure
-// itself.
-func writeFailureTelemetry(dir, name string, trace *blktrace.Trace, out io.Writer) {
-	set := telemetry.New(telemetry.Options{})
-	s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: goldenKinds[0]})
-	if err == nil {
-		_, err = experiments.Measure(s, trace, replay.UniformFilter{Proportion: goldenLoads[0]}, set)
-	}
-	if err != nil {
-		fmt.Fprintf(out, "  telemetry capture for %s failed: %v\n", name, err)
-		return
-	}
-	if err := set.WriteDir(dir); err != nil {
-		fmt.Fprintf(out, "  telemetry export for %s failed: %v\n", name, err)
-		return
-	}
-	fmt.Fprintf(out, "  telemetry for %s (%s load %v) written to %s\n", name, goldenKinds[0], goldenLoads[0], dir)
+	return verifyGoldens(goldenGate[Golden]{
+		label:  "verify",
+		suffix: GoldenSuffix,
+		tally:  func(g *Golden) string { return fmt.Sprintf("%d runs", len(g.Runs)) },
+		build: func(name string, trace *blktrace.Trace) (*Golden, func(string, io.Writer), error) {
+			g, err := BuildGolden(name, trace, nil)
+			return g, func(dir string, out io.Writer) {
+				spec := experiments.StackSpec{Kind: goldenKinds[0]}
+				exportTelemetry(dir, name, experiments.DefaultConfig(), spec, goldenLoads[0], trace, out)
+			}, err
+		},
+	}, dir, opts, out)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,12 +81,12 @@ func TestGoldenUpdateRegenerates(t *testing.T) {
 	if err != nil || len(goldens) == 0 {
 		t.Fatalf("no goldens written: %v", err)
 	}
-	g, err := ReadGolden(goldens[0])
+	g, err := readGolden[Golden](goldens[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Runs[0].IOPS *= 1.01
-	if err := WriteGolden(goldens[0], g); err != nil {
+	if err := writeGolden(goldens[0], g); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
@@ -96,8 +97,8 @@ func TestGoldenUpdateRegenerates(t *testing.T) {
 }
 
 // TestCompareGoldenTolerance pins the tolerance policy: floats within
-// the relative tolerance pass, floats beyond it and any integer change
-// fail.
+// the relative tolerance pass, floats beyond it and any integer or
+// string change fail, each with one diff naming the field.
 func TestCompareGoldenTolerance(t *testing.T) {
 	base := &Golden{
 		Name:  "x",
@@ -107,23 +108,41 @@ func TestCompareGoldenTolerance(t *testing.T) {
 			IOPS: 100, MeanWatts: 50.5, EnergyJ: 12.25, DiskWrites: 8,
 		}},
 	}
-	clone := *base
-	runs := make([]GoldenRun, len(base.Runs))
-	copy(runs, base.Runs)
-	clone.Runs = runs
+	cases := []struct {
+		name  string
+		mut   func(*Golden)
+		diffs int
+		field string
+	}{
+		{"within tolerance", func(g *Golden) { g.Runs[0].IOPS *= 1 + 1e-8 }, 0, ""},
+		{"out of tolerance", func(g *Golden) { g.Runs[0].IOPS *= 1 + 1e-4 }, 1, "runs[0].iops"},
+		{"integer drift", func(g *Golden) { g.Runs[0].DiskWrites++ }, 1, "runs[0].disk_writes"},
+		{"name", func(g *Golden) { g.Name = "zzz" }, 1, "name"},
+	}
+	for _, tc := range cases {
+		clone := *base
+		runs := make([]GoldenRun, len(base.Runs))
+		copy(runs, base.Runs)
+		clone.Runs = runs
+		tc.mut(&clone)
+		diffs := diffGolden(base, &clone, DefaultTol)
+		if len(diffs) != tc.diffs || (tc.diffs > 0 && !strings.HasPrefix(diffs[0], tc.field+": ")) {
+			t.Errorf("%s: diffs %q, want %d naming %q", tc.name, diffs, tc.diffs, tc.field)
+		}
+	}
+}
 
-	clone.Runs[0].IOPS = base.Runs[0].IOPS * (1 + 1e-8)
-	if diffs := CompareGolden(base, &clone, DefaultTol); len(diffs) != 0 {
-		t.Fatalf("within-tolerance drift flagged: %v", diffs)
+// TestDiffGoldenReportsKindsWithoutARule pins that a field of a kind
+// the diff has no rule for is reported even when both sides agree, so a
+// golden struct can never gain a field the gate silently passes.
+func TestDiffGoldenReportsKindsWithoutARule(t *testing.T) {
+	type doc struct {
+		On  bool `json:"on"`
+		Any any  `json:"any"`
 	}
-	clone.Runs[0].IOPS = base.Runs[0].IOPS * (1 + 1e-4)
-	if diffs := CompareGolden(base, &clone, DefaultTol); len(diffs) != 1 {
-		t.Fatalf("out-of-tolerance drift missed: %v", diffs)
-	}
-	clone.Runs[0].IOPS = base.Runs[0].IOPS
-	clone.Runs[0].DiskWrites++
-	if diffs := CompareGolden(base, &clone, DefaultTol); len(diffs) != 1 {
-		t.Fatalf("integer drift not exact-compared: %v", diffs)
+	diffs := diffGolden(&doc{On: true, Any: 1}, &doc{On: true, Any: 1}, DefaultTol)
+	if len(diffs) != 2 || !strings.HasPrefix(diffs[0], "on: ") || !strings.HasPrefix(diffs[1], "any: ") {
+		t.Fatalf("diffs %q, want one per field without a rule", diffs)
 	}
 }
 
@@ -151,30 +170,42 @@ func TestVerifyGoldenTruncatedFixture(t *testing.T) {
 }
 
 // TestVerifyGoldenContinuesPastFailure pins the partial-failure
-// contract: one broken fixture must not stop the rest of the corpus
-// from verifying, and the summary error counts every failure.
+// contract for every gate on the shared fixture walk: one broken
+// fixture must not stop the rest of the corpus from verifying, and the
+// summary error counts every failure.
 func TestVerifyGoldenContinuesPastFailure(t *testing.T) {
-	dir := t.TempDir()
-	n := copyCorpusTraces(t, dir)
-	if err := VerifyGolden(dir, VerifyOptions{Update: true}, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	gates := []struct {
+		name   string
+		verify func(dir string, out io.Writer) error
+	}{
+		{"golden", func(dir string, out io.Writer) error { return VerifyGolden(dir, VerifyOptions{}, out) }},
+		{"fidelity", func(dir string, out io.Writer) error { return VerifyFidelity(dir, 1, DefaultFidelityTol, out) }},
 	}
-	// An unreadable fixture sorted first must not shadow the healthy rest.
-	bad := filepath.Join(dir, "aaa-cut"+TraceSuffix)
-	text := "# blktrace-text v1\ndevice cut\nB 0 3\n0 4096 R\n8 4096 R\n"
-	if err := os.WriteFile(bad, []byte(text), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err := VerifyGolden(dir, VerifyOptions{}, &buf)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("1 of %d fixtures failed", n+1)) {
-		t.Fatalf("summary error = %v", err)
-	}
-	if got := strings.Count(buf.String(), "PASS"); got != n {
-		t.Fatalf("healthy fixtures after the broken one: %d PASS, want %d\n%s", got, n, buf.String())
-	}
-	if !strings.Contains(buf.String(), "FAIL aaa-cut") {
-		t.Fatalf("broken fixture not reported:\n%s", buf.String())
+	for _, gate := range gates {
+		t.Run(gate.name, func(t *testing.T) {
+			dir := t.TempDir()
+			n := copyCorpusTraces(t, dir)
+			if err := VerifyGolden(dir, VerifyOptions{Update: true}, &bytes.Buffer{}); err != nil {
+				t.Fatal(err)
+			}
+			// An unreadable fixture sorted first must not shadow the healthy rest.
+			bad := filepath.Join(dir, "aaa-cut"+TraceSuffix)
+			text := "# blktrace-text v1\ndevice cut\nB 0 3\n0 4096 R\n8 4096 R\n"
+			if err := os.WriteFile(bad, []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err := gate.verify(dir, &buf)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("1 of %d fixtures failed", n+1)) {
+				t.Fatalf("summary error = %v", err)
+			}
+			if got := strings.Count(buf.String(), "PASS"); got != n {
+				t.Fatalf("healthy fixtures after the broken one: %d PASS, want %d\n%s", got, n, buf.String())
+			}
+			if !strings.Contains(buf.String(), "FAIL aaa-cut") {
+				t.Fatalf("broken fixture not reported:\n%s", buf.String())
+			}
+		})
 	}
 }
 
@@ -191,12 +222,12 @@ func TestVerifyGoldenFailureTelemetry(t *testing.T) {
 	if err != nil || len(goldens) == 0 {
 		t.Fatalf("no goldens written: %v", err)
 	}
-	g, err := ReadGolden(goldens[0])
+	g, err := readGolden[Golden](goldens[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Runs[0].Completed++
-	if err := WriteGolden(goldens[0], g); err != nil {
+	if err := writeGolden(goldens[0], g); err != nil {
 		t.Fatal(err)
 	}
 	telDir := filepath.Join(t.TempDir(), "telemetry")

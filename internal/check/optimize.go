@@ -10,13 +10,11 @@ package check
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
@@ -29,10 +27,6 @@ import (
 // optimize fixture (separate from replay goldens so the two corpora
 // can share a testdata tree without colliding).
 const OptimizeGoldenSuffix = ".optimize.json"
-
-// optimizeWorkerCounts are the fan-out widths the determinism gate
-// cross-checks: every pair must produce byte-identical search results.
-var optimizeWorkerCounts = []int{1, 2, 8}
 
 // optimizeSpaces are the committed search spaces the golden pins: a
 // small TPM timeout sweep spanning aggressive/default/lazy, and the
@@ -123,11 +117,6 @@ type OptimizeResult struct {
 	Ledgers map[string]optimize.RecordedRun
 }
 
-// marshalSearch canonicalises a search result for byte comparison.
-func marshalSearch(res *optimize.SearchResult) ([]byte, error) {
-	return json.Marshal(res)
-}
-
 // OptimizeChecked runs the full conformance gate for every committed
 // policy space on trace and returns the golden document to commit:
 //
@@ -139,17 +128,10 @@ func marshalSearch(res *optimize.SearchResult) ([]byte, error) {
 //   - the grid winner's fitness must strictly beat the paper-default
 //     baseline (the search must optimize, not just enumerate).
 func OptimizeChecked(ctx context.Context, name string, trace *blktrace.Trace) (*OptimizeResult, error) {
-	st := blktrace.ComputeStats(trace)
-	opts := optimizeOptions(optimizeWorkerCounts[0])
+	opts := optimizeOptions(workerCounts[0])
 	g := &OptimizeGolden{
-		Name: name,
-		Trace: TraceInfo{
-			Device:     trace.Device,
-			Bunches:    st.Bunches,
-			IOs:        st.IOs,
-			TotalBytes: st.TotalBytes,
-			DurationNs: int64(st.Duration),
-		},
+		Name:    name,
+		Trace:   traceInfo(trace),
 		Load:    opts.Load,
 		Seed:    opts.Config.Seed,
 		Weights: optimize.DefaultWeights(),
@@ -172,47 +154,31 @@ func optimizePolicyChecked(ctx context.Context, space optimize.Space, trace *blk
 	var none optimize.RecordedRun
 
 	// Grid determinism across worker counts.
-	var grid *optimize.SearchResult
-	var gridBlob []byte
-	for _, w := range optimizeWorkerCounts {
-		res, err := optimize.Grid(ctx, space, trace, optimizeOptions(w))
-		if err != nil {
-			return nil, none, err
-		}
-		blob, err := marshalSearch(res)
-		if err != nil {
-			return nil, none, err
-		}
-		if gridBlob == nil {
-			grid, gridBlob = res, blob
-		} else if !bytes.Equal(gridBlob, blob) {
-			return nil, none, fmt.Errorf("grid search not deterministic: workers %d and %d disagree", optimizeWorkerCounts[0], w)
-		}
+	grid, err := sameAtWorkers("grid search", func(w int) (*optimize.SearchResult, []byte, error) {
+		return withJSON(optimize.Grid(ctx, space, trace, optimizeOptions(w)))
+	})
+	if err != nil {
+		return nil, none, err
 	}
 
 	// Evolutionary determinism across worker counts and same-seed runs.
-	var evolve *optimize.SearchResult
-	var evolveBlob []byte
-	for _, w := range optimizeWorkerCounts {
-		for run := 0; run < 2; run++ {
-			res, err := optimize.Evolve(ctx, space, trace, optimizeEvolveOptions(w))
-			if err != nil {
-				return nil, none, err
-			}
-			blob, err := marshalSearch(res)
-			if err != nil {
-				return nil, none, err
-			}
-			if evolveBlob == nil {
-				evolve, evolveBlob = res, blob
-			} else if !bytes.Equal(evolveBlob, blob) {
-				return nil, none, fmt.Errorf("evolutionary search not deterministic: workers %d run %d disagrees with workers %d run 0", w, run, optimizeWorkerCounts[0])
-			}
+	evolve, err := sameAtWorkers("evolutionary search", func(w int) (*optimize.SearchResult, []byte, error) {
+		res, blob, err := withJSON(optimize.Evolve(ctx, space, trace, optimizeEvolveOptions(w)))
+		if err != nil {
+			return nil, nil, err
 		}
+		_, rerun, err := withJSON(optimize.Evolve(ctx, space, trace, optimizeEvolveOptions(w)))
+		if err == nil && !bytes.Equal(blob, rerun) {
+			err = fmt.Errorf("evolutionary search not deterministic: a same-seed rerun disagrees")
+		}
+		return res, blob, err
+	})
+	if err != nil {
+		return nil, none, err
 	}
 
 	// Winner ledger determinism: record the grid winner twice.
-	opts := optimizeOptions(optimizeWorkerCounts[0])
+	opts := optimizeOptions(workerCounts[0])
 	var run optimize.RecordedRun
 	var ledgerBlob []byte
 	for i := 0; i < 2; i++ {
@@ -264,112 +230,6 @@ func optimizePolicyChecked(ctx context.Context, space optimize.Space, trace *blk
 	}, run, nil
 }
 
-// compareEval diffs one evaluation: point identity and integer
-// objectives exactly, float objectives within tol.
-func compareEval(pfx string, want, got optimize.Eval, tol float64, diffs *[]string) {
-	if want.Point.String() != got.Point.String() {
-		*diffs = append(*diffs, fmt.Sprintf("%s.point: want %q, got %q", pfx, want.Point, got.Point))
-	}
-	flt := func(field string, w, g float64) {
-		if !withinTol(w, g, tol) {
-			*diffs = append(*diffs, fmt.Sprintf("%s.%s: want %.9g, got %.9g (tol %g)", pfx, field, w, g, tol))
-		}
-	}
-	flt("fitness", want.Fitness, got.Fitness)
-	flt("iops", want.Objectives.IOPS, got.Objectives.IOPS)
-	flt("mean_watts", want.Objectives.MeanWatts, got.Objectives.MeanWatts)
-	flt("energy_j", want.Objectives.EnergyJ, got.Objectives.EnergyJ)
-	flt("iops_per_watt", want.Objectives.IOPSPerWatt, got.Objectives.IOPSPerWatt)
-	flt("p99_ms", want.Objectives.P99Ms, got.Objectives.P99Ms)
-	flt("mean_ms", want.Objectives.MeanMs, got.Objectives.MeanMs)
-	if want.Objectives.SpinUps != got.Objectives.SpinUps {
-		*diffs = append(*diffs, fmt.Sprintf("%s.spin_ups: want %d, got %d", pfx, want.Objectives.SpinUps, got.Objectives.SpinUps))
-	}
-	if want.Objectives.RPMShifts != got.Objectives.RPMShifts {
-		*diffs = append(*diffs, fmt.Sprintf("%s.rpm_shifts: want %d, got %d", pfx, want.Objectives.RPMShifts, got.Objectives.RPMShifts))
-	}
-}
-
-// CompareOptimizeGolden diffs got against want: integers and points
-// exactly, floats within tol.  One human-readable line per mismatch.
-func CompareOptimizeGolden(want, got *OptimizeGolden, tol float64) []string {
-	var diffs []string
-	intf := func(field string, w, g int64) {
-		if w != g {
-			diffs = append(diffs, fmt.Sprintf("%s: want %d, got %d", field, w, g))
-		}
-	}
-	if want.Trace.Device != got.Trace.Device {
-		diffs = append(diffs, fmt.Sprintf("trace.device: want %q, got %q", want.Trace.Device, got.Trace.Device))
-	}
-	intf("trace.bunches", int64(want.Trace.Bunches), int64(got.Trace.Bunches))
-	intf("trace.ios", int64(want.Trace.IOs), int64(got.Trace.IOs))
-	intf("trace.total_bytes", want.Trace.TotalBytes, got.Trace.TotalBytes)
-	intf("trace.duration_ns", want.Trace.DurationNs, got.Trace.DurationNs)
-	if !withinTol(want.Load, got.Load, tol) {
-		diffs = append(diffs, fmt.Sprintf("load: want %v, got %v", want.Load, got.Load))
-	}
-	intf("seed", int64(want.Seed), int64(got.Seed))
-	if want.Weights != got.Weights {
-		diffs = append(diffs, fmt.Sprintf("weights: want %+v, got %+v", want.Weights, got.Weights))
-	}
-	if len(want.Policies) != len(got.Policies) {
-		diffs = append(diffs, fmt.Sprintf("policies: want %d, got %d", len(want.Policies), len(got.Policies)))
-		return diffs
-	}
-	for i := range want.Policies {
-		w, g := &want.Policies[i], &got.Policies[i]
-		pfx := fmt.Sprintf("policies[%d] (%s)", i, w.Policy)
-		if w.Policy != g.Policy {
-			diffs = append(diffs, fmt.Sprintf("%s: policy changed to %q", pfx, g.Policy))
-			continue
-		}
-		intf(pfx+".cells", int64(w.Cells), int64(g.Cells))
-		intf(pfx+".best_index", int64(w.BestIndex), int64(g.BestIndex))
-		compareEval(pfx+".baseline", w.Baseline, g.Baseline, tol, &diffs)
-		compareEval(pfx+".best", w.Best, g.Best, tol, &diffs)
-		compareEval(pfx+".evolve_best", w.EvolveBest, g.EvolveBest, tol, &diffs)
-		kinds := map[string]bool{}
-		for k := range w.LedgerDecisions {
-			kinds[k] = true
-		}
-		for k := range g.LedgerDecisions {
-			kinds[k] = true
-		}
-		sorted := make([]string, 0, len(kinds))
-		for k := range kinds {
-			sorted = append(sorted, k)
-		}
-		sort.Strings(sorted)
-		for _, k := range sorted {
-			intf(fmt.Sprintf("%s.ledger_decisions[%s]", pfx, k), w.LedgerDecisions[k], g.LedgerDecisions[k])
-		}
-	}
-	return diffs
-}
-
-// ReadOptimizeGolden loads a committed optimize golden document.
-func ReadOptimizeGolden(path string) (*OptimizeGolden, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g OptimizeGolden
-	if err := json.Unmarshal(blob, &g); err != nil {
-		return nil, fmt.Errorf("optimize golden %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// WriteOptimizeGolden commits an optimize golden document.
-func WriteOptimizeGolden(path string, g *OptimizeGolden) error {
-	blob, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
 // VerifyOptimize re-runs every *.trace.txt fixture under dir through
 // the OptimizeChecked gate and diffs against the committed
 // *.optimize.json.  With opts.Update it rewrites the JSON instead —
@@ -377,96 +237,19 @@ func WriteOptimizeGolden(path string, g *OptimizeGolden) error {
 // empty.  On the first diff failure the winners' decision ledgers are
 // exported to opts.TelemetryDir (the artifact CI uploads).
 func VerifyOptimize(dir string, opts VerifyOptions, out io.Writer) error {
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceSuffix))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 && opts.Update {
-		path := filepath.Join(dir, "idle-web"+TraceSuffix)
-		if err := writeFixtureTrace(path, OptimizeFixtureTrace()); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "CREATED %s\n", path)
-		paths = []string{path}
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return fmt.Errorf("verify optimize: no %s fixtures under %s (run with -update to bootstrap)", TraceSuffix, dir)
-	}
-	failed := 0
-	var firstErr error
-	fail := func(name string, err error) {
-		failed++
-		if firstErr == nil {
-			firstErr = err
-		}
-		fmt.Fprintf(out, "FAIL %s: %v\n", name, err)
-	}
-	artifactDone := false
-	for _, tracePath := range paths {
-		name := strings.TrimSuffix(filepath.Base(tracePath), TraceSuffix)
-		goldenPath := strings.TrimSuffix(tracePath, TraceSuffix) + OptimizeGoldenSuffix
-		trace, err := LoadFixtureTrace(tracePath)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		res, err := OptimizeChecked(context.Background(), name, trace)
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		if opts.Update {
-			if err := WriteOptimizeGolden(goldenPath, res.Golden); err != nil {
-				fail(name, err)
-				continue
+	return verifyGoldens(goldenGate[OptimizeGolden]{
+		label:     "verify optimize",
+		suffix:    OptimizeGoldenSuffix,
+		canonical: OptimizeFixtureTrace,
+		tally:     func(g *OptimizeGolden) string { return fmt.Sprintf("%d policies", len(g.Policies)) },
+		build: func(name string, trace *blktrace.Trace) (*OptimizeGolden, func(string, io.Writer), error) {
+			res, err := OptimizeChecked(context.Background(), name, trace)
+			if err != nil {
+				return nil, nil, err
 			}
-			fmt.Fprintf(out, "UPDATED %s (%d policies)\n", name, len(res.Golden.Policies))
-			continue
-		}
-		want, err := ReadOptimizeGolden(goldenPath)
-		if err != nil {
-			fail(name, fmt.Errorf("%w (run with -update to create)", err))
-			continue
-		}
-		diffs := CompareOptimizeGolden(want, res.Golden, tol)
-		if len(diffs) == 0 {
-			fmt.Fprintf(out, "PASS %s (%d policies)\n", name, len(res.Golden.Policies))
-			continue
-		}
-		fail(name, fmt.Errorf("%d mismatch(es)", len(diffs)))
-		for _, d := range diffs {
-			fmt.Fprintf(out, "  %s\n", d)
-		}
-		if opts.TelemetryDir != "" && !artifactDone {
-			artifactDone = true
-			writeLedgerArtifacts(opts.TelemetryDir, name, res, out)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("verify optimize: %d of %d fixtures failed: %w", failed, len(paths), firstErr)
-	}
-	return nil
-}
-
-// writeFixtureTrace commits a synthesised fixture trace in text form.
-func writeFixtureTrace(path string, trace *blktrace.Trace) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := blktrace.WriteText(f, trace); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+			return res.Golden, func(dir string, out io.Writer) { writeLedgerArtifacts(dir, name, res, out) }, nil
+		},
+	}, dir, opts, out)
 }
 
 // writeLedgerArtifacts exports each policy winner's decision ledger so

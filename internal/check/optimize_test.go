@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,7 +32,7 @@ func TestOptimizeCorpus(t *testing.T) {
 // searched winner's fitness strictly exceeds the paper-default
 // configuration's.
 func TestOptimizeWinnerBeatsBaseline(t *testing.T) {
-	g, err := ReadOptimizeGolden(filepath.Join("testdata/golden/optimize", "idle-web"+OptimizeGoldenSuffix))
+	g, err := readGolden[OptimizeGolden](filepath.Join("testdata/golden/optimize", "idle-web"+OptimizeGoldenSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +75,12 @@ func TestOptimizeUpdateBootstraps(t *testing.T) {
 	}
 
 	goldenPath := filepath.Join(dir, "idle-web"+OptimizeGoldenSuffix)
-	g, err := ReadOptimizeGolden(goldenPath)
+	g, err := readGolden[OptimizeGolden](goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Policies[0].Best.Fitness *= 1.01
-	if err := WriteOptimizeGolden(goldenPath, g); err != nil {
+	if err := writeGolden(goldenPath, g); err != nil {
 		t.Fatal(err)
 	}
 	artDir := filepath.Join(t.TempDir(), "artifacts")
@@ -108,7 +109,8 @@ func TestOptimizeUpdateBootstraps(t *testing.T) {
 
 // TestCompareOptimizeGoldenTolerance pins the diff policy: floats
 // within relative tolerance pass, floats beyond fail, and integer
-// fields (cells, decision counts, spin-ups) are always exact.
+// fields (cells, decision counts, spin-ups) and strings are always
+// exact, each with one diff naming the field.
 func TestCompareOptimizeGoldenTolerance(t *testing.T) {
 	base := &OptimizeGolden{
 		Name:  "x",
@@ -117,6 +119,7 @@ func TestCompareOptimizeGoldenTolerance(t *testing.T) {
 		Seed:  7,
 		Policies: []OptimizePolicyGolden{{
 			Policy:          "tpm",
+			Space:           optimize.Space{Policy: "tpm", Dims: []optimize.Dim{{Name: "timeout_s", Values: []float64{2, 10, 60}}}},
 			Cells:           3,
 			BestIndex:       2,
 			Best:            optimize.Eval{Point: optimize.Point{Policy: "tpm", Params: map[string]float64{"timeout_s": 60}}, Fitness: 0.9},
@@ -124,38 +127,41 @@ func TestCompareOptimizeGoldenTolerance(t *testing.T) {
 			LedgerDecisions: map[string]int64{"spin-down": 4, "spin-up": 2},
 		}},
 	}
+	// clone deep-copies base through its committed JSON form.
 	clone := func() *OptimizeGolden {
-		blob := *base
-		pols := make([]OptimizePolicyGolden, len(base.Policies))
-		copy(pols, base.Policies)
-		blob.Policies = pols
-		counts := map[string]int64{}
-		for k, v := range base.Policies[0].LedgerDecisions {
-			counts[k] = v
+		blob, err := json.Marshal(base)
+		if err != nil {
+			t.Fatal(err)
 		}
-		blob.Policies[0].LedgerDecisions = counts
-		return &blob
+		var c OptimizeGolden
+		if err := json.Unmarshal(blob, &c); err != nil {
+			t.Fatal(err)
+		}
+		return &c
 	}
-
-	c := clone()
-	c.Policies[0].Best.Fitness *= 1 + 1e-8
-	if diffs := CompareOptimizeGolden(base, c, DefaultTol); len(diffs) != 0 {
-		t.Fatalf("within-tolerance drift flagged: %v", diffs)
+	cases := []struct {
+		name  string
+		mut   func(*OptimizeGolden)
+		diffs int
+		field string
+	}{
+		{"within tolerance", func(g *OptimizeGolden) { g.Policies[0].Best.Fitness *= 1 + 1e-8 }, 0, ""},
+		{"out of tolerance", func(g *OptimizeGolden) { g.Policies[0].Best.Fitness *= 1 + 1e-4 }, 1, "policies[0].best.fitness"},
+		{"decision count", func(g *OptimizeGolden) { g.Policies[0].LedgerDecisions["spin-up"]++ }, 1, "policies[0].ledger_decisions[spin-up]"},
+		{"winner point", func(g *OptimizeGolden) {
+			g.Policies[0].Best.Point = optimize.Point{Policy: "tpm", Params: map[string]float64{"timeout_s": 10}}
+		}, 1, "policies[0].best.point.params[timeout_s]"},
+		{"space value", func(g *OptimizeGolden) { g.Policies[0].Space.Dims[0].Values[2] = 61 }, 1, "policies[0].space.dims[0].values[2]"},
+		{"space policy", func(g *OptimizeGolden) { g.Policies[0].Space.Policy = "drpm" }, 1, "policies[0].space.policy"},
+		{"decision kind on one side", func(g *OptimizeGolden) { g.Policies[0].LedgerDecisions["rpm-down"] = 0 }, 1, "policies[0].ledger_decisions[rpm-down]"},
 	}
-	c = clone()
-	c.Policies[0].Best.Fitness *= 1 + 1e-4
-	if diffs := CompareOptimizeGolden(base, c, DefaultTol); len(diffs) != 1 {
-		t.Fatalf("out-of-tolerance drift missed: %v", diffs)
-	}
-	c = clone()
-	c.Policies[0].LedgerDecisions["spin-up"]++
-	if diffs := CompareOptimizeGolden(base, c, DefaultTol); len(diffs) != 1 {
-		t.Fatalf("decision-count drift not exact-compared: %v", diffs)
-	}
-	c = clone()
-	c.Policies[0].Best.Point = optimize.Point{Policy: "tpm", Params: map[string]float64{"timeout_s": 10}}
-	if diffs := CompareOptimizeGolden(base, c, DefaultTol); len(diffs) != 1 {
-		t.Fatalf("winner-point drift missed: %v", diffs)
+	for _, tc := range cases {
+		c := clone()
+		tc.mut(c)
+		diffs := diffGolden(base, c, DefaultTol)
+		if len(diffs) != tc.diffs || (tc.diffs > 0 && !strings.HasPrefix(diffs[0], tc.field+": ")) {
+			t.Errorf("%s: diffs %q, want %d naming %q", tc.name, diffs, tc.diffs, tc.field)
+		}
 	}
 }
 

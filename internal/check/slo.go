@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -34,11 +35,6 @@ const (
 	SLOAlertsGolden   = "rebuild-storm.alerts.jsonl"
 	SLOSnapshotGolden = "rebuild-storm.slo.json"
 )
-
-// sloWorkerCounts are the fan-out widths the determinism gate
-// cross-checks: every pair must produce byte-identical alert streams
-// and snapshots.
-var sloWorkerCounts = []int{1, 2, 8}
 
 // StormSpec is the canonical rebuild-storm SLO spec: one tenant class
 // covering the whole stream with a p95 latency objective, windows tight
@@ -145,11 +141,10 @@ func SLOChecked(spec slo.Spec, workers int) (*SLORun, error) {
 	if err := checkStormAlerts(alerts.Bytes(), ft); err != nil {
 		return nil, err
 	}
-	snap, err := json.MarshalIndent(eng.Snapshot(), "", "  ")
+	snap, err := marshalGolden(eng.Snapshot())
 	if err != nil {
 		return nil, err
 	}
-	snap = append(snap, '\n')
 
 	summary, err := exportSummary(set)
 	if err != nil {
@@ -256,8 +251,8 @@ func exportSummary(set *telemetry.Set) ([]byte, error) {
 // at every worker count, requires the alert stream and snapshot to be
 // byte-identical across counts, and diffs them against the committed
 // goldens.  opts.Update rewrites the goldens instead of diffing.  On a
-// failure with opts.TelemetryDir set, the run's alerts.jsonl and full
-// telemetry artifact set are exported there for CI to upload.
+// failure with opts.TelemetryDir set, the first worker count's
+// artifacts (exportSLOFailure) are written there for CI to upload.
 func VerifySLO(dir string, opts VerifyOptions, out io.Writer) error {
 	spec, err := loadOrInitStormSpec(dir, opts.Update, out)
 	if err != nil {
@@ -274,65 +269,53 @@ func VerifySLO(dir string, opts VerifyOptions, out io.Writer) error {
 		fmt.Fprintf(out, "FAIL %s: %v\n", name, err)
 	}
 
-	runs := make([]*SLORun, 0, len(sloWorkerCounts))
-	for _, w := range sloWorkerCounts {
+	base, err := sameAtWorkers("alerts and snapshot", func(w int) (*SLORun, []byte, error) {
 		run, err := SLOChecked(spec, w)
 		if err != nil {
-			fail(fmt.Sprintf("storm/workers=%d", w), err)
-			continue
+			return nil, nil, err
 		}
-		runs = append(runs, run)
 		fmt.Fprintf(out, "PASS storm/workers=%d (%d completions, %d alert(s), rebuilt by %v)\n",
 			w, run.Result.Completed, countAlerts(run.Alerts), run.Result.Faults[0].RecoveredAt)
+		return run, slices.Concat(run.Alerts, run.Snapshot), nil
+	})
+	if err != nil {
+		fail("storm", err)
+	} else {
+		fmt.Fprintf(out, "PASS determinism (alerts and snapshot byte-identical at workers %v)\n", workerCounts)
 	}
-	if len(runs) == len(sloWorkerCounts) {
-		base := runs[0]
-		for i, run := range runs[1:] {
-			w := sloWorkerCounts[i+1]
-			if !bytes.Equal(base.Alerts, run.Alerts) {
-				fail(fmt.Sprintf("determinism/workers=%d", w),
-					fmt.Errorf("alerts.jsonl differs from workers=%d", sloWorkerCounts[0]))
-			}
-			if !bytes.Equal(base.Snapshot, run.Snapshot) {
-				fail(fmt.Sprintf("determinism/workers=%d", w),
-					fmt.Errorf("slo snapshot differs from workers=%d", sloWorkerCounts[0]))
-			}
+	if base == nil {
+		return fmt.Errorf("slo verify: %w", err)
+	}
+
+	alertsPath := filepath.Join(dir, SLOAlertsGolden)
+	snapPath := filepath.Join(dir, SLOSnapshotGolden)
+	if opts.Update {
+		if err := writeGoldenBytes(alertsPath, base.Alerts); err != nil {
+			return err
+		}
+		if err := writeGoldenBytes(snapPath, base.Snapshot); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "UPDATED %s, %s\n", SLOAlertsGolden, SLOSnapshotGolden)
+	} else {
+		if err := diffGoldenBytes(alertsPath, base.Alerts); err != nil {
+			fail("golden/"+SLOAlertsGolden, err)
+		}
+		if err := diffGoldenBytes(snapPath, base.Snapshot); err != nil {
+			fail("golden/"+SLOSnapshotGolden, err)
 		}
 		if failed == 0 {
-			fmt.Fprintf(out, "PASS determinism (alerts and snapshot byte-identical at workers %v)\n", sloWorkerCounts)
-		}
-
-		alertsPath := filepath.Join(dir, SLOAlertsGolden)
-		snapPath := filepath.Join(dir, SLOSnapshotGolden)
-		if opts.Update {
-			if err := writeGoldenBytes(alertsPath, base.Alerts); err != nil {
-				return err
-			}
-			if err := writeGoldenBytes(snapPath, base.Snapshot); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "UPDATED %s, %s\n", SLOAlertsGolden, SLOSnapshotGolden)
-		} else {
-			if err := diffGoldenBytes(alertsPath, base.Alerts); err != nil {
-				fail("golden/"+SLOAlertsGolden, err)
-			}
-			if err := diffGoldenBytes(snapPath, base.Snapshot); err != nil {
-				fail("golden/"+SLOSnapshotGolden, err)
-			}
-			if failed == 0 {
-				fmt.Fprintf(out, "PASS golden (alert stream and snapshot match the committed corpus)\n")
-			}
-		}
-
-		if failed > 0 && opts.TelemetryDir != "" {
-			if err := exportSLOFailure(opts.TelemetryDir, spec, base); err != nil {
-				fmt.Fprintf(out, "telemetry export failed: %v\n", err)
-			} else {
-				fmt.Fprintf(out, "failure artifacts exported to %s\n", opts.TelemetryDir)
-			}
+			fmt.Fprintf(out, "PASS golden (alert stream and snapshot match the committed corpus)\n")
 		}
 	}
 
+	if failed > 0 && opts.TelemetryDir != "" {
+		if err := exportSLOFailure(opts.TelemetryDir, spec, base); err != nil {
+			fmt.Fprintf(out, "telemetry export failed: %v\n", err)
+		} else {
+			fmt.Fprintf(out, "failure artifacts exported to %s\n", opts.TelemetryDir)
+		}
+	}
 	if failed > 0 {
 		return fmt.Errorf("slo verify: %d gate(s) failed: %w", failed, firstErr)
 	}
@@ -348,11 +331,7 @@ func loadOrInitStormSpec(dir string, update bool, out io.Writer) (slo.Spec, erro
 		if !update {
 			return slo.Spec{}, fmt.Errorf("slo verify: no %s under %s (bootstrap with -update)", SLOSpecFixture, dir)
 		}
-		blob, err := json.MarshalIndent(StormSpec(), "", "  ")
-		if err != nil {
-			return slo.Spec{}, err
-		}
-		if err := writeGoldenBytes(path, append(blob, '\n')); err != nil {
+		if err := writeGolden(path, StormSpec()); err != nil {
 			return slo.Spec{}, err
 		}
 		fmt.Fprintf(out, "CREATED %s\n", path)
@@ -369,14 +348,6 @@ func countAlerts(blob []byte) int {
 	return len(alerts)
 }
 
-// writeGoldenBytes commits a golden artifact verbatim.
-func writeGoldenBytes(path string, blob []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, blob, 0o644)
-}
-
 // diffGoldenBytes requires the fresh artifact to match the committed
 // bytes exactly; every value in the SLO surfaces is an integer or a
 // quotient of two integers, so no float tolerance applies.
@@ -391,9 +362,10 @@ func diffGoldenBytes(path string, fresh []byte) error {
 	return nil
 }
 
-// exportSLOFailure writes the failing run's artifacts — the spec, the
-// fresh alert stream and snapshot, and the full telemetry set of a
-// re-run — into dir for CI to upload.
+// exportSLOFailure writes the failing run's artifacts into dir for CI
+// to upload: the fresh alerts.jsonl, the slo.json snapshot, the
+// telemetry summary.json, the metrics.prom scrape and the spec.  It
+// re-runs nothing: these are the bytes the gate just checked.
 func exportSLOFailure(dir string, spec slo.Spec, run *SLORun) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -410,9 +382,5 @@ func exportSLOFailure(dir string, spec slo.Spec, run *SLORun) error {
 	if err := os.WriteFile(filepath.Join(dir, "metrics.prom"), run.Prom, 0o644); err != nil {
 		return err
 	}
-	blob, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, SLOSpecFixture), append(blob, '\n'), 0o644)
+	return writeGolden(filepath.Join(dir, SLOSpecFixture), spec)
 }
