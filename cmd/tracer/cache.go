@@ -15,6 +15,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/experiments"
+	"repro/internal/replay"
 	"repro/internal/simtime"
 )
 
@@ -155,7 +156,7 @@ func cmdCacheStudy(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	loads, err := parseLoads(*loadsStr)
+	loads, err := replay.ParseLoads(*loadsStr)
 	if err != nil {
 		return err
 	}

@@ -34,8 +34,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
@@ -290,26 +288,6 @@ func cmdStats(args []string, out io.Writer) error {
 	return nil
 }
 
-// parseLoads parses "10,50,100" into proportions.
-func parseLoads(s string) ([]float64, error) {
-	var loads []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		pct, err := strconv.ParseFloat(part, 64)
-		if err != nil || pct <= 0 || pct > 1000 {
-			return nil, fmt.Errorf("bad load level %q", part)
-		}
-		loads = append(loads, pct/100)
-	}
-	if len(loads) == 0 {
-		return nil, fmt.Errorf("no load levels given")
-	}
-	return loads, nil
-}
-
 // cmdTest runs energy-efficiency tests: replay at each load level with
 // power metering, print one row per level, and persist records.
 func cmdTest(args []string, out io.Writer) error {
@@ -330,7 +308,7 @@ func cmdTest(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	loads, err := parseLoads(*loadsStr)
+	loads, err := replay.ParseLoads(*loadsStr)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/blktrace"
+	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/srt"
 	"repro/internal/storage"
@@ -127,13 +128,13 @@ func TestBadInvocations(t *testing.T) {
 }
 
 func TestParseLoads(t *testing.T) {
-	got, err := parseLoads("10, 50,100")
+	got, err := replay.ParseLoads("10, 50,100")
 	if err != nil || len(got) != 3 || got[0] != 0.1 || got[2] != 1.0 {
-		t.Fatalf("parseLoads = %v, %v", got, err)
+		t.Fatalf("ParseLoads = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "0", "-5", "abc", "2000"} {
-		if _, err := parseLoads(bad); err == nil {
-			t.Errorf("parseLoads(%q) accepted", bad)
+	for _, bad := range []string{"", "0", "-5", "abc", "2000", "NaN", "nan", "50,NaN", "Inf"} {
+		if _, err := replay.ParseLoads(bad); err == nil {
+			t.Errorf("ParseLoads(%q) accepted", bad)
 		}
 	}
 }

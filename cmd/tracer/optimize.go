@@ -104,7 +104,7 @@ func cmdOptimize(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *load <= 0 || *load > 1000 {
+	if !(*load > 0 && *load <= 1000) { // NaN fails every comparison
 		return fmt.Errorf("optimize: bad load percentage %v", *load)
 	}
 	if *driver != "grid" && *driver != "evolve" {

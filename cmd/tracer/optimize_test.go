@@ -111,6 +111,7 @@ func TestOptimizeBadInvocations(t *testing.T) {
 		{"optimize", "-policy", "tpm,drpm", "-space", "timeout_s=10"},
 		{"optimize", "-policy", "tpm", "-space", "timeout_s=ten"},
 		{"optimize", "-load", "0"},
+		{"optimize", "-load", "NaN"},
 		{"verify", "-optimize", "-fidelity"},
 	}
 	for _, args := range cases {

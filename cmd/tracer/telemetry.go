@@ -51,7 +51,7 @@ func cmdReplay(args []string, out io.Writer) error {
 	if (*name == "") == (*in == "") {
 		return fmt.Errorf("replay: exactly one of -trace or -in is required")
 	}
-	if *load <= 0 || *load > 1000 {
+	if !(*load > 0 && *load <= 1000) { // NaN fails every comparison
 		return fmt.Errorf("replay: bad load percentage %v", *load)
 	}
 	if *mmap && *in == "" {

@@ -32,8 +32,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -42,6 +40,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/host"
 	"repro/internal/netproto"
+	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
@@ -142,8 +141,11 @@ func run(args []string, out io.Writer) error {
 		if *generatorAddr == "" || *traceName == "" {
 			return fmt.Errorf("host role requires -generator and -trace")
 		}
+		loads, err := replay.ParseLoads(*loadsStr)
+		if err != nil {
+			return err
+		}
 		var db *host.DB
-		var err error
 		if *dbPath != "" {
 			if db, err = host.LoadDB(*dbPath); err != nil {
 				return err
@@ -155,19 +157,14 @@ func run(args []string, out io.Writer) error {
 		}
 		defer h.Close()
 		fmt.Fprintln(out, "load%\tIOPS\tMBPS\twatts\tIOPS/W")
-		for _, part := range strings.Split(*loadsStr, ",") {
-			pct, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || pct <= 0 {
-				return fmt.Errorf("bad load %q", part)
-			}
-			load := pct / 100
+		for _, load := range loads {
 			outcome, err := h.RunTest(netproto.StartTest{TraceName: *traceName, LoadProportion: load},
 				*device, host.ModeVector{LoadProportion: load})
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "%.0f\t%.1f\t%.3f\t%.1f\t%.3f\n",
-				pct, outcome.Result.IOPS, outcome.Result.MBPS,
+				load*100, outcome.Result.IOPS, outcome.Result.MBPS,
 				outcome.Power.MeanWatts, outcome.Record.Efficiency.IOPSPerWatt)
 		}
 		if db != nil {

@@ -106,10 +106,37 @@ func (t *Trace) TotalBytes() int64 {
 }
 
 // Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	out := &Trace{Device: t.Device, Bunches: make([]Bunch, len(t.Bunches))}
-	for i, b := range t.Bunches {
-		out.Bunches[i] = Bunch{Time: b.Time, Packages: append([]IOPackage(nil), b.Packages...)}
+func (t *Trace) Clone() *Trace { return t.copyBunches(nil, len(t.Bunches)) }
+
+// Subset returns a deep copy of the bunches at the given indices, in
+// that order, under the trace's device label.
+func (t *Trace) Subset(idx []int) *Trace { return t.copyBunches(idx, len(idx)) }
+
+// copyBunches deep-copies n bunches: those at idx, or the first n when
+// idx is nil.  It sizes the output up front and copies every package
+// into one flat buffer; each bunch's packages are a capacity-clipped
+// window of it, so appending to one bunch never overwrites the next.
+func (t *Trace) copyBunches(idx []int, n int) *Trace {
+	src := func(k int) *Bunch {
+		if idx == nil {
+			return &t.Bunches[k]
+		}
+		return &t.Bunches[idx[k]]
+	}
+	total := 0
+	for k := range n {
+		total += len(src(k).Packages)
+	}
+	flat := make([]IOPackage, 0, total)
+	out := &Trace{Device: t.Device, Bunches: make([]Bunch, n)}
+	for k := range out.Bunches {
+		b := src(k)
+		out.Bunches[k].Time = b.Time
+		if len(b.Packages) > 0 {
+			lo := len(flat)
+			flat = append(flat, b.Packages...)
+			out.Bunches[k].Packages = flat[lo:len(flat):len(flat)]
+		}
 	}
 	return out
 }

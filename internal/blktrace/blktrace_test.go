@@ -137,6 +137,23 @@ func TestClone(t *testing.T) {
 	if tr.Bunches[0].Packages[0].Sector == 999 {
 		t.Fatal("clone shares package storage with original")
 	}
+	// Bunches share one flat package buffer; growing one must not
+	// overwrite the next.
+	next := cp.Bunches[1].Packages[0]
+	cp.Bunches[0].Packages = append(cp.Bunches[0].Packages, IOPackage{Sector: 7, Size: 512})
+	if cp.Bunches[1].Packages[0] != next {
+		t.Fatal("appending to a cloned bunch overwrote the next bunch")
+	}
+
+	sub := tr.Subset([]int{len(tr.Bunches) - 1, 0})
+	if sub.Device != tr.Device || len(sub.Bunches) != 2 ||
+		!reflect.DeepEqual(sub.Bunches[0], tr.Bunches[len(tr.Bunches)-1]) || !reflect.DeepEqual(sub.Bunches[1], tr.Bunches[0]) {
+		t.Fatalf("Subset picked %+v", sub)
+	}
+	sub.Bunches[1].Packages[0].Sector = 998
+	if tr.Bunches[0].Packages[0].Sector == 998 {
+		t.Fatal("subset shares package storage with original")
+	}
 }
 
 func TestComputeStats(t *testing.T) {

@@ -211,12 +211,46 @@ type dirtyRef struct {
 }
 
 // frontOp tracks one front-end request split across tier accesses and
-// backing reads; the last completion fires done.
+// backing reads; the last completion fires done.  Front ops recycle
+// through the cache's free list and bind their landing callback once,
+// when first created, so a warm request path allocates nothing.
 type frontOp struct {
+	c       *Cache
 	pending int
 	hit     bool
 	start   simtime.Time
 	done    func(simtime.Time)
+	// land is onLand bound once: the callback SSD tier accesses and
+	// bypass writes complete to.
+	land func(simtime.Time)
+}
+
+func (fo *frontOp) onLand(t simtime.Time) { fo.c.opDone(fo, t) }
+
+// fill is one backing read of a run of missed extents.  It installs
+// the admitted extents when the read lands, then retires its part of
+// the front op.  Fills recycle like front ops.
+type fill struct {
+	c       *Cache
+	fo      *frontOp
+	extents []int64 // admitted extents to install on landing
+	land    func(simtime.Time)
+}
+
+func (f *fill) onLand(t simtime.Time) {
+	c, fo := f.c, f.fo
+	if fo == nil {
+		panic(fmt.Sprintf("cache: backing read completion at %v landed on an idle fill (the backing device completed a read twice)", t))
+	}
+	for _, e := range f.extents {
+		if _, ok := c.lookup(e); ok {
+			continue // a concurrent miss already filled it
+		}
+		c.install(e, t)
+	}
+	f.fo, f.extents = nil, f.extents[:0]
+	c.freeFills = append(c.freeFills, f)
+	c.opDone(fo, t)
 }
 
 // Event kinds for the cache's simtime.Handler.
@@ -246,7 +280,7 @@ type Cache struct {
 	dramStaticW float64
 	ssd         *disksim.SSD
 
-	dirtyQueue []dirtyRef
+	dirtyQueue storage.FIFO[dirtyRef]
 	dirtyLines int
 	dirtySeq   uint64
 	useTick    uint64
@@ -259,6 +293,15 @@ type Cache struct {
 	lastEnd  int64 // sequential-run detection for bypass-seq
 	runBytes int64
 
+	// Request records and planning scratch.  A request is planned in
+	// full before any of its sub-operations completes, so one
+	// fragment buffer per cache is enough.  Only the goroutine driving
+	// the cache's engine touches them.
+	frags     []fragment
+	freeOps   []*frontOp
+	freeFills []*fill
+	wbDone    func(simtime.Time) // writebackDone bound once
+
 	stats Stats
 	tel   *telemetry.CacheProbe
 }
@@ -269,6 +312,7 @@ type Cache struct {
 func New(engine *simtime.Engine, backing storage.Device, backingSrc powersim.Source, p Params) (*Cache, error) {
 	p = p.withDefaults(backing.Capacity())
 	c := &Cache{engine: engine, backing: backing, backingSrc: backingSrc, params: p}
+	c.wbDone = c.writebackDone
 	switch p.Tier {
 	case TierNone, TierDRAM, TierSSD:
 	default:
@@ -419,9 +463,10 @@ func (c *Cache) Submit(req storage.Request, done func(simtime.Time)) {
 	}
 	c.lastEnd = req.End()
 
-	fo := &frontOp{done: done, hit: true, start: now}
+	fo := c.getOp()
+	fo.done, fo.hit, fo.start = done, true, now
 	if req.Op == storage.Read {
-		c.submitRead(fo, req, now)
+		c.submitRead(fo, req)
 	} else {
 		c.submitWrite(fo, req, now)
 	}
@@ -442,11 +487,36 @@ type fragment struct {
 	install bool
 }
 
-// fragments splits [off, off+size) into per-extent pieces.
+// getOp takes an idle front op off the cache's free list.
+func (c *Cache) getOp() *frontOp {
+	if n := len(c.freeOps); n > 0 {
+		fo := c.freeOps[n-1]
+		c.freeOps = c.freeOps[:n-1]
+		return fo
+	}
+	fo := &frontOp{c: c}
+	fo.land = fo.onLand
+	return fo
+}
+
+// getFill takes an idle fill off the cache's free list.
+func (c *Cache) getFill() *fill {
+	if n := len(c.freeFills); n > 0 {
+		f := c.freeFills[n-1]
+		c.freeFills = c.freeFills[:n-1]
+		return f
+	}
+	f := &fill{c: c}
+	f.land = f.onLand
+	return f
+}
+
+// fragments splits [off, off+size) into per-extent pieces.  The result
+// lives in the cache's scratch until the next call.
 func (c *Cache) fragments(off, size int64) []fragment {
 	eb := c.params.ExtentBytes
 	end := off + size
-	frags := make([]fragment, 0, (size+eb-1)/eb+1)
+	frags := c.frags[:0]
 	for e := off / eb; e*eb < end; e++ {
 		lo, hi := e*eb, (e+1)*eb
 		if off > lo {
@@ -457,26 +527,21 @@ func (c *Cache) fragments(off, size int64) []fragment {
 		}
 		frags = append(frags, fragment{extent: e, lo: lo - e*eb, hi: hi - e*eb})
 	}
+	c.frags = frags
 	return frags
 }
 
-func (c *Cache) submitRead(fo *frontOp, req storage.Request, now simtime.Time) {
+func (c *Cache) submitRead(fo *frontOp, req storage.Request) {
 	frags := c.fragments(req.Offset, req.Size)
 	// Hits are served from the tier; contiguous misses coalesce into
 	// one backing read each and install on completion (hit-under-miss
 	// never completes before the fill that would have provided data).
-	var run []fragment
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		c.issueFill(fo, run, now)
-		run = nil
-	}
+	run := 0 // frags[run:i] are misses not yet read
 	for i := range frags {
 		f := &frags[i]
 		if slot, ok := c.lookup(f.extent); ok {
-			flush()
+			c.issueFill(fo, frags[run:i])
+			run = i + 1
 			c.stats.Hits++
 			c.touch(slot)
 			c.tierAccess(fo, false, slot, f.lo, f.hi)
@@ -488,14 +553,16 @@ func (c *Cache) submitRead(fo *frontOp, req storage.Request, now simtime.Time) {
 		if !f.install {
 			c.stats.Bypassed++
 		}
-		run = append(run, *f)
 	}
-	flush()
+	c.issueFill(fo, frags[run:])
 }
 
-// issueFill reads a contiguous run of missed extents from the backing
-// device and installs the admitted ones when the read lands.
-func (c *Cache) issueFill(fo *frontOp, run []fragment, now simtime.Time) {
+// issueFill reads a contiguous run of missed extents, if any, from the
+// backing device and installs the admitted ones when the read lands.
+func (c *Cache) issueFill(fo *frontOp, run []fragment) {
+	if len(run) == 0 {
+		return
+	}
 	eb := c.params.ExtentBytes
 	first, last := run[0], run[len(run)-1]
 	req := storage.Request{
@@ -504,19 +571,14 @@ func (c *Cache) issueFill(fo *frontOp, run []fragment, now simtime.Time) {
 		Size:   last.extent*eb + last.hi - (first.extent*eb + first.lo),
 	}
 	fo.pending++
-	frags := append([]fragment(nil), run...)
-	c.submitBacking(req, func(t simtime.Time) {
-		for _, f := range frags {
-			if !f.install {
-				continue
-			}
-			if _, ok := c.lookup(f.extent); ok {
-				continue // a concurrent miss already filled it
-			}
-			c.install(f.extent, t)
+	f := c.getFill()
+	f.fo = fo
+	for _, fr := range run {
+		if fr.install {
+			f.extents = append(f.extents, fr.extent)
 		}
-		c.opDone(fo, t)
-	})
+	}
+	c.submitBacking(req, f.land)
 }
 
 func (c *Cache) submitWrite(fo *frontOp, req storage.Request, now simtime.Time) {
@@ -525,18 +587,12 @@ func (c *Cache) submitWrite(fo *frontOp, req storage.Request, now simtime.Time) 
 	// without touching the backing device (the dirty union tracks
 	// exactly what must be written back, so no fill read is needed);
 	// bypassed fragments coalesce into direct backing writes.
-	var run []fragment
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		c.issueBypassWrite(fo, run)
-		run = nil
-	}
+	run := 0 // frags[run:i] are bypassed fragments not yet written
 	for i := range frags {
 		f := &frags[i]
 		if slot, ok := c.lookup(f.extent); ok {
-			flush()
+			c.issueBypassWrite(fo, frags[run:i])
+			run = i + 1
 			c.stats.Hits++
 			c.touch(slot)
 			c.markDirty(slot, f.lo, f.hi, now)
@@ -546,21 +602,24 @@ func (c *Cache) submitWrite(fo *frontOp, req storage.Request, now simtime.Time) 
 		fo.hit = false
 		c.stats.Misses++
 		if c.admit(req, f.extent) {
-			flush()
+			c.issueBypassWrite(fo, frags[run:i])
+			run = i + 1
 			slot := c.install(f.extent, now)
 			c.markDirty(slot, f.lo, f.hi, now)
 			c.tierAccess(fo, true, slot, f.lo, f.hi)
 			continue
 		}
 		c.stats.Bypassed++
-		run = append(run, *f)
 	}
-	flush()
+	c.issueBypassWrite(fo, frags[run:])
 }
 
 // issueBypassWrite sends a contiguous run of non-admitted write
-// fragments straight to the backing device.
+// fragments, if any, straight to the backing device.
 func (c *Cache) issueBypassWrite(fo *frontOp, run []fragment) {
+	if len(run) == 0 {
+		return
+	}
 	eb := c.params.ExtentBytes
 	first, last := run[0], run[len(run)-1]
 	req := storage.Request{
@@ -569,7 +628,7 @@ func (c *Cache) issueBypassWrite(fo *frontOp, run []fragment) {
 		Size:   last.extent*eb + last.hi - (first.extent*eb + first.lo),
 	}
 	fo.pending++
-	c.submitBacking(req, func(t simtime.Time) { c.opDone(fo, t) })
+	c.submitBacking(req, fo.land)
 }
 
 // tierAccess models the cache device time for one fragment: DRAM is
@@ -585,7 +644,7 @@ func (c *Cache) tierAccess(fo *frontOp, write bool, slot int, lo, hi int64) {
 			op = storage.Write
 		}
 		req := storage.Request{Op: op, Offset: int64(slot)*c.params.ExtentBytes + lo, Size: n}
-		c.ssd.Submit(req, func(t simtime.Time) { c.opDone(fo, t) })
+		c.ssd.Submit(req, fo.land)
 		return
 	}
 	d := c.params.DRAMAccess + simtime.Duration(float64(n)/(c.params.DRAMBandwidthMBps*1e6)*float64(simtime.Second))
@@ -593,18 +652,23 @@ func (c *Cache) tierAccess(fo *frontOp, write bool, slot int, lo, hi int64) {
 }
 
 // opDone retires one sub-operation; the last one completes the front
-// request.  Events fire in time order, so the final callback carries
-// the max finish time.
+// request and recycles the front op.  Events fire in time order, so the
+// final callback carries the max finish time.  An idle front op cannot
+// be owed a completion: a device completed a request twice, and the op
+// may already carry a later request.
 func (c *Cache) opDone(fo *frontOp, t simtime.Time) {
-	fo.pending--
-	if fo.pending > 0 {
+	if fo.pending--; fo.pending > 0 {
 		return
 	}
+	if fo.pending < 0 {
+		panic(fmt.Sprintf("cache: sub-operation completion at %v landed on an idle front op (a device completed a request twice)", t))
+	}
 	c.inflight--
-	done := fo.done
+	done, hit, start := fo.done, fo.hit, fo.start
 	fo.done = nil
+	c.freeOps = append(c.freeOps, fo)
 	if c.tel != nil {
-		c.tel.OnComplete(fo.hit, fo.start, t)
+		c.tel.OnComplete(hit, start, t)
 	}
 	done(t)
 	if c.inflight == 0 {

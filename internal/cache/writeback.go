@@ -35,7 +35,7 @@ func (c *Cache) markDirty(slot int, lo, hi int64, now simtime.Time) {
 		growth = hi - lo
 		c.dirtySeq++
 		ln.dirtySeq = c.dirtySeq
-		c.dirtyQueue = append(c.dirtyQueue, dirtyRef{slot: slot, seq: ln.dirtySeq})
+		c.dirtyQueue.Push(dirtyRef{slot: slot, seq: ln.dirtySeq})
 		c.dirtyLines++
 	} else {
 		old := ln.dirtyHi - ln.dirtyLo
@@ -66,9 +66,8 @@ func (c *Cache) markDirty(slot int, lo, hi int64, now simtime.Time) {
 // popDirty returns the oldest still-dirty slot, skipping entries
 // staled by earlier writebacks, or -1 when the queue is empty.
 func (c *Cache) popDirty() int {
-	for len(c.dirtyQueue) > 0 {
-		ref := c.dirtyQueue[0]
-		c.dirtyQueue = c.dirtyQueue[1:]
+	for c.dirtyQueue.Len() > 0 {
+		ref := c.dirtyQueue.Take(0)
 		if ln := &c.lines[ref.slot]; ln.valid && ln.dirty() && ln.dirtySeq == ref.seq {
 			return ref.slot
 		}
@@ -100,8 +99,11 @@ func (c *Cache) issueWriteback(slot int, now simtime.Time) {
 	if c.tel != nil {
 		c.tel.OnWriteback(n)
 	}
-	c.submitBacking(req, func(simtime.Time) { c.outstandingWB-- })
+	c.submitBacking(req, c.wbDone)
 }
+
+// writebackDone retires one writeback IO.
+func (c *Cache) writebackDone(simtime.Time) { c.outstandingWB-- }
 
 // flushAll writes back every dirty line, oldest first.
 func (c *Cache) flushAll(now simtime.Time) {

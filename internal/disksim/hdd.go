@@ -134,11 +134,12 @@ type HDD struct {
 	pcg   rand.PCG
 	rng   rand.Rand // draws from &pcg
 
-	queue    []hddPending
+	queue    storage.FIFO[hddPending]
 	inflight hddPending // the request being served (drive is strictly serial)
 	busy     bool
 	spin     spinState
 	rpmFrac  float64 // DRPM speed fraction in [MinRPMFraction, 1]
+	spinW    float64 // spindle draw at rpmFrac, set by setRPM
 	sweepDir int     // LOOK sweep direction: +1 or -1
 	headCyl  int64   // current arm position
 	lastEnd  int64   // byte address following the last transfer (for sequential detection)
@@ -171,13 +172,13 @@ func (d *HDD) OnEvent(e *simtime.Engine, arg simtime.EventArg) {
 	case hddEvSpinUpDone:
 		d.spin = spinning
 		d.setPower(e.Now(), "idle")
-		if len(d.queue) > 0 && !d.busy {
+		if d.queue.Len() > 0 && !d.busy {
 			d.busy = true
 			d.startNext()
 		}
 	case hddEvShiftDone:
 		d.spin = spinning
-		if len(d.queue) > 0 && !d.busy {
+		if d.queue.Len() > 0 && !d.busy {
 			d.busy = true
 			d.startNext()
 		}
@@ -194,7 +195,7 @@ func (d *HDD) OnEvent(e *simtime.Engine, arg simtime.EventArg) {
 		}
 		d.lastEnd = p.req.End()
 		d.headCyl = d.cylinderOf(p.req.End() - 1)
-		if len(d.queue) > 0 {
+		if d.queue.Len() > 0 {
 			d.startNext()
 		} else {
 			d.busy = false
@@ -205,10 +206,13 @@ func (d *HDD) OnEvent(e *simtime.Engine, arg simtime.EventArg) {
 	}
 }
 
-// spinPowerW models spindle draw versus speed: air drag scales roughly
-// with the cube of RPM, on top of an electronics floor.
-func (d *HDD) spinPowerW() float64 {
-	return d.params.IdleW * (0.2 + 0.8*math.Pow(d.rpmFrac, 2.8))
+// setRPM sets the spindle speed fraction and caches the spindle draw
+// at that speed: air drag scales roughly with the cube of RPM, on top
+// of an electronics floor.  The draw changes only with the speed, so
+// power steps read the cached value instead of calling math.Pow.
+func (d *HDD) setRPM(frac float64) {
+	d.rpmFrac = frac
+	d.spinW = d.params.IdleW * (0.2 + 0.8*math.Pow(frac, 2.8))
 }
 
 // powerOf computes the draw for a named drive state at the current
@@ -216,11 +220,11 @@ func (d *HDD) spinPowerW() float64 {
 func (d *HDD) powerOf(state string) float64 {
 	switch state {
 	case "idle":
-		return d.spinPowerW()
+		return d.spinW
 	case "active":
-		return d.spinPowerW() + (d.params.ActiveW - d.params.IdleW)
+		return d.spinW + (d.params.ActiveW - d.params.IdleW)
 	case "seek":
-		return d.spinPowerW() + (d.params.SeekW - d.params.IdleW)
+		return d.spinW + (d.params.SeekW - d.params.IdleW)
 	case "standby":
 		return d.params.StandbyW
 	case "spinup":
@@ -255,11 +259,11 @@ func NewHDD(engine *simtime.Engine, params HDDParams) *HDD {
 		params:   params,
 		power:    *powersim.NewTimeline(params.IdleW),
 		pcg:      *rand.NewPCG(params.Seed, 0xd15c),
-		rpmFrac:  1,
 		lastEnd:  -1,
 		sweepDir: 1,
 	}
 	d.rng = *rand.New(&d.pcg)
+	d.setRPM(1)
 	return d
 }
 
@@ -273,14 +277,14 @@ func (d *HDD) Timeline() *powersim.Timeline { return &d.power }
 func (d *HDD) Stats() HDDStats { return d.stats }
 
 // QueueDepth reports queued-but-unstarted requests (tests use it).
-func (d *HDD) QueueDepth() int { return len(d.queue) }
+func (d *HDD) QueueDepth() int { return d.queue.Len() }
 
 // Standby stops the spindle to save power.  It reports false (and does
 // nothing) when the drive is busy or already stopped; a policy should
 // simply retry later.  The next Submit transparently spins the drive
 // back up, delaying queued requests by the spin-up time.
 func (d *HDD) Standby() bool {
-	if d.busy || d.spin != spinning || len(d.queue) > 0 {
+	if d.busy || d.spin != spinning || d.queue.Len() > 0 {
 		return false
 	}
 	d.spin = standby
@@ -316,7 +320,7 @@ func (d *HDD) RPMFraction() float64 { return d.rpmFrac }
 // queued.  Policies check it before proposing a shift so their decision
 // ledgers record only shifts that actually happen.
 func (d *HDD) CanSetRPM() bool {
-	return !d.busy && d.spin == spinning && len(d.queue) == 0
+	return !d.busy && d.spin == spinning && d.queue.Len() == 0
 }
 
 // SetRPMFraction changes the spindle speed (DRPM, Gurumurthi et al.):
@@ -326,7 +330,7 @@ func (d *HDD) CanSetRPM() bool {
 // accepted while the drive is idle and spinning.  frac clamps to
 // [MinRPMFraction, 1].
 func (d *HDD) SetRPMFraction(frac float64) bool {
-	if d.busy || d.spin != spinning || len(d.queue) > 0 {
+	if d.busy || d.spin != spinning || d.queue.Len() > 0 {
 		return false
 	}
 	if frac > 1 {
@@ -338,7 +342,7 @@ func (d *HDD) SetRPMFraction(frac float64) bool {
 	if frac == d.rpmFrac {
 		return true
 	}
-	d.rpmFrac = frac
+	d.setRPM(frac)
 	d.stats.RPMShifts++
 	d.spin = spinningUp // unavailable during the shift
 	now := d.engine.Now()
@@ -388,7 +392,7 @@ func (d *HDD) Submit(req storage.Request, done func(simtime.Time)) {
 		panic(fmt.Sprintf("disksim: invalid request: %v", err))
 	}
 	req.Offset = foldOffset(req.Offset, req.Size, d.params.CapacityBytes)
-	d.queue = append(d.queue, hddPending{req: req, done: done})
+	d.queue.Push(hddPending{req: req, done: done})
 	switch d.spin {
 	case standby:
 		// Wake the spindle; service resumes once it is back to speed.
@@ -407,12 +411,10 @@ func (d *HDD) Submit(req storage.Request, done func(simtime.Time)) {
 	}
 }
 
-// startNext begins service of the head of the queue at the current
-// virtual time.  The caller guarantees the queue is non-empty.
+// startNext begins service of the request the scheduler picks at the
+// current virtual time.  The caller guarantees the queue is non-empty.
 func (d *HDD) startNext() {
-	i := d.selectNext()
-	p := d.queue[i]
-	d.queue = append(d.queue[:i], d.queue[i+1:]...)
+	p := d.queue.Take(d.selectNext())
 	now := d.engine.Now()
 
 	seek, transfer := d.serviceTime(p.req)

@@ -39,8 +39,8 @@ func (d *HDD) selectNext() int {
 	switch d.params.Scheduler {
 	case SSTF:
 		best, bestDist := 0, int64(-1)
-		for i, p := range d.queue {
-			dist := d.cylinderOf(p.req.Offset) - d.headCyl
+		for i := range d.queue.Len() {
+			dist := d.cylinderOf(d.queue.At(i).req.Offset) - d.headCyl
 			if dist < 0 {
 				dist = -dist
 			}
@@ -54,8 +54,8 @@ func (d *HDD) selectNext() int {
 		// none remains ahead of the head.
 		for attempt := 0; attempt < 2; attempt++ {
 			best, bestDist := -1, int64(-1)
-			for i, p := range d.queue {
-				delta := d.cylinderOf(p.req.Offset) - d.headCyl
+			for i := range d.queue.Len() {
+				delta := d.cylinderOf(d.queue.At(i).req.Offset) - d.headCyl
 				if d.sweepDir < 0 {
 					delta = -delta
 				}

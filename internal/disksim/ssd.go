@@ -99,7 +99,7 @@ type SSD struct {
 	power  *powersim.StateMachine
 	rng    *rand.Rand
 
-	queue    []ssdPending
+	queue    storage.FIFO[ssdPending]
 	inflight ssdPending // the request being served (device is strictly serial)
 	busy     bool
 	lastEnd  int64
@@ -131,7 +131,7 @@ func (d *SSD) OnEvent(e *simtime.Engine, _ simtime.EventArg) {
 		d.stats.BytesWritten += p.req.Size
 	}
 	d.lastEnd = p.req.End()
-	if len(d.queue) > 0 {
+	if d.queue.Len() > 0 {
 		d.startNext()
 	} else {
 		d.busy = false
@@ -177,7 +177,7 @@ func (d *SSD) Timeline() *powersim.Timeline { return d.power.Timeline() }
 func (d *SSD) Stats() SSDStats { return d.stats }
 
 // QueueDepth reports queued-but-unstarted requests.
-func (d *SSD) QueueDepth() int { return len(d.queue) }
+func (d *SSD) QueueDepth() int { return d.queue.Len() }
 
 // CheckInvariants verifies the device's internal accounting.  It is
 // meaningful once the simulation has drained; call it after engine.Run
@@ -217,7 +217,7 @@ func (d *SSD) Submit(req storage.Request, done func(simtime.Time)) {
 		panic(fmt.Sprintf("disksim: invalid request: %v", err))
 	}
 	req.Offset = foldOffset(req.Offset, req.Size, d.params.CapacityBytes)
-	d.queue = append(d.queue, ssdPending{req: req, done: done})
+	d.queue.Push(ssdPending{req: req, done: done})
 	if !d.busy {
 		d.busy = true
 		d.startNext()
@@ -225,8 +225,7 @@ func (d *SSD) Submit(req storage.Request, done func(simtime.Time)) {
 }
 
 func (d *SSD) startNext() {
-	p := d.queue[0]
-	d.queue = d.queue[1:]
+	p := d.queue.Take(0)
 	now := d.engine.Now()
 
 	st := d.params.CmdOverhead + d.serviceTime(p.req)

@@ -18,9 +18,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -645,18 +645,21 @@ type Tails struct {
 	Mean, Max, P50, P99, P999 simtime.Duration
 }
 
-// tailStats sorts responses in place and computes its tails.
+// tailStats computes the tails of a non-empty response population,
+// reordering responses in place.
 func tailStats(responses []simtime.Duration) Tails {
-	slices.Sort(responses)
 	var sum simtime.Duration
+	hi := responses[0]
 	for _, r := range responses {
 		sum += r
+		hi = max(hi, r)
 	}
+	byValue := cmp.Compare[simtime.Duration]
 	return Tails{
 		Mean: sum / simtime.Duration(len(responses)),
-		Max:  responses[len(responses)-1],
-		P50:  metrics.NearestRank(responses, 0.50),
-		P99:  metrics.NearestRank(responses, 0.99),
-		P999: metrics.NearestRank(responses, 0.999),
+		Max:  hi,
+		P50:  metrics.NearestRank(responses, 0.50, byValue),
+		P99:  metrics.NearestRank(responses, 0.99, byValue),
+		P999: metrics.NearestRank(responses, 0.999, byValue),
 	}
 }

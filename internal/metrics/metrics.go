@@ -8,6 +8,8 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -130,17 +132,71 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// NearestRank returns the nearest-rank q-quantile of an ascending
-// sample: the element of 1-based rank int(q·n+0.5), clamped to [1, n].
-// An empty sample yields the zero value.  Replay and fleet response
-// tails both report through it.
-func NearestRank[S ~[]E, E any](sorted S, q float64) E {
-	if len(sorted) == 0 {
+// NearestRank returns the nearest-rank q-quantile of s: the element
+// of 1-based rank int(q·n+0.5), clamped to [1, n], in the ascending
+// order cmp defines.  It selects instead of sorting: s is partially
+// reordered, and the result compares equal to the element a full sort
+// would put at that rank, so percentiles read through it are the ones
+// a sort gives.  An empty sample yields the zero value.  Replay and
+// fleet response tails both report through it.
+//
+// The selection is a quickselect with a median-of-three pivot and
+// Hoare's partition, which swaps only misplaced pairs, so presorted
+// runs cost no swaps and equal values split evenly.  After
+// 2·⌈log₂ n⌉ partition rounds it sorts the range still open, which
+// bounds the worst case at O(n log n) comparisons.
+func NearestRank[S ~[]E, E any](s S, q float64, cmp func(a, b E) int) E {
+	n := len(s)
+	if n == 0 {
 		var zero E
 		return zero
 	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	return sorted[max(0, min(idx, len(sorted)-1))]
+	k := max(0, min(int(q*float64(n)+0.5)-1, n-1))
+	lo, hi := 0, n-1 // rank k lies in s[lo..hi]
+	for rounds := 2 * bits.Len(uint(n-1)); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.SortFunc(s[lo:hi+1], cmp)
+			break
+		}
+		// Order the first, middle and last entries; the middle one is
+		// the pivot, and the outer two bound the scans below.
+		mid := lo + (hi-lo)/2
+		if cmp(s[mid], s[lo]) < 0 {
+			s[lo], s[mid] = s[mid], s[lo]
+		}
+		if cmp(s[hi], s[mid]) < 0 {
+			s[mid], s[hi] = s[hi], s[mid]
+			if cmp(s[mid], s[lo]) < 0 {
+				s[lo], s[mid] = s[mid], s[lo]
+			}
+		}
+		pivot := s[mid]
+		// Afterwards s[lo..j] <= pivot <= s[i..hi], and anything
+		// between j and i equals the pivot.
+		i, j := lo, hi
+		for i <= j {
+			for cmp(s[i], pivot) < 0 {
+				i++
+			}
+			for cmp(pivot, s[j]) < 0 {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }
 
 // Pearson computes the linear correlation coefficient of two equal-

@@ -1,7 +1,11 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -162,11 +166,133 @@ func TestNearestRank(t *testing.T) {
 		q    float64
 		want int64
 	}{{0.5, 5}, {1.0, 10}, {0.01, 1}, {0.95, 10}, {0.94, 9}, {0, 1}} {
-		if got := NearestRank(sorted, c.q); got != c.want {
+		if got := NearestRank(sorted, c.q, cmp.Compare[int64]); got != c.want {
 			t.Errorf("NearestRank(1..10, %v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if got := NearestRank([]int64(nil), 0.5); got != 0 {
+	if got := NearestRank([]int64(nil), 0.5, cmp.Compare[int64]); got != 0 {
 		t.Fatalf("empty sample = %v, want 0", got)
+	}
+
+	// Differential: selection returns what a full sort puts at the
+	// nearest rank, for every shape and size, including when one slice
+	// is selected from repeatedly (as replay and fleet do) and so
+	// arrives partially reordered.
+	rng := rand.New(rand.NewPCG(5, 5))
+	shapes := map[string]func(n int) []int64{
+		"duplicates": func(n int) []int64 {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = rng.Int64N(int64(n/10 + 1))
+			}
+			return xs
+		},
+		"sorted": func(n int) []int64 {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = int64(i)
+			}
+			return xs
+		},
+		"reversed": func(n int) []int64 {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = int64(n - i)
+			}
+			return xs
+		},
+		"equal": func(n int) []int64 { return make([]int64, n) },
+		"organ-pipe": func(n int) []int64 {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = int64(min(i, n-1-i))
+			}
+			return xs
+		},
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{0, 1, 2, 13, 1000, 100_000} {
+			orig := shape(n)
+			xs := slices.Clone(orig)
+			want := slices.Clone(orig)
+			slices.Sort(want)
+			for _, q := range []float64{0, 0.5, 0.95, 0.99, 0.999, 1} {
+				var wantQ int64
+				if n > 0 {
+					wantQ = want[max(0, min(int(q*float64(n)+0.5)-1, n-1))]
+				}
+				if got := NearestRank(xs, q, cmp.Compare[int64]); got != wantQ {
+					t.Errorf("%s n=%d q=%v: NearestRank = %d, sort gives %d", name, n, q, got, wantQ)
+				}
+				if got := NearestRank(slices.Clone(orig), q, cmp.Compare[int64]); got != wantQ {
+					t.Errorf("%s n=%d q=%v on a fresh copy: NearestRank = %d, sort gives %d", name, n, q, got, wantQ)
+				}
+			}
+			slices.Sort(xs)
+			if !slices.Equal(xs, want) {
+				t.Errorf("%s n=%d: NearestRank did not permute its input", name, n)
+			}
+		}
+	}
+}
+
+// TestNearestRankWorstCase feeds the selection an input built against
+// it: McIlroy's adversary ("A Killer Adversary for Quicksort", 1999)
+// decides comparisons lazily so every median-of-three pivot lands near
+// the bottom of the open range, which makes plain quickselect
+// quadratic.  Replayed as fixed values, the input must cost more than
+// n·⌈log₂ n⌉ comparisons, showing it defeats the pivots, yet stay
+// within 4·n·⌈log₂ n⌉, which only the fallback to sorting guarantees.
+func TestNearestRankWorstCase(t *testing.T) {
+	const n = 20_000
+	logN := bits.Len(uint(n - 1))
+	// Build the input: items start as "gas", above every solid value;
+	// a gas-gas comparison freezes one side to the next solid value,
+	// preferring the item last seen against a solid one (the likely
+	// pivot).
+	gas := int64(n)
+	val := make([]int64, n)
+	for i := range val {
+		val[i] = gas
+	}
+	solid, candidate := int64(0), -1
+	adversary := func(x, y int) int {
+		if val[x] == gas && val[y] == gas {
+			if x == candidate {
+				val[x], solid = solid, solid+1
+			} else {
+				val[y], solid = solid, solid+1
+			}
+		}
+		if val[x] == gas {
+			candidate = x
+		} else if val[y] == gas {
+			candidate = y
+		}
+		return cmp.Compare(val[x], val[y])
+	}
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
+	}
+	NearestRank(items, 0.5, adversary)
+
+	xs := slices.Clone(val)
+	want := slices.Clone(val)
+	slices.Sort(want)
+	comparisons := 0
+	got := NearestRank(xs, 0.5, func(a, b int64) int {
+		comparisons++
+		return cmp.Compare(a, b)
+	})
+	if wantQ := want[n/2-1]; got != wantQ {
+		t.Fatalf("NearestRank = %d, sort gives %d", got, wantQ)
+	}
+	if comparisons <= n*logN {
+		t.Fatalf("%d comparisons: the input does not defeat median-of-three pivots", comparisons)
+	}
+	t.Logf("%d comparisons, n log n = %d", comparisons, n*logN)
+	if limit := 4 * n * logN; comparisons > limit {
+		t.Fatalf("%d comparisons on the adversarial input, want at most %d", comparisons, limit)
 	}
 }

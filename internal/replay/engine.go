@@ -3,7 +3,6 @@ package replay
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/blktrace"
 	"repro/internal/metrics"
@@ -17,11 +16,6 @@ type Options struct {
 	// SamplingCycle is the reporting interval for per-interval
 	// throughput (paper default: 1 second, configurable).
 	SamplingCycle simtime.Duration
-	// Tail bounds how long the engine waits after the last bunch for
-	// outstanding completions; zero waits indefinitely (until the
-	// simulation drains, which always terminates for the device models
-	// in this repository).
-	Tail simtime.Duration
 	// Observer, when non-nil, receives every issue and completion as it
 	// happens.  The conformance layer (internal/check) uses it to
 	// assert causality and per-device FIFO ordering without adding any
@@ -107,11 +101,42 @@ func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, o
 	// One run handler serves every bunch-issue event, carrying the bunch
 	// index in the event argument: no closure per bunch.  The bunches go
 	// in as one series, so the heap holds only the next bunch instead of
-	// the whole unissued trace.  The completion slice is the hottest
-	// remaining allocation of a replay run: one record per IO package,
-	// appended from the tightest callback.  The trace knows its package
-	// count up front, so reserve it all.
-	run := &openLoopRun{
+	// the whole unissued trace.  The replay runs the simulation until it
+	// drains, which always terminates for the device models in this
+	// repository, so every issued IO has completed when Replay returns.
+	r := newRun(engine, dev, trace, res, opts)
+	engine.ScheduleSeries(len(trace.Bunches), func(i int) simtime.Time {
+		return start.Add(trace.Bunches[i].Time)
+	}, r)
+	engine.Run()
+
+	finalize(res, r.completions, start.Add(trace.Duration()), cycle)
+	return res, nil
+}
+
+// run is the state of one replay call.  Both modes issue every package
+// through issue and complete it through an in-flight record.
+type run struct {
+	engine      *simtime.Engine
+	dev         storage.Device
+	trace       *blktrace.Trace
+	res         *Result
+	obs         Observer
+	tel         *telemetry.ReplayProbe
+	completions []completion
+	// free is a LIFO list of idle in-flight records.
+	free []*inflight
+	// closedLoop makes each completion issue the package at the
+	// cursor (nextBunch, nextPkg), walking the trace in order.
+	closedLoop         bool
+	nextBunch, nextPkg int
+}
+
+func newRun(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, res *Result, opts Options) *run {
+	// The completion slice is the one record kept per IO.  The trace
+	// knows its package count up front, so reserve it all.
+	return &run{
+		engine:      engine,
 		dev:         dev,
 		trace:       trace,
 		res:         res,
@@ -119,66 +144,107 @@ func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, o
 		tel:         opts.Telemetry,
 		completions: make([]completion, 0, trace.NumIOs()),
 	}
-	engine.ScheduleSeries(len(trace.Bunches), func(i int) simtime.Time {
-		return start.Add(trace.Bunches[i].Time)
-	}, run)
-	if opts.Tail > 0 {
-		engine.RunUntil(start.Add(trace.Duration() + opts.Tail))
-	} else {
-		engine.Run()
-	}
-
-	finalize(res, run.completions, start.Add(trace.Duration()), cycle)
-	return res, nil
 }
 
-// openLoopRun is the closure-free bunch-issue handler for one Replay
-// call: OnEvent fires at a bunch's arrival time and submits all of its
-// packages concurrently.
-type openLoopRun struct {
-	dev         storage.Device
-	trace       *blktrace.Trace
-	res         *Result
-	obs         Observer
-	tel         *telemetry.ReplayProbe
-	completions []completion
-}
-
-// OnEvent implements simtime.Handler; arg.I64 is the bunch index.
-func (r *openLoopRun) OnEvent(e *simtime.Engine, arg simtime.EventArg) {
-	issueTime := e.Now()
+// OnEvent implements simtime.Handler for the open-loop bunch series:
+// it fires at a bunch's arrival time, arg.I64 is the bunch index, and
+// all of the bunch's packages are issued concurrently.
+func (r *run) OnEvent(_ *simtime.Engine, arg simtime.EventArg) {
 	bunch := int(arg.I64)
-	for pi, p := range r.trace.Bunches[arg.I64].Packages {
-		size := p.Size
-		r.res.Issued++
-		if r.obs != nil {
-			r.obs.ObserveIssue(bunch, pi, issueTime)
-		}
-		r.tel.OnIssue(bunch, pi, issueTime)
-		pkg := pi
-		r.dev.Submit(p.Request(), func(finish simtime.Time) {
-			r.res.Completed++
-			if r.obs != nil {
-				r.obs.ObserveComplete(bunch, pkg, issueTime, finish)
-			}
-			r.tel.OnComplete(bunch, pkg, issueTime, finish, size)
-			r.completions = append(r.completions, completion{
-				finish:   finish,
-				issue:    issueTime,
-				bytes:    size,
-				response: finish.Sub(issueTime),
-			})
-		})
+	for pi := range r.trace.Bunches[bunch].Packages {
+		r.issue(bunch, pi)
 	}
+}
+
+// issue submits package pkg of bunch now, through an idle record.
+func (r *run) issue(bunch, pkg int) {
+	now := r.engine.Now()
+	p := r.trace.Bunches[bunch].Packages[pkg]
+	f := r.get()
+	f.bunch, f.pkg, f.issued, f.size = bunch, pkg, now, p.Size
+	r.res.Issued++
+	if r.obs != nil {
+		r.obs.ObserveIssue(bunch, pkg, now)
+	}
+	r.tel.OnIssue(bunch, pkg, now)
+	r.dev.Submit(p.Request(), f.done)
+}
+
+// issueNext issues the closed-loop cursor's package now and advances
+// the cursor; it reports false once the trace is exhausted.
+func (r *run) issueNext() bool {
+	if r.nextBunch >= len(r.trace.Bunches) {
+		return false
+	}
+	r.issue(r.nextBunch, r.nextPkg)
+	if r.nextPkg++; r.nextPkg == len(r.trace.Bunches[r.nextBunch].Packages) {
+		r.nextBunch, r.nextPkg = r.nextBunch+1, 0
+	}
+	return true
+}
+
+// inflight carries one issued package to its completion.  Records
+// recycle through the run's free list and bind their completion
+// callback once, when first created, so a warm replay allocates
+// nothing per IO.
+type inflight struct {
+	r          *run
+	bunch, pkg int
+	issued     simtime.Time
+	size       int64
+	busy       bool
+	// done is complete bound once: the callback the device fires.
+	done func(simtime.Time)
+}
+
+// get takes an idle record off the run's free list.
+func (r *run) get() *inflight {
+	var f *inflight
+	if n := len(r.free); n > 0 {
+		f = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		f = &inflight{r: r}
+		f.done = f.complete
+	}
+	f.busy = true
+	return f
+}
+
+// complete records the package's completion and recycles the record.
+// An idle record cannot be owed one: the device completed a request
+// twice, and the record may already carry a later IO.
+func (f *inflight) complete(finish simtime.Time) {
+	if !f.busy {
+		panic(fmt.Sprintf("replay: completion at %v landed on an idle in-flight record (a device completed a request twice)", finish))
+	}
+	f.busy = false
+	r := f.r
+	r.res.Completed++
+	if r.obs != nil {
+		r.obs.ObserveComplete(f.bunch, f.pkg, f.issued, finish)
+	}
+	r.tel.OnComplete(f.bunch, f.pkg, f.issued, finish, f.size)
+	r.completions = append(r.completions, completion{
+		finish:   finish,
+		bytes:    f.size,
+		response: finish.Sub(f.issued),
+	})
+	if r.closedLoop {
+		r.issueNext()
+	}
+	r.free = append(r.free, f)
 }
 
 // completion records one finished IO for aggregation.
 type completion struct {
 	finish   simtime.Time
-	issue    simtime.Time
 	bytes    int64
 	response simtime.Duration
 }
+
+// byResponse orders completions by response time.
+func byResponse(a, b completion) int { return cmp.Compare(a.response, b.response) }
 
 // finalize derives throughput, response statistics and the per-cycle
 // interval series from raw completions.  minEnd extends the run window
@@ -202,7 +268,7 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 
 	// Per-cycle series, bucketing completions by finish time.  Bucket
 	// sums are order-independent, so this runs before the percentile
-	// sort reorders the slice.
+	// selection reorders the slice.
 	start := res.Start
 	if res.Duration() > 0 {
 		nBuckets := int((res.Duration() + cycle - 1) / cycle)
@@ -248,16 +314,13 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 
 	if res.Completed > 0 {
 		res.MeanResponse = respSum / simtime.Duration(res.Completed)
-		// Sort the completions themselves by response time instead of
-		// copying responses into a scratch slice: the records are not
-		// needed in finish order past this point, so the percentile
-		// pass allocates nothing.
-		slices.SortFunc(completions, func(a, b completion) int {
-			return cmp.Compare(a.response, b.response)
-		})
-		res.P50Response = metrics.NearestRank(completions, 0.50).response
-		res.P95Response = metrics.NearestRank(completions, 0.95).response
-		res.P99Response = metrics.NearestRank(completions, 0.99).response
+		// Select on the completions themselves instead of copying
+		// responses into a scratch slice: the records are not needed in
+		// finish order past this point, so the percentile pass
+		// allocates nothing.
+		res.P50Response = metrics.NearestRank(completions, 0.50, byResponse).response
+		res.P95Response = metrics.NearestRank(completions, 0.95, byResponse).response
+		res.P99Response = metrics.NearestRank(completions, 0.99, byResponse).response
 	}
 	if secs := res.Duration().Seconds(); secs > 0 {
 		res.IOPS = float64(res.Completed) / secs
@@ -283,55 +346,15 @@ func ReplayClosedLoop(engine *simtime.Engine, dev storage.Device, trace *blktrac
 	}
 	start := engine.Now()
 	res := &Result{Trace: trace.Device, Start: start, Filter: "closed-loop"}
-	nIOs := trace.NumIOs()
-	completions := make([]completion, 0, nIOs)
-
-	// Flatten to a request list preserving trace order, remembering each
-	// package's (bunch, pkg) origin for the observer.
-	type flatPkg struct {
-		p          blktrace.IOPackage
-		bunch, pkg int
-	}
-	pkgs := make([]flatPkg, 0, nIOs)
-	for i := range trace.Bunches {
-		for pi, p := range trace.Bunches[i].Packages {
-			pkgs = append(pkgs, flatPkg{p: p, bunch: i, pkg: pi})
+	r := newRun(engine, dev, trace, res, opts)
+	r.closedLoop = true
+	for range queueDepth {
+		if !r.issueNext() {
+			break
 		}
-	}
-	next := 0
-	var issue func()
-	issue = func() {
-		if next >= len(pkgs) {
-			return
-		}
-		fp := pkgs[next]
-		next++
-		res.Issued++
-		issueTime := engine.Now()
-		if opts.Observer != nil {
-			opts.Observer.ObserveIssue(fp.bunch, fp.pkg, issueTime)
-		}
-		opts.Telemetry.OnIssue(fp.bunch, fp.pkg, issueTime)
-		dev.Submit(fp.p.Request(), func(finish simtime.Time) {
-			res.Completed++
-			if opts.Observer != nil {
-				opts.Observer.ObserveComplete(fp.bunch, fp.pkg, issueTime, finish)
-			}
-			opts.Telemetry.OnComplete(fp.bunch, fp.pkg, issueTime, finish, fp.p.Size)
-			completions = append(completions, completion{
-				finish:   finish,
-				issue:    issueTime,
-				bytes:    fp.p.Size,
-				response: finish.Sub(issueTime),
-			})
-			issue()
-		})
-	}
-	for i := 0; i < queueDepth && i < len(pkgs); i++ {
-		issue()
 	}
 	engine.Run()
-	finalize(res, completions, start, cycle)
+	finalize(res, r.completions, start, cycle)
 	return res, nil
 }
 

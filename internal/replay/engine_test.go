@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/blktrace"
@@ -175,19 +177,44 @@ func TestReplayHeapDepthIndependentOfTraceLength(t *testing.T) {
 	}
 }
 
-func TestReplayTailCutsWait(t *testing.T) {
-	e := simtime.NewEngine()
-	dev := &fixedLatencyDevice{engine: e, latency: simtime.Hour} // pathological device
-	tr := makeTrace(5)
-	res, err := Replay(e, dev, tr, Options{Tail: simtime.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 0 {
-		t.Fatalf("completed %d, expected tail to cut off the hour-long IOs", res.Completed)
-	}
-	if res.Issued != 5 {
-		t.Fatalf("issued = %d", res.Issued)
+// doubleDevice breaks the device contract: it completes every request
+// twice, in the same event.
+type doubleDevice struct{ fixedLatencyDevice }
+
+func (d *doubleDevice) Submit(req storage.Request, done func(simtime.Time)) {
+	finish := d.engine.Now().Add(d.latency)
+	d.engine.Schedule(finish, func() {
+		done(finish)
+		done(finish)
+	})
+}
+
+// TestReplayPanicsOnDoubleCompletion: a recycled in-flight record that
+// is completed twice must fail loudly, in both modes, rather than let
+// the second completion count as a later IO's.
+func TestReplayPanicsOnDoubleCompletion(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		replay func(*simtime.Engine, storage.Device, *blktrace.Trace) (*Result, error)
+	}{
+		{"open-loop", func(e *simtime.Engine, d storage.Device, tr *blktrace.Trace) (*Result, error) {
+			return Replay(e, d, tr, Options{})
+		}},
+		{"closed-loop", func(e *simtime.Engine, d storage.Device, tr *blktrace.Trace) (*Result, error) {
+			return ReplayClosedLoop(e, d, tr, 2, Options{})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "idle in-flight record") {
+					t.Fatalf("recovered %q, want the idle-record panic", msg)
+				}
+			}()
+			e := simtime.NewEngine()
+			dev := &doubleDevice{fixedLatencyDevice{engine: e, latency: simtime.Millisecond}}
+			_, _ = c.replay(e, dev, makeTrace(5))
+		})
 	}
 }
 

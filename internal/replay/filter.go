@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strconv"
+	"strings"
 
 	"repro/internal/blktrace"
 	"repro/internal/simtime"
@@ -47,6 +49,29 @@ type UniformFilter struct {
 // Name implements Filter.
 func (f UniformFilter) Name() string {
 	return fmt.Sprintf("uniform-%d%%", int(math.Round(f.Proportion*100)))
+}
+
+// ParseLoads parses a comma-separated list of load percentages, such
+// as "10,50,100", into proportions.  Every level must lie in
+// (0, 1000]: anything else, NaN and the infinities included, is an
+// error.  Above 100% the uniform filter replays the whole trace.
+func ParseLoads(s string) ([]float64, error) {
+	var loads []float64
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		pct, err := strconv.ParseFloat(part, 64)
+		if err != nil || !(pct > 0 && pct <= 1000) {
+			return nil, fmt.Errorf("bad load level %q", part)
+		}
+		loads = append(loads, pct/100)
+	}
+	if len(loads) == 0 {
+		return nil, fmt.Errorf("no load levels given")
+	}
+	return loads, nil
 }
 
 // selectIndices returns the uniformly spaced 0-based indices chosen
@@ -98,21 +123,20 @@ func (f UniformFilter) Apply(t *blktrace.Trace) *blktrace.Trace {
 	if p <= 0 {
 		return &blktrace.Trace{Device: t.Device}
 	}
-	out := &blktrace.Trace{Device: t.Device}
-	for start := 0; start < len(t.Bunches); start += g {
-		end := start + g
-		if end > len(t.Bunches) {
-			end = len(t.Bunches)
-		}
-		for _, i := range selectIndices(end-start, p) {
-			b := t.Bunches[start+i]
-			out.Bunches = append(out.Bunches, blktrace.Bunch{
-				Time:     b.Time,
-				Packages: append([]blktrace.IOPackage(nil), b.Packages...),
-			})
+	// Every full group selects the same positions; only a partial
+	// final group needs its own.
+	whole := len(t.Bunches) - len(t.Bunches)%g
+	inGroup, inLast := selectIndices(g, p), selectIndices(len(t.Bunches)-whole, p)
+	idx := make([]int, 0, whole/g*len(inGroup)+len(inLast))
+	for start := 0; start < whole; start += g {
+		for _, i := range inGroup {
+			idx = append(idx, start+i)
 		}
 	}
-	return out
+	for _, i := range inLast {
+		idx = append(idx, whole+i)
+	}
+	return t.Subset(idx)
 }
 
 // RandomFilter is the design the paper rejects: select each bunch
@@ -143,17 +167,14 @@ func (f RandomFilter) Apply(t *blktrace.Trace) *blktrace.Trace {
 		return &blktrace.Trace{Device: t.Device}
 	}
 	rng := rand.New(rand.NewPCG(f.Seed, 0xf117e2))
-	out := &blktrace.Trace{Device: t.Device}
-	for _, b := range t.Bunches {
+	var idx []int
+	for i := range t.Bunches {
 		if rng.Float64() >= p {
 			continue
 		}
-		out.Bunches = append(out.Bunches, blktrace.Bunch{
-			Time:     b.Time,
-			Packages: append([]blktrace.IOPackage(nil), b.Packages...),
-		})
+		idx = append(idx, i)
 	}
-	return out
+	return t.Subset(idx)
 }
 
 // IntervalScaler rescales inter-arrival times so the replayed intensity

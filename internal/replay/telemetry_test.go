@@ -76,6 +76,25 @@ func TestDisabledTelemetryReplayAllocsMatchBaseline(t *testing.T) {
 	}
 }
 
+// TestReplayAllocationsDoNotGrowPerIO: the replay's per-IO path is
+// allocation-free, so a trace four times longer costs almost no more
+// allocations.  What remains per extra IO is amortized slice growth
+// (power timelines, the completion record slice, interval buckets).
+func TestReplayAllocationsDoNotGrowPerIO(t *testing.T) {
+	web := func(d simtime.Duration) *blktrace.Trace {
+		p := synth.DefaultWebServer()
+		p.Duration = d
+		return synth.WebServerTrace(p)
+	}
+	short, long := web(2*simtime.Second), web(8*simtime.Second)
+	replayAllocs(t, short, false)
+	extra := float64(replayAllocs(t, long, false)) - float64(replayAllocs(t, short, false))
+	ios := float64(long.NumIOs() - short.NumIOs())
+	if perIO := extra / ios; perIO >= 0.1 {
+		t.Fatalf("%.0f more allocations for %.0f more IOs: %.3f per IO, want below 0.1", extra, ios, perIO)
+	}
+}
+
 // TestTelemetryProbeCountsReplay checks the enabled path records what
 // the replay reports, in both open- and closed-loop modes.
 func TestTelemetryProbeCountsReplay(t *testing.T) {
