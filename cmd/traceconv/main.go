@@ -1,23 +1,22 @@
 // Command traceconv is the trace-format transformer (paper Section
 // III-A2): it converts HP SRT-style trace files into the blktrace
-// ".replay" format TRACER loads, between the binary and readable text
-// formats, and into and out of the memory-mapped ".rmap" format that
-// `tracer replay -mmap` loads.
+// ".replay" format TRACER loads, and between the binary and readable
+// text formats.
 //
 // Conversions stream bunch-by-bunch — the full record set is never
 // materialized — except from SRT sources, whose unsorted timestamps
-// force a global sort before bunching.
+// force a global sort before bunching.  The output is written under a
+// temporary name and renamed over -out only once the whole input has
+// converted, so a failed conversion leaves an existing -out untouched.
 //
 // Usage:
 //
 //	traceconv -in cello.srt -out cello.replay [-srcdev disk3] [-window 100us] [-outdev cello99]
 //	traceconv -in t.replay -out t.txt -mode bin2text
 //	traceconv -in t.txt -out t.replay -mode text2bin
-//	traceconv -in t.replay -out t.rmap -mode bin2map
-//	traceconv -in t.rmap -out t.replay -mode map2bin
 //
 // The general form of -mode is <from>2<to> with from one of srt, bin,
-// text, map and to one of bin, text, map; plain "srt" means srt2bin.
+// text and to one of bin, text; plain "srt" means srt2bin.
 package main
 
 import (
@@ -45,12 +44,6 @@ type bunchWriter interface {
 	Close() error
 }
 
-// mappedSink adapts MappedWriter's (time, packages) signature.
-type mappedSink struct{ w *blktrace.MappedWriter }
-
-func (s mappedSink) WriteBunch(b blktrace.Bunch) error { return s.w.WriteBunch(b.Time, b.Packages) }
-func (s mappedSink) Close() error                      { return s.w.Close() }
-
 // scanSource pushes a trace through the streaming callbacks: device
 // first, then each bunch in order with a reusable package buffer.
 type scanSource func(device func(string) error, fn blktrace.ScanFunc) error
@@ -65,12 +58,12 @@ func parseMode(mode string) (from, to string, err error) {
 	}
 	from, to = parts[0], parts[1]
 	switch from {
-	case "srt", "bin", "text", "map":
+	case "srt", "bin", "text":
 	default:
 		return "", "", fmt.Errorf("unknown source format %q", from)
 	}
 	switch to {
-	case "bin", "text", "map":
+	case "bin", "text":
 	default:
 		return "", "", fmt.Errorf("unknown output format %q", to)
 	}
@@ -78,51 +71,38 @@ func parseMode(mode string) (from, to string, err error) {
 }
 
 func newSource(from, path string, opts srt.ConvertOptions) (scanSource, func() error, error) {
-	nop := func() error { return nil }
-	switch from {
-	case "bin", "text", "srt":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch from {
-		case "bin":
-			return func(dev func(string) error, fn blktrace.ScanFunc) error {
-				return blktrace.ScanBinary(f, dev, fn)
-			}, f.Close, nil
-		case "text":
-			return func(dev func(string) error, fn blktrace.ScanFunc) error {
-				return blktrace.ScanText(f, dev, fn)
-			}, f.Close, nil
-		default:
-			// SRT records may arrive out of order; conversion sorts
-			// globally, so this source alone materializes.
-			return func(dev func(string) error, fn blktrace.ScanFunc) error {
-				tr, err := srt.ConvertStream(f, opts)
-				if err != nil {
-					return err
-				}
-				if err := dev(tr.Device); err != nil {
-					return err
-				}
-				for _, b := range tr.Bunches {
-					if err := fn(b); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, f.Close, nil
-		}
-	case "map":
-		m, err := blktrace.OpenMapped(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(dev func(string) error, fn blktrace.ScanFunc) error {
-			return blktrace.ScanMapped(m, dev, fn)
-		}, m.Close, nil
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nop, fmt.Errorf("unknown source format %q", from)
+	switch from {
+	case "bin":
+		return func(dev func(string) error, fn blktrace.ScanFunc) error {
+			return blktrace.ScanBinary(f, dev, fn)
+		}, f.Close, nil
+	case "text":
+		return func(dev func(string) error, fn blktrace.ScanFunc) error {
+			return blktrace.ScanText(f, dev, fn)
+		}, f.Close, nil
+	default:
+		// SRT records may arrive out of order; conversion sorts
+		// globally, so this source alone materializes.
+		return func(dev func(string) error, fn blktrace.ScanFunc) error {
+			tr, err := srt.ConvertStream(f, opts)
+			if err != nil {
+				return err
+			}
+			if err := dev(tr.Device); err != nil {
+				return err
+			}
+			for _, b := range tr.Bunches {
+				if err := fn(b); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, f.Close, nil
+	}
 }
 
 func newSink(to string, f *os.File, device string) (bunchWriter, error) {
@@ -131,21 +111,60 @@ func newSink(to string, f *os.File, device string) (bunchWriter, error) {
 		return blktrace.NewBinaryStreamWriter(f, device)
 	case "text":
 		return blktrace.NewTextStreamWriter(f, device)
-	case "map":
-		w, err := blktrace.NewMappedWriter(f, device)
+	}
+	return nil, fmt.Errorf("unknown output format %q", to)
+}
+
+// output is the conversion's destination.  A new or regular -out is
+// written as path+".tmp" and renamed over path by commit, as the trace
+// repository stores entries, so a failed conversion leaves an existing
+// file untouched and creates none.  Any other path (a device or a
+// pipe) is written in place.
+type output struct {
+	*os.File
+	final string // path that commit renames the file to; "" in place
+}
+
+func createOutput(path string) (*output, error) {
+	if fi, err := os.Stat(path); err == nil && !fi.Mode().IsRegular() {
+		f, err := os.Create(path)
 		if err != nil {
 			return nil, err
 		}
-		return mappedSink{w}, nil
+		return &output{File: f}, nil
 	}
-	return nil, fmt.Errorf("unknown output format %q", to)
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return nil, err
+	}
+	return &output{File: f, final: path}, nil
+}
+
+// commit closes the file and moves it into place.
+func (o *output) commit() error {
+	err := o.Close()
+	if err == nil && o.final != "" {
+		err = os.Rename(o.Name(), o.final)
+	}
+	if err != nil {
+		o.discard()
+	}
+	return err
+}
+
+// discard closes the file and removes the temporary copy.
+func (o *output) discard() {
+	o.Close()
+	if o.final != "" {
+		os.Remove(o.Name())
+	}
 }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("traceconv", flag.ContinueOnError)
 	in := fs.String("in", "", "input file (required)")
 	outPath := fs.String("out", "", "output file (required)")
-	mode := fs.String("mode", "srt", "conversion <from>2<to>: srt, bin2text, text2bin, bin2map, map2bin, ...")
+	mode := fs.String("mode", "srt", "conversion <from>2<to> with <from> srt, bin or text and <to> bin or text; srt means srt2bin")
 	srcDev := fs.String("srcdev", "", "srt: filter records to one source device")
 	outDev := fs.String("outdev", "", "srt: device label for the output trace")
 	window := fs.Duration("window", 100_000, "srt: bunch coalescing window")
@@ -170,7 +189,7 @@ func run(args []string, out io.Writer) error {
 	}
 	defer closeSrc()
 
-	dst, err := os.Create(*outPath)
+	dst, err := createOutput(*outPath)
 	if err != nil {
 		return err
 	}
@@ -182,7 +201,7 @@ func run(args []string, out io.Writer) error {
 	)
 	err = scan(
 		func(dev string) error {
-			w, err = newSink(to, dst, dev)
+			w, err = newSink(to, dst.File, dev)
 			return err
 		},
 		func(b blktrace.Bunch) error {
@@ -195,10 +214,10 @@ func run(args []string, out io.Writer) error {
 		err = w.Close()
 	}
 	if err != nil {
-		dst.Close()
+		dst.discard()
 		return err
 	}
-	if err := dst.Close(); err != nil {
+	if err := dst.commit(); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "converted %s -> %s (%s): %d IOs, %d bunches, %.3fs\n",

@@ -86,90 +86,63 @@ func TestBinTextRoundTripViaCLI(t *testing.T) {
 	}
 }
 
-// TestMappedRoundTripViaCLI drives bin -> map -> bin and bin -> map ->
-// text -> bin through the streaming converter and requires byte
-// identity with the direct conversion.
-func TestMappedRoundTripViaCLI(t *testing.T) {
+// TestFailedConversionKeepsOut is the regression gate for damaged
+// inputs: a conversion that fails mid-stream returns the labelled
+// format error, leaves an existing -out byte-identical, and creates no
+// file (not even a temporary one) when -out did not exist.
+func TestFailedConversionKeepsOut(t *testing.T) {
 	dir := t.TempDir()
 	in := writeSRT(t, dir)
 	bin := filepath.Join(dir, "t.replay")
-	rmap := filepath.Join(dir, "t.rmap")
-	bin2 := filepath.Join(dir, "t2.replay")
-	txt := filepath.Join(dir, "t.txt")
 	var buf bytes.Buffer
 	if err := run([]string{"-in", in, "-out", bin}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-in", bin, "-out", rmap, "-mode", "bin2map"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-in", rmap, "-out", bin2, "-mode", "map2bin"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	b1, err := os.ReadFile(bin)
+	good, err := os.ReadFile(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := os.ReadFile(bin2)
-	if err != nil {
-		t.Fatal(err)
+	inputs := []struct{ name, mode, data string }{
+		{"truncated", "bin2text", string(good[:len(good)-5])},
+		{"garbled", "bin2text", string(good[:9]) + strings.Repeat("\xff", 16)},
+		{"invalid second package", "text2bin", "device d\nB 0 2\n0 512 R\n0 -7 W\n"},
+		{"invalid second bunch", "text2bin", "device d\nB 5 1\n0 512 R\nB 4 1\n8 512 R\n"},
 	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("bin -> map -> bin round trip changed the file")
-	}
-	if err := run([]string{"-in", rmap, "-out", txt, "-mode", "map2text"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := blktrace.ReadFile(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	trTxt, err := blktrace.ReadText(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trTxt.Device != tr.Device || trTxt.NumIOs() != tr.NumIOs() || trTxt.NumBunches() != tr.NumBunches() {
-		t.Fatalf("map2text mismatch: %s %d/%d vs %s %d/%d", trTxt.Device, trTxt.NumIOs(), trTxt.NumBunches(),
-			tr.Device, tr.NumIOs(), tr.NumBunches())
-	}
-}
-
-// TestCorruptMappedInputFails is the regression gate: a truncated .rmap
-// mapping must fail conversion with the labelled format error, not
-// panic or produce a silently wrong output file.
-func TestCorruptMappedInputFails(t *testing.T) {
-	dir := t.TempDir()
-	in := writeSRT(t, dir)
-	bin := filepath.Join(dir, "t.replay")
-	rmap := filepath.Join(dir, "t.rmap")
-	var buf bytes.Buffer
-	if err := run([]string{"-in", in, "-out", bin}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-in", bin, "-out", rmap, "-mode", "bin2map"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(rmap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, mut := range map[string][]byte{
-		"truncated": good[:len(good)-5],
-		"garbled":   append(append([]byte{}, good[:9]...), bytes.Repeat([]byte{0xFF}, 16)...),
-	} {
-		bad := filepath.Join(dir, name+".rmap")
-		if err := os.WriteFile(bad, mut, 0o644); err != nil {
+	for _, tc := range inputs {
+		src := filepath.Join(dir, tc.name+".in")
+		if err := os.WriteFile(src, []byte(tc.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := run([]string{"-in", bad, "-out", filepath.Join(dir, name+".out"), "-mode", "map2bin"}, &buf)
-		if !errors.Is(err, blktrace.ErrBadFormat) {
-			t.Errorf("%s: got %v, want ErrBadFormat", name, err)
+		existing := filepath.Join(dir, tc.name+".existing")
+		before := []byte("an earlier conversion's output\n")
+		if err := os.WriteFile(existing, before, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		missing := filepath.Join(dir, tc.name+".missing")
+		for _, out := range []string{existing, missing} {
+			err := run([]string{"-in", src, "-out", out, "-mode", tc.mode}, &buf)
+			if !errors.Is(err, blktrace.ErrBadFormat) {
+				t.Errorf("%s -> %s: got %v, want ErrBadFormat", tc.name, filepath.Base(out), err)
+			}
+			if _, err := os.Stat(out + ".tmp"); !os.IsNotExist(err) {
+				t.Errorf("%s: temporary output left behind: %v", tc.name, err)
+			}
+		}
+		if after, err := os.ReadFile(existing); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: existing -out changed to %q (%v)", tc.name, after, err)
+		}
+		if _, err := os.Stat(missing); !os.IsNotExist(err) {
+			t.Errorf("%s: failed conversion created -out: %v", tc.name, err)
+		}
+	}
+
+	// A conversion that succeeds replaces an existing -out.
+	out := filepath.Join(dir, "truncated.existing")
+	if err := run([]string{"-in", bin, "-out", out, "-mode", "bin2bin"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(out); err != nil || !bytes.Equal(after, good) {
+		t.Errorf("successful conversion did not replace -out: %v", err)
 	}
 }
 

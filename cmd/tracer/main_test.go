@@ -10,6 +10,7 @@ import (
 	"repro/internal/blktrace"
 	"repro/internal/replay"
 	"repro/internal/repository"
+	"repro/internal/simtime"
 	"repro/internal/srt"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -264,58 +265,6 @@ func TestReplayAndReportCommands(t *testing.T) {
 	}
 }
 
-// TestMappedReplayMatchesBuffered drives -mmap through the CLI and
-// requires an .rmap replay to report exactly what the same trace
-// replayed from a .replay file reports — at full load, filtered, and
-// behind a cache tier — and to export the same artifact set.
-func TestMappedReplayMatchesBuffered(t *testing.T) {
-	dir := t.TempDir()
-	repoDir := filepath.Join(dir, "traces")
-	runOK(t, "gen-real", "-repo", repoDir, "-kind", "web")
-	name := repository.RealName("raid5-hdd", "web-o4")
-	repo, err := repository.Open(repoDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := repo.Load(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(dir, "t.replay")
-	rmap := filepath.Join(dir, "t.rmap")
-	if err := blktrace.WriteFile(bin, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := blktrace.WriteMappedFile(rmap, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	// Everything before the telemetry line (the result line, plus the
-	// cache line with a tier) must be identical across trace formats.
-	results := func(out string) string {
-		j := strings.Index(out, "\ntelemetry written")
-		if !strings.HasPrefix(out, "replayed ") || j < 0 {
-			t.Fatalf("unexpected replay output: %s", out)
-		}
-		return out[:j]
-	}
-	for _, extra := range [][]string{nil, {"-load", "50"}, {"-cache-tier", "dram"}} {
-		name := strings.Join(extra, " ")
-		bufDir := filepath.Join(dir, "tel-replay", name)
-		mapDir := filepath.Join(dir, "tel-rmap", name)
-		want := runOK(t, append([]string{"replay", "-in", bin, "-telemetry-dir", bufDir}, extra...)...)
-		got := runOK(t, append([]string{"replay", "-in", rmap, "-mmap", "-telemetry-dir", mapDir}, extra...)...)
-		if results(got) != results(want) {
-			t.Errorf("-mmap %s: results diverged from .replay:\n got %s\nwant %s", name, results(got), results(want))
-		}
-		for _, f := range []string{"summary.json", "series.csv", "power_wall.csv"} {
-			if _, err := os.Stat(filepath.Join(mapDir, f)); err != nil {
-				t.Errorf("-mmap %s: artifact %s missing: %v", name, f, err)
-			}
-		}
-	}
-}
-
 func TestReplayAndReportErrors(t *testing.T) {
 	var buf bytes.Buffer
 	cases := [][]string{
@@ -323,13 +272,31 @@ func TestReplayAndReportErrors(t *testing.T) {
 		{"replay", "-trace", "a", "-in", "b"}, // both sources
 		{"replay", "-in", "x.replay", "-load", "0"},
 		{"replay", "-in", "x.replay", "-device", "tape"},
-		{"replay", "-trace", "a", "-mmap"}, // mmap needs -in
 		{"report", "-dir", filepath.Join(t.TempDir(), "missing")},
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestReplayRejectsOversizePackage: a package larger than the whole
+// array is rejected with a labelled error before the replay plans it;
+// a 2^62-byte package used to exhaust memory splitting into stripes.
+func TestReplayRejectsOversizePackage(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "huge.replay")
+	tr := &blktrace.Trace{Device: "huge", Bunches: []blktrace.Bunch{
+		{Time: 0, Packages: []blktrace.IOPackage{{Sector: 0, Size: 1 << 62, Op: storage.Read}}},
+		{Time: simtime.Millisecond, Packages: []blktrace.IOPackage{{Sector: 8, Size: 4096, Op: storage.Read}}},
+	}}
+	if err := blktrace.WriteFile(in, tr); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{"replay", "-in", in, "-telemetry-dir", filepath.Join(t.TempDir(), "tel")}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "bunch 0 package 0: size 4611686018427387904 exceeds device capacity") {
+		t.Fatalf("err = %v, want the oversize package named", err)
 	}
 }
 

@@ -26,10 +26,6 @@ import (
 // series.csv, events.jsonl, power_wall.csv and a Chrome trace that
 // opens in Perfetto.  `tracer report -dir DIR` renders the result.
 //
-// -mmap loads -in as a memory-mapped ".rmap" trace (see traceconv -mode
-// bin2map) and materializes it, so it replays exactly like the same
-// trace read from a ".replay" file.
-//
 // -cache-tier interposes a writeback cache (see internal/cache) between
 // the replay and the array; the remaining -cache-* flags tune it and
 // are rejected without a tier, so a typo cannot silently replay
@@ -43,7 +39,6 @@ func cmdReplay(args []string, out io.Writer) error {
 	load := fs.Float64("load", 100, "load percentage")
 	telemetryDir := fs.String("telemetry-dir", "telemetry", "artifact output directory")
 	cadence := fs.Duration("cadence", 1_000_000_000, "time-series sampling cadence (sim time)")
-	mmap := fs.Bool("mmap", false, "load -in as a memory-mapped .rmap trace")
 	cf := registerCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,9 +49,6 @@ func cmdReplay(args []string, out io.Writer) error {
 	if !(*load > 0 && *load <= 1000) { // NaN fails every comparison
 		return fmt.Errorf("replay: bad load percentage %v", *load)
 	}
-	if *mmap && *in == "" {
-		return fmt.Errorf("replay: -mmap requires -in (repository entries are not .rmap files)")
-	}
 	if err := cf.validate("replay", fs); err != nil {
 		return err
 	}
@@ -65,12 +57,9 @@ func cmdReplay(args []string, out io.Writer) error {
 		return err
 	}
 	var tr *blktrace.Trace
-	switch {
-	case *mmap:
-		tr, err = readMapped(*in)
-	case *in != "":
+	if *in != "" {
 		tr, err = blktrace.ReadFile(*in)
-	default:
+	} else {
 		var repo *repository.Repository
 		if repo, err = repository.Open(*dir); err == nil {
 			tr, err = repo.Load(*name)
@@ -111,17 +100,6 @@ func cmdReplay(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
 		*telemetryDir, *telemetryDir)
 	return nil
-}
-
-// readMapped opens a format-v2 ".rmap" trace and copies it into a heap
-// trace, releasing the mapping before the replay starts.
-func readMapped(path string) (*blktrace.Trace, error) {
-	m, err := blktrace.OpenMapped(path)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Close()
-	return m.Materialize()
 }
 
 // cmdReport renders a telemetry artifact directory as text tables:

@@ -7,21 +7,18 @@
 // read/write direction.  The paper's 2-minute RAID-5 trace holds about
 // 50,000 bunches and 400,000 IO_packages in this shape.
 //
-// Two codecs are provided: a compact binary format (the ".replay" files
-// TRACER loads) and a line-oriented text format convenient for
-// inspection and for hand-written fixtures.
+// Traces are stored in two formats: a compact binary format (the
+// ".replay" files TRACER loads) and a line-oriented text format
+// convenient for inspection and for hand-written fixtures.  Each format
+// has one decoder (ScanBinary, ScanText) and one record encoder
+// (BinaryStreamWriter, TextStreamWriter); the whole-trace Read*/Write*
+// helpers are built on them, and every decoder enforces Trace.Validate's
+// rules bunch by bunch, failing with ErrBadFormat.
 package blktrace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/simtime"
 	"repro/internal/storage"
@@ -64,17 +61,6 @@ type Trace struct {
 
 // NumBunches reports the number of bunches.
 func (t *Trace) NumBunches() int { return len(t.Bunches) }
-
-// BunchTime reports bunch i's arrival offset.  BunchTime, BunchSize and
-// Package mirror MappedTrace's accessors; fleet.TraceStream reads
-// through them.
-func (t *Trace) BunchTime(i int) simtime.Duration { return t.Bunches[i].Time }
-
-// BunchSize reports the number of packages in bunch i.
-func (t *Trace) BunchSize(i int) int { return len(t.Bunches[i].Packages) }
-
-// Package returns package pkg of bunch i.
-func (t *Trace) Package(i, pkg int) IOPackage { return t.Bunches[i].Packages[pkg] }
 
 // NumIOs reports the total number of IO_packages.
 func (t *Trace) NumIOs() int {
@@ -141,26 +127,60 @@ func (t *Trace) copyBunches(idx []int, n int) *Trace {
 	return out
 }
 
-// Validate checks structural invariants: non-decreasing bunch times,
-// non-empty bunches, and well-formed packages.
+// Validate checks the rules every decoder enforces as it reads:
+// non-negative, non-decreasing bunch times, non-empty bunches, and
+// packages with a valid op, a positive size and a byte range
+// [Sector·512, Sector·512+Size) that fits in int64.  Its errors wrap
+// ErrBadFormat and name the offending bunch and package.
 func (t *Trace) Validate() error {
-	var prev simtime.Duration = -1
-	for i, b := range t.Bunches {
-		if b.Time < 0 {
-			return fmt.Errorf("blktrace: bunch %d has negative time %v", i, b.Time)
+	var v validator
+	for _, b := range t.Bunches {
+		if err := v.check(b); err != nil {
+			return err
 		}
-		if b.Time < prev {
-			return fmt.Errorf("blktrace: bunch %d time %v precedes bunch %d time %v", i, b.Time, i-1, prev)
+	}
+	return nil
+}
+
+// validator applies Validate's rules one bunch at a time, so a decoder
+// checks each bunch as it reads it.
+type validator struct {
+	prev simtime.Duration
+	n    int // bunches accepted so far
+}
+
+func (v *validator) check(b Bunch) error {
+	switch {
+	case b.Time < 0:
+		return fmt.Errorf("%w: bunch %d has negative time %v", ErrBadFormat, v.n, b.Time)
+	case v.n > 0 && b.Time < v.prev:
+		return fmt.Errorf("%w: bunch %d time %v precedes bunch %d time %v", ErrBadFormat, v.n, b.Time, v.n-1, v.prev)
+	case len(b.Packages) == 0:
+		return fmt.Errorf("%w: bunch %d is empty", ErrBadFormat, v.n)
+	}
+	for j, p := range b.Packages {
+		if err := p.check(); err != nil {
+			return fmt.Errorf("%w: bunch %d package %d: %v", ErrBadFormat, v.n, j, err)
 		}
-		prev = b.Time
-		if len(b.Packages) == 0 {
-			return fmt.Errorf("blktrace: bunch %d is empty", i)
-		}
-		for j, p := range b.Packages {
-			if err := p.Request().Validate(0); err != nil {
-				return fmt.Errorf("blktrace: bunch %d package %d: %w", i, j, err)
-			}
-		}
+	}
+	v.prev = b.Time
+	v.n++
+	return nil
+}
+
+// check reports why no device could serve p: an invalid op, a
+// non-positive size, or a byte range [Sector·512, Sector·512+Size) that
+// does not fit in int64, where Request would wrap it.
+func (p IOPackage) check() error {
+	if p.Sector > math.MaxInt64/storage.SectorSize {
+		return fmt.Errorf("sector %d: byte offset overflows int64", p.Sector)
+	}
+	r := p.Request()
+	if err := r.Validate(0); err != nil {
+		return err
+	}
+	if r.Size > math.MaxInt64-r.Offset {
+		return fmt.Errorf("byte range at %d of %d bytes overflows int64", r.Offset, r.Size)
 	}
 	return nil
 }
@@ -354,349 +374,3 @@ func (b *Builder) Record(at simtime.Duration, p IOPackage) error {
 // Trace returns the assembled trace.  The builder must not be used
 // afterwards.
 func (b *Builder) Trace() *Trace { return &b.trace }
-
-// Binary format
-//
-//	magic "TRCRPLAY" | u16 version | u16 devlen | devname |
-//	u32 nbunches | for each bunch: i64 time_ns, u32 npackages,
-//	for each package: i64 sector, i64 size, u8 op.
-
-var binaryMagic = [8]byte{'T', 'R', 'C', 'R', 'P', 'L', 'A', 'Y'}
-
-const (
-	binaryVersion = 1
-	// pkgRecordSize is the encoded size of one IOPackage record; file
-	// length divided by it bounds the package count, which ReadFile uses
-	// to pre-size the decode arena.
-	pkgRecordSize = 17
-	// fileBufSize is the bufio size for whole-file trace IO.  Trace
-	// files are hundreds of kilobytes to tens of megabytes; 1 MiB keeps
-	// syscall counts low without noticeable memory cost.
-	fileBufSize = 1 << 20
-	// arenaChunk is the fallback arena allocation granularity (in
-	// packages) when no size hint is available.
-	arenaChunk = 4096
-)
-
-// ErrBadFormat reports a malformed trace file.
-var ErrBadFormat = errors.New("blktrace: malformed trace file")
-
-// pkgArena carves per-bunch package slices out of large flat
-// allocations, so decoding a 50k-bunch trace costs a handful of
-// allocations instead of one per bunch.  Carved slices are capped
-// (3-index) so a later append on a bunch cannot clobber its neighbour.
-type pkgArena struct {
-	buf []IOPackage
-}
-
-// take returns an empty slice with capacity n backed by the arena.
-func (a *pkgArena) take(n int) []IOPackage {
-	if n > len(a.buf) {
-		chunk := arenaChunk
-		if n > chunk {
-			chunk = n
-		}
-		a.buf = make([]IOPackage, chunk)
-	}
-	s := a.buf[0:0:n]
-	a.buf = a.buf[n:]
-	return s
-}
-
-// Write encodes the trace in the binary .replay format.
-func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if err := writeTo(bw, t); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteFile encodes the trace to a file, buffered for bulk writing.
-func WriteFile(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, fileBufSize)
-	if err := writeTo(bw, t); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeTo(bw *bufio.Writer, t *Trace) error {
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	if len(t.Device) > math.MaxUint16 {
-		return fmt.Errorf("blktrace: device name too long (%d bytes)", len(t.Device))
-	}
-	var scratch [12]byte
-	binary.LittleEndian.PutUint16(scratch[0:2], binaryVersion)
-	binary.LittleEndian.PutUint16(scratch[2:4], uint16(len(t.Device)))
-	if _, err := bw.Write(scratch[0:4]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Device); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[0:4], uint32(len(t.Bunches)))
-	if _, err := bw.Write(scratch[0:4]); err != nil {
-		return err
-	}
-	for i := range t.Bunches {
-		b := &t.Bunches[i]
-		binary.LittleEndian.PutUint64(scratch[0:8], uint64(b.Time))
-		binary.LittleEndian.PutUint32(scratch[8:12], uint32(len(b.Packages)))
-		if _, err := bw.Write(scratch[0:12]); err != nil {
-			return err
-		}
-		for _, p := range b.Packages {
-			var rec [17]byte
-			binary.LittleEndian.PutUint64(rec[0:8], uint64(p.Sector))
-			binary.LittleEndian.PutUint64(rec[8:16], uint64(p.Size))
-			rec[16] = byte(p.Op)
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Read decodes a binary .replay trace.
-func Read(r io.Reader) (*Trace, error) {
-	return readFrom(bufio.NewReader(r), 0)
-}
-
-// ReadFile decodes a binary .replay trace from a file.  The file length
-// bounds the package count (each record is pkgRecordSize bytes), so the
-// decode arena is sized in one allocation up front.
-func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	hint := 0
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
-		hint = int(fi.Size() / pkgRecordSize)
-	}
-	return readFrom(bufio.NewReaderSize(f, fileBufSize), hint)
-}
-
-// readFrom decodes the binary format; pkgHint, when positive, is an
-// upper bound on the total package count used to pre-size the arena.
-func readFrom(br *bufio.Reader, pkgHint int) (*Trace, error) {
-	var arena pkgArena
-	if pkgHint > 0 {
-		arena.buf = make([]IOPackage, pkgHint)
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic[:])
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:2]); v != binaryVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
-	}
-	devlen := int(binary.LittleEndian.Uint16(hdr[2:4]))
-	dev := make([]byte, devlen)
-	if _, err := io.ReadFull(br, dev); err != nil {
-		return nil, fmt.Errorf("%w: device name: %v", ErrBadFormat, err)
-	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("%w: bunch count: %v", ErrBadFormat, err)
-	}
-	nb := int(binary.LittleEndian.Uint32(cnt[:]))
-	// A corrupt or truncated file can carry arbitrary counts; bound
-	// every preallocation so decoding fails with ErrBadFormat instead of
-	// attempting a gigantic allocation.  Each bunch needs at least a
-	// 12-byte header, and each package exactly pkgRecordSize bytes, so
-	// the file-size hint caps both counts.  In stream mode (no hint) the
-	// caps fall back to modest growth chunks; a lying count then fails
-	// at the next ReadFull.
-	if pkgHint > 0 && nb > pkgHint {
-		return nil, fmt.Errorf("%w: bunch count %d exceeds file size", ErrBadFormat, nb)
-	}
-	t := &Trace{Device: string(dev)}
-	if nb > 0 {
-		capHint := nb
-		if capHint > arenaChunk && pkgHint == 0 {
-			capHint = arenaChunk
-		}
-		t.Bunches = make([]Bunch, 0, capHint)
-	}
-	totalPkgs := 0
-	for i := 0; i < nb; i++ {
-		var bh [12]byte
-		if _, err := io.ReadFull(br, bh[:]); err != nil {
-			return nil, fmt.Errorf("%w: bunch %d header: %v", ErrBadFormat, i, err)
-		}
-		bt := simtime.Duration(binary.LittleEndian.Uint64(bh[0:8]))
-		np := int(binary.LittleEndian.Uint32(bh[8:12]))
-		if np < 0 {
-			return nil, fmt.Errorf("%w: bunch %d package count %d", ErrBadFormat, i, np)
-		}
-		totalPkgs += np
-		if pkgHint > 0 && totalPkgs > pkgHint {
-			return nil, fmt.Errorf("%w: bunch %d: package count exceeds file size", ErrBadFormat, i)
-		}
-		take := np
-		if pkgHint == 0 && take > arenaChunk {
-			// Stream mode: trust the count only up to the growth chunk;
-			// genuine oversized bunches fall back to append growth.
-			take = arenaChunk
-		}
-		bunch := Bunch{Time: bt, Packages: arena.take(take)}
-		for j := 0; j < np; j++ {
-			var rec [17]byte
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return nil, fmt.Errorf("%w: bunch %d package %d: %v", ErrBadFormat, i, j, err)
-			}
-			bunch.Packages = append(bunch.Packages, IOPackage{
-				Sector: int64(binary.LittleEndian.Uint64(rec[0:8])),
-				Size:   int64(binary.LittleEndian.Uint64(rec[8:16])),
-				Op:     storage.Op(rec[16]),
-			})
-		}
-		t.Bunches = append(t.Bunches, bunch)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return t, nil
-}
-
-// WriteText encodes the trace in the line-oriented text format:
-//
-//	# blktrace-text v1
-//	device <name>
-//	B <time_ns> <npackages>
-//	<sector> <size> R|W
-//
-// The device name is the rest of its line, so it may hold inner spaces
-// but not leading or trailing whitespace or a line break.
-func WriteText(w io.Writer, t *Trace) error {
-	if err := checkTextDevice(t.Device); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# blktrace-text v1")
-	fmt.Fprintf(bw, "device %s\n", t.Device)
-	for i := range t.Bunches {
-		b := &t.Bunches[i]
-		fmt.Fprintf(bw, "B %d %d\n", int64(b.Time), len(b.Packages))
-		for _, p := range b.Packages {
-			op := "R"
-			if p.Op == storage.Write {
-				op = "W"
-			}
-			fmt.Fprintf(bw, "%d %d %s\n", p.Sector, p.Size, op)
-		}
-	}
-	return bw.Flush()
-}
-
-// checkTextDevice rejects a device name the text format's one-line
-// "device" header cannot carry back unchanged.
-func checkTextDevice(name string) error {
-	if name != strings.TrimSpace(name) || strings.ContainsAny(name, "\r\n") {
-		return fmt.Errorf("blktrace: device name %q cannot be written as text: leading or trailing whitespace or a line break", name)
-	}
-	return nil
-}
-
-// textDevice parses a trimmed "device" line: the name is the rest of
-// the line, trimmed.
-func textDevice(line string) string {
-	return strings.TrimSpace(strings.TrimPrefix(line, "device"))
-}
-
-// ReadText decodes the text format written by WriteText.
-func ReadText(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	t := &Trace{}
-	lineNo := 0
-	pending := 0 // packages still expected for the current bunch
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch {
-		case fields[0] == "device":
-			t.Device = textDevice(line)
-		case fields[0] == "B":
-			if pending != 0 {
-				return nil, fmt.Errorf("%w: line %d: new bunch with %d packages pending", ErrBadFormat, lineNo, pending)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("%w: line %d: bad bunch header", ErrBadFormat, lineNo)
-			}
-			ts, err1 := strconv.ParseInt(fields[1], 10, 64)
-			np, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || np <= 0 {
-				return nil, fmt.Errorf("%w: line %d: bad bunch header %q", ErrBadFormat, lineNo, line)
-			}
-			capNP := np
-			if capNP > arenaChunk {
-				// Don't let a corrupt count trigger a giant allocation;
-				// real oversized bunches grow by append.
-				capNP = arenaChunk
-			}
-			t.Bunches = append(t.Bunches, Bunch{Time: simtime.Duration(ts), Packages: make([]IOPackage, 0, capNP)})
-			pending = np
-		default:
-			if pending == 0 {
-				return nil, fmt.Errorf("%w: line %d: package outside bunch", ErrBadFormat, lineNo)
-			}
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("%w: line %d: bad package line %q", ErrBadFormat, lineNo, line)
-			}
-			sector, err1 := strconv.ParseInt(fields[0], 10, 64)
-			size, err2 := strconv.ParseInt(fields[1], 10, 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("%w: line %d: bad package numbers", ErrBadFormat, lineNo)
-			}
-			var op storage.Op
-			switch fields[2] {
-			case "R", "r":
-				op = storage.Read
-			case "W", "w":
-				op = storage.Write
-			default:
-				return nil, fmt.Errorf("%w: line %d: bad op %q", ErrBadFormat, lineNo, fields[2])
-			}
-			b := &t.Bunches[len(t.Bunches)-1]
-			b.Packages = append(b.Packages, IOPackage{Sector: sector, Size: size, Op: op})
-			pending--
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if pending != 0 {
-		return nil, fmt.Errorf("%w: truncated final bunch (%d packages missing)", ErrBadFormat, pending)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}

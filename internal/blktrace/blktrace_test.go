@@ -1,7 +1,6 @@
 package blktrace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -10,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -475,7 +475,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(tr, got) {
 		t.Fatalf("file round trip mismatch:\nwant %+v\ngot  %+v", tr, got)
 	}
-	// ReadFile's arena pre-sizing must agree with streaming Read.
+	// ReadFile's size-bounded decode must agree with streaming Read.
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -497,37 +497,51 @@ func TestReadFileMissing(t *testing.T) {
 }
 
 func TestArenaIsolatesBunches(t *testing.T) {
-	// Appending to one decoded bunch must never clobber a neighbouring
-	// bunch carved from the same arena chunk.
+	// Every reader decodes all packages into one flat buffer (the
+	// decode arena); appending to one decoded bunch must never clobber
+	// a neighbouring bunch carved from it.
 	b := NewBuilder("dev")
 	for i := 0; i < 100; i++ {
 		if err := b.Record(simtime.Duration(i)*simtime.Millisecond, IOPackage{Sector: int64(i), Size: 512, Op: storage.Read}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, b.Trace()); err != nil {
+	var bin, txt bytes.Buffer
+	if err := Write(&bin, b.Trace()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrom(bufio.NewReader(&buf), b.Trace().NumIOs())
-	if err != nil {
+	if err := WriteText(&txt, b.Trace()); err != nil {
 		t.Fatal(err)
 	}
-	got.Bunches[0].Packages = append(got.Bunches[0].Packages, IOPackage{Sector: 999, Size: 512, Op: storage.Write})
-	for i := 1; i < len(got.Bunches); i++ {
-		if got.Bunches[i].Packages[0].Sector != int64(i) {
-			t.Fatalf("append to bunch 0 clobbered bunch %d: %+v", i, got.Bunches[i].Packages[0])
+	path := filepath.Join(t.TempDir(), "t.replay")
+	if err := os.WriteFile(path, bin.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() (*Trace, error){
+		"Read":     func() (*Trace, error) { return Read(bytes.NewReader(bin.Bytes())) },
+		"ReadFile": func() (*Trace, error) { return ReadFile(path) },
+		"ReadText": func() (*Trace, error) { return ReadText(bytes.NewReader(txt.Bytes())) },
+	} {
+		got, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got.Bunches[0].Packages = append(got.Bunches[0].Packages, IOPackage{Sector: 999, Size: 512, Op: storage.Write})
+		for i := 1; i < len(got.Bunches); i++ {
+			if got.Bunches[i].Packages[0].Sector != int64(i) {
+				t.Fatalf("%s: append to bunch 0 clobbered bunch %d: %+v", name, i, got.Bunches[i].Packages[0])
+			}
 		}
 	}
 }
 
 func TestArenaChunkFallback(t *testing.T) {
-	// Without a size hint the arena grows in chunks; decode must still be
-	// correct across chunk boundaries (force several by using many
-	// multi-package bunches).
+	// Without a size hint the decode arena grows as packages arrive;
+	// decode must stay correct across its regrowths (force several by
+	// using many multi-package bunches).
 	b := NewBuilder("dev")
 	at := simtime.Duration(0)
-	for i := 0; i < 3*arenaChunk; i++ {
+	for i := 0; i < 3*4096; i++ {
 		if i%3 == 0 {
 			at += simtime.Microsecond
 		}
@@ -548,6 +562,20 @@ func TestArenaChunkFallback(t *testing.T) {
 		t.Fatal("chunked-arena decode mismatch")
 	}
 }
+
+// allocatedBytes reports the heap bytes f allocates.  The lying-count
+// tests use it to show no allocation was sized by the count.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// maxLyingAlloc bounds what decoding a lying header may allocate: the
+// buffered reader and scratch, far below the gigabytes the counts claim.
+const maxLyingAlloc = 8 << 20
 
 // tamperCount rewrites a little-endian u32 at off in a copy of blob.
 func tamperCount(blob []byte, off int, v uint32) []byte {
@@ -580,7 +608,10 @@ func TestReadFileRejectsLyingCounts(t *testing.T) {
 		if err := os.WriteFile(path, doctored, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := ReadFile(path)
+		var err error
+		if n := allocatedBytes(func() { _, err = ReadFile(path) }); n > maxLyingAlloc {
+			t.Errorf("%s: ReadFile allocated %d bytes", name, n)
+		}
 		if !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
 		}
@@ -605,7 +636,11 @@ func TestReadStreamLyingCountsFailFast(t *testing.T) {
 		"bunch-count":   tamperCount(blob, nbOff, 0xfffffff0),
 		"package-count": tamperCount(blob, npOff, 0xfffffff0),
 	} {
-		if _, err := Read(bytes.NewReader(doctored)); !errors.Is(err, ErrBadFormat) {
+		var err error
+		if n := allocatedBytes(func() { _, err = Read(bytes.NewReader(doctored)) }); n > maxLyingAlloc {
+			t.Errorf("%s: Read allocated %d bytes", name, n)
+		}
+		if !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: stream err = %v, want ErrBadFormat", name, err)
 		}
 	}
@@ -615,7 +650,11 @@ func TestReadStreamLyingCountsFailFast(t *testing.T) {
 // huge package count must not preallocate it.
 func TestReadTextLyingPackageCountNoOOM(t *testing.T) {
 	text := "# blktrace-text v1\ndevice d\nB 0 2000000000\n0 512 R\n"
-	if _, err := ReadText(strings.NewReader(text)); err == nil {
-		t.Fatal("ReadText accepted a truncated bunch with a lying count")
+	var err error
+	if n := allocatedBytes(func() { _, err = ReadText(strings.NewReader(text)) }); n > maxLyingAlloc {
+		t.Errorf("ReadText allocated %d bytes", n)
+	}
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("ReadText on a truncated bunch with a lying count: err = %v, want ErrBadFormat", err)
 	}
 }

@@ -161,16 +161,17 @@ func (s *TraceStream) Duration() simtime.Duration { return s.trace.Duration() }
 
 // Next implements Stream.
 func (s *TraceStream) Next() (ClientRequest, bool) {
-	for s.bunch < s.trace.NumBunches() {
-		if s.pkg >= s.trace.BunchSize(s.bunch) {
+	for s.bunch < len(s.trace.Bunches) {
+		b := &s.trace.Bunches[s.bunch]
+		if s.pkg >= len(b.Packages) {
 			s.bunch++
 			s.pkg = 0
 			continue
 		}
-		p := s.trace.Package(s.bunch, s.pkg)
+		p := b.Packages[s.pkg]
 		s.pkg++
 		return ClientRequest{
-			At:     simtime.Time(0).Add(s.trace.BunchTime(s.bunch)),
+			At:     simtime.Time(0).Add(b.Time),
 			Client: slo.ClientOfSector(p.Sector),
 			Req:    p.Request(),
 		}, true

@@ -89,8 +89,8 @@ func (r *Result) Duration() simtime.Duration { return r.End.Sub(r.Start) }
 // from the trace, not from completions, so an overloaded device simply
 // accumulates queueing — visible as growing response times.
 func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, opts Options) (*Result, error) {
-	if err := trace.Validate(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	if err := checkTrace(trace, dev); err != nil {
+		return nil, err
 	}
 	cycle := opts.SamplingCycle
 	if cycle <= 0 {
@@ -112,6 +112,25 @@ func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, o
 
 	finalize(res, r.completions, start.Add(trace.Duration()), cycle)
 	return res, nil
+}
+
+// checkTrace rejects, before anything is issued, a trace that breaks
+// blktrace's rules or holds a package larger than the whole device.
+// The devices fold an offset past their end back into range, but no
+// offset fits a package bigger than the device itself.
+func checkTrace(trace *blktrace.Trace, dev storage.Device) error {
+	if err := trace.Validate(); err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	capacity := dev.Capacity()
+	for i, b := range trace.Bunches {
+		for j, p := range b.Packages {
+			if capacity > 0 && p.Size > capacity {
+				return fmt.Errorf("replay: bunch %d package %d: size %d exceeds device capacity %d", i, j, p.Size, capacity)
+			}
+		}
+	}
+	return nil
 }
 
 // run is the state of one replay call.  Both modes issue every package
@@ -334,8 +353,8 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 // taken to its as-fast-as-possible limit.  It measures the device's
 // peak capability under the trace's exact access pattern.
 func ReplayClosedLoop(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, queueDepth int, opts Options) (*Result, error) {
-	if err := trace.Validate(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	if err := checkTrace(trace, dev); err != nil {
+		return nil, err
 	}
 	if queueDepth <= 0 {
 		queueDepth = 8

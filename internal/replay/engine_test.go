@@ -115,6 +115,53 @@ func TestReplayRejectsInvalidTrace(t *testing.T) {
 	}
 }
 
+// smallDevice is a fixedLatencyDevice that holds only capacity bytes.
+type smallDevice struct {
+	fixedLatencyDevice
+	capacity int64
+}
+
+func (d *smallDevice) Capacity() int64 { return d.capacity }
+
+// TestReplayRejectsPackageLargerThanDevice: no offset fits a package
+// bigger than the whole device, so both replay modes reject one before
+// issuing anything, naming the bunch, the package, the size and the
+// capacity.  A package exactly the device's size still replays.
+func TestReplayRejectsPackageLargerThanDevice(t *testing.T) {
+	const capacity = 1 << 20
+	modes := map[string]func(*simtime.Engine, storage.Device, *blktrace.Trace) (*Result, error){
+		"open loop": func(e *simtime.Engine, dev storage.Device, tr *blktrace.Trace) (*Result, error) {
+			return Replay(e, dev, tr, Options{})
+		},
+		"closed loop": func(e *simtime.Engine, dev storage.Device, tr *blktrace.Trace) (*Result, error) {
+			return ReplayClosedLoop(e, dev, tr, 4, Options{})
+		},
+	}
+	for name, replay := range modes {
+		for _, size := range []int64{capacity + 1, 1 << 62} {
+			e := simtime.NewEngine()
+			dev := &storage.Counter{Dev: &smallDevice{fixedLatencyDevice{e, simtime.Millisecond}, capacity}}
+			tr := makeTrace(3)
+			tr.Bunches[1].Packages[0].Size = size
+			_, err := replay(e, dev, tr)
+			want := fmt.Sprintf("bunch 1 package 0: size %d exceeds device capacity %d", size, capacity)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, size %d: err = %v, want it to contain %q", name, size, err, want)
+			}
+			if dev.Submitted != 0 {
+				t.Errorf("%s, size %d: %d requests issued before the rejection", name, size, dev.Submitted)
+			}
+		}
+		e := simtime.NewEngine()
+		dev := &smallDevice{fixedLatencyDevice{e, simtime.Millisecond}, capacity}
+		tr := makeTrace(3)
+		tr.Bunches[1].Packages[0].Size = capacity
+		if res, err := replay(e, dev, tr); err != nil || res.Completed != 3 {
+			t.Errorf("%s: a package the size of the device: %v", name, err)
+		}
+	}
+}
+
 func TestReplayIntervals(t *testing.T) {
 	e := simtime.NewEngine()
 	dev := &fixedLatencyDevice{engine: e, latency: simtime.Microsecond}
