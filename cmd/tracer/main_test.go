@@ -300,6 +300,24 @@ func TestReplayRejectsOversizePackage(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsBunchPastHorizon: a bunch near the end of int64
+// would wrap its completion time and panic the engine; the replay
+// fails with a labelled error instead, which main turns into exit 1.
+func TestReplayRejectsBunchPastHorizon(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "far.replay")
+	tr := &blktrace.Trace{Device: "far", Bunches: []blktrace.Bunch{
+		{Time: 9223372036854775000, Packages: []blktrace.IOPackage{{Sector: 8, Size: 4096, Op: storage.Read}}},
+	}}
+	if err := blktrace.WriteFile(in, tr); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{"replay", "-in", in, "-telemetry-dir", filepath.Join(t.TempDir(), "tel")}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "bunch 0 at 2562047h47m16.854775s lies past the simulation horizon") {
+		t.Fatalf("err = %v, want the bunch past the horizon named", err)
+	}
+}
+
 func TestAnalyzeCommand(t *testing.T) {
 	dir := t.TempDir()
 	repoDir := filepath.Join(dir, "traces")

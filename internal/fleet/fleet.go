@@ -66,12 +66,11 @@ type member struct {
 	completed   int64
 	bytes       int64
 	maxResp     simtime.Duration
+	// completions holds the IOs finished since the last barrier, which
+	// gathers them into the run's buffers and truncates the slice.
 	completions []completion
 	pending     []pending
 	probe       *workerProbe
-	// sloFed counts completions already fed to the SLO engine; the
-	// coordinator consumes completions[sloFed:] at each barrier.
-	sloFed int
 	// free is a LIFO list of idle in-flight records.  Only the worker
 	// draining this member touches it.
 	free []*inflight
@@ -174,6 +173,11 @@ type Fleet struct {
 	members []*member
 	workers []*worker
 	minCap  int64
+	// responses is the run's one record of its completed IOs: each
+	// barrier appends the members' new response times in member order,
+	// and classes their SLO classes when an SLO engine rides the run.
+	responses []simtime.Duration
+	classes   []int32
 }
 
 // New provisions a fleet of the given size.  workers <= 0 uses
@@ -422,7 +426,8 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 	}
 	// barrier drains every worker through limit and republishes member
 	// state to the coordinator (the channel handshake orders the
-	// cross-goroutine field accesses).
+	// cross-goroutine field accesses).  It moves the members' new
+	// completions into the run's records.
 	outstanding := 0
 	states := make([]ArrayState, n)
 	barrier := func(limit simtime.Time) {
@@ -445,21 +450,20 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			// Issue events through limit have fired; their pending
 			// entries were captured by value, so the slab recycles.
 			m.pending = m.pending[:0]
-		}
-		if sloEng != nil {
-			// Feed the barrier's new completions in member order; the
-			// engine buckets by finish time, so worker count (which only
-			// permutes this order) cannot change any count.  Evaluation
-			// advances to the barrier, never past it.
-			for _, m := range f.members {
-				for _, c := range m.completions[m.sloFed:] {
+			// The SLO engine buckets completions by finish time, so the
+			// order they are fed in cannot change any count.
+			for _, c := range m.completions {
+				f.responses = append(f.responses, c.response)
+				if sloEng != nil {
+					f.classes = append(f.classes, int32(c.class))
 					sloEng.ObserveCompletion(c.class, m.index, c.finish, c.response)
 				}
-				m.sloFed = len(m.completions)
 			}
-			if limit != simtime.MaxTime {
-				sloEng.Advance(limit)
-			}
+			m.completions = m.completions[:0]
+		}
+		if sloEng != nil && limit != simtime.MaxTime {
+			// Evaluation advances to the barrier, never past it.
+			sloEng.Advance(limit)
 		}
 		if opts.OnBarrier != nil && limit != simtime.MaxTime {
 			opts.OnBarrier(limit)
@@ -470,8 +474,28 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 	bucket := opts.Admission
 	windows := 0
 	t := start
+	var next ClientRequest
+	ok := false
 	lastAt := start
-	next, ok := stream.Next()
+	// pull reads the next arrival.  It rejects one that goes back in
+	// time, and one past the simulation horizon, where the window
+	// arithmetic below would wrap.
+	pull := func() error {
+		if next, ok = stream.Next(); !ok {
+			return nil
+		}
+		if next.At < lastAt {
+			return fmt.Errorf("fleet: arrivals regress (%v after %v)", next.At, lastAt)
+		}
+		if next.At > simtime.Horizon {
+			return fmt.Errorf("fleet: arrival %d at %v lies past the simulation horizon %v", offered, next.At, simtime.Horizon)
+		}
+		lastAt = next.At
+		return nil
+	}
+	if err := pull(); err != nil {
+		return nil, err
+	}
 	for ok || outstanding > 0 {
 		if !ok {
 			// Stream dry: one final unbounded window drains the tail.
@@ -488,10 +512,6 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 		wend := t.Add(window)
 		routed := 0
 		for ok && next.At < wend {
-			if next.At < lastAt {
-				return nil, fmt.Errorf("fleet: arrivals regress (%v after %v)", next.At, lastAt)
-			}
-			lastAt = next.At
 			offered++
 			offeredC.Inc()
 			class := -1
@@ -504,7 +524,9 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 				if sloEng != nil {
 					sloEng.ObserveRejection(class, next.At)
 				}
-				next, ok = stream.Next()
+				if err := pull(); err != nil {
+					return nil, err
+				}
 				continue
 			}
 			if err := next.Req.Validate(f.minCap); err != nil {
@@ -527,7 +549,9 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 				sloEng.ObserveAdmission(class, next.At)
 			}
 			routed++
-			next, ok = stream.Next()
+			if err := pull(); err != nil {
+				return nil, err
+			}
 		}
 		inflight.Update(int64(outstanding + routed))
 		barrier(wend)
@@ -576,19 +600,11 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 	if offered > 0 {
 		res.RejectRate = float64(rejected) / float64(offered)
 	}
-	var responses []simtime.Duration
-	byClass := make(map[int][]simtime.Duration)
 	for _, m := range f.members {
 		res.Completed += m.completed
 		res.Bytes += m.bytes
 		if m.maxResp > res.MaxResponse {
 			res.MaxResponse = m.maxResp
-		}
-		for _, c := range m.completions {
-			responses = append(responses, c.response)
-			if sloEng != nil {
-				byClass[c.class] = append(byClass[c.class], c.response)
-			}
 		}
 		meter := powersim.DefaultMeter(m.array.PowerSource())
 		meter.Seed = f.cfg.Seed + uint64(m.index)
@@ -605,14 +621,15 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 		res.IOPS = float64(res.Completed) / dur
 		res.MBPS = float64(res.Bytes) / (1 << 20) / dur
 	}
-	if len(responses) > 0 {
-		t := tailStats(responses)
-		res.MeanResponse, res.P50Response, res.P99Response, res.P999Response = t.Mean, t.P50, t.P99, t.P999
-	}
 	if sloEng != nil {
-		for i, name := range sloEng.ClassNames() {
+		// Tails read populations, not sequences, so the class groups
+		// may take any order.  Group before the overall tails below
+		// reorder responses.
+		names := sloEng.ClassNames()
+		groups := groupByClass(f.responses, f.classes, len(names))
+		for i, name := range names {
 			cr := ClassResult{Class: name}
-			if rs := byClass[i]; len(rs) > 0 {
+			if rs := groups[i]; len(rs) > 0 {
 				cr.Completed = int64(len(rs))
 				t := tailStats(rs)
 				cr.MeanResponse, cr.MaxResponse = t.Mean, t.Max
@@ -620,7 +637,7 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			}
 			res.PerClass = append(res.PerClass, cr)
 		}
-		if rs := byClass[-1]; len(rs) > 0 {
+		if rs := groups[len(names)]; len(rs) > 0 {
 			t := tailStats(rs)
 			res.PerClass = append(res.PerClass, ClassResult{
 				Class: "unmatched", Completed: int64(len(rs)),
@@ -628,6 +645,10 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 				P50Response: t.P50, P99Response: t.P99, P999Response: t.P999,
 			})
 		}
+	}
+	if len(f.responses) > 0 {
+		t := tailStats(f.responses)
+		res.MeanResponse, res.P50Response, res.P99Response, res.P999Response = t.Mean, t.P50, t.P99, t.P999
 	}
 	if res.MeanWatts > 0 {
 		res.IOPSPerWatt = res.IOPS / res.MeanWatts
@@ -643,6 +664,35 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 // percentiles.
 type Tails struct {
 	Mean, Max, P50, P99, P999 simtime.Duration
+}
+
+// groupByClass returns one copy of responses grouped by class: group
+// c < classes holds the responses of class c and group classes those
+// of class -1, each in its original order.  It counts each class, then
+// places every response.
+func groupByClass(responses []simtime.Duration, class []int32, classes int) [][]simtime.Duration {
+	slot := func(c int32) int {
+		if c < 0 {
+			return classes
+		}
+		return int(c)
+	}
+	count := make([]int, classes+1)
+	for _, c := range class {
+		count[slot(c)]++
+	}
+	grouped := make([]simtime.Duration, len(responses))
+	groups := make([][]simtime.Duration, classes+1)
+	start := 0
+	for k, n := range count {
+		groups[k] = grouped[start : start : start+n]
+		start += n
+	}
+	for i, c := range class {
+		k := slot(c)
+		groups[k] = append(groups[k], responses[i])
+	}
+	return groups
 }
 
 // tailStats computes the tails of a non-empty response population,

@@ -1,12 +1,17 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/blktrace"
 	"repro/internal/experiments"
 	"repro/internal/simtime"
+	"repro/internal/slo"
 	"repro/internal/storage"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -107,6 +112,40 @@ func TestFleetRunAllocsPerIO(t *testing.T) {
 	t.Logf("%.3f allocations per IO over %d IOs", perIO, res.Completed)
 	if perIO >= 2 {
 		t.Fatalf("%.2f allocations per completed IO, want < 2", perIO)
+	}
+}
+
+// TestFleetCompletionsLeaveMembersAtBarriers: each barrier moves the
+// members' completions into the run's records, so no member holds one
+// after a barrier, and the records hold exactly the completed IOs, each
+// with its SLO class.
+func TestFleetCompletionsLeaveMembersAtBarriers(t *testing.T) {
+	eng, err := slo.NewEngine(slo.ExampleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testFleet(t, 8, 3)
+	barriers := 0
+	held := func(when string) {
+		for _, m := range f.members {
+			if len(m.completions) != 0 {
+				t.Errorf("%s: member %d holds %d completions", when, m.index, len(m.completions))
+			}
+		}
+	}
+	res, err := f.Run(testStream(), Options{SLO: eng, OnBarrier: func(now simtime.Time) {
+		barriers++
+		held(fmt.Sprintf("barrier at %v", now))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held("after the run")
+	if barriers < 10 {
+		t.Fatalf("only %d barriers observed", barriers)
+	}
+	if int64(len(f.responses)) != res.Completed || len(f.classes) != len(f.responses) {
+		t.Fatalf("run records hold %d responses and %d classes, want %d of each", len(f.responses), len(f.classes), res.Completed)
 	}
 }
 
@@ -220,6 +259,31 @@ func TestFleetTraceStream(t *testing.T) {
 	}
 	if res.Completed != res.Admitted {
 		t.Fatalf("admitted %d != completed %d", res.Admitted, res.Completed)
+	}
+}
+
+// TestFleetRejectsArrivalPastHorizon: an arrival near the end of int64
+// would wrap the window arithmetic so that Run never returns; Run
+// fails on the arrival instead, naming it and its time.
+func TestFleetRejectsArrivalPastHorizon(t *testing.T) {
+	tr := &blktrace.Trace{Device: "far", Bunches: []blktrace.Bunch{{
+		Time:     9223372036854775000,
+		Packages: []blktrace.IOPackage{{Sector: 8, Size: 4096, Op: storage.Read}},
+	}}}
+	f := testFleet(t, 2, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.Run(NewTraceStream(tr), Options{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		const want = "fleet: arrival 0 at 9223372036.854774s lies past the simulation horizon"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to contain %q", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run had not returned after 10 s")
 	}
 }
 

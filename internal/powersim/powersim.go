@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/simtime"
@@ -23,47 +24,169 @@ import (
 // virtual time.  Device models call Set whenever their power state
 // changes; times must be non-decreasing, which the single-threaded
 // simulation kernel guarantees naturally.
+//
+// Steps are stored exactly in 8 bytes each, in chunks: a step is its
+// offset from the chunk's base time above a 4-bit index into the
+// chunk's palette of draws.  Set appends to the current chunk and seals
+// it when it holds chunkSteps steps, when an offset would not fit in
+// offsetBits or when a new draw finds the palette full, so any Set
+// sequence is stored as is and an append copies at most one chunk.
 type Timeline struct {
-	steps []step
-	// last copies steps[len(steps)-1] when steps is non-empty, so Set
-	// decides on the header alone instead of loading the slice's tail.
+	// sealed holds the chunks before the current one, oldest first.
+	sealed []chunk
+	// cur is the chunk Set appends to.  Its palette is pal, kept inline
+	// (never as a pointer into the Timeline, which HDD copies by value).
+	cur chunk
+	pal palette
+	// last is the last step decoded, so Set decides on the header alone.
 	last step
 }
 
-// step is one point of a timeline: the draw is w watts from at onward.
-// Time and draw share one slice element, so an append dirties one
-// cache line.
+// step is one decoded point of a timeline: the draw is w watts from at
+// onward.
 type step struct {
 	at simtime.Time
 	w  float64
 }
 
+const (
+	// chunkSteps fills the largest small-object size class, 32 KiB.
+	chunkSteps = 4096
+	// idxBits indexes a palette of 1<<idxBits draws; every device model
+	// here draws at most 14 distinct powers (a DRPM drive over four
+	// speeds).
+	idxBits    = 4
+	idxMask    = 1<<idxBits - 1
+	offsetBits = 64 - idxBits
+	maxOffset  = 1<<offsetBits - 1
+)
+
+// chunk is a run of encoded steps: step i draws pal.w[s&idxMask] from
+// base + s>>idxBits onward, where s is steps[i].  The first step of a
+// chunk has offset zero.
+type chunk struct {
+	base  simtime.Time
+	steps []uint64
+	pal   *palette // sealed chunks only
+}
+
+// palette lists a chunk's distinct draws by bit pattern, so −0, +0 and
+// every NaN keep their own entry and decode bit for bit.
+type palette struct {
+	w [1 << idxBits]uint64
+	n uint8
+}
+
+// find reports w's index in the palette.
+func (p *palette) find(w float64) (uint64, bool) {
+	b := math.Float64bits(w)
+	for i := range p.n {
+		if p.w[i] == b {
+			return uint64(i), true
+		}
+	}
+	return 0, false
+}
+
+// add appends w to the palette, which has room, and returns its index.
+func (p *palette) add(w float64) uint64 {
+	p.w[p.n] = math.Float64bits(w)
+	p.n++
+	return uint64(p.n - 1)
+}
+
 // NewTimeline returns a timeline drawing base watts from time zero.
 func NewTimeline(base float64) *Timeline {
-	first := step{at: 0, w: base}
-	return &Timeline{steps: []step{first}, last: first}
+	tl := &Timeline{cur: chunk{steps: []uint64{0}}, last: step{at: 0, w: base}}
+	tl.pal.add(base)
+	return tl
 }
 
 // Set records that the power draw is w watts from time t onward.
 // Setting at a time earlier than the last recorded step panics; setting
 // at exactly the last step's time overwrites it.
 func (tl *Timeline) Set(t simtime.Time, w float64) {
-	if n := len(tl.steps); n > 0 {
+	if n := len(tl.cur.steps); n > 0 {
 		last := tl.last
 		if t < last.at {
 			panic(fmt.Sprintf("powersim: Set at %v before last step %v", t, last.at))
 		}
 		if t == last.at {
-			tl.last.w = w
-			tl.steps[n-1].w = w
-			return
-		}
-		if last.w == w {
+			if idx, ok := tl.pal.find(w); ok || tl.pal.n < 1<<idxBits {
+				if !ok {
+					idx = tl.pal.add(w)
+				}
+				tl.cur.steps[n-1] = tl.cur.steps[n-1]&^idxMask | idx
+				tl.last.w = w
+				return
+			}
+			// The palette is full: write the step again, into a chunk
+			// of its own.
+			tl.cur.steps = tl.cur.steps[:n-1]
+		} else if last.w == w {
 			return // no change; keep the timeline compact
 		}
 	}
+	tl.push(t, w)
+}
+
+// push appends a step drawing w from t, which follows every stored
+// step, sealing the current chunk first when the step does not fit it.
+func (tl *Timeline) push(t simtime.Time, w float64) {
+	c := &tl.cur
+	idx, ok := tl.pal.find(w)
+	full := !ok && tl.pal.n == 1<<idxBits
+	off := uint64(t) - uint64(c.base) // exact: t is not before base
+	if n := len(c.steps); n == 0 || n == chunkSteps || off > maxOffset || full {
+		if n > 0 {
+			tl.seal()
+		}
+		if full {
+			tl.pal = palette{}
+		}
+		c.base, off = t, 0
+	}
+	if !ok {
+		idx = tl.pal.add(w)
+	}
+	if len(c.steps) == cap(c.steps) {
+		c.steps = grow(c.steps)
+	}
+	c.steps = append(c.steps, off<<idxBits|idx)
 	tl.last = step{at: t, w: w}
-	tl.steps = append(tl.steps, tl.last)
+}
+
+// grow returns s with room for one more step.  Below a quarter chunk s
+// grows as append grows it, so a short timeline keeps little slack;
+// from there it grows straight to a full chunk, so a chunk is copied
+// at most once past a quarter of its size.
+func grow(s []uint64) []uint64 {
+	if cap(s) < chunkSteps/4 {
+		return slices.Grow(s, 1)
+	}
+	return append(make([]uint64, 0, chunkSteps), s...)
+}
+
+// seal closes the current chunk.  A full chunk is kept as it is, and
+// the next one starts at a quarter chunk; a chunk closed early is
+// copied out at its length, and its buffer carries on.  The palette
+// carries over too, and consecutive chunks with equal palettes share
+// one copy.
+func (tl *Timeline) seal() {
+	c := tl.cur
+	if len(c.steps) == chunkSteps {
+		tl.cur.steps = make([]uint64, 0, chunkSteps/4)
+	} else {
+		c.steps = slices.Clone(c.steps)
+		tl.cur.steps = tl.cur.steps[:0]
+	}
+	if n := len(tl.sealed); n > 0 && *tl.sealed[n-1].pal == tl.pal {
+		c.pal = tl.sealed[n-1].pal
+	} else {
+		p := tl.pal
+		c.pal = &p
+	}
+	tl.sealed = append(tl.sealed, c)
 }
 
 // Add records a relative change of dw watts at time t.
@@ -71,44 +194,98 @@ func (tl *Timeline) Add(t simtime.Time, dw float64) {
 	tl.Set(t, tl.last.w+dw) // last is the current draw; zero when empty
 }
 
+// chunkAt returns chunk k, counting the current chunk last, with its
+// palette.
+func (tl *Timeline) chunkAt(k int) chunk {
+	if k < len(tl.sealed) {
+		return tl.sealed[k]
+	}
+	c := tl.cur
+	c.pal = &tl.pal
+	return c
+}
+
+// step decodes step i of the chunk.
+func (c chunk) step(i int) step {
+	e := c.steps[i]
+	return step{at: c.base + simtime.Time(e>>idxBits), w: math.Float64frombits(c.pal.w[e&idxMask])}
+}
+
+// locate returns the chunk and index of the last step at or before t,
+// or of the first step when t precedes it: it binary-searches the
+// chunk bases, then one chunk.  The timeline must not be empty.
+func (tl *Timeline) locate(t simtime.Time) (k, i int) {
+	k = sort.Search(len(tl.sealed), func(k int) bool { return tl.sealed[k].base > t })
+	if k == len(tl.sealed) && tl.cur.base <= t {
+		k++
+	}
+	if k == 0 {
+		return 0, 0 // t precedes the first step
+	}
+	c := tl.chunkAt(k - 1)
+	i = len(c.steps) - 1
+	if d := uint64(t) - uint64(c.base); d <= maxOffset {
+		key := d<<idxBits | idxMask
+		i = sort.Search(len(c.steps), func(i int) bool { return c.steps[i] > key }) - 1
+	}
+	return k - 1, i
+}
+
 // At reports the power draw at time t.  Before the first step it
 // reports the first step's value (a timeline created by NewTimeline
 // always has a step at zero).
 func (tl *Timeline) At(t simtime.Time) float64 {
-	if len(tl.steps) == 0 {
+	if len(tl.cur.steps) == 0 {
 		return 0
 	}
-	return tl.steps[tl.stepAt(t)].w
+	k, i := tl.locate(t)
+	c := tl.chunkAt(k)
+	return c.step(i).w
 }
 
-// stepAt returns the index of the last step at or before t, or 0 when t
-// precedes the first step.  The timeline must not be empty.
-func (tl *Timeline) stepAt(t simtime.Time) int {
-	i := sort.Search(len(tl.steps), func(i int) bool { return tl.steps[i].at > t })
-	return max(i-1, 0)
-}
-
-// EnergyJ integrates the timeline over [t0, t1), returning joules.  The
-// scan starts at the step in force at t0: every earlier segment ends by
-// t0 and adds nothing, so a window costs O(log steps) plus the steps
-// inside it.
+// EnergyJ integrates the timeline over [t0, t1), returning joules.
 func (tl *Timeline) EnergyJ(t0, t1 simtime.Time) float64 {
-	if t1 <= t0 || len(tl.steps) == 0 {
+	return tl.integrate(t0, t1, nil)
+}
+
+// integrate returns the energy over [t0, t1) and, when segs is not nil,
+// appends to it the constant-power spans covering that window, clipped
+// to it.  The scan starts at the step in force at t0: every earlier
+// span ends by t0, so a window costs O(log steps) plus the steps inside
+// it.
+func (tl *Timeline) integrate(t0, t1 simtime.Time, segs *[]Segment) float64 {
+	if t1 <= t0 || len(tl.cur.steps) == 0 {
 		return 0
 	}
 	var joules float64
-	for i := tl.stepAt(t0); i < len(tl.steps); i++ {
-		segStart := tl.steps[i].at
-		segEnd := simtime.MaxTime
-		if i+1 < len(tl.steps) {
-			segEnd = tl.steps[i+1].at
+	k, i := tl.locate(t0)
+	for ; k <= len(tl.sealed); k, i = k+1, 0 {
+		c := tl.chunkAt(k)
+		steps, base, pal := c.steps, c.base, c.pal
+		// A chunk's last step lasts until the next chunk's base, where
+		// that chunk's first step sits.
+		last := simtime.MaxTime
+		if k < len(tl.sealed) {
+			last = tl.chunkAt(k + 1).base
 		}
-		lo, hi := maxTime(segStart, t0), minTime(segEnd, t1)
-		if hi > lo {
-			joules += tl.steps[i].w * hi.Sub(lo).Seconds()
-		}
-		if segStart >= t1 {
-			break
+		at := base + simtime.Time(steps[i]>>idxBits)
+		for ; i < len(steps); i++ {
+			end := last
+			if i+1 < len(steps) {
+				end = base + simtime.Time(steps[i+1]>>idxBits)
+			}
+			lo, hi := maxTime(at, t0), minTime(end, t1)
+			if hi > lo {
+				w := math.Float64frombits(pal.w[steps[i]&idxMask])
+				joules += w * hi.Sub(lo).Seconds()
+				if segs != nil {
+					*segs = append(*segs, Segment{Start: lo, End: hi, Watts: w})
+				}
+			}
+			if at >= t1 {
+				return joules
+			}
+			at = end
 		}
 	}
 	return joules
@@ -123,7 +300,13 @@ func (tl *Timeline) MeanWatts(t0, t1 simtime.Time) float64 {
 }
 
 // Steps reports the number of recorded steps (useful in tests).
-func (tl *Timeline) Steps() int { return len(tl.steps) }
+func (tl *Timeline) Steps() int {
+	n := len(tl.cur.steps)
+	for _, c := range tl.sealed {
+		n += len(c.steps)
+	}
+	return n
+}
 
 // Segment is one constant-power span of a timeline.
 type Segment struct {
@@ -132,27 +315,10 @@ type Segment struct {
 }
 
 // Segments returns the constant-power spans covering [t0, t1), clipped
-// to that window.  Thermal models integrate over these exactly.  Like
-// EnergyJ, it starts at the step in force at t0.
+// to that window.  Thermal models integrate over these exactly.
 func (tl *Timeline) Segments(t0, t1 simtime.Time) []Segment {
-	if t1 <= t0 || len(tl.steps) == 0 {
-		return nil
-	}
 	var segs []Segment
-	for i := tl.stepAt(t0); i < len(tl.steps); i++ {
-		segStart := tl.steps[i].at
-		segEnd := simtime.MaxTime
-		if i+1 < len(tl.steps) {
-			segEnd = tl.steps[i+1].at
-		}
-		lo, hi := maxTime(segStart, t0), minTime(segEnd, t1)
-		if hi > lo {
-			segs = append(segs, Segment{Start: lo, End: hi, Watts: tl.steps[i].w})
-		}
-		if segStart >= t1 {
-			break
-		}
-	}
+	tl.integrate(t0, t1, &segs)
 	return segs
 }
 
@@ -481,16 +647,24 @@ func ApproxEqual(a, b, tol float64) bool {
 // time travel at write time; this re-validates the stored data so the
 // conformance layer can assert it after a full run.
 func (tl *Timeline) CheckMonotone() error {
-	for i, s := range tl.steps {
-		if i > 0 && s.at <= tl.steps[i-1].at {
-			return fmt.Errorf("powersim: timeline step %d at %v does not advance past %v", i, s.at, tl.steps[i-1].at)
-		}
-		if math.IsNaN(s.w) || math.IsInf(s.w, 0) {
-			return fmt.Errorf("powersim: timeline step %d has non-finite draw %v", i, s.w)
+	var prev step
+	i := 0
+	for k := 0; k <= len(tl.sealed); k++ {
+		c := tl.chunkAt(k)
+		for j := range c.steps {
+			s := c.step(j)
+			if i > 0 && s.at <= prev.at {
+				return fmt.Errorf("powersim: timeline step %d at %v does not advance past %v", i, s.at, prev.at)
+			}
+			if math.IsNaN(s.w) || math.IsInf(s.w, 0) {
+				return fmt.Errorf("powersim: timeline step %d has non-finite draw %v", i, s.w)
+			}
+			prev = s
+			i++
 		}
 	}
-	if n := len(tl.steps); n > 0 && tl.last != tl.steps[n-1] {
-		return fmt.Errorf("powersim: timeline header step %+v disagrees with last stored step %+v", tl.last, tl.steps[n-1])
+	if i > 0 && tl.last != prev {
+		return fmt.Errorf("powersim: timeline header step %+v disagrees with last stored step %+v", tl.last, prev)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package powersim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -275,27 +277,27 @@ func TestPropertyTimelineEnergyConsistent(t *testing.T) {
 	}
 }
 
-// refEnergyJ, refSegments and refAt scan a timeline from step 0, the
-// way EnergyJ, Segments and At did before they started at the step in
-// force at t0.  TestTimelineIntegralsMatchFullScan holds the real
+// refEnergyJ, refSegments and refAt scan a list of steps from step 0,
+// the way EnergyJ, Segments and At did before they started at the step
+// in force at t0.  TestTimelineIntegralsMatchFullScan holds the real
 // methods to them bit for bit.
-func refEnergyJ(tl *Timeline, t0, t1 simtime.Time) float64 {
+func refEnergyJ(steps []step, t0, t1 simtime.Time) float64 {
 	var joules float64
-	for _, s := range refSegments(tl, t0, t1) {
+	for _, s := range refSegments(steps, t0, t1) {
 		joules += s.Watts * s.End.Sub(s.Start).Seconds()
 	}
 	return joules
 }
 
-func refSegments(tl *Timeline, t0, t1 simtime.Time) []Segment {
+func refSegments(steps []step, t0, t1 simtime.Time) []Segment {
 	if t1 <= t0 {
 		return nil
 	}
 	var segs []Segment
-	for i, s := range tl.steps {
+	for i, s := range steps {
 		lo, hi := max(s.at, t0), t1
-		if i+1 < len(tl.steps) {
-			hi = min(tl.steps[i+1].at, t1)
+		if i+1 < len(steps) {
+			hi = min(steps[i+1].at, t1)
 		}
 		if hi > lo {
 			segs = append(segs, Segment{Start: lo, End: hi, Watts: s.w})
@@ -304,12 +306,12 @@ func refSegments(tl *Timeline, t0, t1 simtime.Time) []Segment {
 	return segs
 }
 
-func refAt(tl *Timeline, t simtime.Time) float64 {
-	if len(tl.steps) == 0 {
+func refAt(steps []step, t simtime.Time) float64 {
+	if len(steps) == 0 {
 		return 0
 	}
-	w := tl.steps[0].w
-	for _, s := range tl.steps {
+	w := steps[0].w
+	for _, s := range steps {
 		if s.at <= t {
 			w = s.w
 		}
@@ -317,11 +319,194 @@ func refAt(tl *Timeline, t simtime.Time) float64 {
 	return w
 }
 
-func refMeanWatts(tl *Timeline, t0, t1 simtime.Time) float64 {
+func refMeanWatts(steps []step, t0, t1 simtime.Time) float64 {
 	if t1 <= t0 {
-		return refAt(tl, t0)
+		return refAt(steps, t0)
 	}
-	return refEnergyJ(tl, t0, t1) / t1.Sub(t0).Seconds()
+	return refEnergyJ(steps, t0, t1) / t1.Sub(t0).Seconds()
+}
+
+// refTimeline is a plain timeline: one 16-byte step per Set that
+// changes the draw, grown by append.
+type refTimeline struct{ steps []step }
+
+func (r *refTimeline) Set(t simtime.Time, w float64) {
+	if n := len(r.steps); n > 0 {
+		if t < r.steps[n-1].at {
+			panic("refTimeline: Set in the past")
+		}
+		if t == r.steps[n-1].at {
+			r.steps[n-1].w = w
+			return
+		}
+		if r.steps[n-1].w == w {
+			return
+		}
+	}
+	r.steps = append(r.steps, step{at: t, w: w})
+}
+
+func (r *refTimeline) CheckMonotone() error {
+	for i, s := range r.steps {
+		if i > 0 && s.at <= r.steps[i-1].at {
+			return fmt.Errorf("powersim: timeline step %d at %v does not advance past %v", i, s.at, r.steps[i-1].at)
+		}
+		if math.IsNaN(s.w) || math.IsInf(s.w, 0) {
+			return fmt.Errorf("powersim: timeline step %d has non-finite draw %v", i, s.w)
+		}
+	}
+	return nil
+}
+
+// decode lists a timeline's steps by reading its chunks directly.
+func decode(tl *Timeline) []step {
+	var out []step
+	cur := tl.cur
+	cur.pal = &tl.pal
+	for _, c := range append(slices.Clone(tl.sealed), cur) {
+		for _, e := range c.steps {
+			out = append(out, step{at: c.base + simtime.Time(e>>idxBits), w: math.Float64frombits(c.pal.w[e&idxMask])})
+		}
+	}
+	return out
+}
+
+// sameBits reports whether two floats are the same bit pattern, so a
+// NaN equals itself and −0 differs from +0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameSteps(a, b []step) bool {
+	return slices.EqualFunc(a, b, func(x, y step) bool { return x.at == y.at && sameBits(x.w, y.w) })
+}
+
+func sameSegments(a, b []Segment) bool {
+	return slices.EqualFunc(a, b, func(x, y Segment) bool {
+		return x.Start == y.Start && x.End == y.End && sameBits(x.Watts, y.Watts)
+	})
+}
+
+// setCall is one Set on a timeline under test.
+type setCall struct {
+	t simtime.Time
+	w float64
+}
+
+// timelineCase is a Set sequence applied to a compact timeline and a
+// reference alike.  zero starts both from the zero value, which takes
+// its first step wherever the first Set lands; otherwise both start
+// with a step at time zero drawing base.  seals marks a case that must
+// seal a chunk, and steps, when positive, is the step count the calls
+// must leave.
+type timelineCase struct {
+	name  string
+	zero  bool
+	base  float64
+	calls []setCall
+	seals bool
+	steps int
+}
+
+// build replays c on a compact timeline and on the reference.
+func (c timelineCase) build() (*Timeline, *refTimeline) {
+	tl, ref := &Timeline{}, &refTimeline{}
+	if !c.zero {
+		tl, ref.steps = NewTimeline(c.base), []step{{at: 0, w: c.base}}
+	}
+	for _, s := range c.calls {
+		tl.Set(s.t, s.w)
+		ref.Set(s.t, s.w)
+	}
+	return tl, ref
+}
+
+// randomCalls draws n Set calls from levels.  Gaps are drawn from gaps;
+// a zero gap overwrites the step before.
+func randomCalls(rng *rand.Rand, start simtime.Time, n int, levels []float64, gaps []simtime.Duration) []setCall {
+	calls := make([]setCall, n)
+	at := start
+	for i := range calls {
+		calls[i] = setCall{t: at, w: levels[rng.IntN(len(levels))]}
+		at = at.Add(gaps[rng.IntN(len(gaps))])
+	}
+	return calls
+}
+
+// distinctLevels returns n distinct draws.
+func distinctLevels(n int) []float64 {
+	levels := make([]float64, n)
+	for i := range levels {
+		levels[i] = 0.5 + 0.25*float64(i)
+	}
+	return levels
+}
+
+// timelineCases covers what the encoding must get right: several
+// chunks, more draws than a palette holds, offsets too large for one
+// chunk, same-time overwrites that miss a full palette, −0, +0 and NaN,
+// and zero-value timelines that start after time zero.
+func timelineCases() []timelineCase {
+	rng := rand.New(rand.NewPCG(21, 4))
+	hdd := []float64{8, 13.5, 11.5, 0.8, 20}
+	short := []simtime.Duration{0, 1, 1000, simtime.Millisecond, sec}
+	cases := []timelineCase{
+		{name: "several chunks", base: 8, calls: randomCalls(rng, 1, 3*chunkSteps+500, hdd, short), seals: true},
+		{name: "17 draws", base: 1, calls: randomCalls(rng, 1, 2000, distinctLevels(17), short), seals: true},
+		{name: "40 draws", base: 1, calls: randomCalls(rng, 1, 2000, distinctLevels(40), short), seals: true},
+		{name: "300 draws", base: 1, calls: randomCalls(rng, 1, 6000, distinctLevels(300), short), seals: true},
+		{name: "signed zeros and NaN", base: 0, calls: randomCalls(rng, 1, 3000, []float64{math.Copysign(0, -1), 0, math.NaN(), 7}, short)},
+		{name: "zero value", zero: true, calls: randomCalls(rng, simtime.Time(3*sec), 500, hdd, short)},
+		{name: "zero value, many draws", zero: true, calls: randomCalls(rng, 5, 500, distinctLevels(40), short), seals: true},
+	}
+	// Three gaps of 2^61 ns, each too long for one chunk's offsets.
+	var huge []setCall
+	for _, at := range []simtime.Time{0, 1 << 61, 2 << 61, 3 << 61} {
+		huge = append(huge, randomCalls(rng, at+1, 30, hdd, short)...)
+	}
+	cases = append(cases, timelineCase{name: "2^61 ns gaps", base: 8, calls: huge, seals: true})
+	// 40 distinct overwrites at time zero fill the first chunk's palette
+	// more than twice and must leave one step.
+	var first []setCall
+	for _, w := range distinctLevels(40) {
+		first = append(first, setCall{t: 0, w: w})
+	}
+	cases = append(cases, timelineCase{name: "overwrites at zero", base: 8, calls: first, steps: 1})
+	// Overwrites that miss a full palette in a later, longer chunk.
+	var later []setCall
+	for i, w := range distinctLevels(16) {
+		later = append(later, setCall{t: simtime.Time(i + 1), w: w})
+	}
+	for _, w := range distinctLevels(40)[16:] {
+		later = append(later, setCall{t: 16, w: w})
+	}
+	cases = append(cases, timelineCase{name: "overwrites past a full palette", base: 8, calls: later, seals: true, steps: 17})
+	return cases
+}
+
+// Differential: a compact timeline fed the same Set calls as the plain
+// 16-byte reference stores the same steps bit for bit, and agrees on
+// Steps and CheckMonotone.
+func TestTimelineMatchesPlainSteps(t *testing.T) {
+	for _, c := range timelineCases() {
+		tl, ref := c.build()
+		if got := decode(tl); !sameSteps(got, ref.steps) {
+			t.Errorf("%s: decoded %d steps differ from the reference's %d", c.name, len(got), len(ref.steps))
+		}
+		if tl.Steps() != len(ref.steps) {
+			t.Errorf("%s: Steps() = %d, reference %d", c.name, tl.Steps(), len(ref.steps))
+		}
+		if got, want := fmt.Sprint(tl.CheckMonotone()), fmt.Sprint(ref.CheckMonotone()); got != want {
+			t.Errorf("%s: CheckMonotone() = %s, reference %s", c.name, got, want)
+		}
+		if n := len(ref.steps); n > 0 && (tl.last.at != ref.steps[n-1].at || !sameBits(tl.last.w, ref.steps[n-1].w)) {
+			t.Errorf("%s: header %+v, last reference step %+v", c.name, tl.last, ref.steps[n-1])
+		}
+		if c.seals && len(tl.sealed) == 0 {
+			t.Errorf("%s: stored in one chunk; the case does not exercise sealing", c.name)
+		}
+		if c.steps > 0 && tl.Steps() != c.steps {
+			t.Errorf("%s: left %d steps, want %d", c.name, tl.Steps(), c.steps)
+		}
+	}
 }
 
 // Differential: on seeded random timelines, the integrals that start at
@@ -329,52 +514,91 @@ func refMeanWatts(tl *Timeline, t0, t1 simtime.Time) float64 {
 // from a small set, so Set often compacts a repeated value away, and
 // some timelines start after time zero, so windows can open before the
 // first step as well as on a step, between steps and after the last.
+// The timelines of timelineCases are scanned the same way.
 func TestTimelineIntegralsMatchFullScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 99))
 	levels := []float64{0, 4.5, 7.25, 11.8}
+	var cases []timelineCase
 	for trial := 0; trial < 300; trial++ {
-		var tl *Timeline
-		tcur := simtime.Time(0)
-		if trial%2 == 0 {
-			tl = NewTimeline(levels[rng.IntN(len(levels))])
+		c := timelineCase{name: fmt.Sprintf("trial %d", trial), zero: trial%2 == 1}
+		start := simtime.Time(0)
+		if c.zero {
+			start = simtime.Time(rng.Int64N(int64(3 * sec)))
 		} else {
-			tl = &Timeline{}
-			tcur = simtime.Time(rng.Int64N(int64(3 * sec)))
+			c.base = levels[rng.IntN(len(levels))]
 		}
+		at := start
 		for i, n := 0, rng.IntN(40); i < n; i++ {
-			tl.Set(tcur, levels[rng.IntN(len(levels))])
-			tcur = tcur.Add(simtime.Duration(rng.Int64N(int64(sec)))) // zero gaps overwrite
+			c.calls = append(c.calls, setCall{t: at, w: levels[rng.IntN(len(levels))]})
+			at = at.Add(simtime.Duration(rng.Int64N(int64(sec)))) // zero gaps overwrite
 		}
+		cases = append(cases, c)
+	}
+	for _, c := range append(cases, timelineCases()...) {
+		tl, ref := c.build()
+		steps := ref.steps
 		pick := func() simtime.Time {
-			if len(tl.steps) == 0 {
+			if len(steps) == 0 {
 				return simtime.Time(rng.Int64N(int64(10 * sec)))
 			}
-			first, last := tl.steps[0].at, tl.steps[len(tl.steps)-1].at
-			j := rng.IntN(len(tl.steps))
+			first, last := steps[0].at, steps[len(steps)-1].at
+			j := rng.IntN(len(steps))
 			switch rng.IntN(4) {
 			case 0: // before the first step
 				return first - simtime.Time(1+rng.Int64N(int64(sec)))
 			case 1: // exactly on a step
-				return tl.steps[j].at
+				return steps[j].at
 			case 2: // between steps
-				return tl.steps[j].at + simtime.Time(rng.Int64N(int64(sec/2)))
+				return steps[j].at + simtime.Time(rng.Int64N(int64(sec/2)))
 			default: // after the last step
 				return last + simtime.Time(1+rng.Int64N(int64(sec)))
 			}
 		}
 		for w := 0; w < 40; w++ {
 			t0, t1 := pick(), pick() // t1 <= t0 makes an empty window
-			if got, want := tl.EnergyJ(t0, t1), refEnergyJ(tl, t0, t1); got != want {
-				t.Fatalf("trial %d: EnergyJ(%v, %v) = %v, full scan %v", trial, t0, t1, got, want)
+			if got, want := tl.EnergyJ(t0, t1), refEnergyJ(steps, t0, t1); !sameBits(got, want) {
+				t.Fatalf("%s: EnergyJ(%v, %v) = %v, full scan %v", c.name, t0, t1, got, want)
 			}
-			if got, want := tl.MeanWatts(t0, t1), refMeanWatts(tl, t0, t1); got != want {
-				t.Fatalf("trial %d: MeanWatts(%v, %v) = %v, full scan %v", trial, t0, t1, got, want)
+			if got, want := tl.MeanWatts(t0, t1), refMeanWatts(steps, t0, t1); !sameBits(got, want) {
+				t.Fatalf("%s: MeanWatts(%v, %v) = %v, full scan %v", c.name, t0, t1, got, want)
 			}
-			if got, want := tl.Segments(t0, t1), refSegments(tl, t0, t1); !slices.Equal(got, want) {
-				t.Fatalf("trial %d: Segments(%v, %v) = %v, full scan %v", trial, t0, t1, got, want)
+			if got, want := tl.Segments(t0, t1), refSegments(steps, t0, t1); !sameSegments(got, want) {
+				t.Fatalf("%s: Segments(%v, %v) = %v, full scan %v", c.name, t0, t1, got, want)
 			}
 		}
 	}
+}
+
+// Memory gate: 1M Set calls cycling through an HDD's five draws retain
+// at most 8 B per step plus one chunk of slack, and allocate at most
+// 1.5 times that in all.  16-byte steps grown by append would retain
+// twice as much and leave more again behind as garbage.
+func TestTimelineMemoryPerStep(t *testing.T) {
+	hdd := []float64{8, 13.5, 11.5, 0.8, 20}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle frees what the first only unlinked
+	runtime.ReadMemStats(&before)
+	tl := NewTimeline(hdd[0])
+	for i := 1; i <= 1_000_000; i++ {
+		tl.Set(simtime.Time(i)*simtime.Time(simtime.Microsecond), hdd[i%len(hdd)])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	total := int64(after.TotalAlloc - before.TotalAlloc)
+	limit := 8*int64(tl.Steps()) + 8*chunkSteps
+	t.Logf("%d steps: %d B retained, %d B allocated; limit %d B retained", tl.Steps(), retained, total, limit)
+	if tl.Steps() != 1_000_001 {
+		t.Fatalf("Steps() = %d, want 1000001", tl.Steps())
+	}
+	if retained > limit {
+		t.Errorf("retained %d B, want at most %d (8 B per step plus one chunk)", retained, limit)
+	}
+	if total > limit*3/2 {
+		t.Errorf("allocated %d B, want at most %d (1.5x the retained limit)", total, limit*3/2)
+	}
+	runtime.KeepAlive(tl)
 }
 
 func TestApproxEqual(t *testing.T) {

@@ -89,7 +89,7 @@ func (r *Result) Duration() simtime.Duration { return r.End.Sub(r.Start) }
 // from the trace, not from completions, so an overloaded device simply
 // accumulates queueing — visible as growing response times.
 func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, opts Options) (*Result, error) {
-	if err := checkTrace(trace, dev); err != nil {
+	if err := checkTrace(trace, dev, engine.Now()); err != nil {
 		return nil, err
 	}
 	cycle := opts.SamplingCycle
@@ -115,15 +115,19 @@ func Replay(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, o
 }
 
 // checkTrace rejects, before anything is issued, a trace that breaks
-// blktrace's rules or holds a package larger than the whole device.
-// The devices fold an offset past their end back into range, but no
-// offset fits a package bigger than the device itself.
-func checkTrace(trace *blktrace.Trace, dev storage.Device) error {
+// blktrace's rules, places a bunch past simtime.Horizon when replayed
+// from start, or holds a package larger than the whole device.  The
+// devices fold an offset past their end back into range, but no offset
+// fits a package bigger than the device itself.
+func checkTrace(trace *blktrace.Trace, dev storage.Device, start simtime.Time) error {
 	if err := trace.Validate(); err != nil {
 		return fmt.Errorf("replay: %w", err)
 	}
 	capacity := dev.Capacity()
 	for i, b := range trace.Bunches {
+		if room := simtime.Horizon.Sub(start); b.Time > room {
+			return fmt.Errorf("replay: bunch %d at %v lies past the simulation horizon %v", i, b.Time, room)
+		}
 		for j, p := range b.Packages {
 			if capacity > 0 && p.Size > capacity {
 				return fmt.Errorf("replay: bunch %d package %d: size %d exceeds device capacity %d", i, j, p.Size, capacity)
@@ -290,7 +294,12 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 	// selection reorders the slice.
 	start := res.Start
 	if res.Duration() > 0 {
-		nBuckets := int((res.Duration() + cycle - 1) / cycle)
+		// Round up without adding: a cycle as long as the run would
+		// wrap Duration() + cycle.
+		nBuckets := int(res.Duration() / cycle)
+		if res.Duration()%cycle != 0 {
+			nBuckets++
+		}
 		type agg struct {
 			ios, bytes int64
 			resp       simtime.Duration
@@ -314,9 +323,9 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 		}
 		for i, b := range buckets {
 			ivStart := start.Add(simtime.Duration(i) * cycle)
-			ivEnd := ivStart.Add(cycle)
-			if ivEnd > res.End {
-				ivEnd = res.End
+			ivEnd := res.End
+			if cycle < ivEnd.Sub(ivStart) {
+				ivEnd = ivStart.Add(cycle)
 			}
 			secs := ivEnd.Sub(ivStart).Seconds()
 			iv := Interval{Start: ivStart, End: ivEnd, IOs: b.ios, Bytes: b.bytes}
@@ -353,7 +362,7 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 // taken to its as-fast-as-possible limit.  It measures the device's
 // peak capability under the trace's exact access pattern.
 func ReplayClosedLoop(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, queueDepth int, opts Options) (*Result, error) {
-	if err := checkTrace(trace, dev); err != nil {
+	if err := checkTrace(trace, dev, engine.Now()); err != nil {
 		return nil, err
 	}
 	if queueDepth <= 0 {

@@ -162,6 +162,56 @@ func TestReplayRejectsPackageLargerThanDevice(t *testing.T) {
 	}
 }
 
+// farTrace is a one-IO trace whose bunch lies at at.
+func farTrace(at simtime.Duration) *blktrace.Trace {
+	return &blktrace.Trace{Device: "far", Bunches: []blktrace.Bunch{{
+		Time:     at,
+		Packages: []blktrace.IOPackage{{Sector: 8, Size: 4096, Op: storage.Read}},
+	}}}
+}
+
+// TestReplayRejectsBunchPastHorizon: a bunch near the end of int64
+// would wrap its completion time and panic the engine, so both replay
+// modes reject a bunch past simtime.Horizon before issuing anything,
+// naming the bunch and its time.  A bunch exactly at the horizon replays: on a
+// bare drive, which meters nothing, it completes past the horizon
+// without wrapping.
+func TestReplayRejectsBunchPastHorizon(t *testing.T) {
+	modes := map[string]func(*simtime.Engine, storage.Device, *blktrace.Trace) (*Result, error){
+		"open loop": func(e *simtime.Engine, dev storage.Device, tr *blktrace.Trace) (*Result, error) {
+			return Replay(e, dev, tr, Options{})
+		},
+		"closed loop": func(e *simtime.Engine, dev storage.Device, tr *blktrace.Trace) (*Result, error) {
+			return ReplayClosedLoop(e, dev, tr, 4, Options{})
+		},
+	}
+	for name, replay := range modes {
+		e := simtime.NewEngine()
+		dev := &storage.Counter{Dev: &fixedLatencyDevice{e, simtime.Millisecond}}
+		_, err := replay(e, dev, farTrace(9223372036854775000))
+		const want = "replay: bunch 0 at 2562047h47m16.854775s lies past the simulation horizon"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want it to contain %q", name, err, want)
+		}
+		if dev.Submitted != 0 {
+			t.Errorf("%s: %d requests issued before the rejection", name, dev.Submitted)
+		}
+	}
+	e := simtime.NewEngine()
+	hdd := disksim.NewHDD(e, disksim.Seagate7200())
+	horizon := simtime.Duration(simtime.Horizon)
+	res, err := Replay(e, hdd, farTrace(horizon), Options{SamplingCycle: horizon})
+	if err != nil {
+		t.Fatalf("a bunch at the horizon: %v", err)
+	}
+	if res.Completed != 1 || res.End <= simtime.Horizon {
+		t.Errorf("a bunch at the horizon: %d completed, run ends at %v", res.Completed, res.End)
+	}
+	if err := hdd.Timeline().CheckMonotone(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestReplayIntervals(t *testing.T) {
 	e := simtime.NewEngine()
 	dev := &fixedLatencyDevice{engine: e, latency: simtime.Microsecond}

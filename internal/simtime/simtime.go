@@ -51,6 +51,12 @@ const (
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)
 
+// Horizon is the latest time an input may place an arrival: 1<<62 ns,
+// about 146 years.  It leaves as much again before MaxTime, far more
+// than any device delay, so a completion scheduled from an arrival
+// never wraps int64.  Replay and the fleet reject later arrivals.
+const Horizon = Time(1 << 62)
+
 // Seconds reports the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
