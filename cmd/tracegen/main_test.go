@@ -165,6 +165,41 @@ func TestGenerateFromProfile(t *testing.T) {
 	}
 }
 
+// TestGenerateFromUnsynthesizableProfile: a profile whose histogram
+// counts overflow int64 or whose bunch sizes are not positive fails
+// with the distribution named instead of panicking in synthesis.
+func TestGenerateFromUnsynthesizableProfile(t *testing.T) {
+	dir := t.TempDir()
+	src, err := workload.ReadProfile(writeTestProfile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		mut  func(*workload.Profile)
+		want string
+	}{
+		{"overflow", func(p *workload.Profile) {
+			p.Spatial.RunIOs = workload.Distribution{Values: []int64{1, 2}, Counts: []int64{9223372036854775807, 1}}
+		}, "workload: spatial.run_ios: histogram counts overflow int64"},
+		{"negative-bunch", func(p *workload.Profile) {
+			p.BunchSize = workload.Distribution{Quantiles: []int64{-1, 1}}
+		}, "workload: bunch_size: a bunch must hold at least one IO"},
+	} {
+		p := *src
+		c.mut(&p)
+		path := filepath.Join(dir, c.name+".json")
+		if err := workload.WriteProfile(path, &p); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err := run([]string{"-from-profile", path, "-out", filepath.Join(dir, c.name+".replay")}, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 // Each generation source must reject the other source's flags with a
 // clear error, one case per rejection.
 func TestFlagSourceRejections(t *testing.T) {

@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	tracer-bench [-run all|fig7|fig8|fig9|fig10|fig11|fig12|tableIII|tableIV|tableV|ssd|ablations|sweep|workload|fleet|optimize|cache]
+//	tracer-bench [-run all|fig7|fig8|fig9|fig10|fig11|fig12|tableIII|tableIV|tableV|ssd|ablations|conserve|thermal|degraded|scheduler|eraid|sweep|workload]
 //	             [-duration D] [-outdir DIR] [-workers N] [-trace FILE.replay] [-telemetry-dir DIR]
-//	tracer-bench -compare [-compare-tol 0.15]
 //
 // Independent simulation cells (one fresh engine + array per cell) fan
 // out across -workers goroutines; results are deterministic at any
@@ -198,18 +197,14 @@ var table = []experiment{
 		return nil
 	}},
 	{"sweep", runSweep},
-	{"kernel", benchKernel},
 	{"workload", benchWorkload},
-	{"fleet", benchFleet},
-	{"optimize", benchOptimize},
-	{"cache", benchCache},
 }
 
 // benchWorkload exercises the characterization pipeline: wall-clock
 // analyze/synthesize throughput on a web-server-like trace, then the
 // full perturbation study in the paper's LP/A table form.  The
 // throughput lines are wall-clock measurements, so the experiment only
-// runs on explicit request (like kernel).
+// runs on explicit request.
 func benchWorkload(cfg experiments.Config, w io.Writer) error {
 	wp := synth.DefaultWebServer()
 	wp.Seed = cfg.Seed
@@ -373,21 +368,11 @@ func run(args []string, out io.Writer) error {
 	list := fs.Bool("list", false, "list experiment names and exit")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile at exit to this file")
-	benchout := fs.String("benchout", benchOut, "kernel experiment: JSON report path")
-	fleetBenchout := fs.String("fleet-benchout", fleetBenchOut, "fleet experiment: JSON report path")
-	optimizeBenchout := fs.String("optimize-benchout", optimizeBenchOut, "optimize experiment: JSON report path")
-	cacheBenchout := fs.String("cache-benchout", cacheBenchOut, "cache experiment: JSON report path")
-	compare := fs.Bool("compare", false, "re-run every benchmark family and fail on a missing BENCH_*.json baseline or a throughput regression")
-	compareTol := fs.Float64("compare-tol", defaultCompareTol, "fractional events/sec loss tolerated by -compare before failing")
 	traceFile := fs.String("trace", "", "sweep experiment: replay this .replay trace instead of the synthetic grid")
 	telDir := fs.String("telemetry-dir", "", "sweep experiment: export per-load telemetry artifacts under this directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	benchOut = *benchout
-	fleetBenchOut = *fleetBenchout
-	optimizeBenchOut = *optimizeBenchout
-	cacheBenchOut = *cacheBenchout
 	sweepTrace = *traceFile
 	telemetryDir = *telDir
 	if *cpuprofile != "" {
@@ -425,13 +410,6 @@ func run(args []string, out io.Writer) error {
 	cfg.CollectDuration = simtime.FromStd(*duration)
 	cfg.Workers = *workers
 
-	if *compare {
-		if *compareTol <= 0 || *compareTol >= 1 {
-			return fmt.Errorf("bad -compare-tol %v (want a fraction in (0,1))", *compareTol)
-		}
-		return runCompare(cfg, *compareTol, out)
-	}
-
 	want := map[string]bool{}
 	all := *names == "all"
 	for _, n := range strings.Split(*names, ",") {
@@ -444,10 +422,10 @@ func run(args []string, out io.Writer) error {
 		if !all && !want[e.name] {
 			continue
 		}
-		// "sweep" is heavyweight; "kernel", "workload", "fleet",
-		// "optimize" and "cache" print wall-clock measurements
-		// (nondeterministic output): only on explicit request.
-		if all && (e.name == "sweep" || e.name == "kernel" || e.name == "workload" || e.name == "fleet" || e.name == "optimize" || e.name == "cache") {
+		// "sweep" is heavyweight and "workload" prints wall-clock
+		// measurements (nondeterministic output): only on explicit
+		// request.
+		if all && (e.name == "sweep" || e.name == "workload") {
 			continue
 		}
 		start := time.Now()

@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,10 +19,10 @@ func TestListExperiments(t *testing.T) {
 	if err := run([]string{"-list"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tableIII", "tableIV", "tableV", "ssd", "ablations", "conserve", "thermal", "degraded", "scheduler", "eraid", "sweep", "kernel", "fleet"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("missing experiment %s", want)
-		}
+	listed := strings.Fields(buf.String())
+	want := []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tableIII", "tableIV", "tableV", "ssd", "ablations", "conserve", "thermal", "degraded", "scheduler", "eraid", "sweep", "workload"}
+	if !slices.Equal(listed, want) {
+		t.Errorf("-list = %v, want %v", listed, want)
 	}
 }
 
@@ -179,44 +179,5 @@ func TestSweepTelemetryDirExportsPerLoad(t *testing.T) {
 	}
 	if strings.Count(buf.String(), "telemetry: ") != 4 {
 		t.Fatalf("telemetry lines: %s", buf.String())
-	}
-}
-
-// TestFleetExcludedFromAll: like kernel, the fleet benchmark prints
-// wall-clock measurements and only runs on explicit request.
-func TestFleetExcludedFromAll(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-run", "fig8", "-duration", "1s"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "=== fleet ===") {
-		t.Fatal("fleet benchmark ran without explicit -run fleet")
-	}
-}
-
-func TestOptimizeBenchSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_optimize.json")
-	var buf bytes.Buffer
-	if err := run([]string{"-run", "optimize", "-optimize-benchout", out}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "winner") {
-		t.Fatalf("output: %s", buf.String())
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report optimizeBenchReport
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Policy != "drpm" || len(report.Rows) != len(optimizeBenchWorkers) {
-		t.Fatalf("report: %+v", report)
-	}
-	for _, row := range report.Rows {
-		if !row.BestEquals {
-			t.Errorf("workers %d elected %q, differs from serial", row.Workers, row.BestPoint)
-		}
 	}
 }

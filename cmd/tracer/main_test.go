@@ -420,17 +420,36 @@ func TestFleetCommandTraceStream(t *testing.T) {
 	}
 }
 
-// TestFleetCommandErrors: flag validation.
+// TestFleetCommandErrors: flag validation, and SLO specs whose
+// defaulted eval interval is zero or whose slow window spans too many
+// intervals fail with the spec's error instead of a panic.
 func TestFleetCommandErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"fleet", "-arrays", "0"},
-		{"fleet", "-policy", "nope"},
-		{"fleet", "-device", "tape"},
-		{"fleet", "-trace", "missing.replay", "-repo", t.TempDir()},
+	dir := t.TempDir()
+	spec := func(name, windows string) string {
+		path := filepath.Join(dir, name)
+		blob := `{"version":1,"name":"bad",` + windows + `,"classes":[{"name":"all","objectives":[{"name":"avail","kind":"availability","target":0.99}]}]}`
+		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	zeroInterval := spec("zero-interval.json", `"fast_window_ns":4`)
+	hugeRing := spec("huge-ring.json", `"eval_interval_ns":1,"slow_window_ns":9223372036854775807`)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"fleet", "-arrays", "0"}, ""},
+		{[]string{"fleet", "-policy", "nope"}, ""},
+		{[]string{"fleet", "-device", "tape"}, ""},
+		{[]string{"fleet", "-trace", "missing.replay", "-repo", t.TempDir()}, ""},
+		{[]string{"fleet", "-arrays", "2", "-duration", "50ms", "-slo", zeroInterval}, "zero-interval.json: slo: eval interval is zero"},
+		{[]string{"fleet", "-arrays", "2", "-duration", "50ms", "-slo", hugeRing}, "huge-ring.json: slo: slow window"},
 	} {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
-			t.Fatalf("run(%v) succeeded, want error", args)
+		err := run(c.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("run(%v) = %v, want an error containing %q", c.args, err, c.want)
 		}
 	}
 }

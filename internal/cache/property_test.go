@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/blktrace"
 	"repro/internal/disksim"
 	"repro/internal/powersim"
 	"repro/internal/raid"
@@ -155,5 +156,65 @@ func TestPropertyZeroCapacityPassthrough(t *testing.T) {
 	}
 	if !bytes.Equal(baseSamples, cachedSamples) {
 		t.Fatal("zero-capacity cache changed the metered power samples")
+	}
+}
+
+// TestPinnedHitCounts replays 20,000 4 KiB reads whose hits are fixed
+// by construction through a 32 MiB tier over a 6-HDD array: a 32-extent
+// hot set read round-robin stays resident, and one never-reused cold
+// extent every 1, 2 or 20 accesses supplies the misses.  LRU and 2Q
+// miss only the hot set's 32 cold starts; CLOCK misses 32 more.
+func TestPinnedHitCounts(t *testing.T) {
+	const n, hotExtents = 20000, 32
+	coldEvery := []int{1, 2, 20}
+	want := map[string][]int64{
+		"lru":   {0, 9968, 18968},
+		"2q":    {0, 9968, 18968},
+		"clock": {0, 9936, 18936},
+	}
+	traces := make([]*blktrace.Trace, len(coldEvery))
+	for i, every := range coldEvery {
+		tr := &blktrace.Trace{Device: fmt.Sprintf("cold-every-%d", every)}
+		var cold, hot int64
+		for j := range n {
+			ext := hot % hotExtents
+			if (j+1)%every == 0 {
+				ext = hotExtents + cold
+				cold++
+			} else {
+				hot++
+			}
+			tr.Bunches = append(tr.Bunches, blktrace.Bunch{
+				Time:     simtime.Duration(j) * simtime.Millisecond,
+				Packages: []blktrace.IOPackage{{Sector: ext * DefaultExtentBytes / storage.SectorSize, Size: 4 << 10, Op: storage.Read}},
+			})
+		}
+		traces[i] = tr
+	}
+	for _, tier := range []string{TierDRAM, TierSSD} {
+		for _, eviction := range []string{"lru", "2q", "clock"} {
+			for i, tr := range traces {
+				t.Run(tier+"/"+eviction+"/"+tr.Device, func(t *testing.T) {
+					engine := simtime.NewEngine()
+					arr, err := raid.NewHDDArray(engine, raid.DefaultParams(), 6, disksim.Seagate7200())
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := New(engine, arr, arr.PowerSource(), Params{Tier: tier, CapacityBytes: 32 << 20, Eviction: eviction})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := replay.Replay(engine, c, tr, replay.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := c.Stats()
+					if res.Completed != n || s.Hits+s.Misses != n || s.Hits != want[eviction][i] {
+						t.Fatalf("%d completed, %d hits and %d misses; want %d, %d and %d",
+							res.Completed, s.Hits, s.Misses, n, want[eviction][i], n-want[eviction][i])
+					}
+				})
+			}
+		}
 	}
 }

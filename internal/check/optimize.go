@@ -91,7 +91,7 @@ type OptimizePolicyGolden struct {
 	EvolveBest optimize.Eval `json:"evolve_best"`
 
 	// LedgerDecisions counts the winner's recorded decisions per kind —
-	// the integer fingerprint of the decision stream (exact-compared;
+	// the integer fingerprint of the decision stream (compared exactly;
 	// timestamps stay out of the golden so FMA variation across
 	// architectures cannot flake it).
 	LedgerDecisions map[string]int64 `json:"ledger_decisions"`

@@ -556,42 +556,6 @@ func EnergyJ(samples []Sample) float64 {
 	return joules
 }
 
-// Analyzer is a multi-channel power analyzer: the paper's meter can
-// clamp several storage systems at once (Section III-A3).
-type Analyzer struct {
-	channels map[string]*Meter
-	order    []string
-}
-
-// NewAnalyzer returns an empty analyzer.
-func NewAnalyzer() *Analyzer {
-	return &Analyzer{channels: make(map[string]*Meter)}
-}
-
-// AddChannel registers a named meter channel.  Re-registering a name
-// replaces the previous meter.
-func (a *Analyzer) AddChannel(name string, m *Meter) {
-	if _, ok := a.channels[name]; !ok {
-		a.order = append(a.order, name)
-	}
-	a.channels[name] = m
-}
-
-// Channel returns the named meter, or nil.
-func (a *Analyzer) Channel(name string) *Meter { return a.channels[name] }
-
-// Channels lists channel names in registration order.
-func (a *Analyzer) Channels() []string { return append([]string(nil), a.order...) }
-
-// MeasureAll samples every channel over [t0, t1).
-func (a *Analyzer) MeasureAll(t0, t1 simtime.Time) map[string][]Sample {
-	out := make(map[string][]Sample, len(a.channels))
-	for name, m := range a.channels {
-		out[name] = m.Measure(t0, t1)
-	}
-	return out
-}
-
 // StateMachine is a helper for device models: it tracks a device's
 // current power state and writes the corresponding draw to a Timeline.
 // States are registered with fixed draws; transitions stamp the

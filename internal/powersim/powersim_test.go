@@ -204,25 +204,6 @@ func TestMeterDeterministicSeed(t *testing.T) {
 	}
 }
 
-func TestAnalyzerChannels(t *testing.T) {
-	a := NewAnalyzer()
-	a.AddChannel("hdd-array", &Meter{Source: NewTimeline(90), Cycle: sec, SupplyVolts: 220})
-	a.AddChannel("ssd-array", &Meter{Source: NewTimeline(195.8), Cycle: sec, SupplyVolts: 220})
-	if got := a.Channels(); len(got) != 2 || got[0] != "hdd-array" || got[1] != "ssd-array" {
-		t.Fatalf("Channels = %v", got)
-	}
-	all := a.MeasureAll(0, simtime.Time(5*sec))
-	if len(all["hdd-array"]) != 5 || len(all["ssd-array"]) != 5 {
-		t.Fatalf("MeasureAll lengths wrong: %d/%d", len(all["hdd-array"]), len(all["ssd-array"]))
-	}
-	if got := MeanWatts(all["ssd-array"]); math.Abs(got-195.8) > 1e-9 {
-		t.Fatalf("ssd channel mean = %v, want 195.8", got)
-	}
-	if a.Channel("nope") != nil {
-		t.Fatal("unknown channel should be nil")
-	}
-}
-
 func TestStateMachine(t *testing.T) {
 	sm := NewStateMachine(map[string]float64{"idle": 8, "seek": 13.5, "active": 11.5}, "idle")
 	if sm.State() != "idle" {

@@ -7,11 +7,11 @@ import (
 
 // This file freezes the pre-rewrite kernel — container/heap over
 // heap-allocated *event nodes — as BaselineEngine.  No device model
-// uses it; it exists so BenchmarkEngineScheduleRun and tracer-bench's
-// BENCH_kernel.json can measure the value-typed 4-ary kernel against
-// the exact implementation it replaced, on the machine at hand, for as
-// long as the repository lives.  Differential tests also replay random
-// schedules through both kernels to pin the (at, seq) execution order.
+// uses it; it exists so BenchmarkEngineScheduleRun can measure the
+// value-typed 4-ary kernel against the exact implementation it
+// replaced, on the machine at hand, for as long as the repository
+// lives.  Differential tests also replay random schedules through both
+// kernels to pin the (at, seq) execution order.
 
 // baseEvent is a scheduled callback in the baseline kernel.
 type baseEvent struct {

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -57,6 +58,9 @@ func TestSpecValidate(t *testing.T) {
 		{"no classes", func(s *Spec) { s.Classes = nil }, "no classes"},
 		{"fast>slow", func(s *Spec) { s.FastWindow = s.SlowWindow * 2 }, "exceeds"},
 		{"misaligned", func(s *Spec) { s.EvalInterval = 7 * simtime.Millisecond }, "multiples"},
+		// A fast window under 5 ns defaults the interval to zero.
+		{"zero default interval", func(s *Spec) { s.FastWindow, s.SlowWindow, s.EvalInterval = 4, 8, 0 }, "eval interval is zero"},
+		{"ring past cap", func(s *Spec) { s.EvalInterval, s.SlowWindow = 1, math.MaxInt64 }, "more than 4096"},
 		{"dup class", func(s *Spec) { s.Classes[1].Name = "gold" }, "duplicate"},
 		{"bucket>=mod", func(s *Spec) { s.Classes[0].Match.Buckets = []uint64{2} }, "outside mod"},
 		{"mod no buckets", func(s *Spec) { s.Classes[0].Match.Buckets = nil }, "no buckets"},
@@ -73,6 +77,14 @@ func TestSpecValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
+		if _, err := NewEngine(s); err == nil {
+			t.Errorf("%s: NewEngine accepted the spec", tc.name)
+		}
+	}
+	s := testSpec()
+	s.SlowWindow = MaxWindowTicks * s.EvalInterval
+	if _, err := NewEngine(s); err != nil {
+		t.Errorf("a slow window of exactly MaxWindowTicks ticks rejected: %v", err)
 	}
 }
 

@@ -113,6 +113,13 @@ const (
 	DefaultBurnThreshold = 14.4
 )
 
+// MaxWindowTicks bounds the slow window in evaluation ticks.  Every
+// objective keeps a ring of that many ticks and re-sums it at each
+// tick, so an unbounded ratio would let a spec ask for any amount of
+// memory and work.  The defaults use 60 ticks, ExampleSpec 20; an hour
+// at one-second ticks still fits.
+const MaxWindowTicks = 4096
+
 // withDefaults fills zero evaluation parameters.
 func (s Spec) withDefaults() Spec {
 	if s.FastWindow <= 0 {
@@ -143,9 +150,16 @@ func (s Spec) Validate() error {
 	if d.FastWindow > d.SlowWindow {
 		return fmt.Errorf("slo: fast window %v exceeds slow window %v", d.FastWindow, d.SlowWindow)
 	}
+	if d.EvalInterval <= 0 {
+		return fmt.Errorf("slo: eval interval is zero (the default is a fifth of the %v fast window; set eval_interval_ns)", d.FastWindow)
+	}
 	if d.FastWindow%d.EvalInterval != 0 || d.SlowWindow%d.EvalInterval != 0 {
 		return fmt.Errorf("slo: windows %v/%v are not whole multiples of the eval interval %v",
 			d.FastWindow, d.SlowWindow, d.EvalInterval)
+	}
+	if ticks := d.SlowWindow / d.EvalInterval; ticks > MaxWindowTicks {
+		return fmt.Errorf("slo: slow window %v spans %d eval intervals of %v, more than %d",
+			d.SlowWindow, int64(ticks), d.EvalInterval, MaxWindowTicks)
 	}
 	var periodNames map[string]bool
 	if s.Periods != nil {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -75,25 +76,31 @@ func (d Distribution) Empty() bool {
 	return len(d.Values) == 0 && len(d.Quantiles) == 0
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency, including that the
+// histogram counts sum within int64: Sample draws below their total.
 func (d Distribution) Validate() error {
 	if len(d.Values) != len(d.Counts) {
-		return fmt.Errorf("workload: %d values but %d counts", len(d.Values), len(d.Counts))
+		return fmt.Errorf("%d values but %d counts", len(d.Values), len(d.Counts))
 	}
 	if len(d.Values) > 0 && len(d.Quantiles) > 0 {
-		return fmt.Errorf("workload: distribution has both histogram and quantile forms")
+		return fmt.Errorf("distribution has both histogram and quantile forms")
 	}
+	var total int64
 	for i, c := range d.Counts {
 		if c <= 0 {
-			return fmt.Errorf("workload: non-positive count %d for value %d", c, d.Values[i])
+			return fmt.Errorf("non-positive count %d for value %d", c, d.Values[i])
 		}
 		if i > 0 && d.Values[i] <= d.Values[i-1] {
-			return fmt.Errorf("workload: histogram values not strictly increasing at %d", i)
+			return fmt.Errorf("histogram values not strictly increasing at %d", i)
 		}
+		if c > math.MaxInt64-total {
+			return fmt.Errorf("histogram counts overflow int64 at value %d", d.Values[i])
+		}
+		total += c
 	}
 	for i := 1; i < len(d.Quantiles); i++ {
 		if d.Quantiles[i] < d.Quantiles[i-1] {
-			return fmt.Errorf("workload: quantile table not monotone at %d", i)
+			return fmt.Errorf("quantile table not monotone at %d", i)
 		}
 	}
 	return nil

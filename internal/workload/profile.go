@@ -121,10 +121,21 @@ func (p *Profile) Validate() error {
 	if p.Spatial.EndSector <= p.Spatial.BaseSector {
 		return fmt.Errorf("workload: empty footprint [%d,%d)", p.Spatial.BaseSector, p.Spatial.EndSector)
 	}
-	for _, d := range []Distribution{p.BunchSize, p.RequestSize, p.Gaps.Burst, p.Gaps.Idle, p.Spatial.RunIOs, p.Spatial.SeekSectors} {
-		if err := d.Validate(); err != nil {
-			return err
+	for _, d := range []struct {
+		name string
+		d    Distribution
+	}{
+		{"bunch_size", p.BunchSize}, {"request_size", p.RequestSize},
+		{"gaps.burst", p.Gaps.Burst}, {"gaps.idle", p.Gaps.Idle},
+		{"spatial.run_ios", p.Spatial.RunIOs}, {"spatial.seek_sectors", p.Spatial.SeekSectors},
+	} {
+		if err := d.d.Validate(); err != nil {
+			return fmt.Errorf("workload: %s: %w", d.name, err)
 		}
+	}
+	// Both forms are sorted, so the first entry is the least bunch.
+	if bs := p.BunchSize; len(bs.Values) > 0 && bs.Values[0] <= 0 || len(bs.Quantiles) > 0 && bs.Quantiles[0] <= 0 {
+		return fmt.Errorf("workload: bunch_size: a bunch must hold at least one IO")
 	}
 	return nil
 }

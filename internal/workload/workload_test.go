@@ -116,6 +116,49 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnsynthesizableProfiles: profiles whose
+// histogram counts overflow int64, or whose bunch sizes include an
+// empty or negative bunch, fail Validate with the distribution named
+// instead of panicking in Synthesize.
+func TestValidateRejectsUnsynthesizableProfiles(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Profile)
+		want string
+	}{
+		{"run_ios counts overflow", func(p *Profile) {
+			p.Spatial.RunIOs = Distribution{Values: []int64{1, 2}, Counts: []int64{math.MaxInt64, 1}}
+		}, "spatial.run_ios: histogram counts overflow int64 at value 2"},
+		{"zero bunch in histogram", func(p *Profile) {
+			p.BunchSize = Distribution{Values: []int64{0, 1}, Counts: []int64{1, 1}}
+		}, "bunch_size: a bunch must hold at least one IO"},
+		{"negative bunch in histogram", func(p *Profile) {
+			p.BunchSize = Distribution{Values: []int64{-3}, Counts: []int64{5}}
+		}, "bunch_size: a bunch must hold at least one IO"},
+		{"non-positive bunch in quantiles", func(p *Profile) {
+			p.BunchSize = Distribution{Quantiles: []int64{-1, 1, 2}}
+		}, "bunch_size: a bunch must hold at least one IO"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := Analyze(fixedTrace(), "fixture")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Synthesize(p, SynthOptions{Seed: 1, ReadRatio: -1}); err != nil {
+				t.Fatalf("unmutated profile: %v", err)
+			}
+			c.mut(p)
+			if err := p.Validate(); err == nil || err.Error() != "workload: "+c.want {
+				t.Fatalf("Validate() = %v, want %q", err, "workload: "+c.want)
+			}
+			if _, err := Synthesize(p, SynthOptions{Seed: 1, ReadRatio: -1}); err == nil {
+				t.Fatal("Synthesize accepted the profile")
+			}
+		})
+	}
+}
+
 // encode renders a trace to its canonical binary form for byte-level
 // comparison.
 func encode(t *testing.T, tr *blktrace.Trace) []byte {
