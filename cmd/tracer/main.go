@@ -195,10 +195,8 @@ func cmdGenReal(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	repo, err := repository.Open(*dir)
-	if err != nil {
-		return err
-	}
+	// Every flag is checked before the repository is opened, because
+	// Open creates -repo.
 	var tr *blktrace.Trace
 	var label string
 	switch *kindName {
@@ -216,6 +214,10 @@ func cmdGenReal(args []string, out io.Writer) error {
 		tr, label = synth.OLTPTrace(p), "oltp"
 	default:
 		return fmt.Errorf("unknown real-trace kind %q (want web, cello or oltp)", *kindName)
+	}
+	repo, err := repository.Open(*dir)
+	if err != nil {
+		return err
 	}
 	entry, err := repo.StoreReal(kind.String(), label, tr)
 	if err != nil {

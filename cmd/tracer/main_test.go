@@ -107,6 +107,7 @@ func TestConvertCommand(t *testing.T) {
 
 func TestBadInvocations(t *testing.T) {
 	var buf bytes.Buffer
+	repoDir := filepath.Join(t.TempDir(), "repo")
 	cases := [][]string{
 		{},
 		{"frobnicate"},
@@ -114,13 +115,17 @@ func TestBadInvocations(t *testing.T) {
 		{"test"},
 		{"test", "-trace", "x", "-loads", "abc"},
 		{"test", "-trace", "x", "-device", "floppy"},
-		{"gen-real", "-kind", "nope", "-repo", "x"},
+		{"gen-real", "-kind", "nope", "-repo", repoDir},
 		{"convert"},
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+	// A rejected gen-real must not create its repository.
+	if _, err := os.Stat(repoDir); !os.IsNotExist(err) {
+		t.Errorf("gen-real with a bad -kind left %s behind (stat: %v)", repoDir, err)
 	}
 	// t.TempDir cleanup guards against stray writes from bad invocations.
 	if err := run([]string{"help"}, &buf); err != nil {

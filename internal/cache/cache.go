@@ -227,6 +227,10 @@ type frontOp struct {
 
 func (fo *frontOp) onLand(t simtime.Time) { fo.c.opDone(fo, t) }
 
+// OnEvent implements simtime.Handler: a DRAM tier access is scheduled
+// on the front op it serves.
+func (fo *frontOp) OnEvent(e *simtime.Engine, _ simtime.EventArg) { fo.c.opDone(fo, e.Now()) }
+
 // fill is one backing read of a run of missed extents.  It installs
 // the admitted extents when the read lands, then retires its part of
 // the front op.  Fills recycle like front ops.
@@ -255,9 +259,8 @@ func (f *fill) onLand(t simtime.Time) {
 
 // Event kinds for the cache's simtime.Handler.
 const (
-	kindTierDone = iota // DRAM access complete; Ptr is the *frontOp
-	kindFlush           // periodic flush timer
-	kindIdle            // idle-drain timer; I64 is the arming generation
+	kindFlush = iota // periodic flush timer
+	kindIdle         // idle-drain timer
 )
 
 // Cache is a writeback cache tier implementing storage.Device in front
@@ -288,7 +291,7 @@ type Cache struct {
 	inflight      int
 	outstandingWB int
 	flushArmed    bool
-	idleGen       int64
+	idle          *simtime.Timer // idle drain: Submit stops it, going quiet resets it
 
 	lastEnd  int64 // sequential-run detection for bypass-seq
 	runBytes int64
@@ -349,6 +352,7 @@ func New(engine *simtime.Engine, backing storage.Device, backingSrc powersim.Sou
 	c.numSets = c.capacityLines / c.ways
 	c.capacityLines = c.numSets * c.ways
 	c.lines = make([]line, c.capacityLines)
+	c.idle = engine.NewTimer(c, simtime.EventArg{Kind: kindIdle})
 	c.hands = make([]int, c.numSets)
 	if p.DirtyHighRatio >= 0 {
 		c.dirtyHigh = int(p.DirtyHighRatio * float64(c.capacityLines))
@@ -452,7 +456,7 @@ func (c *Cache) Submit(req storage.Request, done func(simtime.Time)) {
 	now := c.engine.Now()
 	req.Offset = foldOffset(req.Offset, req.Size, c.backing.Capacity())
 	c.stats.Requests++
-	c.idleGen++
+	c.idle.Stop()
 	c.inflight++
 
 	// Sequential-run detection feeds the bypass-seq admission policy.
@@ -648,7 +652,7 @@ func (c *Cache) tierAccess(fo *frontOp, write bool, slot int, lo, hi int64) {
 		return
 	}
 	d := c.params.DRAMAccess + simtime.Duration(float64(n)/(c.params.DRAMBandwidthMBps*1e6)*float64(simtime.Second))
-	c.engine.AfterEvent(d, c, simtime.EventArg{Kind: kindTierDone, Ptr: fo})
+	c.engine.AfterEvent(d, fo, simtime.EventArg{})
 }
 
 // opDone retires one sub-operation; the last one completes the front
@@ -676,12 +680,9 @@ func (c *Cache) opDone(fo *frontOp, t simtime.Time) {
 	}
 }
 
-// OnEvent implements simtime.Handler for DRAM completions and the
-// writeback timers.
+// OnEvent implements simtime.Handler for the writeback timers.
 func (c *Cache) OnEvent(e *simtime.Engine, arg simtime.EventArg) {
 	switch arg.Kind {
-	case kindTierDone:
-		c.opDone(arg.Ptr.(*frontOp), e.Now())
 	case kindFlush:
 		c.flushArmed = false
 		if c.dirtyLines > 0 {
@@ -692,9 +693,8 @@ func (c *Cache) OnEvent(e *simtime.Engine, arg simtime.EventArg) {
 		// everything, so this keeps the engine drainable).
 		c.armFlush()
 	case kindIdle:
-		if arg.I64 != c.idleGen || c.inflight > 0 {
-			return // a newer request arrived; this arming is stale
-		}
+		// The timer runs only at the live deadline: any Submit since
+		// armIdle stopped it, so the front is still quiet.
 		if c.dirtyLines > 0 {
 			c.stats.IdleDrains++
 			c.flushAll(e.Now())

@@ -227,15 +227,15 @@ func TestIdleDrainStaleGeneration(t *testing.T) {
 	p.IdleDrain = simtime.Second
 	engine, _, c := newTestCache(t, p)
 	c.Submit(storage.Request{Op: storage.Write, Offset: 0, Size: 4096}, func(simtime.Time) {})
-	// A second write lands before the first idle timer fires; the
-	// first arming must be a stale no-op and the second must drain.
+	// A second write lands before the first idle deadline; the second
+	// deadline supersedes the first and must drain.
 	engine.Schedule(engine.Now().Add(simtime.Second/2), func() {
 		c.Submit(storage.Request{Op: storage.Write, Offset: 128 << 10, Size: 4096}, func(simtime.Time) {})
 	})
 	engine.Run()
 	st := c.Stats()
 	if st.IdleDrains != 1 {
-		t.Fatalf("IdleDrains = %d, want exactly 1 (first arming stale)", st.IdleDrains)
+		t.Fatalf("IdleDrains = %d, want exactly 1 (first deadline superseded)", st.IdleDrains)
 	}
 	if st.DirtyBytes != 0 {
 		t.Fatalf("DirtyBytes = %d after drain, want 0", st.DirtyBytes)

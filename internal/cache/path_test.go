@@ -103,6 +103,59 @@ func TestRequestPathAllocatesNothing(t *testing.T) {
 	}
 }
 
+// writeStream submits one 4 KiB write per series member, cycling over
+// extents extents, and counts completions.
+type writeStream struct {
+	c       *Cache
+	extents int64
+	done    int
+	onDone  func(simtime.Time)
+}
+
+func (s *writeStream) OnEvent(_ *simtime.Engine, arg simtime.EventArg) {
+	off := (arg.I64 % s.extents) * DefaultExtentBytes
+	s.c.Submit(storage.Request{Op: storage.Write, Offset: off, Size: 4096}, s.onDone)
+}
+
+// TestIdleDrainHoldsOneTimer: a write every 2 ms keeps the front busy
+// well inside the 0.5 s idle drain, and every completion that leaves it
+// quiet re-arms the drain.  Each request costs its arrival and its DRAM
+// completion; the drain's timer holds one heap slot that only moves
+// later.  An event per arming would add a third event per request and
+// keep about 250 pending, one per completion inside the window.
+func TestIdleDrainHoldsOneTimer(t *testing.T) {
+	const n = 5000
+	e := simtime.NewEngine()
+	arr, err := raid.NewHDDArray(e, raid.DefaultParams(), 5, disksim.Seagate7200())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := New(e, arr, arr.PowerSource(), Params{Tier: TierDRAM, CapacityBytes: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &writeStream{c: ch, extents: 64}
+	s.onDone = func(simtime.Time) { s.done++ }
+	e.ScheduleSeries(n, func(i int) simtime.Time { return simtime.Time(i) * simtime.Time(2*simtime.Millisecond) }, s)
+	e.Run()
+	if s.done != n {
+		t.Fatalf("%d of %d writes completed", s.done, n)
+	}
+	if err := ch.CheckInvariants(e.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if st := ch.Stats(); st.Hits == 0 || st.Writebacks == 0 {
+		t.Fatalf("stats %+v: the stream never hit the tier or wrote back", st)
+	}
+	t.Logf("fired %d events, heap depth %d", e.Fired(), e.MaxHeapDepth())
+	if perReq := float64(e.Fired()) / n; perReq >= 3 {
+		t.Errorf("fired %d events for %d requests (%.2f per request), want fewer than 3 per request", e.Fired(), n, perReq)
+	}
+	if d := e.MaxHeapDepth(); d >= 128 {
+		t.Errorf("event heap reached %d pending events, want fewer than 128", d)
+	}
+}
+
 // twiceDev breaks the device contract: it completes every request
 // twice, in the same event.
 type twiceDev struct{ fakeDev }

@@ -126,11 +126,12 @@ func (c *Cache) armFlush() {
 	c.engine.AfterEvent(c.params.FlushInterval, c, simtime.EventArg{Kind: kindFlush})
 }
 
-// armIdle schedules an idle drain for the current request generation;
-// any later Submit bumps the generation and stales the event.
+// armIdle sets the idle drain one IdleDrain from now; the next Submit
+// stops it.  The timer's deadline only moves later, so however often
+// the front goes quiet it holds one heap slot.
 func (c *Cache) armIdle() {
 	if c.params.IdleDrain <= 0 || c.dirtyLines == 0 {
 		return
 	}
-	c.engine.AfterEvent(c.params.IdleDrain, c, simtime.EventArg{Kind: kindIdle, I64: c.idleGen})
+	c.idle.Reset(c.engine.Now().Add(c.params.IdleDrain))
 }

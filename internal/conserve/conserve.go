@@ -61,6 +61,9 @@ type ManagedDisk struct {
 
 	lastActivity simtime.Time
 	outstanding  int
+	// idle is the idle check: construction and each completion that
+	// drains the disk reset it a timeout out, and Submit stops it.
+	idle *simtime.Timer
 
 	ctl    *Control
 	policy string
@@ -80,7 +83,8 @@ func NewManagedDisk(engine *simtime.Engine, disk SpinDowner, timeout simtime.Dur
 		panic("conserve: timeout must be non-negative")
 	}
 	m := &ManagedDisk{engine: engine, disk: disk, timeout: timeout, policy: "tpm"}
-	m.armTimer()
+	m.idle = engine.NewTimer(m, simtime.EventArg{})
+	resetClamped(engine, m.idle, engine.Now().Add(timeout))
 	return m
 }
 
@@ -107,6 +111,14 @@ func scheduleClamped(e *simtime.Engine, at simtime.Time, h simtime.Handler) bool
 	return true
 }
 
+// resetClamped moves t's deadline to at under scheduleClamped's rule:
+// a deadline that overflowed past the integer clock is dropped.
+func resetClamped(e *simtime.Engine, t *simtime.Timer, at simtime.Time) {
+	if at >= e.Now() {
+		t.Reset(at)
+	}
+}
+
 // queueDepthOf snapshots a device's queued-but-unstarted requests when
 // it exposes them (both disk models do).
 func queueDepthOf(dev any) int {
@@ -116,32 +128,21 @@ func queueDepthOf(dev any) int {
 	return 0
 }
 
-// armTimer schedules the idle check one timeout from now.
-func (m *ManagedDisk) armTimer() {
-	scheduleClamped(m.engine, m.engine.Now().Add(m.timeout), m)
-}
-
-// OnEvent implements simtime.Handler: an idle-check timer fired.  The
-// policy is its own prebound callback, so the periodic tick allocates
-// nothing; the check deadline is simply the dispatch time.
+// OnEvent implements simtime.Handler: the idle check came due.  The
+// policy is its own prebound callback, so the check allocates nothing;
+// the check deadline is simply the dispatch time.
 func (m *ManagedDisk) OnEvent(e *simtime.Engine, _ simtime.EventArg) {
 	m.check(e.Now())
 }
 
-// check spins the disk down when it has been idle for a full timeout.
-// Construction and each completion that drains the disk arm exactly
-// one check, a timeout later, so only the latest can find a full
-// timeout of idleness.  An older check finds a request in flight, the
-// disk in standby or activity since it was armed, and fires once and
-// returns.
+// check spins the disk down: the idle timer runs it only at the live
+// deadline, a full timeout after the last activity with no request
+// since.  A disk already in standby stays as it is.
 func (m *ManagedDisk) check(deadline simtime.Time) {
-	if m.outstanding > 0 || m.disk.InStandby() {
-		return // a completion or wake re-arms as needed
+	if m.disk.InStandby() {
+		return
 	}
 	idle := deadline.Sub(m.lastActivity)
-	if idle < m.timeout {
-		return // stale: the draining completion armed the live check
-	}
 	if !m.ctl.propose(Decision{
 		At:          int64(deadline),
 		Kind:        DecisionSpinDown,
@@ -175,6 +176,7 @@ func (m *ManagedDisk) Submit(req storage.Request, done func(simtime.Time)) {
 			Forced:      true,
 		})
 	}
+	m.idle.Stop()
 	m.lastActivity = m.engine.Now()
 	m.outstanding++
 	m.disk.Submit(req, m.free.get(m, done).land)
@@ -187,7 +189,7 @@ func (m *ManagedDisk) landed(r *inflight, finish simtime.Time) {
 	m.outstanding--
 	m.lastActivity = finish
 	if m.outstanding == 0 {
-		scheduleClamped(m.engine, finish.Add(m.timeout), m)
+		resetClamped(m.engine, m.idle, finish.Add(m.timeout))
 	}
 	done(finish)
 }

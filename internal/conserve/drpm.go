@@ -25,6 +25,9 @@ type DRPMDisk struct {
 	level        int
 	lastActivity simtime.Time
 	outstanding  int
+	// idle is the step-down check: construction, each completion that
+	// drains the disk and each step reset it, and Submit stops it.
+	idle *simtime.Timer
 
 	ctl   *Control
 	index int
@@ -46,6 +49,7 @@ func NewDRPMDisk(engine *simtime.Engine, disk *disksim.HDD, levels []float64, st
 		stepDown = 2 * simtime.Second
 	}
 	d := &DRPMDisk{engine: engine, disk: disk, levels: levels, stepDown: stepDown}
+	d.idle = engine.NewTimer(d, simtime.EventArg{})
 	d.armTimer()
 	return d
 }
@@ -67,28 +71,23 @@ func (d *DRPMDisk) AttachDecisions(ctl *Control, disk int) {
 	d.index = disk
 }
 
+// armTimer sets the step-down check one step from now.
 func (d *DRPMDisk) armTimer() {
-	scheduleClamped(d.engine, d.engine.Now().Add(d.stepDown), d)
+	resetClamped(d.engine, d.idle, d.engine.Now().Add(d.stepDown))
 }
 
-// OnEvent implements simtime.Handler: a step-down timer fired; the
-// check deadline is the dispatch time.
+// OnEvent implements simtime.Handler: the step-down check came due;
+// the check deadline is the dispatch time.
 func (d *DRPMDisk) OnEvent(e *simtime.Engine, _ simtime.EventArg) {
 	d.check(e.Now())
 }
 
 // check steps the speed down one level after a full idle window.  As
-// in ManagedDisk, only the latest check armed (at construction, by the
-// completion that drained the disk or by the previous step) can find a
-// full window of idleness; an older one fires once and returns.
+// in ManagedDisk, the idle timer runs it only at the live deadline
+// (set at construction, by the completion that drained the disk or by
+// the previous step), with no request since.
 func (d *DRPMDisk) check(deadline simtime.Time) {
-	if d.outstanding > 0 {
-		return // completion re-arms
-	}
 	idle := deadline.Sub(d.lastActivity)
-	if idle < d.stepDown {
-		return // stale: the draining completion armed the live check
-	}
 	// Propose only shifts the drive will accept (it refuses while a
 	// previous shift settles), so the ledger records exactly the
 	// transitions that happen.
@@ -121,6 +120,7 @@ func (d *DRPMDisk) check(deadline simtime.Time) {
 // a step back to full speed; the disk shifts as soon as it drains, and
 // meanwhile the request is served at the current speed.
 func (d *DRPMDisk) Submit(req storage.Request, done func(simtime.Time)) {
+	d.idle.Stop()
 	d.lastActivity = d.engine.Now()
 	d.outstanding++
 	d.disk.Submit(req, d.free.get(d, done).land)
@@ -147,7 +147,7 @@ func (d *DRPMDisk) landed(r *inflight, finish simtime.Time) {
 		}) && d.disk.SetRPMFraction(d.levels[0]) {
 			d.level = 0
 		}
-		scheduleClamped(d.engine, finish.Add(d.stepDown), d)
+		resetClamped(d.engine, d.idle, finish.Add(d.stepDown))
 	}
 	done(finish)
 }

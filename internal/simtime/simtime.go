@@ -8,10 +8,12 @@
 // events execute in strict timestamp order (ties broken by scheduling
 // order), which makes every experiment bit-for-bit reproducible.
 //
-// The event queue is a value-typed 4-ary min-heap stored in one flat
-// slice: no per-event heap object, no container/heap interface boxing,
-// and sift-up/sift-down specialised on the (at, seq) key.  Callbacks
-// are scheduled in three forms:
+// The event queue is a 4-ary min-heap of pointer-free 24-byte keys
+// {at, seq, slot} in one flat slice, sifted on the (at, seq) pair.  A
+// key's slot indexes a slab of 32-byte {Handler, EventArg} payloads
+// that recycle through a LIFO free list, so sift moves copy no pointer
+// and take no write barrier, and the collector never scans the heap.
+// Callbacks are scheduled in four forms:
 //
 //   - Schedule(at, func()) — the legacy closure form, kept as a thin
 //     compatibility wrapper.  Each call typically allocates the closure.
@@ -21,6 +23,10 @@
 //     steady-state scheduling performs zero heap allocations.
 //   - ScheduleSeries(n, at, Handler) — n time-ordered events for one
 //     handler (a trace's bunches) that occupy a single heap slot.
+//   - NewTimer(Handler, EventArg) — a re-armable deadline (an idle
+//     timeout every request pushes back).  A timer whose deadline only
+//     moves later holds one heap slot, and its handler never runs for a
+//     superseded deadline.
 package simtime
 
 import (
@@ -91,52 +97,61 @@ type Handler interface {
 	OnEvent(e *Engine, arg EventArg)
 }
 
-// EventArg is the per-event payload of the closure-free scheduling path.
-// It is a small value struct so it rides inside the heap slot:
+// EventArg is the per-event payload of the closure-free scheduling path,
+// a 16-byte value with no pointers:
 //
 //   - Kind discriminates event types when one handler serves several
 //     (spin-up complete vs. service complete, say).
 //   - I64 carries a scalar payload such as an index.
-//   - Ptr carries a reference payload.  To keep the path allocation-free
-//     it must hold a pointer-shaped value (*T, func, map, chan); boxing
-//     a plain int or struct into it allocates.
+//
+// A reference payload rides as the handler instead: schedule the event
+// on the referenced object (a *T implementing Handler), which converts
+// to the interface without allocating.
 type EventArg struct {
 	Kind int32
 	I64  int64
-	Ptr  any
 }
 
-// event is one scheduled callback, stored by value in the heap slice.
-type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal timestamps
-	h   Handler
-	arg EventArg
+// key is one heap entry: an event's (at, seq) order and the slab slot
+// of what it runs.  It holds no pointer, so moving keys during a sift
+// takes no write barrier.
+type key struct {
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among equal timestamps
+	slot uint32 // index into Engine.slab
 }
 
-// eventLess orders events by (at, seq).
-func eventLess(a, b *event) bool {
+// keyLess orders keys by (at, seq).
+func keyLess(a, b *key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// funcEvent adapts the legacy closure API onto the handler path.  A
-// func value is pointer-shaped, so storing it in EventArg.Ptr does not
-// allocate beyond the closure the caller already created.
-type funcEvent struct{}
+// payload is what one event runs.
+type payload struct {
+	h   Handler
+	arg EventArg
+}
 
-func (funcEvent) OnEvent(_ *Engine, arg EventArg) { arg.Ptr.(func())() }
+// funcHandler adapts the legacy closure API onto the handler path.  A
+// func value is pointer-shaped, so converting it to a Handler does not
+// allocate beyond the closure the caller already created.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(*Engine, EventArg) { f() }
 
 // Engine is a discrete-event simulation executive.  The zero value is
 // ready to use; Schedule events and call Run.
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []event // 4-ary min-heap on (at, seq)
-	fired   uint64  // events executed so far
-	maxHeap int     // heap-depth high water
+	heap    []key     // 4-ary min-heap on (at, seq)
+	slab    []payload // event payloads, indexed by key.slot
+	free    []uint32  // LIFO list of idle slab slots
+	fired   uint64    // events executed so far
+	maxHeap int       // heap-depth high water
 }
 
 // NewEngine returns an Engine with its clock at zero.
@@ -146,12 +161,14 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of events in the heap.  A live series
-// counts once, for its next member, so zero still means every scheduled
-// event has fired.
+// counts once, for its next member, and a timer once per slot it
+// holds, so zero still means every scheduled event has fired.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // Fired reports the number of events executed since the engine was
-// created — the kernel's basic progress metric for telemetry.
+// created — the kernel's basic progress metric for telemetry.  A timer
+// slot that comes due counts once whether it runs the timer's handler
+// or only moves to the live deadline.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // MaxHeapDepth reports the high-water mark of pending events, the
@@ -159,14 +176,15 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) MaxHeapDepth() int { return e.maxHeap }
 
 // ScheduleEvent registers h to run at virtual time at with the given
-// argument.  This is the closure-free path: the event lives by value in
-// the heap slice, so scheduling allocates nothing once the slice has
-// warmed up.  Scheduling in the past (at < Now) panics: it indicates a
-// bug in a device model, and a silently reordered event would corrupt
-// every downstream measurement.
+// argument.  This is the closure-free path: the event's key lives by
+// value in the heap slice and its payload in a recycled slab slot, so
+// scheduling allocates nothing once both have warmed up.  Scheduling
+// in the past (at < Now) panics: it indicates a bug in a device model,
+// and a silently reordered event would corrupt every downstream
+// measurement.
 func (e *Engine) ScheduleEvent(at Time, h Handler, arg EventArg) {
 	e.seq++
-	e.push(event{at: at, seq: e.seq, h: h, arg: arg})
+	e.push(at, e.seq, h, arg)
 }
 
 // ScheduleSeries registers n events for h: member i runs at virtual time
@@ -196,7 +214,7 @@ type series struct {
 
 // queue pushes member i at its reserved key.
 func (s *series) queue(e *Engine, i int) {
-	e.push(event{at: s.at(i), seq: s.seq + uint64(i), h: s, arg: EventArg{I64: int64(i)}})
+	e.push(s.at(i), s.seq+uint64(i), s, EventArg{I64: int64(i)})
 }
 
 // OnEvent queues the successor, then runs the member's handler.
@@ -207,17 +225,111 @@ func (s *series) OnEvent(e *Engine, arg EventArg) {
 	s.h.OnEvent(e, arg)
 }
 
-// push inserts ev into the heap and tracks the depth high-water mark.
-// An event before now panics.
-func (e *Engine) push(ev event) {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("simtime: schedule at %v before now %v", ev.at, e.now))
+// Timer is a re-armable deadline for one handler, such as an idle
+// timeout that every request pushes back.  Reset(at) arms it for at,
+// taking exactly the seq a ScheduleEvent call would take at that
+// moment, so the handler runs at the (at, seq) key a freshly scheduled
+// event would have.  Stop disarms it.
+//
+// The timer queues at most one slot of its own at a time.  A Reset
+// later than the queued slot leaves the slot where it is: when it
+// comes due for the superseded key, it re-queues at the live key
+// instead of running the handler.  A Reset earlier than the queued
+// slot queues a new one and orphans the old, and an orphaned or
+// stopped timer's slot is dropped when it comes due.  So a timer whose
+// deadline only moves later holds one heap slot, and no handler runs
+// for a stale deadline.
+type Timer struct {
+	e    *Engine
+	h    Handler
+	arg  EventArg
+	at   Time   // live deadline
+	seq  uint64 // live key's seq; 0 while stopped
+	qat  Time   // key of the timer's own queued slot
+	qseq uint64 // 0 when no slot is queued
+}
+
+// NewTimer returns a stopped timer that runs h with arg when a deadline
+// set by Reset comes due.
+func (e *Engine) NewTimer(h Handler, arg EventArg) *Timer {
+	return &Timer{e: e, h: h, arg: arg}
+}
+
+// Reset arms the timer for at, superseding any deadline it held.  A
+// deadline before Now panics, as scheduling in the past does.
+func (t *Timer) Reset(at Time) {
+	e := t.e
+	if at < e.now {
+		panicPast(at, e.now)
 	}
-	e.heap = append(e.heap, ev)
+	e.seq++
+	t.at, t.seq = at, e.seq
+	if t.qseq == 0 || at < t.qat {
+		t.queue()
+	}
+}
+
+// Stop disarms the timer.  A slot it has queued is dropped when it
+// comes due, unless a Reset before then re-arms the timer.
+func (t *Timer) Stop() { t.seq = 0 }
+
+// queue pushes the timer's slot at the live key.  The slot's I64
+// carries its seq, so a slot that an earlier Reset orphaned is told
+// apart from the timer's own.
+func (t *Timer) queue() {
+	t.qat, t.qseq = t.at, t.seq
+	t.e.push(t.at, t.seq, (*timerSlot)(t), EventArg{I64: int64(t.seq)})
+}
+
+// timerSlot is the heap-resident handler of a Timer's slots; a
+// distinct type keeps OnEvent out of Timer's method set.
+type timerSlot Timer
+
+// OnEvent runs the handler when the slot holds the live key, moves the
+// slot to the live key when a later Reset superseded it, and otherwise
+// drops it.
+func (s *timerSlot) OnEvent(e *Engine, arg EventArg) {
+	t := (*Timer)(s)
+	seq := uint64(arg.I64)
+	if seq != t.qseq {
+		return // orphaned by a Reset earlier than this slot
+	}
+	t.qseq = 0
+	switch t.seq {
+	case 0: // stopped
+	case seq:
+		t.seq = 0
+		t.h.OnEvent(e, t.arg)
+	default:
+		t.queue()
+	}
+}
+
+// push inserts an event into the heap and tracks the depth high-water
+// mark.  An event before now panics.
+func (e *Engine) push(at Time, seq uint64, h Handler, arg EventArg) {
+	if at < e.now {
+		panicPast(at, e.now)
+	}
+	var slot uint32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[slot] = payload{h: h, arg: arg}
+	} else {
+		slot = uint32(len(e.slab))
+		e.slab = append(e.slab, payload{h: h, arg: arg})
+	}
+	e.heap = append(e.heap, key{at: at, seq: seq, slot: slot})
 	if len(e.heap) > e.maxHeap {
 		e.maxHeap = len(e.heap)
 	}
 	e.siftUp(len(e.heap) - 1)
+}
+
+// panicPast reports an event scheduled before now, a device-model bug.
+func panicPast(at, now Time) {
+	panic(fmt.Sprintf("simtime: schedule at %v before now %v", at, now))
 }
 
 // AfterEvent registers h to run d after the current virtual time.
@@ -232,7 +344,7 @@ func (e *Engine) AfterEvent(d Duration, h Handler, arg EventArg) {
 // closure form, kept as a compatibility wrapper over ScheduleEvent; hot
 // paths should prebind a Handler instead.
 func (e *Engine) Schedule(at Time, fn func()) {
-	e.ScheduleEvent(at, funcEvent{}, EventArg{Ptr: fn})
+	e.ScheduleEvent(at, funcHandler(fn), EventArg{})
 }
 
 // After registers fn to run d after the current virtual time.
@@ -249,23 +361,23 @@ func (e *Engine) After(d Duration, fn func()) {
 // timestamp, still rises above them.
 func (e *Engine) siftUp(i int) {
 	h := e.heap
-	ev := h[i]
+	k := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !eventLess(&ev, &h[parent]) {
+		if !keyLess(&k, &h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = ev
+	h[i] = k
 }
 
 // siftDown restores the heap invariant from the root after a pop.
 func (e *Engine) siftDown() {
 	h := e.heap
 	n := len(h)
-	ev := h[0]
+	k := h[0]
 	i := 0
 	for {
 		first := i<<2 + 1
@@ -277,28 +389,27 @@ func (e *Engine) siftDown() {
 		if last > n {
 			last = n
 		}
-		for k := first + 1; k < last; k++ {
-			if eventLess(&h[k], &h[min]) {
-				min = k
+		for c := first + 1; c < last; c++ {
+			if keyLess(&h[c], &h[min]) {
+				min = c
 			}
 		}
-		if !eventLess(&h[min], &ev) {
+		if !keyLess(&h[min], &k) {
 			break
 		}
 		h[i] = h[min]
 		i = min
 	}
-	h[i] = ev
+	h[i] = k
 }
 
-// pop removes and returns the earliest pending event.  The caller
+// pop removes and returns the earliest pending key.  The caller
 // guarantees the heap is non-empty.
-func (e *Engine) pop() event {
+func (e *Engine) pop() key {
 	h := e.heap
 	root := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release Handler/Ptr references
 	e.heap = h[:n]
 	if n > 1 {
 		e.siftDown()
@@ -307,15 +418,21 @@ func (e *Engine) pop() event {
 }
 
 // Step executes the single earliest pending event, advancing the clock to
-// its timestamp.  It reports false when no events remain.
+// its timestamp.  It reports false when no events remain.  The event's
+// slab slot returns to the free list before its handler runs, so an
+// event the handler schedules reuses it.
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
+	k := e.pop()
+	p := &e.slab[k.slot]
+	h, arg := p.h, p.arg
+	p.h = nil // release the handler until the slot is reused
+	e.free = append(e.free, k.slot)
+	e.now = k.at
 	e.fired++
-	ev.h.OnEvent(e, ev.arg)
+	h.OnEvent(e, arg)
 	return true
 }
 

@@ -89,7 +89,7 @@ func Parse(r io.Reader) ([]Record, error) {
 		recs = append(recs, Record{Timestamp: ts, Device: fields[1], StartByte: start, Length: length, Op: op})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("srt: line %d: %w", lineNo+1, err)
 	}
 	return recs, nil
 }
@@ -126,7 +126,9 @@ type ConvertOptions struct {
 // Convert transforms SRT records to a blktrace trace: filter, sort by
 // time, rebase to zero, and coalesce near-simultaneous records into
 // bunches.  Conversion preserves the op mix, byte volume and relative
-// timing of the source records.
+// timing of the source records.  A record that lands past
+// simtime.Horizon after the first is an error: no replay could place
+// it, and converting its offset to nanoseconds could wrap.
 func Convert(recs []Record, opts ConvertOptions) (*blktrace.Trace, error) {
 	filtered := make([]Record, 0, len(recs))
 	for _, r := range recs {
@@ -149,8 +151,13 @@ func Convert(recs []Record, opts ConvertOptions) (*blktrace.Trace, error) {
 	base := filtered[0].Timestamp
 	builder := blktrace.NewBuilder(name)
 	var bunchStart simtime.Duration = -1
+	horizon := simtime.Horizon.Seconds()
 	for _, r := range filtered {
-		at := simtime.FromSeconds(r.Timestamp - base)
+		rel := r.Timestamp - base
+		if rel > horizon {
+			return nil, fmt.Errorf("srt: convert: record at %gs is %gs after the first, past the %gs simulation horizon", r.Timestamp, rel, horizon)
+		}
+		at := simtime.FromSeconds(rel)
 		// Coalesce into the open bunch when inside the window.
 		if bunchStart >= 0 && at-bunchStart <= opts.BunchWindow {
 			at = bunchStart

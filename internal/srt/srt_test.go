@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -42,20 +43,30 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// malformedSRT are single records Parse must reject.
+var malformedSRT = []string{
+	"abc disk0 0 4096 R",    // bad timestamp
+	"1.0 disk0 -5 4096 R",   // negative offset
+	"1.0 disk0 0 0 R",       // zero length
+	"1.0 disk0 0 4096 X",    // bad op
+	"1.0 disk0 0 4096",      // missing field
+	"1.0 disk0 0 4096 R R",  // extra field
+	"-1.0 disk0 0 4096 R",   // negative timestamp
+	"NaN disk0 0 4096 R",    // NaN timestamp
+	"1.0 disk0 zero 4096 R", // bad offset
+	"1.0 disk0 0 many R",    // bad length
+}
+
+// pastHorizonSRT are traces whose second record lands past
+// simtime.Horizon: 1e12 s wraps int64 nanoseconds, and 5e9 s fits in
+// int64 but lies past the horizon.
+var pastHorizonSRT = []struct{ name, data string }{
+	{"wraps int64", "0 d 0 4096 R\n1e12 d 8192 4096 W\n"},
+	{"past the horizon", "0 d 0 4096 R\n5e9 d 8192 4096 W\n"},
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"abc disk0 0 4096 R",    // bad timestamp
-		"1.0 disk0 -5 4096 R",   // negative offset
-		"1.0 disk0 0 0 R",       // zero length
-		"1.0 disk0 0 4096 X",    // bad op
-		"1.0 disk0 0 4096",      // missing field
-		"1.0 disk0 0 4096 R R",  // extra field
-		"-1.0 disk0 0 4096 R",   // negative timestamp
-		"NaN disk0 0 4096 R",    // NaN timestamp
-		"1.0 disk0 zero 4096 R", // bad offset
-		"1.0 disk0 0 many R",    // bad length
-	}
-	for _, line := range bad {
+	for _, line := range malformedSRT {
 		if _, err := Parse(strings.NewReader(line)); err == nil {
 			t.Errorf("Parse accepted %q", line)
 		}
@@ -291,4 +302,83 @@ func TestConvertOutOfOrderWithWindow(t *testing.T) {
 			t.Fatal("bunch times not strictly increasing")
 		}
 	}
+}
+
+// TestConvertRejectsPastHorizon: a record whose rebased time lies past
+// simtime.Horizon is a labelled error, not a wrapped or unreplayable
+// bunch time; a record just inside the horizon still converts.
+func TestConvertRejectsPastHorizon(t *testing.T) {
+	for _, c := range pastHorizonSRT {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := ConvertStream(strings.NewReader(c.data), ConvertOptions{})
+			if err == nil || !strings.Contains(err.Error(), "srt: convert: ") || !strings.Contains(err.Error(), "horizon") {
+				t.Fatalf("got trace %v, err %v; want a labelled horizon error", tr, err)
+			}
+		})
+	}
+	edge := fmt.Sprintf("7 d 0 4096 R\n%.17g d 8192 4096 W\n", 7+simtime.Horizon.Seconds()/2)
+	tr, err := ConvertStream(strings.NewReader(edge), ConvertOptions{})
+	if err != nil {
+		t.Fatalf("a record inside the horizon was rejected: %v", err)
+	}
+	if last := tr.Bunches[len(tr.Bunches)-1].Time; last <= 0 || simtime.Time(last) > simtime.Horizon {
+		t.Fatalf("last bunch at %v, want inside (0, horizon]", last)
+	}
+}
+
+// FuzzConvertStream: any input either fails with a labelled error or
+// converts to a trace that passes Validate, keeps every record, and
+// places each record within BunchWindow of its rebased time, at or
+// before simtime.Horizon.
+func FuzzConvertStream(f *testing.F) {
+	f.Add(sampleSRT, uint32(0))
+	f.Add(sampleSRT, uint32(100*simtime.Microsecond))
+	for _, line := range malformedSRT {
+		f.Add(line, uint32(0))
+	}
+	for _, c := range pastHorizonSRT {
+		f.Add(c.data, uint32(0))
+	}
+	f.Fuzz(func(t *testing.T, data string, window uint32) {
+		opts := ConvertOptions{BunchWindow: simtime.Duration(window)}
+		tr, err := ConvertStream(strings.NewReader(data), opts)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "srt: ") {
+				t.Fatalf("unlabelled error: %v", err)
+			}
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("converted trace invalid: %v", err)
+		}
+		recs, err := Parse(strings.NewReader(data))
+		if err != nil {
+			t.Fatalf("converted an input Parse rejects: %v", err)
+		}
+		if tr.NumIOs() != len(recs) {
+			t.Fatalf("trace holds %d IOs, input %d records", tr.NumIOs(), len(recs))
+		}
+		if len(recs) == 0 {
+			return
+		}
+		// Bunches list records in stable timestamp order.
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Timestamp < recs[j].Timestamp })
+		i := 0
+		for _, b := range tr.Bunches {
+			if simtime.Time(b.Time) > simtime.Horizon {
+				t.Fatalf("bunch at %v past the horizon", b.Time)
+			}
+			for _, p := range b.Packages {
+				r := recs[i]
+				rebased := simtime.FromSeconds(r.Timestamp - recs[0].Timestamp)
+				if off := rebased - b.Time; off < 0 || off > opts.BunchWindow {
+					t.Fatalf("record %d (rebased %v) placed at %v, outside the %v window", i, rebased, b.Time, opts.BunchWindow)
+				}
+				if p.Op != r.Op || p.Size != r.Length || p.Sector != r.StartByte/storage.SectorSize {
+					t.Fatalf("record %d %+v became package %+v", i, r, p)
+				}
+				i++
+			}
+		}
+	})
 }
