@@ -55,11 +55,15 @@ func registerCacheFlags(fs *flag.FlagSet) *cacheFlags {
 
 // validate rejects -cache-* flags given without -cache-tier: a tuning
 // knob that silently does nothing would hide an operator typo.  With a
-// tier, -cache-mb must be a finite size > 0.
+// tier, -cache-mb must be a finite size > 0 and the spec must pass
+// experiments.CacheSpec.Validate.
 func (cf *cacheFlags) validate(cmd string, fs *flag.FlagSet) error {
 	if *cf.tier != "" {
 		if !validCapacityMB(*cf.mb) {
 			return fmt.Errorf("%s: bad -cache-mb %v (want a finite size > 0)", cmd, *cf.mb)
+		}
+		if err := cf.spec().Validate(); err != nil {
+			return fmt.Errorf("%s: %w", cmd, err)
 		}
 		return nil
 	}
@@ -92,8 +96,8 @@ func (cf *cacheFlags) spec() experiments.CacheSpec {
 }
 
 // validCapacityMB reports whether mb is a cache size a user may
-// request: finite and > 0.  experiments.Build rejects sizes whose byte
-// count does not fit an int64.
+// request: finite and > 0.  experiments.CacheSpec.Validate rejects
+// sizes whose byte count does not fit an int64 or rounds to 0.
 func validCapacityMB(mb float64) bool {
 	return mb > 0 && !math.IsInf(mb, 1)
 }
@@ -126,6 +130,9 @@ func parseCacheSpecs(s string) ([]experiments.CacheSpec, error) {
 		}
 		if len(parts) > 3 {
 			spec.Admission = parts[3]
+		}
+		if err := spec.Validate(); err != nil {
+			return nil, fmt.Errorf("cachestudy: spec %q: %w", col, err)
 		}
 		specs = append(specs, spec)
 	}

@@ -12,12 +12,13 @@ import (
 )
 
 // TestCacheCapacityRejectedUpFront: every cache capacity a user can
-// request must be a finite size > 0 whose byte count fits an int64.
-// Anything else fails with an error naming the value before a single
-// cell runs.  Most cases point at a trace that does not exist, so only
-// a flag-time rejection can produce the expected message; a finite
-// size too large for int64 passes the flags and is rejected by
-// experiments.Build before the replay starts.
+// request must be a finite size > 0 whose byte count fits an int64 and
+// is not 0, and no larger than the array it fronts.  Anything else
+// fails with an error naming the value before a single cell runs.
+// Most cases point at a trace that does not exist, so only a flag-time
+// rejection can produce the expected message; a size larger than the
+// array passes the flags and is rejected by experiments.Build before
+// the replay starts.
 func TestCacheCapacityRejectedUpFront(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.replay")
@@ -36,6 +37,10 @@ func TestCacheCapacityRejectedUpFront(t *testing.T) {
 		{[]string{"replay", "-in", missing, "-cache-tier", "dram", "-cache-mb", "NaN"}, "-cache-mb NaN "},
 		{[]string{"replay", "-in", missing, "-cache-tier", "dram", "-cache-mb", "Inf"}, "-cache-mb +Inf "},
 		{[]string{"replay", "-in", tiny, "-cache-tier", "ssd", "-cache-mb", "1e300"}, "capacity 1e+300 MiB"},
+		{[]string{"replay", "-in", missing, "-cache-tier", "dram", "-cache-mb", "1e-300"}, "capacity 1e-300 MiB rounds to 0 bytes"},
+		{[]string{"replay", "-in", tiny, "-cache-tier", "dram", "-cache-mb", "8796093022207"}, "exceeds the"},
+		{[]string{"cachestudy", "-in", tiny, "-specs", "dram:8796093022207"}, "exceeds the"},
+		{[]string{"cachestudy", "-in", missing, "-specs", "dram:1e-300"}, "capacity 1e-300 MiB rounds to 0 bytes"},
 		{[]string{"cachestudy", "-in", missing, "-specs", "uncached,dram:NaN"}, `capacity "NaN"`},
 		{[]string{"cachestudy", "-in", missing, "-specs", "dram:Inf"}, `capacity "Inf"`},
 		{[]string{"cachestudy", "-in", missing, "-specs", "dram:0"}, `capacity "0"`},

@@ -104,19 +104,45 @@ func TestOptimizeEvolveDriver(t *testing.T) {
 
 func TestOptimizeBadInvocations(t *testing.T) {
 	var buf bytes.Buffer
-	cases := [][]string{
-		{"whatif"},                            // -ledger required
-		{"whatif", "-ledger", "no-such.file"}, // missing ledger file
-		{"optimize", "-driver", "warp"},
-		{"optimize", "-policy", "tpm,drpm", "-space", "timeout_s=10"},
-		{"optimize", "-policy", "tpm", "-space", "timeout_s=ten"},
-		{"optimize", "-load", "0"},
-		{"optimize", "-load", "NaN"},
-		{"verify", "-optimize", "-fidelity"},
+	// A search value the spec would replace with its default, truncate
+	// or never run fails before a cell runs, naming the value.
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"whatif"}, ""},                            // -ledger required
+		{[]string{"whatif", "-ledger", "no-such.file"}, ""}, // missing ledger file
+		{[]string{"optimize", "-driver", "warp"}, ""},
+		{[]string{"optimize", "-policy", "tpm,drpm", "-space", "timeout_s=10"}, ""},
+		{[]string{"optimize", "-policy", "tpm", "-space", "timeout_s=ten"}, ""},
+		{[]string{"optimize", "-load", "0"}, ""},
+		{[]string{"optimize", "-load", "NaN"}, ""},
+		{[]string{"verify", "-optimize", "-fidelity"}, ""},
+		{[]string{"optimize", "-policy", "tpm", "-space", "timeout_s=-5,NaN,10,1e30"}, "timeout_s -5 is not"},
+		{[]string{"optimize", "-policy", "tpm", "-space", "timeout_s=NaN"}, "timeout_s NaN is not"},
+		{[]string{"optimize", "-policy", "tpm", "-space", "timeout_s=1e30"}, "timeout_s 1e+30 is not"},
+		{[]string{"optimize", "-policy", "tpm", "-space", "timeout_s=1e-10"}, "timeout_s 1e-10 is not"},
+		{[]string{"optimize", "-policy", "maid", "-space", "cache_disks=0,1;timeout_s=2"}, "cache_disks 0 is not"},
+		{[]string{"optimize", "-policy", "maid", "-space", "cache_disks=1.5"}, "cache_disks 1.5 is not"},
+		{[]string{"optimize", "-policy", "maid", "-space", "cache_disks=6"}, "cache_disks 6 is not"},
+		{[]string{"optimize", "-policy", "pdc", "-space", "reorg_s=-1,5;timeout_s=10"}, "reorg_s -1 is not"},
+		{[]string{"optimize", "-policy", "drpm", "-space", "stepdown_s=2;levels=2.9,2"}, "levels 2.9 is not"},
+		{[]string{"optimize", "-policy", "eraid", "-space", "low_iops=0"}, "low_iops 0 is not"},
+		{[]string{"optimize", "-policy", "eraid", "-space", "low_iops=10,100;high_iops=120,60"}, "thresholds inverted: low 100 >= high 60"},
+		{[]string{"optimize", "-policy", "cache", "-space", "flush_s=0"}, "flush_s 0 is not"},
+		{[]string{"optimize", "-policy", "cache", "-space", "idle_drain_s=-Inf"}, "idle_drain_s -Inf is not"},
+		{[]string{"optimize", "-policy", "cache", "-space", "capacity_mb=1e-300"}, "rounds to 0 bytes"},
+		{[]string{"optimize", "-policy", "tpm", "-space", "timeout_s=1,2;timeout_s=5"}, `dimension "timeout_s" given twice`},
+		{[]string{"optimize", "-policy", "tpm", "-space", strings.Repeat("timeout_s=1,2;", 64)}, `dimension "timeout_s" given twice`},
 	}
-	for _, args := range cases {
-		if err := run(args, &buf); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+	for _, tc := range cases {
+		buf.Reset()
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): got error %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if tc.want != "" && buf.Len() != 0 {
+			t.Errorf("run(%v) printed output before failing:\n%s", tc.args, buf.String())
 		}
 	}
 }

@@ -40,6 +40,15 @@ import (
 // conserve JBOD chunk size so a cached extent maps onto one chunk.
 const DefaultExtentBytes = 64 << 10
 
+// The DRAM tier's model: a static power coefficient (a DDR4 DIMM
+// background figure), a fixed per-access latency covering the full
+// software path, and a transfer bandwidth.
+const (
+	dramWattsPerGB    = 0.375
+	dramAccess        = 20 * simtime.Microsecond
+	dramBandwidthMBps = 12800
+)
+
 // Tier names accepted by Params.Tier.
 const (
 	TierNone = "none"
@@ -84,14 +93,6 @@ type Params struct {
 	// that interacts with conserve spin-down timeouts: a drain that
 	// fires just before a disk's timeout keeps it awake.
 	IdleDrain simtime.Duration
-	// DRAMWattsPerGB is the DRAM tier's static power coefficient
-	// (default 0.375 W/GB, a DDR4 DIMM background figure).
-	DRAMWattsPerGB float64
-	// DRAMAccess is the DRAM tier's fixed per-access latency
-	// (default 20µs, covering the full software path).
-	DRAMAccess simtime.Duration
-	// DRAMBandwidthMBps bounds DRAM transfer (default 12800 MB/s).
-	DRAMBandwidthMBps float64
 	// SSD parameterizes the SSD tier; a zero value takes
 	// disksim.MemorightSLC32 resized to CapacityBytes.
 	SSD disksim.SSDParams
@@ -127,15 +128,6 @@ func (p Params) withDefaults(backingCapacity int64) Params {
 	}
 	if p.IdleDrain == 0 {
 		p.IdleDrain = simtime.Second / 2
-	}
-	if p.DRAMWattsPerGB == 0 {
-		p.DRAMWattsPerGB = 0.375
-	}
-	if p.DRAMAccess == 0 {
-		p.DRAMAccess = 20 * simtime.Microsecond
-	}
-	if p.DRAMBandwidthMBps == 0 {
-		p.DRAMBandwidthMBps = 12800
 	}
 	return p
 }
@@ -309,42 +301,57 @@ type Cache struct {
 	tel   *telemetry.CacheProbe
 }
 
-// New builds a cache tier in front of backing on engine.  backingSrc
-// is the backing system's power source; PowerSource sums it with the
-// tier's own draw (and returns it unchanged for a pass-through).
-func New(engine *simtime.Engine, backing storage.Device, backingSrc powersim.Source, p Params) (*Cache, error) {
-	p = p.withDefaults(backing.Capacity())
-	c := &Cache{engine: engine, backing: backing, backingSrc: backingSrc, params: p}
-	c.wbDone = c.writebackDone
+// Validate reports whether New accepts p in front of a device large
+// enough to hold it: known tier, admission and eviction names, and a
+// real tier's capacity of at least one extent.
+func (p Params) Validate() error {
+	p = p.withDefaults(0)
 	switch p.Tier {
 	case TierNone, TierDRAM, TierSSD:
 	default:
-		return nil, fmt.Errorf("cache: unknown tier %q (want none, dram or ssd)", p.Tier)
+		return fmt.Errorf("cache: unknown tier %q (want none, dram or ssd)", p.Tier)
 	}
 	switch p.Admission {
 	case "always", "zone", "bypass-seq":
 	default:
-		return nil, fmt.Errorf("cache: unknown admission policy %q (want always, zone or bypass-seq)", p.Admission)
+		return fmt.Errorf("cache: unknown admission policy %q (want always, zone or bypass-seq)", p.Admission)
 	}
 	switch p.Eviction {
 	case "lru", "2q", "clock":
 	default:
-		return nil, fmt.Errorf("cache: unknown eviction policy %q (want lru, 2q or clock)", p.Eviction)
+		return fmt.Errorf("cache: unknown eviction policy %q (want lru, 2q or clock)", p.Eviction)
 	}
 	if p.CapacityBytes < 0 {
-		return nil, fmt.Errorf("cache: negative capacity %d", p.CapacityBytes)
+		return fmt.Errorf("cache: negative capacity %d", p.CapacityBytes)
 	}
 	if p.ExtentBytes < 0 {
-		return nil, fmt.Errorf("cache: negative extent size %d", p.ExtentBytes)
+		return fmt.Errorf("cache: negative extent size %d", p.ExtentBytes)
 	}
+	if p.Tier != TierNone && p.CapacityBytes > 0 && p.CapacityBytes < p.ExtentBytes {
+		return fmt.Errorf("cache: capacity %d below one %d-byte extent", p.CapacityBytes, p.ExtentBytes)
+	}
+	return nil
+}
+
+// New builds a cache tier in front of backing on engine.  backingSrc
+// is the backing system's power source; PowerSource sums it with the
+// tier's own draw (and returns it unchanged for a pass-through).  A
+// real tier may hold at most the backing device's capacity.
+func New(engine *simtime.Engine, backing storage.Device, backingSrc powersim.Source, p Params) (*Cache, error) {
+	p = p.withDefaults(backing.Capacity())
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	c := &Cache{engine: engine, backing: backing, backingSrc: backingSrc, params: p}
+	c.wbDone = c.writebackDone
 	if p.Tier == TierNone || p.CapacityBytes == 0 {
 		c.passthrough = true
 		return c, nil
 	}
-	c.capacityLines = int(p.CapacityBytes / p.ExtentBytes)
-	if c.capacityLines < 1 {
-		return nil, fmt.Errorf("cache: capacity %d below one %d-byte extent", p.CapacityBytes, p.ExtentBytes)
+	if p.CapacityBytes > backing.Capacity() {
+		return nil, fmt.Errorf("cache: capacity %d bytes exceeds the %d-byte backing device", p.CapacityBytes, backing.Capacity())
 	}
+	c.capacityLines = int(p.CapacityBytes / p.ExtentBytes)
 	c.ways = p.Ways
 	if c.ways > c.capacityLines {
 		c.ways = c.capacityLines
@@ -361,7 +368,7 @@ func New(engine *simtime.Engine, backing storage.Device, backingSrc powersim.Sou
 	}
 	switch p.Tier {
 	case TierDRAM:
-		c.dramStaticW = float64(p.CapacityBytes) / float64(1<<30) * p.DRAMWattsPerGB
+		c.dramStaticW = float64(p.CapacityBytes) / float64(1<<30) * dramWattsPerGB
 		c.dram = powersim.NewTimeline(c.dramStaticW)
 	case TierSSD:
 		sp := p.SSD
@@ -651,7 +658,7 @@ func (c *Cache) tierAccess(fo *frontOp, write bool, slot int, lo, hi int64) {
 		c.ssd.Submit(req, fo.land)
 		return
 	}
-	d := c.params.DRAMAccess + simtime.Duration(float64(n)/(c.params.DRAMBandwidthMBps*1e6)*float64(simtime.Second))
+	d := dramAccess + simtime.Duration(float64(n)/(dramBandwidthMBps*1e6)*float64(simtime.Second))
 	c.engine.AfterEvent(d, fo, simtime.EventArg{})
 }
 

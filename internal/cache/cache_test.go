@@ -79,6 +79,8 @@ func TestBadParams(t *testing.T) {
 		{Params{Tier: TierDRAM, CapacityBytes: 1 << 20, Eviction: "fifo"}, "unknown eviction"},
 		{Params{Tier: TierDRAM, CapacityBytes: -1}, "negative capacity"},
 		{Params{Tier: TierDRAM, CapacityBytes: 1 << 10}, "below one"},
+		{Params{Tier: TierDRAM, CapacityBytes: 1<<30 + 1}, "exceeds the 1073741824-byte backing device"},
+		{Params{Tier: TierSSD, CapacityBytes: 1 << 62}, "exceeds the 1073741824-byte backing device"},
 	}
 	for _, tc := range cases {
 		_, err := New(engine, dev, nil, tc.p)

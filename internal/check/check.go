@@ -54,8 +54,6 @@ type Options struct {
 	// Replay passes through to the replay engine.  The Observer field
 	// is overwritten by the checker.
 	Replay replay.Options
-	// EnergyTol overrides DefaultEnergyTol when positive.
-	EnergyTol float64
 	// FIFOCompletions additionally asserts completions arrive in issue
 	// order.  Only valid for strictly serial FIFO devices (a bare HDD
 	// or SSD model); a RAID array completes across members out of
@@ -270,15 +268,8 @@ func ReplayChecked(engine *simtime.Engine, dev storage.Device, trace *blktrace.T
 
 	report.add("engine-drained", drainErr(engine))
 	obs.finish()
-	checkDevice(engine, dev, res, report, energyTol(opts), out)
+	checkDevice(engine, dev, res, report, out)
 	return out, nil
-}
-
-func energyTol(opts Options) float64 {
-	if opts.EnergyTol > 0 {
-		return opts.EnergyTol
-	}
-	return DefaultEnergyTol
 }
 
 func drainErr(engine *simtime.Engine) error {
@@ -293,7 +284,7 @@ func drainErr(engine *simtime.Engine) error {
 // source or timeline, self-accounting for the disk models, and the
 // controller algebra plus cross-layer operation conservation for a
 // RAID array.
-func checkDevice(engine *simtime.Engine, dev storage.Device, res *replay.Result, report *Report, tol float64, out *Result) {
+func checkDevice(engine *simtime.Engine, dev storage.Device, res *replay.Result, report *Report, out *Result) {
 	now := engine.Now()
 
 	// Power: meter the run noise-free and require the sampled energy to
@@ -310,7 +301,7 @@ func checkDevice(engine *simtime.Engine, dev storage.Device, res *replay.Result,
 		out.Samples = meter.Measure(res.Start, res.End)
 		out.MeanWatts = powersim.MeanWatts(out.Samples)
 		out.EnergyJ = powersim.EnergyJ(out.Samples)
-		report.add("energy-conservation", powersim.VerifySampledEnergy(src, out.Samples, tol))
+		report.add("energy-conservation", powersim.VerifySampledEnergy(src, out.Samples, DefaultEnergyTol))
 	}
 
 	switch d := dev.(type) {

@@ -30,6 +30,12 @@
 // replay and power metering evaluate them exactly as they evaluate a
 // plain array — the uniform way of comparing energy-saving techniques
 // the paper calls for.
+//
+// One Spec configures every technique: NewERAIDArray, NewPDC and
+// NewMAID take it, and Spec.WithDefaults resolves each knob left at
+// zero to the value the energy studies run.  What no study varies (the
+// drive model and count, the chunk size, PDC's migration budget and
+// decay, MAID's cache directory size) is a package constant.
 package conserve
 
 import (
@@ -253,33 +259,6 @@ func (m *ManagedDisk) Timeline() *powersim.Timeline { return m.disk.Timeline() }
 // Disk exposes the wrapped disk (stats inspection).
 func (m *ManagedDisk) Disk() SpinDowner { return m.disk }
 
-// MAIDParams configure a MAID device.
-type MAIDParams struct {
-	// CacheDisks and DataDisks are the member counts.
-	CacheDisks, DataDisks int
-	// Drive parameterises every member.
-	Drive disksim.HDDParams
-	// ChunkBytes is the cache-directory granularity.
-	ChunkBytes int64
-	// CacheChunks bounds the cache capacity in chunks (LRU beyond it).
-	CacheChunks int
-	// DataTimeout is the TPM timeout applied to data disks.
-	DataTimeout simtime.Duration
-}
-
-// DefaultMAIDParams returns a small MAID: one always-on cache disk
-// fronting data disks that spin down after five seconds idle.
-func DefaultMAIDParams() MAIDParams {
-	return MAIDParams{
-		CacheDisks:  1,
-		DataDisks:   5,
-		Drive:       disksim.Seagate7200(),
-		ChunkBytes:  64 << 10,
-		CacheChunks: 4096,
-		DataTimeout: 5 * simtime.Second,
-	}
-}
-
 // MAIDStats count cache behaviour.
 type MAIDStats struct {
 	ReadHits, ReadMisses int64
@@ -298,7 +277,6 @@ type chunkState struct {
 // MAID is the massive-array-of-idle-disks device.
 type MAID struct {
 	engine *simtime.Engine
-	params MAIDParams
 
 	cache []*disksim.HDD
 	data  []*ManagedDisk
@@ -310,39 +288,26 @@ type MAID struct {
 	stats MAIDStats
 }
 
-// NewMAID assembles the device.
-func NewMAID(engine *simtime.Engine, params MAIDParams) (*MAID, error) {
-	if params.CacheDisks <= 0 || params.DataDisks <= 0 {
-		return nil, fmt.Errorf("conserve: MAID needs cache and data disks, got %d/%d", params.CacheDisks, params.DataDisks)
+// NewMAID assembles spec's MAIDCacheDisks always-on cache disks in
+// front of MAIDDataDisks data disks that spin down under TPM.
+func NewMAID(engine *simtime.Engine, spec Spec) *MAID {
+	spec = spec.WithDefaults()
+	m := &MAID{engine: engine, dir: make(map[int64]*chunkState)}
+	for i := 0; i < spec.MAIDCacheDisks; i++ {
+		m.cache = append(m.cache, disksim.NewHDD(engine, drive(fmt.Sprintf("maid-cache-%d", i), i, 7919)))
 	}
-	if params.ChunkBytes <= 0 {
-		params.ChunkBytes = 64 << 10
+	for i := 0; i < MAIDDataDisks; i++ {
+		hdd := disksim.NewHDD(engine, drive(fmt.Sprintf("maid-data-%d", i), spec.MAIDCacheDisks+i, 7919))
+		d := NewManagedDisk(engine, hdd, spec.SpinDownTimeout)
+		d.AttachDecisions(spec.Control, "maid", i)
+		m.data = append(m.data, d)
 	}
-	if params.CacheChunks <= 0 {
-		params.CacheChunks = 4096
-	}
-	if params.DataTimeout <= 0 {
-		params.DataTimeout = 5 * simtime.Second
-	}
-	m := &MAID{engine: engine, params: params, dir: make(map[int64]*chunkState)}
-	for i := 0; i < params.CacheDisks; i++ {
-		p := params.Drive
-		p.Seed += uint64(i) * 7919
-		p.Name = fmt.Sprintf("maid-cache-%d", i)
-		m.cache = append(m.cache, disksim.NewHDD(engine, p))
-	}
-	for i := 0; i < params.DataDisks; i++ {
-		p := params.Drive
-		p.Seed += uint64(params.CacheDisks+i) * 7919
-		p.Name = fmt.Sprintf("maid-data-%d", i)
-		m.data = append(m.data, NewManagedDisk(engine, disksim.NewHDD(engine, p), params.DataTimeout))
-	}
-	return m, nil
+	return m
 }
 
 // Capacity implements storage.Device: the concatenated data disks.
 func (m *MAID) Capacity() int64 {
-	return int64(len(m.data)) * m.params.Drive.CapacityBytes
+	return int64(len(m.data)) * m.data[0].Capacity()
 }
 
 // Stats returns cache counters.
@@ -350,14 +315,6 @@ func (m *MAID) Stats() MAIDStats { return m.stats }
 
 // DataDisks exposes the managed data disks (stats inspection).
 func (m *MAID) DataDisks() []*ManagedDisk { return m.data }
-
-// AttachDecisions routes every data-disk TPM decision through ctl
-// under the "maid" policy label, indexed by data-disk position.
-func (m *MAID) AttachDecisions(ctl *Control) {
-	for i, d := range m.data {
-		d.AttachDecisions(ctl, "maid", i)
-	}
-}
 
 // MemberHDDs lists every member drive (cache first, then data) for
 // wear accounting and invariant checks.
@@ -390,13 +347,13 @@ func (m *MAID) PowerSource() powersim.Source {
 // layout so technique comparisons hold placement constant.
 func (m *MAID) dataDiskFor(chunk int64) (idx int, offset int64) {
 	n := int64(len(m.data))
-	return int(chunk % n), (chunk / n) * m.params.ChunkBytes
+	return int(chunk % n), (chunk / n) * chunkBytes
 }
 
 // cacheDiskFor spreads chunks across cache disks.
 func (m *MAID) cacheDiskFor(chunk int64) (idx int, offset int64) {
-	per := m.params.Drive.CapacityBytes / m.params.ChunkBytes
-	return int(chunk % int64(len(m.cache))), (chunk % per) * m.params.ChunkBytes
+	per := m.cache[0].Capacity() / chunkBytes
+	return int(chunk % int64(len(m.cache))), (chunk % per) * chunkBytes
 }
 
 // touch moves (or inserts) a directory entry to the LRU head and
@@ -420,7 +377,7 @@ func (m *MAID) touch(chunk int64) *chunkState {
 	if m.lruTail == nil {
 		m.lruTail = cs
 	}
-	if len(m.dir) > m.params.CacheChunks {
+	if len(m.dir) > maidCacheChunks {
 		tail := m.lruTail
 		m.unlink(tail)
 		delete(m.dir, tail.chunk)
@@ -449,7 +406,7 @@ func (m *MAID) unlink(cs *chunkState) {
 func (m *MAID) destage(chunk int64) {
 	m.stats.Destages++
 	disk, off := m.dataDiskFor(chunk)
-	m.data[disk].Submit(storage.Request{Op: storage.Write, Offset: off, Size: m.params.ChunkBytes}, func(simtime.Time) {})
+	m.data[disk].Submit(storage.Request{Op: storage.Write, Offset: off, Size: chunkBytes}, func(simtime.Time) {})
 }
 
 // Submit implements storage.Device.  Requests are split on chunk
@@ -466,9 +423,9 @@ func (m *MAID) Submit(req storage.Request, done func(simtime.Time)) {
 	var frags []frag
 	off, remaining := req.Offset%m.Capacity(), req.Size
 	for remaining > 0 {
-		chunk := off / m.params.ChunkBytes
-		within := off % m.params.ChunkBytes
-		take := m.params.ChunkBytes - within
+		chunk := off / chunkBytes
+		within := off % chunkBytes
+		take := chunkBytes - within
 		if take > remaining {
 			take = remaining
 		}
@@ -513,7 +470,7 @@ func (m *MAID) Submit(req storage.Request, done func(simtime.Time)) {
 				cs := m.touch(chunk)
 				cs.dirty = false
 				cDisk, cBase := m.cacheDiskFor(chunk)
-				m.cache[cDisk].Submit(storage.Request{Op: storage.Write, Offset: cBase, Size: m.params.ChunkBytes}, func(simtime.Time) {})
+				m.cache[cDisk].Submit(storage.Request{Op: storage.Write, Offset: cBase, Size: chunkBytes}, func(simtime.Time) {})
 				complete(t)
 			})
 		}

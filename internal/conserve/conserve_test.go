@@ -162,22 +162,13 @@ func TestManagedDiskResponsePenalty(t *testing.T) {
 	}
 }
 
-func TestMAIDValidation(t *testing.T) {
-	e := simtime.NewEngine()
-	if _, err := NewMAID(e, MAIDParams{CacheDisks: 0, DataDisks: 2, Drive: disksim.Seagate7200()}); err == nil {
-		t.Fatal("0 cache disks accepted")
-	}
-	if _, err := NewMAID(e, MAIDParams{CacheDisks: 1, DataDisks: 0, Drive: disksim.Seagate7200()}); err == nil {
-		t.Fatal("0 data disks accepted")
-	}
-}
+// maidSpec is the MAID these tests were written against: data disks
+// that spin down after 5 s idle.
+var maidSpec = Spec{Technique: "maid", SpinDownTimeout: 5 * simtime.Second}
 
 func TestMAIDReadMissThenHit(t *testing.T) {
 	e := simtime.NewEngine()
-	m, err := NewMAID(e, DefaultMAIDParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMAID(e, maidSpec)
 	req := storage.Request{Op: storage.Read, Offset: 1 << 20, Size: 4096}
 	var t1, t2 simtime.Duration
 	issue := e.Now()
@@ -197,13 +188,9 @@ func TestMAIDReadMissThenHit(t *testing.T) {
 
 func TestMAIDWritesNeverWakeDataDisks(t *testing.T) {
 	e := simtime.NewEngine()
-	p := DefaultMAIDParams()
-	m, err := NewMAID(e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMAID(e, maidSpec)
 	// Let the data disks spin down first.
-	e.RunUntil(simtime.Time(3 * p.DataTimeout))
+	e.RunUntil(simtime.Time(3 * maidSpec.SpinDownTimeout))
 	for _, d := range m.DataDisks() {
 		if !d.Disk().InStandby() {
 			t.Fatal("data disk not asleep before writes")
@@ -213,7 +200,7 @@ func TestMAIDWritesNeverWakeDataDisks(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	done := 0
 	for i := 0; i < 100; i++ {
-		off := rng.Int64N(int64(p.CacheChunks/2)) * p.ChunkBytes
+		off := rng.Int64N(maidCacheChunks/2) * chunkBytes
 		m.Submit(storage.Request{Op: storage.Write, Offset: off, Size: 4096}, func(simtime.Time) { done++ })
 	}
 	e.Run()
@@ -232,22 +219,18 @@ func TestMAIDWritesNeverWakeDataDisks(t *testing.T) {
 
 func TestMAIDEvictionDestagesDirtyChunks(t *testing.T) {
 	e := simtime.NewEngine()
-	p := DefaultMAIDParams()
-	p.CacheChunks = 8 // tiny cache forces eviction
-	m, err := NewMAID(e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		off := int64(i) * p.ChunkBytes
-		m.Submit(storage.Request{Op: storage.Write, Offset: off, Size: 4096}, func(simtime.Time) {})
+	m := NewMAID(e, maidSpec)
+	// More distinct chunks than the cache directory holds force
+	// eviction.
+	for i := int64(0); i < maidCacheChunks+32; i++ {
+		m.Submit(storage.Request{Op: storage.Write, Offset: i * chunkBytes, Size: 4096}, func(simtime.Time) {})
 	}
 	e.Run()
 	if m.Stats().Destages == 0 {
 		t.Fatal("dirty evictions did not destage")
 	}
-	if len(m.dir) > p.CacheChunks {
-		t.Fatalf("directory grew to %d > capacity %d", len(m.dir), p.CacheChunks)
+	if len(m.dir) > maidCacheChunks {
+		t.Fatalf("directory grew to %d > capacity %d", len(m.dir), maidCacheChunks)
 	}
 }
 
@@ -281,10 +264,7 @@ func TestMAIDSavesEnergyVersusAlwaysOnJBOD(t *testing.T) {
 
 	// MAID with 1 cache + 5 data disks.
 	e2 := simtime.NewEngine()
-	m, err := NewMAID(e2, DefaultMAIDParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMAID(e2, maidSpec)
 	workload(m, e2)
 	maid := m.PowerSource().EnergyJ(0, e2.Now())
 
@@ -298,14 +278,10 @@ func TestMAIDSavesEnergyVersusAlwaysOnJBOD(t *testing.T) {
 
 func TestMAIDChunkSpanningRequest(t *testing.T) {
 	e := simtime.NewEngine()
-	p := DefaultMAIDParams()
-	m, err := NewMAID(e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMAID(e, maidSpec)
 	// A read spanning two chunks completes exactly once.
 	completions := 0
-	m.Submit(storage.Request{Op: storage.Read, Offset: p.ChunkBytes - 2048, Size: 4096}, func(simtime.Time) { completions++ })
+	m.Submit(storage.Request{Op: storage.Read, Offset: chunkBytes - 2048, Size: 4096}, func(simtime.Time) { completions++ })
 	e.Run()
 	if completions != 1 {
 		t.Fatalf("completions = %d", completions)

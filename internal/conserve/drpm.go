@@ -37,16 +37,11 @@ type DRPMDisk struct {
 	free inflightList
 }
 
-// DefaultDRPMLevels are four speed steps down to half speed.
-func DefaultDRPMLevels() []float64 { return []float64{1.0, 0.8, 0.65, 0.5} }
-
-// NewDRPMDisk wraps disk with a DRPM policy.
+// NewDRPMDisk wraps disk with a DRPM policy stepping through levels
+// (fastest first) after each stepDown of idleness.
 func NewDRPMDisk(engine *simtime.Engine, disk *disksim.HDD, levels []float64, stepDown simtime.Duration) *DRPMDisk {
-	if len(levels) == 0 {
-		levels = DefaultDRPMLevels()
-	}
-	if stepDown <= 0 {
-		stepDown = 2 * simtime.Second
+	if len(levels) == 0 || stepDown <= 0 {
+		panic("conserve: DRPM needs speed levels and a positive step-down window")
 	}
 	d := &DRPMDisk{engine: engine, disk: disk, levels: levels, stepDown: stepDown}
 	d.idle = engine.NewTimer(d, simtime.EventArg{})

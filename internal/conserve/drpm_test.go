@@ -85,7 +85,7 @@ func TestLowRPMSlowsService(t *testing.T) {
 func TestDRPMStepsDownWhenIdle(t *testing.T) {
 	e := simtime.NewEngine()
 	hdd := disksim.NewHDD(e, disksim.Seagate7200())
-	d := NewDRPMDisk(e, hdd, nil, simtime.Second)
+	d := NewDRPMDisk(e, hdd, DefaultDRPMLevels(), simtime.Second)
 	e.RunUntil(simtime.Time(20 * simtime.Second))
 	if d.Level() != len(DefaultDRPMLevels())-1 {
 		t.Fatalf("level = %d after long idle, want bottom", d.Level())
@@ -98,7 +98,7 @@ func TestDRPMStepsDownWhenIdle(t *testing.T) {
 func TestDRPMRestoresSpeedUnderLoad(t *testing.T) {
 	e := simtime.NewEngine()
 	hdd := disksim.NewHDD(e, disksim.Seagate7200())
-	d := NewDRPMDisk(e, hdd, nil, simtime.Second)
+	d := NewDRPMDisk(e, hdd, DefaultDRPMLevels(), simtime.Second)
 	e.RunUntil(simtime.Time(10 * simtime.Second)) // idle to the floor
 	completed := false
 	e.Schedule(e.Now(), func() {
@@ -126,7 +126,7 @@ func TestDRPMNeverPaysSpinUpPenalty(t *testing.T) {
 	// response penalty is milliseconds, not seconds.
 	e := simtime.NewEngine()
 	hdd := disksim.NewHDD(e, disksim.Seagate7200())
-	d := NewDRPMDisk(e, hdd, nil, simtime.Second)
+	d := NewDRPMDisk(e, hdd, DefaultDRPMLevels(), simtime.Second)
 	e.RunUntil(simtime.Time(10 * simtime.Second))
 	var resp simtime.Duration
 	e.Schedule(e.Now(), func() {
@@ -147,7 +147,7 @@ func TestDRPMSavesEnergyOnSparseWorkload(t *testing.T) {
 		hdd := disksim.NewHDD(e, disksim.Seagate7200())
 		var dev storage.Device = hdd
 		if managed {
-			dev = NewDRPMDisk(e, hdd, nil, simtime.Second)
+			dev = NewDRPMDisk(e, hdd, DefaultDRPMLevels(), simtime.Second)
 		}
 		for i := 0; i < 8; i++ {
 			at := simtime.Time(i) * simtime.Time(15*simtime.Second)

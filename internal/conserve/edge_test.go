@@ -98,7 +98,7 @@ func TestZeroLengthTraceAllPolicies(t *testing.T) {
 	cfg := experiments.DefaultConfig()
 	for _, technique := range experiments.ConserveTechniques {
 		t.Run(technique, func(t *testing.T) {
-			spec := experiments.ConserveSpec{Technique: technique, Control: &conserve.Control{Observer: &recorder{}}}
+			spec := conserve.Spec{Technique: technique, Control: &conserve.Control{Observer: &recorder{}}}
 			sys, err := experiments.Build(cfg, experiments.StackSpec{Conserve: spec})
 			if err != nil {
 				t.Fatal(err)

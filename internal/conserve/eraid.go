@@ -26,8 +26,7 @@ type ERAIDArray struct {
 	lowIOPS, highIOPS float64
 	window            simtime.Duration
 
-	offline     int // member currently resting, or -1
-	maxOffline  int // degraded-set bound (<= parity tolerance)
+	offline     int // the one member resting (RAID-5's parity tolerance), or -1
 	windowIOs   int64
 	outstanding int
 	armed       bool // whether a tick is scheduled
@@ -43,88 +42,32 @@ type ERAIDStats struct {
 	Offlines, Restores int64
 }
 
-// ERAIDParams configure the policy.
-type ERAIDParams struct {
-	// Disks is the member count (>= 3).
-	Disks int
-	// Drive parameterises the members.
-	Drive disksim.HDDParams
-	// RAID carries the controller configuration (level forced to RAID5).
-	RAID raid.Params
-	// LowIOPS and HighIOPS are the spin-down / wake thresholds.
-	LowIOPS, HighIOPS float64
-	// Window is the load-evaluation interval.
-	Window simtime.Duration
-	// MaxOffline bounds the degraded set.  RAID-5 tolerates exactly one
-	// missing member, so any value above the parity tolerance is an
-	// error — the array must never degrade below reconstruction-safe
-	// disk count.  0 defaults to 1; -1 disables offlining entirely (an
-	// always-on eRAID, the fair baseline for its parity layout).
-	MaxOffline int
-	// Control, when non-nil, observes and arbitrates policy decisions
-	// from construction on.  The load evaluator ticks once at t=0, so a
-	// control attached only after construction would miss any decision
-	// that first tick takes.
-	Control *Control
-}
-
-// DefaultERAIDParams returns the 6-member configuration used by the
-// energy studies.
-func DefaultERAIDParams() ERAIDParams {
-	return ERAIDParams{
-		Disks:    6,
-		Drive:    disksim.Seagate7200(),
-		RAID:     raid.DefaultParams(),
-		LowIOPS:  20,
-		HighIOPS: 60,
-		Window:   2 * simtime.Second,
+// NewERAIDArray assembles a RAID-5 array of Drives drives under spec's
+// eRAID policy and starts the policy ticker.
+func NewERAIDArray(engine *simtime.Engine, spec Spec) (*ERAIDArray, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-}
-
-// NewERAIDArray assembles the array and starts the policy ticker.
-func NewERAIDArray(engine *simtime.Engine, p ERAIDParams) (*ERAIDArray, error) {
-	if p.Disks < 3 {
-		return nil, fmt.Errorf("conserve: eRAID needs >= 3 members, got %d", p.Disks)
-	}
-	if p.Window <= 0 {
-		p.Window = 2 * simtime.Second
-	}
-	if p.HighIOPS <= p.LowIOPS {
-		return nil, fmt.Errorf("conserve: eRAID thresholds inverted: low %v >= high %v", p.LowIOPS, p.HighIOPS)
-	}
-	if p.MaxOffline == 0 {
-		p.MaxOffline = 1
-	}
-	if p.MaxOffline < 0 {
-		p.MaxOffline = 0 // -1: never rest a member
-	}
-	if p.MaxOffline > 1 {
-		return nil, fmt.Errorf("conserve: eRAID degraded-set size %d exceeds RAID-5 parity tolerance 1", p.MaxOffline)
-	}
-	p.RAID.Level = raid.RAID5
-	hdds := make([]*disksim.HDD, p.Disks)
-	members := make([]raid.Disk, p.Disks)
+	spec = spec.WithDefaults()
+	hdds := make([]*disksim.HDD, Drives)
+	members := make([]raid.Disk, Drives)
 	for i := range hdds {
-		dp := p.Drive
-		dp.Seed += uint64(i) * 15485863
-		dp.Name = fmt.Sprintf("eraid-%d", i)
-		hdds[i] = disksim.NewHDD(engine, dp)
+		hdds[i] = disksim.NewHDD(engine, drive(fmt.Sprintf("eraid-%d", i), i, 15485863))
 		members[i] = hdds[i]
 	}
-	array, err := raid.New(engine, p.RAID, members)
+	array, err := raid.New(engine, raid.DefaultParams(), members)
 	if err != nil {
 		return nil, err
 	}
 	e := &ERAIDArray{
-		engine:     engine,
-		array:      array,
-		hdds:       hdds,
-		lowIOPS:    p.LowIOPS,
-		highIOPS:   p.HighIOPS,
-		window:     p.Window,
-		offline:    -1,
-		maxOffline: p.MaxOffline,
-		ctl:        p.Control,
+		engine:   engine,
+		array:    array,
+		hdds:     hdds,
+		lowIOPS:  spec.ERAIDLowIOPS,
+		highIOPS: spec.ERAIDHighIOPS,
+		window:   spec.ERAIDWindow,
+		offline:  -1,
+		ctl:      spec.Control,
 	}
 	e.armed = true
 	e.tick()
@@ -137,7 +80,7 @@ func (e *ERAIDArray) tick() {
 	e.windowIOs = 0
 	now := e.engine.Now()
 	switch {
-	case e.offline < 0 && e.maxOffline > 0 && iops < e.lowIOPS && e.outstanding == 0:
+	case e.offline < 0 && iops < e.lowIOPS && e.outstanding == 0:
 		// Rest the last member: the rotating parity layout spreads its
 		// load across the survivors evenly regardless of which we pick.
 		victim := len(e.hdds) - 1
@@ -218,10 +161,6 @@ func (e *ERAIDArray) Offline() int { return e.offline }
 
 // HDDs exposes the member drives (wear accounting, invariant checks).
 func (e *ERAIDArray) HDDs() []*disksim.HDD { return e.hdds }
-
-// AttachDecisions arms the policy's decision hooks: member offline and
-// restore transitions are sequenced through ctl.
-func (e *ERAIDArray) AttachDecisions(ctl *Control) { e.ctl = ctl }
 
 // Stats returns policy counters.
 func (e *ERAIDArray) Stats() ERAIDStats { return e.stats }

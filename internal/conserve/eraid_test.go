@@ -12,21 +12,14 @@ import (
 
 func TestERAIDValidation(t *testing.T) {
 	e := simtime.NewEngine()
-	p := DefaultERAIDParams()
-	p.Disks = 2
-	if _, err := NewERAIDArray(e, p); err == nil {
-		t.Fatal("2-member eRAID accepted")
-	}
-	p = DefaultERAIDParams()
-	p.LowIOPS, p.HighIOPS = 50, 10
-	if _, err := NewERAIDArray(e, p); err == nil {
+	if _, err := NewERAIDArray(e, Spec{Technique: "eraid", ERAIDLowIOPS: 50, ERAIDHighIOPS: 10}); err == nil {
 		t.Fatal("inverted thresholds accepted")
 	}
 }
 
 func TestERAIDSpinsDownMemberWhenIdle(t *testing.T) {
 	e := simtime.NewEngine()
-	arr, err := NewERAIDArray(e, DefaultERAIDParams())
+	arr, err := NewERAIDArray(e, Spec{Technique: "eraid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +37,7 @@ func TestERAIDSpinsDownMemberWhenIdle(t *testing.T) {
 
 func TestERAIDServesReadsWhileMemberRests(t *testing.T) {
 	e := simtime.NewEngine()
-	arr, err := NewERAIDArray(e, DefaultERAIDParams())
+	arr, err := NewERAIDArray(e, Spec{Technique: "eraid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +71,7 @@ func TestERAIDServesReadsWhileMemberRests(t *testing.T) {
 
 func TestERAIDWakesUnderHighLoad(t *testing.T) {
 	e := simtime.NewEngine()
-	p := DefaultERAIDParams()
-	arr, err := NewERAIDArray(e, p)
+	arr, err := NewERAIDArray(e, Spec{Technique: "eraid"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +119,7 @@ func TestERAIDSavesIdleEnergy(t *testing.T) {
 	baseJ := base.PowerSource().EnergyJ(0, horizon)
 
 	e2 := simtime.NewEngine()
-	arr, err := NewERAIDArray(e2, DefaultERAIDParams())
+	arr, err := NewERAIDArray(e2, Spec{Technique: "eraid"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,7 @@ func runIdleChecks(t *testing.T, reqs []timedReq, wrap func(*simtime.Engine, *di
 		r.hdds = append(r.hdds, hdd)
 		members[i] = wrap(r.engine, hdd, ctl, i)
 	}
-	jbod, err := NewJBOD(members, 64<<10)
+	jbod, err := NewJBOD(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestIdleChecksStayBoundedUnderSteadyLoad(t *testing.T) {
 			return NewManagedDisk(e, hdd, 10*simtime.Second)
 		}},
 		{"drpm/step=5s", func(e *simtime.Engine, hdd *disksim.HDD) storage.Device {
-			return NewDRPMDisk(e, hdd, nil, 5*simtime.Second)
+			return NewDRPMDisk(e, hdd, DefaultDRPMLevels(), 5*simtime.Second)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -461,14 +461,16 @@ func TestJBODRequestPathAllocatesNothing(t *testing.T) {
 		wrap func(*simtime.Engine, *disksim.HDD) Member
 	}{
 		{"tpm", func(e *simtime.Engine, hdd *disksim.HDD) Member { return NewManagedDisk(e, hdd, 10*simtime.Second) }},
-		{"drpm", func(e *simtime.Engine, hdd *disksim.HDD) Member { return NewDRPMDisk(e, hdd, nil, 5*simtime.Second) }},
+		{"drpm", func(e *simtime.Engine, hdd *disksim.HDD) Member {
+			return NewDRPMDisk(e, hdd, DefaultDRPMLevels(), 5*simtime.Second)
+		}},
 	} {
 		e := simtime.NewEngine()
 		members := make([]Member, 4)
 		for i := range members {
 			members[i] = c.wrap(e, newHDD(e))
 		}
-		jbod, err := NewJBOD(members, 64<<10)
+		jbod, err := NewJBOD(members)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,10 +13,9 @@ import (
 // compares — always-on JBOD, TPM-managed JBOD, MAID — place blocks
 // identically and differ only in their power policy.
 type JBOD struct {
-	disks      []storage.Device
-	timelines  []*powersim.Timeline
-	chunkBytes int64
-	perDisk    int64
+	disks     []storage.Device
+	timelines []*powersim.Timeline
+	perDisk   int64
 	// free is a LIFO list of idle joins.  Only the goroutine driving
 	// the members' engine touches it.
 	free []*jbodJoin
@@ -29,15 +28,12 @@ type Member interface {
 	Timeline() *powersim.Timeline
 }
 
-// NewJBOD concatenates the given disks at the given chunk granularity.
-func NewJBOD(disks []Member, chunkBytes int64) (*JBOD, error) {
+// NewJBOD concatenates the given disks in 64 KiB chunks.
+func NewJBOD(disks []Member) (*JBOD, error) {
 	if len(disks) == 0 {
 		return nil, fmt.Errorf("conserve: JBOD needs at least one disk")
 	}
-	if chunkBytes <= 0 {
-		chunkBytes = 64 << 10
-	}
-	j := &JBOD{chunkBytes: chunkBytes, perDisk: disks[0].Capacity() / chunkBytes}
+	j := &JBOD{perDisk: disks[0].Capacity() / chunkBytes}
 	for _, d := range disks {
 		j.disks = append(j.disks, d)
 		j.timelines = append(j.timelines, d.Timeline())
@@ -47,7 +43,7 @@ func NewJBOD(disks []Member, chunkBytes int64) (*JBOD, error) {
 
 // Capacity implements storage.Device.
 func (j *JBOD) Capacity() int64 {
-	return int64(len(j.disks)) * j.perDisk * j.chunkBytes
+	return int64(len(j.disks)) * j.perDisk * chunkBytes
 }
 
 // PowerSource aggregates member power.
@@ -70,14 +66,14 @@ func (j *JBOD) Submit(req storage.Request, done func(simtime.Time)) {
 	// Arm the join with every fragment before issuing any, so none can
 	// complete it early.
 	jn.done = done
-	jn.waiting = int((off+req.Size-1)/j.chunkBytes - off/j.chunkBytes + 1)
+	jn.waiting = int((off+req.Size-1)/chunkBytes - off/chunkBytes + 1)
 	n := int64(len(j.disks))
 	for remaining := req.Size; remaining > 0; {
-		chunk := off / j.chunkBytes
-		within := off % j.chunkBytes
-		take := min(j.chunkBytes-within, remaining)
+		chunk := off / chunkBytes
+		within := off % chunkBytes
+		take := min(chunkBytes-within, remaining)
 		// Round-robin chunk striping, matching MAID's data layout.
-		j.disks[chunk%n].Submit(storage.Request{Op: req.Op, Offset: (chunk/n)*j.chunkBytes + within, Size: take}, jn.land)
+		j.disks[chunk%n].Submit(storage.Request{Op: req.Op, Offset: (chunk/n)*chunkBytes + within, Size: take}, jn.land)
 		off += take
 		remaining -= take
 	}

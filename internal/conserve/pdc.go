@@ -23,7 +23,8 @@ import (
 // disks for every moved chunk.
 type PDC struct {
 	engine *simtime.Engine
-	params PDCParams
+	// reorgEvery is how often popularity is re-evaluated.
+	reorgEvery simtime.Duration
 
 	disks []*ManagedDisk
 	hdds  []*disksim.HDD
@@ -43,84 +44,36 @@ type PDC struct {
 	stats PDCStats
 }
 
-// PDCParams configure the device.
-type PDCParams struct {
-	// Disks is the member count.
-	Disks int
-	// Drive parameterises every member.
-	Drive disksim.HDDParams
-	// ChunkBytes is the migration granularity.
-	ChunkBytes int64
-	// ReorgInterval is how often popularity is re-evaluated.
-	ReorgInterval simtime.Duration
-	// MaxMigrations bounds the chunks moved per reorganisation.
-	MaxMigrations int
-	// SpinDownTimeout is the TPM timeout applied to every member.
-	SpinDownTimeout simtime.Duration
-	// Decay multiplies access counts at each reorg, aging history.
-	Decay float64
-}
-
-// DefaultPDCParams returns a 6-member configuration.
-func DefaultPDCParams() PDCParams {
-	return PDCParams{
-		Disks:           6,
-		Drive:           disksim.Seagate7200(),
-		ChunkBytes:      64 << 10,
-		ReorgInterval:   10 * simtime.Second,
-		MaxMigrations:   256,
-		SpinDownTimeout: 5 * simtime.Second,
-		Decay:           0.5,
-	}
-}
-
 // PDCStats count policy work.
 type PDCStats struct {
 	// Reorgs and Migrations count ranking passes and chunk moves.
 	Reorgs, Migrations int64
 }
 
-// NewPDC assembles the device.
-func NewPDC(engine *simtime.Engine, p PDCParams) (*PDC, error) {
-	if p.Disks < 2 {
-		return nil, fmt.Errorf("conserve: PDC needs >= 2 disks, got %d", p.Disks)
-	}
-	if p.ChunkBytes <= 0 {
-		p.ChunkBytes = 64 << 10
-	}
-	if p.ReorgInterval <= 0 {
-		p.ReorgInterval = 10 * simtime.Second
-	}
-	if p.MaxMigrations <= 0 {
-		p.MaxMigrations = 256
-	}
-	if p.SpinDownTimeout <= 0 {
-		p.SpinDownTimeout = 5 * simtime.Second
-	}
-	if p.Decay <= 0 || p.Decay >= 1 {
-		p.Decay = 0.5
-	}
+// NewPDC assembles Drives TPM-managed drives under spec's PDC policy.
+func NewPDC(engine *simtime.Engine, spec Spec) *PDC {
+	spec = spec.WithDefaults()
 	d := &PDC{
-		engine:    engine,
-		params:    p,
-		placement: map[int64]int{},
-		counts:    map[int64]float64{},
-		perDisk:   p.Drive.CapacityBytes / p.ChunkBytes,
+		engine:     engine,
+		reorgEvery: spec.PDCReorgInterval,
+		placement:  map[int64]int{},
+		counts:     map[int64]float64{},
+		ctl:        spec.Control,
 	}
-	for i := 0; i < p.Disks; i++ {
-		dp := p.Drive
-		dp.Seed += uint64(i) * 32452843
-		dp.Name = fmt.Sprintf("pdc-%d", i)
-		hdd := disksim.NewHDD(engine, dp)
+	for i := 0; i < Drives; i++ {
+		hdd := disksim.NewHDD(engine, drive(fmt.Sprintf("pdc-%d", i), i, 32452843))
+		m := NewManagedDisk(engine, hdd, spec.SpinDownTimeout)
+		m.AttachDecisions(spec.Control, "pdc", i)
 		d.hdds = append(d.hdds, hdd)
-		d.disks = append(d.disks, NewManagedDisk(engine, hdd, p.SpinDownTimeout))
+		d.disks = append(d.disks, m)
 	}
-	return d, nil
+	d.perDisk = d.hdds[0].Capacity() / chunkBytes
+	return d
 }
 
 // Capacity implements storage.Device.
 func (d *PDC) Capacity() int64 {
-	return int64(len(d.disks)) * d.perDisk * d.params.ChunkBytes
+	return int64(len(d.disks)) * d.perDisk * chunkBytes
 }
 
 // Stats returns policy counters.
@@ -134,16 +87,6 @@ func (d *PDC) HDDs() []*disksim.HDD { return d.hdds }
 
 // DiskOf resolves the current placement of a chunk (invariant checks).
 func (d *PDC) DiskOf(chunk int64) int { return d.diskOf(chunk) }
-
-// AttachDecisions arms the policy's decision hooks: chunk migrations
-// are sequenced under "pdc", and every member's TPM spin-down/spin-up
-// rides the same control with its member index.
-func (d *PDC) AttachDecisions(ctl *Control) {
-	d.ctl = ctl
-	for i, m := range d.disks {
-		m.AttachDecisions(ctl, "pdc", i)
-	}
-}
 
 // PowerSource aggregates member power.
 func (d *PDC) PowerSource() powersim.Source {
@@ -169,7 +112,7 @@ func (d *PDC) diskOf(chunk int64) int {
 // Offsets use the chunk's home slot, which stays free when the chunk
 // migrates — the model tracks placement, not block-accurate allocation.
 func (d *PDC) offsetOn(chunk int64) int64 {
-	return (chunk / int64(len(d.disks)) % d.perDisk) * d.params.ChunkBytes
+	return (chunk / int64(len(d.disks)) % d.perDisk) * chunkBytes
 }
 
 // OnEvent implements simtime.Handler: the reorganisation tick fired.
@@ -181,7 +124,7 @@ func (d *PDC) Submit(req storage.Request, done func(simtime.Time)) {
 		panic(fmt.Sprintf("conserve: invalid request: %v", err))
 	}
 	if !d.armed {
-		d.armed = scheduleClamped(d.engine, d.engine.Now().Add(d.params.ReorgInterval), d)
+		d.armed = scheduleClamped(d.engine, d.engine.Now().Add(d.reorgEvery), d)
 	}
 	d.windowIOs++
 	d.outstanding++
@@ -193,9 +136,9 @@ func (d *PDC) Submit(req storage.Request, done func(simtime.Time)) {
 	}
 	var frags []frag
 	for remaining > 0 {
-		chunk := off / d.params.ChunkBytes
-		within := off % d.params.ChunkBytes
-		take := d.params.ChunkBytes - within
+		chunk := off / chunkBytes
+		within := off % chunkBytes
+		take := chunkBytes - within
 		if take > remaining {
 			take = remaining
 		}
@@ -246,7 +189,7 @@ func (d *PDC) reorg() {
 		if target >= len(d.disks) {
 			break
 		}
-		if cur := d.diskOf(r.chunk); cur != target && migrated < d.params.MaxMigrations {
+		if cur := d.diskOf(r.chunk); cur != target && migrated < pdcMaxMigrations {
 			if !d.ctl.propose(Decision{
 				At:          int64(d.engine.Now()),
 				Kind:        DecisionMigrate,
@@ -265,7 +208,7 @@ func (d *PDC) reorg() {
 	}
 	// Age history so the ranking tracks shifting popularity.
 	for c := range d.counts {
-		d.counts[c] *= d.params.Decay
+		d.counts[c] *= pdcDecay
 		if d.counts[c] < 0.01 {
 			delete(d.counts, c)
 		}
@@ -277,7 +220,7 @@ func (d *PDC) reorg() {
 		return
 	}
 	d.windowIOs = 0
-	d.armed = scheduleClamped(d.engine, d.engine.Now().Add(d.params.ReorgInterval), d)
+	d.armed = scheduleClamped(d.engine, d.engine.Now().Add(d.reorgEvery), d)
 }
 
 // migrate moves one chunk: read from the source member, write to the
@@ -292,7 +235,7 @@ func (d *PDC) migrate(chunk int64, from, to int) {
 		d.placement[chunk] = to
 	}
 	off := d.offsetOn(chunk)
-	size := d.params.ChunkBytes
+	size := int64(chunkBytes)
 	d.disks[from].Submit(storage.Request{Op: storage.Read, Offset: off, Size: size}, func(simtime.Time) {
 		d.disks[to].Submit(storage.Request{Op: storage.Write, Offset: off, Size: size}, func(simtime.Time) {})
 	})

@@ -9,21 +9,13 @@ import (
 	"repro/internal/storage"
 )
 
-func TestPDCValidation(t *testing.T) {
-	e := simtime.NewEngine()
-	p := DefaultPDCParams()
-	p.Disks = 1
-	if _, err := NewPDC(e, p); err == nil {
-		t.Fatal("single-disk PDC accepted")
-	}
-}
+// pdcSpec is the PDC these tests were written against: popularity
+// re-ranked every 10 s, members that spin down after 5 s idle.
+var pdcSpec = Spec{Technique: "pdc", PDCReorgInterval: 10 * simtime.Second, SpinDownTimeout: 5 * simtime.Second}
 
 func TestPDCServesRequests(t *testing.T) {
 	e := simtime.NewEngine()
-	d, err := NewPDC(e, DefaultPDCParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewPDC(e, pdcSpec)
 	rng := rand.New(rand.NewPCG(3, 3))
 	done := 0
 	for i := 0; i < 200; i++ {
@@ -42,12 +34,9 @@ func TestPDCServesRequests(t *testing.T) {
 
 func TestPDCConcentratesHotChunksOnFirstDisk(t *testing.T) {
 	e := simtime.NewEngine()
-	p := DefaultPDCParams()
-	p.ReorgInterval = simtime.Second
-	d, err := NewPDC(e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := pdcSpec
+	p.PDCReorgInterval = simtime.Second
+	d := NewPDC(e, p)
 	// A hot set whose home placement spreads across all six members.
 	hot := make([]int64, 12)
 	for i := range hot {
@@ -58,7 +47,7 @@ func TestPDCConcentratesHotChunksOnFirstDisk(t *testing.T) {
 		at := simtime.Time(i) * simtime.Time(20*simtime.Millisecond)
 		chunk := hot[rng.IntN(len(hot))]
 		e.Schedule(at, func() {
-			d.Submit(storage.Request{Op: storage.Read, Offset: chunk * p.ChunkBytes, Size: 4096}, func(simtime.Time) {})
+			d.Submit(storage.Request{Op: storage.Read, Offset: chunk * chunkBytes, Size: 4096}, func(simtime.Time) {})
 		})
 	}
 	e.RunUntil(simtime.Time(30 * simtime.Second))
@@ -76,13 +65,10 @@ func TestPDCConcentratesHotChunksOnFirstDisk(t *testing.T) {
 
 func TestPDCColdDisksSpinDown(t *testing.T) {
 	e := simtime.NewEngine()
-	p := DefaultPDCParams()
-	p.ReorgInterval = simtime.Second
+	p := pdcSpec
+	p.PDCReorgInterval = simtime.Second
 	p.SpinDownTimeout = 2 * simtime.Second
-	d, err := NewPDC(e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewPDC(e, p)
 	// Hot traffic confined to chunks homed on disks 0..5 initially but
 	// migrated to disk 0; afterwards the tail disks idle and sleep.
 	rng := rand.New(rand.NewPCG(5, 5))
@@ -90,7 +76,7 @@ func TestPDCColdDisksSpinDown(t *testing.T) {
 		at := simtime.Time(i) * simtime.Time(30*simtime.Millisecond)
 		chunk := int64(rng.IntN(12))
 		e.Schedule(at, func() {
-			d.Submit(storage.Request{Op: storage.Read, Offset: chunk * p.ChunkBytes, Size: 4096}, func(simtime.Time) {})
+			d.Submit(storage.Request{Op: storage.Read, Offset: chunk * chunkBytes, Size: 4096}, func(simtime.Time) {})
 		})
 	}
 	// Check mid-workload (requests continue to 60 s): the cold members
@@ -130,11 +116,11 @@ func TestPDCEnergyBeatsPlainTPM(t *testing.T) {
 	e1 := simtime.NewEngine()
 	members := make([]Member, 6)
 	for i := range members {
-		prm := DefaultPDCParams().Drive
+		prm := disksim.Seagate7200()
 		prm.Seed += uint64(i)
 		members[i] = NewManagedDisk(e1, disksim.NewHDD(e1, prm), 5*simtime.Second)
 	}
-	jbod, err := NewJBOD(members, 64<<10)
+	jbod, err := NewJBOD(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +129,9 @@ func TestPDCEnergyBeatsPlainTPM(t *testing.T) {
 
 	// PDC.
 	e2 := simtime.NewEngine()
-	p := DefaultPDCParams()
-	p.ReorgInterval = 2 * simtime.Second
-	pdc, err := NewPDC(e2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := pdcSpec
+	p.PDCReorgInterval = 2 * simtime.Second
+	pdc := NewPDC(e2, p)
 	runWorkload(pdc, e2)
 	pdcJ := pdc.PowerSource().EnergyJ(0, e2.Now())
 

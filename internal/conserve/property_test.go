@@ -29,7 +29,7 @@ func idleTrace(seed uint64) *blktrace.Trace {
 
 // runTechnique provisions spec with a recording control, replays the
 // idle trace and returns the system plus the decision stream.
-func runTechnique(t *testing.T, spec experiments.ConserveSpec, seed uint64) (experiments.Stack, []conserve.Decision) {
+func runTechnique(t *testing.T, spec conserve.Spec, seed uint64) (experiments.Stack, []conserve.Decision) {
 	t.Helper()
 	rec := &recorder{}
 	spec.Control = &conserve.Control{Observer: rec}
@@ -47,6 +47,12 @@ type recorder struct{ decisions []conserve.Decision }
 
 func (r *recorder) ObserveDecision(d conserve.Decision) { r.decisions = append(r.decisions, d) }
 
+// vetoAll rejects every proposal: a technique under it takes no
+// decision but the forced ones.
+type vetoAll struct{}
+
+func (vetoAll) Approve(conserve.Decision) bool { return false }
+
 // TestStandbyNeverServesWithoutRecordedSpinUp: for the TPM-family
 // policies, a spun-down disk must never serve a request without a
 // recorded (forced) spin-up decision first.  The drives' own transition
@@ -55,7 +61,7 @@ func (r *recorder) ObserveDecision(d conserve.Decision) { r.decisions = append(r
 func TestStandbyNeverServesWithoutRecordedSpinUp(t *testing.T) {
 	for _, technique := range []string{"tpm", "maid"} {
 		t.Run(technique, func(t *testing.T) {
-			spec := experiments.ConserveSpec{Technique: technique, TPMTimeout: 2 * simtime.Second}
+			spec := conserve.Spec{Technique: technique, SpinDownTimeout: 2 * simtime.Second}
 			sys, decisions := runTechnique(t, spec, 11)
 
 			downs := map[int]int64{}
@@ -123,7 +129,7 @@ func TestStandbyNeverServesWithoutRecordedSpinUp(t *testing.T) {
 // fraction with exactly as many shifts as the ledger records.
 func TestDRPMOnlyDeclaredLevels(t *testing.T) {
 	levels := conserve.DefaultDRPMLevels()
-	spec := experiments.ConserveSpec{Technique: "drpm", DRPMStepDown: simtime.Second, DRPMLevels: levels}
+	spec := conserve.Spec{Technique: "drpm", DRPMStepDown: simtime.Second, DRPMLevels: levels}
 	sys, decisions := runTechnique(t, spec, 12)
 
 	shifts := map[int]int64{}
@@ -162,11 +168,10 @@ func TestDRPMOnlyDeclaredLevels(t *testing.T) {
 }
 
 // TestERAIDReconstructionSafe: the degraded set must never exceed the
-// RAID-5 parity tolerance of one member, configurations asking for more
-// are rejected, and every offline interval is bracketed by ledger
-// entries.
+// RAID-5 parity tolerance of one member, and every offline interval is
+// bracketed by ledger entries.
 func TestERAIDReconstructionSafe(t *testing.T) {
-	spec := experiments.ConserveSpec{Technique: "eraid", ERAIDLowIOPS: 30, ERAIDHighIOPS: 200}
+	spec := conserve.Spec{Technique: "eraid", ERAIDLowIOPS: 30, ERAIDHighIOPS: 200}
 	sys, decisions := runTechnique(t, spec, 13)
 
 	offline := map[int]bool{}
@@ -200,14 +205,6 @@ func TestERAIDReconstructionSafe(t *testing.T) {
 	if standby > 1 {
 		t.Fatalf("%d members in standby at end of run", standby)
 	}
-
-	// Asking for a degraded set beyond parity tolerance must fail.
-	engine := simtime.NewEngine()
-	bad := conserve.DefaultERAIDParams()
-	bad.MaxOffline = 2
-	if _, err := conserve.NewERAIDArray(engine, bad); err == nil {
-		t.Fatal("MaxOffline=2 accepted for RAID-5")
-	}
 }
 
 // TestPDCMigrationConservesPlacement: folding the approved migration
@@ -215,7 +212,7 @@ func TestERAIDReconstructionSafe(t *testing.T) {
 // device's final placement exactly — every chunk lives on exactly one
 // member, none are lost or duplicated by migration.
 func TestPDCMigrationConservesPlacement(t *testing.T) {
-	spec := experiments.ConserveSpec{Technique: "pdc", PDCReorgInterval: 2 * simtime.Second, TPMTimeout: 2 * simtime.Second}
+	spec := conserve.Spec{Technique: "pdc", PDCReorgInterval: 2 * simtime.Second, SpinDownTimeout: 2 * simtime.Second}
 	sys, decisions := runTechnique(t, spec, 14)
 
 	disks := len(sys.HDDs)
@@ -262,8 +259,8 @@ func TestPDCMigrationConservesPlacement(t *testing.T) {
 // techniques target) every technique must use no more energy than its
 // always-on counterpart.  The JBOD-family techniques compare against
 // the always-on JBOD; eRAID compares against the same RAID-5 array
-// with resting disabled (MaxOffline=-1), because parity I/O makes the
-// JBOD an unfair baseline.  Denser workloads can legitimately invert
+// under an arbiter that vetoes every rest, because parity I/O makes
+// the JBOD an unfair baseline.  Denser workloads can legitimately invert
 // this — the conservation study documents TPM losing energy when idle
 // gaps sit below the spin-down break-even.
 func TestConservationNeverExceedsBaselineEnergy(t *testing.T) {
@@ -276,7 +273,7 @@ func TestConservationNeverExceedsBaselineEnergy(t *testing.T) {
 	trace := synth.WebServerTrace(wp)
 	const load = 0.25
 
-	measure := func(spec experiments.ConserveSpec) float64 {
+	measure := func(spec conserve.Spec) float64 {
 		s, err := experiments.Build(cfg, experiments.StackSpec{Conserve: spec})
 		if err != nil {
 			t.Fatal(err)
@@ -287,18 +284,18 @@ func TestConservationNeverExceedsBaselineEnergy(t *testing.T) {
 		}
 		return m.Eff.EnergyJ
 	}
-	jbod := measure(experiments.ConserveSpec{Technique: "always-on"})
+	jbod := measure(conserve.Spec{Technique: "always-on"})
 	if jbod <= 0 {
 		t.Fatalf("degenerate baseline energy %v", jbod)
 	}
 	for _, technique := range []string{"tpm", "drpm", "pdc", "maid"} {
-		spec := experiments.ConserveSpec{Technique: technique, TPMTimeout: 2 * simtime.Second}
+		spec := conserve.Spec{Technique: technique, SpinDownTimeout: 2 * simtime.Second}
 		if e := measure(spec); e > jbod*1.02 {
 			t.Errorf("%s energy %.1f J exceeds always-on JBOD %.1f J", technique, e, jbod)
 		}
 	}
-	eraidOn := measure(experiments.ConserveSpec{Technique: "eraid", ERAIDMaxOffline: -1})
-	if e := measure(experiments.ConserveSpec{Technique: "eraid"}); e > eraidOn*1.02 {
+	eraidOn := measure(conserve.Spec{Technique: "eraid", Control: &conserve.Control{Arbiter: vetoAll{}}})
+	if e := measure(conserve.Spec{Technique: "eraid"}); e > eraidOn*1.02 {
 		t.Errorf("eraid energy %.1f J exceeds its always-on array %.1f J", e, eraidOn)
 	}
 }
@@ -307,8 +304,8 @@ func TestConservationNeverExceedsBaselineEnergy(t *testing.T) {
 // — the observed run's device-side counters match the unobserved run's.
 func TestNilControlIsInert(t *testing.T) {
 	run := func(ctl *conserve.Control) disksim.HDDStats {
-		sys, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Conserve: experiments.ConserveSpec{
-			Technique: "tpm", TPMTimeout: 2 * simtime.Second, Control: ctl,
+		sys, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Conserve: conserve.Spec{
+			Technique: "tpm", SpinDownTimeout: 2 * simtime.Second, Control: ctl,
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -339,8 +336,8 @@ func TestNilControlIsInert(t *testing.T) {
 func TestDecisionSequenceTotalOrder(t *testing.T) {
 	for _, technique := range []string{"tpm", "drpm", "eraid", "pdc", "maid"} {
 		t.Run(technique, func(t *testing.T) {
-			_, decisions := runTechnique(t, experiments.ConserveSpec{
-				Technique: technique, TPMTimeout: 2 * simtime.Second,
+			_, decisions := runTechnique(t, conserve.Spec{
+				Technique: technique, SpinDownTimeout: 2 * simtime.Second,
 				DRPMStepDown: simtime.Second, ERAIDLowIOPS: 30, ERAIDHighIOPS: 200,
 				PDCReorgInterval: 2 * simtime.Second,
 			}, 17)

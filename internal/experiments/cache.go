@@ -31,8 +31,6 @@ type CacheSpec struct {
 	DirtyHighRatio float64
 	FlushInterval  simtime.Duration
 	IdleDrain      simtime.Duration
-	// DRAMWattsPerGB overrides the DRAM static power coefficient.
-	DRAMWattsPerGB float64
 }
 
 func (s CacheSpec) withDefaults() CacheSpec {
@@ -64,21 +62,26 @@ func (s CacheSpec) Params() cache.Params {
 		DirtyHighRatio: s.DirtyHighRatio,
 		FlushInterval:  s.FlushInterval,
 		IdleDrain:      s.IdleDrain,
-		DRAMWattsPerGB: s.DRAMWattsPerGB,
 	}
 }
 
 // maxCapacityMB bounds CapacityMB so its byte count fits an int64.
 const maxCapacityMB = 1 << 43
 
-// checkCapacity rejects a capacity Params cannot convert to bytes:
-// NaN, infinite, negative, or too large for int64.  Zero is valid and
-// selects the tier's default.
-func (s CacheSpec) checkCapacity() error {
+// Validate rejects a spec Build cannot honour in front of any device:
+// a capacity that is NaN, infinite, negative, too large for int64 bytes
+// or positive but under one byte, and anything cache.Params.Validate
+// rejects.  Zero capacity is valid and selects the tier's default.
+// Build also rejects a tier larger than the device it fronts.
+func (s CacheSpec) Validate() error {
 	if !(s.CapacityMB >= 0 && s.CapacityMB < maxCapacityMB) {
 		return fmt.Errorf("experiments: cache capacity %v MiB is not a finite size in [0, 2^43) MiB", s.CapacityMB)
 	}
-	return nil
+	p := s.Params()
+	if s.CapacityMB > 0 && p.CapacityBytes == 0 {
+		return fmt.Errorf("experiments: cache capacity %v MiB rounds to 0 bytes", s.CapacityMB)
+	}
+	return p.Validate()
 }
 
 // Label names the spec for tables and fixtures, e.g. "uncached" or

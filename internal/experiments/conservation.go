@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/conserve"
 	"repro/internal/replay"
 )
 
@@ -60,7 +61,7 @@ func ConservationStudy(cfg Config) (*ConservationResult, error) {
 		func(i int) string { return fmt.Sprintf("%s load %v", techniques[i/nLoads], loads[i%nLoads]) },
 		func(i int) (cell, error) {
 			technique, load := techniques[i/nLoads], loads[i%nLoads]
-			s, err := Build(cfg, StackSpec{Conserve: ConserveSpec{Technique: technique}})
+			s, err := Build(cfg, StackSpec{Conserve: conserve.Spec{Technique: technique}})
 			if err != nil {
 				return cell{}, err
 			}

@@ -43,7 +43,7 @@ type StackSpec struct {
 	Member int
 	// Conserve, when its Technique is set, builds that conservation
 	// technique's stack instead of the Kind array.
-	Conserve ConserveSpec
+	Conserve conserve.Spec
 	// Cache, when non-nil, fronts whichever base device was built with
 	// a cache tier.  A disabled spec (&CacheSpec{}) still interposes a
 	// real pass-through cache.Cache, whose results are byte-identical
@@ -108,7 +108,7 @@ func Build(cfg Config, spec StackSpec) (Stack, error) {
 		return Stack{}, fmt.Errorf("experiments: negative fleet member %d", spec.Member)
 	}
 	if spec.Cache != nil {
-		if err := spec.Cache.checkCapacity(); err != nil {
+		if err := spec.Cache.Validate(); err != nil {
 			return Stack{}, err
 		}
 	}
@@ -116,7 +116,7 @@ func Build(cfg Config, spec StackSpec) (Stack, error) {
 	s := Stack{Engine: simtime.NewEngine(), seed: cfg.Seed}
 	var err error
 	if spec.Conserve.Technique != "" {
-		err = s.buildConserve(spec.Conserve.withDefaults())
+		err = s.buildConserve(spec.Conserve)
 	} else {
 		err = s.buildArray(cfg, spec.Kind, spec.Member)
 	}
@@ -157,19 +157,20 @@ func (s *Stack) buildArray(cfg Config, kind ArrayKind, member int) error {
 // seeds derive from the drive seed exactly as the conservation study's
 // builder always has, so a default spec reproduces its measurements
 // bit-for-bit.
-func (s *Stack) buildConserve(spec ConserveSpec) error {
+func (s *Stack) buildConserve(spec conserve.Spec) error {
 	engine := s.Engine
 	switch spec.Technique {
 	case "always-on", "tpm", "drpm":
-		members := make([]conserve.Member, spec.Disks)
+		spec = spec.WithDefaults()
+		members := make([]conserve.Member, conserve.Drives)
 		for i := range members {
-			p := spec.Drive
+			p := disksim.Seagate7200()
 			p.Seed += uint64(i) * 104729
 			hdd := disksim.NewHDD(engine, p)
 			s.HDDs = append(s.HDDs, hdd)
 			switch spec.Technique {
 			case "tpm":
-				m := conserve.NewManagedDisk(engine, hdd, spec.TPMTimeout)
+				m := conserve.NewManagedDisk(engine, hdd, spec.SpinDownTimeout)
 				m.AttachDecisions(spec.Control, "tpm", i)
 				members[i] = m
 			case "drpm":
@@ -180,57 +181,22 @@ func (s *Stack) buildConserve(spec ConserveSpec) error {
 				members[i] = hdd
 			}
 		}
-		jbod, err := conserve.NewJBOD(members, spec.ChunkBytes)
+		jbod, err := conserve.NewJBOD(members)
 		if err != nil {
 			return err
 		}
 		s.Device, s.source = jbod, jbod.PowerSource()
 	case "eraid":
-		p := conserve.DefaultERAIDParams()
-		p.Disks = spec.Disks
-		p.Drive = spec.Drive
-		p.LowIOPS, p.HighIOPS = spec.ERAIDLowIOPS, spec.ERAIDHighIOPS
-		p.Window = spec.ERAIDWindow
-		p.MaxOffline = spec.ERAIDMaxOffline
-		// eRAID takes its control at construction: the load evaluator
-		// ticks once at t=0 and may rest a member immediately.
-		p.Control = spec.Control
-		arr, err := conserve.NewERAIDArray(engine, p)
+		arr, err := conserve.NewERAIDArray(engine, spec)
 		if err != nil {
 			return err
 		}
 		s.Device, s.source, s.ERAID, s.HDDs = arr, arr.PowerSource(), arr, arr.HDDs()
 	case "pdc":
-		p := conserve.DefaultPDCParams()
-		p.Disks = spec.Disks
-		p.Drive = spec.Drive
-		p.ChunkBytes = spec.ChunkBytes
-		p.ReorgInterval = spec.PDCReorgInterval
-		p.SpinDownTimeout = spec.PDCSpinDownTimeout
-		if spec.PDCMaxMigrations > 0 {
-			p.MaxMigrations = spec.PDCMaxMigrations
-		}
-		if spec.PDCDecay > 0 {
-			p.Decay = spec.PDCDecay
-		}
-		pdc, err := conserve.NewPDC(engine, p)
-		if err != nil {
-			return err
-		}
-		pdc.AttachDecisions(spec.Control)
+		pdc := conserve.NewPDC(engine, spec)
 		s.Device, s.source, s.PDC, s.HDDs = pdc, pdc.PowerSource(), pdc, pdc.HDDs()
 	case "maid":
-		p := conserve.DefaultMAIDParams()
-		p.CacheDisks, p.DataDisks = spec.MAIDCacheDisks, spec.Disks
-		p.Drive = spec.Drive
-		p.ChunkBytes = spec.ChunkBytes
-		p.CacheChunks = spec.MAIDCacheChunks
-		p.DataTimeout = spec.MAIDDataTimeout
-		maid, err := conserve.NewMAID(engine, p)
-		if err != nil {
-			return err
-		}
-		maid.AttachDecisions(spec.Control)
+		maid := conserve.NewMAID(engine, spec)
 		s.Device, s.source, s.MAID, s.HDDs = maid, maid.PowerSource(), maid, maid.MemberHDDs()
 	default:
 		return fmt.Errorf("unknown technique %q", spec.Technique)

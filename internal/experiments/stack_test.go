@@ -32,22 +32,25 @@ func TestBuildPassThroughCacheIsReal(t *testing.T) {
 }
 
 // TestBuildRejectsBadCacheCapacity: a capacity whose byte count is not
-// a representable int64 fails with a labelled error naming the value,
-// before any conversion.
+// a representable int64, or rounds to 0, fails with a labelled error
+// naming the value, before any conversion; one larger than the array
+// it fronts fails in cache.New, before a line is allocated.
 func TestBuildRejectsBadCacheCapacity(t *testing.T) {
 	for _, tc := range []struct {
 		mb   float64
 		want string
 	}{
-		{math.NaN(), "NaN"},
-		{math.Inf(1), "+Inf"},
-		{math.Inf(-1), "-Inf"},
-		{-1, "-1"},
-		{1e300, "1e+300"},
+		{math.NaN(), "cache capacity NaN MiB"},
+		{math.Inf(1), "cache capacity +Inf MiB"},
+		{math.Inf(-1), "cache capacity -Inf MiB"},
+		{-1, "cache capacity -1 MiB"},
+		{1e300, "cache capacity 1e+300 MiB"},
+		{1e-300, "cache capacity 1e-300 MiB rounds to 0 bytes"},
+		{8796093022207, "cache: capacity 9223372036853727232 bytes exceeds the"},
 	} {
 		_, err := Build(DefaultConfig(), StackSpec{Kind: HDDArray, Cache: &CacheSpec{Tier: "dram", CapacityMB: tc.mb}})
-		if err == nil || !strings.Contains(err.Error(), "cache capacity "+tc.want+" MiB") {
-			t.Errorf("capacity %v: got error %v, want one naming %s", tc.mb, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("capacity %v: got error %v, want one containing %q", tc.mb, err, tc.want)
 		}
 	}
 }

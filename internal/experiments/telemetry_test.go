@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/cache"
+	"repro/internal/conserve"
 	"repro/internal/powersim"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -39,7 +40,7 @@ func TestMeasureAtLoadTelemetryMatchesPlainMeasurement(t *testing.T) {
 		{"hdd", StackSpec{Kind: HDDArray}},
 		{"ssd", StackSpec{Kind: SSDArray}},
 		{"hdd-dram", StackSpec{Kind: HDDArray, Cache: &CacheSpec{Tier: cache.TierDRAM, CapacityMB: 32}}},
-		{"tpm", StackSpec{Conserve: ConserveSpec{Technique: "tpm", TPMTimeout: 100 * simtime.Millisecond}}},
+		{"tpm", StackSpec{Conserve: conserve.Spec{Technique: "tpm", SpinDownTimeout: 100 * simtime.Millisecond}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			measure := func(set *telemetry.Set) *Measurement {

@@ -15,6 +15,7 @@
 package optimize
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -91,7 +92,8 @@ type Space struct {
 	Dims   []Dim  `json:"dims"`
 }
 
-// Cells is the grid size (product of axis lengths).
+// Cells is the grid size (product of axis lengths).  Validate rejects
+// a space whose size overflows int.
 func (s Space) Cells() int {
 	n := 1
 	for _, d := range s.Dims {
@@ -122,16 +124,32 @@ func (s Space) At(idx []int) Point {
 	return p
 }
 
-// Validate rejects empty or degenerate spaces, and any value of any
-// dimension that Point.Spec rejects, before a single cell runs.
+// Validate rejects a space before a single cell runs: one with no
+// dimensions, a dimension with no values or a repeated name (a Point
+// keeps only one value per name), a cell count that overflows int, or
+// a cell Point.Spec rejects.  It asks Point.Spec about every value of
+// every dimension (against the first value of each other one), then
+// about every corner of the grid, each dimension at its smallest or
+// largest value: a bound between two dimensions (eRAID's low_iops
+// below its high_iops) breaks at a corner first.
 func (s Space) Validate() error {
 	if len(s.Dims) == 0 {
 		return fmt.Errorf("optimize: space for %q has no dimensions", s.Policy)
 	}
+	seen := make(map[string]bool, len(s.Dims))
+	cells := 1
 	for _, d := range s.Dims {
 		if len(d.Values) == 0 {
 			return fmt.Errorf("optimize: dimension %q has no values", d.Name)
 		}
+		if seen[d.Name] {
+			return fmt.Errorf("optimize: dimension %q given twice", d.Name)
+		}
+		seen[d.Name] = true
+		if cells > math.MaxInt/len(d.Values) {
+			return fmt.Errorf("optimize: space for %q has more cells than an int can count", s.Policy)
+		}
+		cells *= len(d.Values)
 	}
 	idx := make([]int, len(s.Dims))
 	for d, dim := range s.Dims {
@@ -143,7 +161,29 @@ func (s Space) Validate() error {
 		}
 		idx[d] = 0
 	}
+	// Every name is now one of the policy's few parameters, so the
+	// corners are few.
+	for corner := 0; corner < 1<<len(s.Dims); corner++ {
+		for d, dim := range s.Dims {
+			idx[d] = extreme(dim.Values, corner>>d&1 == 1)
+		}
+		if _, err := s.At(idx).Spec(); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// extreme returns the index of the largest of vals, or of the
+// smallest.
+func extreme(vals []float64, largest bool) int {
+	best := 0
+	for j, v := range vals {
+		if largest && v > vals[best] || !largest && v < vals[best] {
+			best = j
+		}
+	}
+	return best
 }
 
 // Point is one parameter assignment within a policy's space.
@@ -166,69 +206,115 @@ func (p Point) String() string {
 	return p.Policy + " " + strings.Join(parts, " ")
 }
 
-// drpmTable is the speed-fraction table the "levels" dimension
-// truncates: taking the first k entries yields a k-level policy.  It
-// bottoms out at the drive's MinRPMFraction — deeper entries would
-// silently clamp and desynchronise the ledger from the spindle.
-var drpmTable = []float64{1.0, 0.8, 0.65, 0.5}
-
-func dur(seconds float64) simtime.Duration {
-	return simtime.Duration(seconds * float64(simtime.Second))
-}
-
 // Spec translates the point into the device stack its evaluation
 // provisions.  The "cache" policy is a TPM-managed JBOD behind a DRAM
 // writeback tier (32 MiB unless capacity_mb says otherwise): the
-// writeback/spin-down energy coupling.  Unknown parameter names and
-// out-of-range values are an error — a typo'd space must fail loudly,
-// not silently search defaults.
+// writeback/spin-down energy coupling.  Every policy's timeout_s is
+// the spec's SpinDownTimeout.
+//
+// A value the stack would not run as given is an error, never a silent
+// fallback to a default: an unknown name; NaN or an infinity; seconds
+// whose nanosecond count overflows int64; zero or below where zero
+// selects the default (flush_s and idle_drain_s: zero, since a
+// negative value disables them); levels or cache_disks that are not
+// whole numbers within range; and a conserve.Spec or cache spec that
+// fails its own Validate.
 func (p Point) Spec() (experiments.StackSpec, error) {
-	spec := experiments.StackSpec{Conserve: experiments.ConserveSpec{Technique: p.Policy}}
+	spec := experiments.StackSpec{Conserve: conserve.Spec{Technique: p.Policy}}
 	if p.Policy == "cache" {
 		spec.Conserve.Technique = "tpm"
 		spec.Cache = &experiments.CacheSpec{Tier: cache.TierDRAM, CapacityMB: 32}
 	}
 	c := &spec.Conserve
 	for name, v := range p.Params {
+		var err error
 		switch p.Policy + "/" + name {
-		case "tpm/timeout_s", "cache/timeout_s":
-			c.TPMTimeout = dur(v)
+		case "tpm/timeout_s", "pdc/timeout_s", "maid/timeout_s", "cache/timeout_s":
+			c.SpinDownTimeout, err = positiveSeconds(v)
 		case "drpm/stepdown_s":
-			c.DRPMStepDown = dur(v)
+			c.DRPMStepDown, err = positiveSeconds(v)
 		case "drpm/levels":
-			k := int(v)
-			if k < 2 || k > len(drpmTable) {
-				return spec, fmt.Errorf("optimize: drpm levels %v out of range [2,%d]", v, len(drpmTable))
-			}
-			c.DRPMLevels = drpmTable[:k]
+			var k int
+			k, err = whole(v, 2, len(conserve.DefaultDRPMLevels()))
+			c.DRPMLevels = conserve.DefaultDRPMLevels()[:k]
 		case "eraid/low_iops":
-			c.ERAIDLowIOPS = v
+			c.ERAIDLowIOPS, err = positive(v)
 		case "eraid/high_iops":
-			c.ERAIDHighIOPS = v
+			c.ERAIDHighIOPS, err = positive(v)
 		case "eraid/window_s":
-			c.ERAIDWindow = dur(v)
+			c.ERAIDWindow, err = positiveSeconds(v)
 		case "pdc/reorg_s":
-			c.PDCReorgInterval = dur(v)
-		case "pdc/timeout_s":
-			c.PDCSpinDownTimeout = dur(v)
+			c.PDCReorgInterval, err = positiveSeconds(v)
 		case "maid/cache_disks":
-			c.MAIDCacheDisks = int(v)
-		case "maid/timeout_s":
-			c.MAIDDataTimeout = dur(v)
+			c.MAIDCacheDisks, err = whole(v, 1, conserve.MAIDDataDisks)
 		case "cache/capacity_mb":
-			if !(v > 0) || math.IsInf(v, 1) {
-				return spec, fmt.Errorf("optimize: cache capacity_mb %v is not a finite size > 0", v)
-			}
-			spec.Cache.CapacityMB = v
+			spec.Cache.CapacityMB, err = positive(v)
 		case "cache/flush_s":
-			spec.Cache.FlushInterval = dur(v)
+			spec.Cache.FlushInterval, err = nonzeroSeconds(v)
 		case "cache/idle_drain_s":
-			spec.Cache.IdleDrain = dur(v)
+			spec.Cache.IdleDrain, err = nonzeroSeconds(v)
 		default:
 			return spec, fmt.Errorf("optimize: policy %q has no parameter %q", p.Policy, name)
 		}
+		if err != nil {
+			return spec, fmt.Errorf("optimize: %s %s %v %w", p.Policy, name, v, err)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		return spec, fmt.Errorf("optimize: %s: %w", p.Policy, err)
+	}
+	if spec.Cache != nil {
+		if err := spec.Cache.Validate(); err != nil {
+			return spec, fmt.Errorf("optimize: %s: %w", p.Policy, err)
+		}
 	}
 	return spec, nil
+}
+
+// positive accepts a finite value > 0.
+func positive(v float64) (float64, error) {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return 0, errors.New("is not a finite number > 0")
+	}
+	return v, nil
+}
+
+// seconds converts v seconds to a duration whose nanosecond count fits
+// an int64.
+func seconds(v float64) (simtime.Duration, error) {
+	ns := v * float64(simtime.Second)
+	if !(ns >= -(1<<63) && ns < 1<<63) {
+		return 0, errors.New("is not a duration in seconds within ±292 years")
+	}
+	return simtime.Duration(ns), nil
+}
+
+// positiveSeconds accepts a duration of at least 1 ns; zero would select
+// the default.
+func positiveSeconds(v float64) (simtime.Duration, error) {
+	d, err := seconds(v)
+	if err == nil && d <= 0 {
+		err = errors.New("is not a duration of at least 1ns (zero selects the default)")
+	}
+	return d, err
+}
+
+// nonzeroSeconds accepts any duration but zero, which selects the
+// default; a negative one disables the policy.
+func nonzeroSeconds(v float64) (simtime.Duration, error) {
+	d, err := seconds(v)
+	if err == nil && d == 0 {
+		err = errors.New("is not a nonzero duration (zero selects the default, a negative one disables)")
+	}
+	return d, err
+}
+
+// whole accepts a whole number in [lo, hi].
+func whole(v float64, lo, hi int) (int, error) {
+	if !(v >= float64(lo) && v <= float64(hi)) || v != math.Trunc(v) {
+		return 0, fmt.Errorf("is not a whole number in [%d, %d]", lo, hi)
+	}
+	return int(v), nil
 }
 
 // DefaultSpace returns the built-in search space for a policy — the

@@ -388,3 +388,99 @@ func TestCacheCapacityMustBeFinitePositive(t *testing.T) {
 		}
 	}
 }
+
+// TestPointSpecRejectsValuesTheSpecWouldReplace: a search value the
+// stack would not run as given fails in Point.Spec, and so in
+// Space.Validate before any cell runs, never falls back to a default,
+// truncates or fails only once its cell runs.
+func TestPointSpecRejectsValuesTheSpecWouldReplace(t *testing.T) {
+	for _, tc := range []struct {
+		policy, name string
+		v            float64
+	}{
+		{"tpm", "timeout_s", -5},
+		{"tpm", "timeout_s", math.NaN()},
+		{"tpm", "timeout_s", 1e30},  // nanoseconds overflow int64
+		{"tpm", "timeout_s", 1e-10}, // rounds to 0 ns, the default
+		{"cache", "timeout_s", 0},
+		{"pdc", "timeout_s", math.Inf(1)},
+		{"maid", "timeout_s", -1},
+		{"drpm", "stepdown_s", 0},
+		{"drpm", "levels", 2.9},
+		{"eraid", "low_iops", 0},
+		{"eraid", "high_iops", -60},
+		{"eraid", "low_iops", 100}, // above the default high_iops
+		{"eraid", "window_s", -2},
+		{"pdc", "reorg_s", -1},
+		{"maid", "cache_disks", 0},
+		{"maid", "cache_disks", 1.5},
+		{"maid", "cache_disks", 6},
+		{"cache", "flush_s", 0},
+		{"cache", "idle_drain_s", math.Inf(-1)},
+		{"cache", "capacity_mb", 1e-300}, // rounds to 0 bytes
+	} {
+		pt := Point{Policy: tc.policy, Params: map[string]float64{tc.name: tc.v}}
+		if _, err := pt.Spec(); err == nil {
+			t.Errorf("%s accepted", pt)
+		}
+		space := Space{Policy: tc.policy, Dims: []Dim{{Name: tc.name, Values: []float64{tc.v}}}}
+		if err := space.Validate(); err == nil {
+			t.Errorf("space %+v validated", space)
+		}
+	}
+	// What is accepted runs as given: a negative cache cadence disables
+	// the policy, and levels and cache_disks reach the spec whole.
+	spec, err := Point{Policy: "cache", Params: map[string]float64{"flush_s": -1}}.Spec()
+	if err != nil || spec.Cache.FlushInterval != -simtime.Second {
+		t.Fatalf("flush_s=-1: %v, interval %v", err, spec.Cache.FlushInterval)
+	}
+	spec, err = Point{Policy: "drpm", Params: map[string]float64{"levels": 2}}.Spec()
+	if err != nil || len(spec.Conserve.DRPMLevels) != 2 {
+		t.Fatalf("levels=2: %v, %v", err, spec.Conserve.DRPMLevels)
+	}
+	spec, err = Point{Policy: "maid", Params: map[string]float64{"cache_disks": 5}}.Spec()
+	if err != nil || spec.Conserve.MAIDCacheDisks != 5 {
+		t.Fatalf("cache_disks=5: %v, %d", err, spec.Conserve.MAIDCacheDisks)
+	}
+}
+
+// TestSpaceValidateRejectsRepeatsOverflowAndCrossedCorners: a space is
+// rejected when a Point would drop one of its values, when Cells would
+// wrap, or when some cell pairs a low_iops with a high_iops below it.
+func TestSpaceValidateRejectsRepeatsOverflowAndCrossedCorners(t *testing.T) {
+	twice := Space{Policy: "tpm", Dims: []Dim{
+		{Name: "timeout_s", Values: []float64{1, 2}},
+		{Name: "timeout_s", Values: []float64{5}},
+	}}
+	if err := twice.Validate(); err == nil || !strings.Contains(err.Error(), "given twice") {
+		t.Errorf("repeated dimension: %v", err)
+	}
+	// Four valid dimensions of 2^16 values each make 2^64 cells.
+	wide := Space{Policy: "cache"}
+	for _, name := range []string{"capacity_mb", "flush_s", "idle_drain_s", "timeout_s"} {
+		d := Dim{Name: name}
+		for v := 1; v <= 1<<16; v++ {
+			d.Values = append(d.Values, float64(v))
+		}
+		wide.Dims = append(wide.Dims, d)
+	}
+	if err := wide.Validate(); err == nil || !strings.Contains(err.Error(), "more cells than an int can count") {
+		t.Errorf("2^64 cells: %v", err)
+	}
+	crossed := Space{Policy: "eraid", Dims: []Dim{
+		{Name: "low_iops", Values: []float64{10, 100}},
+		{Name: "high_iops", Values: []float64{120, 60}},
+	}}
+	if err := crossed.Validate(); err == nil || !strings.Contains(err.Error(), "thresholds inverted: low 100 >= high 60") {
+		t.Errorf("crossed thresholds: %v", err)
+	}
+	for _, policy := range []string{"tpm", "drpm", "eraid", "pdc", "maid", "cache"} {
+		s, err := DefaultSpace(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("default %s space: %v", policy, err)
+		}
+	}
+}

@@ -22,8 +22,6 @@ const DefaultCadence = simtime.Second
 type Options struct {
 	// Cadence is the time-series sampling interval (default 1 s).
 	Cadence simtime.Duration
-	// MaxSpans caps the run tracer (default DefaultMaxSpans).
-	MaxSpans int
 }
 
 // Set bundles one run's instrumentation: the registry, the span
@@ -59,7 +57,7 @@ func New(opts Options) *Set {
 	return &Set{
 		cadence: opts.Cadence,
 		reg:     NewRegistry(),
-		tr:      NewTracer(opts.MaxSpans),
+		tr:      NewTracer(DefaultMaxSpans),
 	}
 }
 

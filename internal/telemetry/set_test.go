@@ -83,7 +83,8 @@ func TestTracerCapAndDropCount(t *testing.T) {
 // values add, spans append in order under the destination cap, and
 // sampled windows land after the destination's own.
 func TestSetMerge(t *testing.T) {
-	dst := New(Options{MaxSpans: 3})
+	dst := New(Options{})
+	dst.tr = NewTracer(3)
 	dst.Registry().Counter("ios").Add(2)
 	dst.Tracer().Emit(Span{Name: "a"})
 	dst.windows = append(dst.windows, Window{End: 1})
