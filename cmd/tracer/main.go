@@ -1,8 +1,9 @@
 // Command tracer is the TRACER command-line interface: it replaces the
 // paper's Windows GUI as the operator-facing front end of the
 // framework.  It builds trace repositories, runs load-controlled
-// replay tests against the simulated arrays while metering power, and
-// queries the results database.
+// replay tests against the simulated arrays while metering power,
+// queries the results database, regenerates the paper's evaluation
+// artifacts and runs the conformance gates.
 //
 // Usage:
 //
@@ -13,7 +14,6 @@
 //	tracer analyze   -repo DIR -trace NAME | -in FILE [-out profile.json] [-name LABEL]
 //	tracer test      -repo DIR -trace NAME [-device hdd|ssd] [-loads 10,50,100] [-db FILE] [-workers N]
 //	tracer query     [-db FILE] [-device NAME] [-minload F] [-maxload F]
-//	tracer convert   -in FILE.srt -out FILE.replay [-srcdev NAME] [-window D]
 //	tracer slice     -repo DIR -trace NAME -to D [-from D]
 //	tracer merge     -repo DIR -traces A,B[,C...] [-label L]
 //	tracer remap     -repo DIR -trace NAME -from-bytes N -to-bytes N
@@ -22,7 +22,8 @@
 //	tracer cachestudy [-in FILE | -repo DIR -trace NAME] [-device hdd|ssd] [-loads 50,100] [-specs uncached,dram:32,ssd:256] [-workers N] [-json FILE]
 //	tracer fleet     -arrays N [-workers W] [-policy P] [-device hdd|ssd] [-duration D] [-iops F] [-admit-rate F] [-power-cap W] [-telemetry-dir DIR] [-slo SPEC [-watch]] [-fail A@T[:D],... | -mtbf D]
 //	tracer report    [-dir DIR] [-alert SEQ]
-//	tracer verify    [-golden DIR] [-update] [-tol F] [-telemetry-dir DIR] [-fidelity [-seed N]] [-optimize] [-cache] [-slo]
+//	tracer verify    [-golden DIR] [-update] [-telemetry-dir DIR]
+//	tracer paper     [-run all|NAME[,NAME...]] [-duration D] [-workers N] [-list]
 //	tracer optimize  [-policy P[,P...]] [-space SPEC] [-driver grid|evolve] [-in FILE] [-load PCT] [-workers N] [-ledger-dir DIR] [-telemetry-dir DIR]
 //	tracer whatif    -ledger FILE (-decision N | -list) [-in FILE]
 package main
@@ -44,7 +45,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/simtime"
-	"repro/internal/srt"
 	"repro/internal/synth"
 )
 
@@ -75,8 +75,6 @@ func run(args []string, out io.Writer) error {
 		return cmdTest(args[1:], out)
 	case "query":
 		return cmdQuery(args[1:], out)
-	case "convert":
-		return cmdConvert(args[1:], out)
 	case "slice":
 		return cmdSlice(args[1:], out)
 	case "merge":
@@ -95,6 +93,8 @@ func run(args []string, out io.Writer) error {
 		return cmdReport(args[1:], out)
 	case "verify":
 		return cmdVerify(args[1:], out)
+	case "paper":
+		return cmdPaper(args[1:], out)
 	case "optimize":
 		return cmdOptimize(args[1:], out)
 	case "whatif":
@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) error {
 
 func usage(out io.Writer) {
 	fmt.Fprintln(out, `tracer — load-controllable energy-efficiency evaluation for storage systems
-subcommands: collect, gen-real, repo, stats, analyze, test, query, convert, slice, merge, remap, dump, replay, cachestudy, fleet, report, verify, optimize, whatif`)
+subcommands: collect, gen-real, repo, stats, analyze, test, query, slice, merge, remap, dump, replay, cachestudy, fleet, report, verify, paper, optimize, whatif`)
 }
 
 // cmdCollect builds peak synthetic traces into a repository.
@@ -429,36 +429,5 @@ func cmdQuery(args []string, out io.Writer) error {
 			r.Mode.LoadProportion*100, r.Perf.IOPS, r.Perf.MBPS,
 			r.Power.MeanWatts, r.Efficiency.IOPSPerWatt, r.Efficiency.MBPSPerKW)
 	}
-	return nil
-}
-
-// cmdConvert transforms SRT traces to the replay format.
-func cmdConvert(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	in := fs.String("in", "", "input .srt file")
-	outPath := fs.String("out", "", "output .replay file")
-	srcDev := fs.String("srcdev", "", "filter records to one source device")
-	window := fs.Duration("window", 100_000, "bunch coalescing window")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *outPath == "" {
-		return fmt.Errorf("convert: -in and -out are required")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tr, err := srt.ConvertStream(f, srt.ConvertOptions{Device: *srcDev, BunchWindow: simtime.FromStd(*window)})
-	if err != nil {
-		return err
-	}
-	if err := blktrace.WriteFile(*outPath, tr); err != nil {
-		return err
-	}
-	st := blktrace.ComputeStats(tr)
-	fmt.Fprintf(out, "converted %s -> %s: %d IOs in %d bunches over %.3fs\n",
-		*in, *outPath, st.IOs, st.Bunches, st.Duration.Seconds())
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/simtime"
-	"repro/internal/srt"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -79,32 +79,6 @@ func TestGenRealAndTest(t *testing.T) {
 	}
 }
 
-func TestConvertCommand(t *testing.T) {
-	dir := t.TempDir()
-	srtPath := filepath.Join(dir, "in.srt")
-	outPath := filepath.Join(dir, "out.replay")
-	recs := []srt.Record{
-		{Timestamp: 1.0, Device: "d0", StartByte: 0, Length: 4096, Op: storage.Read},
-		{Timestamp: 1.5, Device: "d0", StartByte: 8192, Length: 512, Op: storage.Write},
-	}
-	f, err := os.Create(srtPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srt.WriteRecords(f, recs); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	out := runOK(t, "convert", "-in", srtPath, "-out", outPath)
-	if !strings.Contains(out, "2 IOs") {
-		t.Fatalf("convert output: %s", out)
-	}
-	if _, err := os.Stat(outPath); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBadInvocations(t *testing.T) {
 	var buf bytes.Buffer
 	repoDir := filepath.Join(t.TempDir(), "repo")
@@ -116,7 +90,6 @@ func TestBadInvocations(t *testing.T) {
 		{"test", "-trace", "x", "-loads", "abc"},
 		{"test", "-trace", "x", "-device", "floppy"},
 		{"gen-real", "-kind", "nope", "-repo", repoDir},
-		{"convert"},
 	}
 	for _, args := range cases {
 		if err := run(args, &buf); err == nil {
@@ -192,53 +165,77 @@ func TestTraceToolErrors(t *testing.T) {
 // package's directory (the test working directory).
 const goldenCorpusDir = "../../internal/check/testdata/golden"
 
+// TestVerifyCommandPassesOnCommittedCorpus runs the one verify pass
+// over the committed corpus: every gate must run and pass.
 func TestVerifyCommandPassesOnCommittedCorpus(t *testing.T) {
 	out := runOK(t, "verify", "-golden", goldenCorpusDir)
-	if !strings.Contains(out, "golden corpus verified") || strings.Count(out, "PASS") < 3 {
+	for _, want := range []string{
+		"golden corpus verified", "cache corpus verified", "optimize corpus verified",
+		"slo corpus verified", "workload round-trip fidelity verified", "paper artifacts verified",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("verify output lacks %q", want)
+		}
+	}
+	if t.Failed() || strings.Contains(out, "FAIL") {
 		t.Fatalf("verify output: %s", out)
 	}
 }
 
+// TestVerifyCommandUpdateRegenerates bootstraps a corpus from the
+// replay fixture traces alone: -update must write every gate's golden
+// and canonical fixture, and each file it writes must equal the
+// committed one byte for byte, so the committed corpus is a fixed
+// point of -update.
 func TestVerifyCommandUpdateRegenerates(t *testing.T) {
 	dir := t.TempDir()
 	traces, err := filepath.Glob(filepath.Join(goldenCorpusDir, "*.trace.txt"))
 	if err != nil || len(traces) == 0 {
 		t.Fatalf("no corpus traces: %v", err)
 	}
-	blob, err := os.ReadFile(traces[0])
+	for _, p := range traces {
+		blob, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(p)), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := runOK(t, "verify", "-golden", dir, "-update")
+	if !strings.Contains(out, "UPDATED paper.golden.txt") || !strings.Contains(out, "workload round-trip fidelity verified") {
+		t.Fatalf("update output: %s", out)
+	}
+	written := 0
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		want, err := os.ReadFile(filepath.Join(goldenCorpusDir, rel))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: bootstrapped file differs from the committed one", rel)
+		}
+		written++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, filepath.Base(traces[0])), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := runOK(t, "verify", "-golden", dir, "-update")
-	if !strings.Contains(out, "UPDATED") {
-		t.Fatalf("update output: %s", out)
-	}
-	out = runOK(t, "verify", "-golden", dir)
-	if !strings.Contains(out, "golden corpus verified") {
-		t.Fatalf("post-update verify output: %s", out)
-	}
-}
-
-// TestVerifyCommandTruncatedFixture is the satellite regression: a
-// fixture truncated mid-bunch must produce a labelled error and a
-// non-zero exit path, not a panic.
-func TestVerifyCommandTruncatedFixture(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "cut.trace.txt")
-	text := "# blktrace-text v1\ndevice cut\nB 0 4\n0 4096 R\n8 4096 W\n"
-	if err := os.WriteFile(bad, []byte(text), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	err := run([]string{"verify", "-golden", dir}, &buf)
-	if err == nil {
-		t.Fatal("verify accepted a truncated fixture")
-	}
-	if !strings.Contains(err.Error(), "cut.trace.txt") || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("error not labelled: %v", err)
+	// 3 replay traces and goldens, cache and optimize fixtures and
+	// goldens, the SLO spec and two goldens, and the paper golden.
+	if want := 2*len(traces) + 4 + 3 + 1; written != want {
+		t.Fatalf("-update wrote %d files, want %d:\n%s", written, want, out)
 	}
 }
 
@@ -267,6 +264,13 @@ func TestReplayAndReportCommands(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+
+	// The same trace as a file on disk, at another load point.
+	fileTelDir := filepath.Join(dir, "telemetry-file")
+	runOK(t, "replay", "-in", filepath.Join(repoDir, name), "-load", "25", "-telemetry-dir", fileTelDir)
+	if _, err := os.Stat(filepath.Join(fileTelDir, "summary.json")); err != nil {
+		t.Fatalf("replay -in wrote no artifacts: %v", err)
 	}
 }
 
@@ -323,6 +327,24 @@ func TestReplayRejectsBunchPastHorizon(t *testing.T) {
 	}
 }
 
+// TestReplayTruncatedTraceFile: a .replay file cut mid-bunch is a
+// labelled error carrying blktrace.ErrBadFormat, never a panic, and
+// leaves no artifact directory behind.
+func TestReplayTruncatedTraceFile(t *testing.T) {
+	telDir := filepath.Join(t.TempDir(), "tel")
+	var buf bytes.Buffer
+	err := run([]string{"replay", "-in", "../../internal/check/testdata/corrupt/truncated.replay", "-telemetry-dir", telDir}, &buf)
+	if !errors.Is(err, blktrace.ErrBadFormat) {
+		t.Fatalf("error does not wrap ErrBadFormat: %v", err)
+	}
+	if !strings.Contains(err.Error(), "load trace ../../internal/check/testdata/corrupt/truncated.replay") {
+		t.Fatalf("error not labelled: %v", err)
+	}
+	if _, err := os.Stat(telDir); !os.IsNotExist(err) {
+		t.Fatalf("failed replay left %s behind (stat: %v)", telDir, err)
+	}
+}
+
 func TestAnalyzeCommand(t *testing.T) {
 	dir := t.TempDir()
 	repoDir := filepath.Join(dir, "traces")
@@ -367,17 +389,6 @@ func TestAnalyzeErrors(t *testing.T) {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
-	}
-}
-
-func TestVerifyFidelityCommand(t *testing.T) {
-	out := runOK(t, "verify", "-golden", goldenCorpusDir, "-fidelity")
-	if !strings.Contains(out, "workload round-trip fidelity verified") || strings.Count(out, "PASS") != 3 {
-		t.Fatalf("fidelity output: %s", out)
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"verify", "-fidelity", "-update"}, &buf); err == nil {
-		t.Fatal("-fidelity -update accepted")
 	}
 }
 

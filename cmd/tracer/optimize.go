@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -110,6 +111,26 @@ func cmdOptimize(args []string, out io.Writer) error {
 	if *driver != "grid" && *driver != "evolve" {
 		return fmt.Errorf("optimize: unknown driver %q (want grid or evolve)", *driver)
 	}
+	if *generations <= 0 {
+		return fmt.Errorf("optimize: -generations %d is not positive", *generations)
+	}
+	if *population <= 0 {
+		return fmt.Errorf("optimize: -population %d is not positive", *population)
+	}
+	// The library scores an all-zero weight vector with DefaultWeights,
+	// so the flags must reject it rather than let it pass silently.
+	weights := optimize.Weights{IOPSPerWatt: *wIOPSW, P99PerMs: *wP99, WearPerSpinUp: *wWear}
+	for _, w := range []struct {
+		flag string
+		v    float64
+	}{{"-w-iops-per-watt", *wIOPSW}, {"-w-p99-ms", *wP99}, {"-w-spinup", *wWear}} {
+		if !(w.v >= 0) || math.IsInf(w.v, 1) { // NaN fails every comparison
+			return fmt.Errorf("optimize: %s %v is not a finite non-negative weight", w.flag, w.v)
+		}
+	}
+	if weights == (optimize.Weights{}) {
+		return fmt.Errorf("optimize: every fitness weight is 0 (set -w-iops-per-watt, -w-p99-ms or -w-spinup)")
+	}
 	list := strings.Split(*policies, ",")
 	if *policies == "all" {
 		list = []string{"tpm", "drpm", "eraid", "pdc", "maid", "cache"}
@@ -126,7 +147,7 @@ func cmdOptimize(args []string, out io.Writer) error {
 	opts := optimize.Options{
 		Config:  cfg,
 		Load:    *load / 100,
-		Weights: optimize.Weights{IOPSPerWatt: *wIOPSW, P99PerMs: *wP99, WearPerSpinUp: *wWear},
+		Weights: weights,
 		Workers: *workers,
 	}
 

@@ -58,7 +58,9 @@ func cmdReplay(args []string, out io.Writer) error {
 	}
 	var tr *blktrace.Trace
 	if *in != "" {
-		tr, err = blktrace.ReadFile(*in)
+		if tr, err = blktrace.ReadFile(*in); err != nil {
+			err = fmt.Errorf("replay: load trace %s: %w", *in, err)
+		}
 	} else {
 		var repo *repository.Repository
 		if repo, err = repository.Open(*dir); err == nil {

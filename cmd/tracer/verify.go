@@ -2,110 +2,24 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 
 	"repro/internal/check"
 )
 
-// cmdVerify re-runs the golden conformance corpus: every fixture trace
-// is replayed on both simulated arrays with the physics-invariant suite
-// armed, and the results are diffed against the committed golden JSON
-// with tolerance-aware comparison.  -update regenerates the JSON after
-// an intentional model change.  -fidelity instead round-trips every
-// fixture through the workload characterizer (analyze → synthesize →
-// replay both) and requires the efficiency metrics to agree.  -slo runs
-// the rebuild-storm conformance gate: burn-rate alerts and the status
-// snapshot must be byte-identical at workers 1/2/8 and match the
-// committed goldens, with the Prometheus scrape agreeing with
-// summary.json to the exact integer.
+// cmdVerify runs every conformance gate in one pass (see check.Verify):
+// the replay corpus, the cache, optimize and SLO gates, workload
+// round-trip fidelity and the paper artifact golden.  A failing gate
+// does not stop the rest, and the exit status is non-zero when any
+// gate failed.  -update regenerates every golden after an intentional
+// model change.
 func cmdVerify(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
-	dir := fs.String("golden", "internal/check/testdata/golden", "golden fixture directory")
-	update := fs.Bool("update", false, "regenerate the golden outputs instead of diffing")
-	tol := fs.Float64("tol", 0, "relative tolerance for comparison (0 = mode default)")
-	fidelity := fs.Bool("fidelity", false, "run the workload round-trip fidelity check instead of the golden diff")
-	optimizeGate := fs.Bool("optimize", false, "run the optimize determinism gate + golden diff instead of the replay corpus")
-	cacheGate := fs.Bool("cache", false, "run the cache determinism gate + pass-through cross-check instead of the replay corpus")
-	sloGate := fs.Bool("slo", false, "run the SLO rebuild-storm gate (burn-rate alerts byte-identical at workers 1/2/8) instead of the replay corpus")
-	seed := fs.Uint64("seed", 1, "fidelity synthesis seed")
-	telemetryDir := fs.String("telemetry-dir", "", "export telemetry (or, with -optimize, the winners' decision ledgers) for the first failing fixture into this directory")
+	dir := fs.String("golden", "internal/check/testdata/golden", "golden corpus root: the replay fixtures, plus one subdirectory per other gate")
+	update := fs.Bool("update", false, "regenerate every golden instead of diffing (fidelity has none and still runs its check)")
+	telemetryDir := fs.String("telemetry-dir", "", "export each failing gate's artifacts into its own subdirectory of this directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *sloGate {
-		if *fidelity || *optimizeGate || *cacheGate {
-			return fmt.Errorf("verify: -slo is mutually exclusive with -fidelity, -optimize and -cache")
-		}
-		sloDir := *dir
-		if sloDir == "internal/check/testdata/golden" {
-			sloDir = "internal/check/testdata/golden/slo"
-		}
-		opts := check.VerifyOptions{Update: *update, Tol: *tol, TelemetryDir: *telemetryDir}
-		if err := check.VerifySLO(sloDir, opts, out); err != nil {
-			return err
-		}
-		if !*update {
-			fmt.Fprintln(out, "slo corpus verified (rebuild storm fires and resolves, alerts byte-identical at workers 1/2/8, scrape agrees with summary.json)")
-		}
-		return nil
-	}
-	if *cacheGate {
-		if *fidelity || *optimizeGate {
-			return fmt.Errorf("verify: -cache is mutually exclusive with -fidelity and -optimize")
-		}
-		corpusDir := *dir
-		cacheDir := *dir
-		if cacheDir == "internal/check/testdata/golden" {
-			cacheDir = "internal/check/testdata/golden/cache"
-		} else {
-			corpusDir = "" // custom dir: no replay corpus to cross-check
-		}
-		opts := check.VerifyOptions{Update: *update, Tol: *tol, TelemetryDir: *telemetryDir}
-		if err := check.VerifyCache(cacheDir, corpusDir, opts, out); err != nil {
-			return err
-		}
-		if !*update {
-			fmt.Fprintln(out, "cache corpus verified (study deterministic at workers 1/2/8, zero-capacity tier byte-identical, DRAM tier beats uncached)")
-		}
-		return nil
-	}
-	if *optimizeGate {
-		if *fidelity {
-			return fmt.Errorf("verify: -optimize and -fidelity are mutually exclusive")
-		}
-		dir := *dir
-		if dir == "internal/check/testdata/golden" {
-			dir = "internal/check/testdata/golden/optimize"
-		}
-		opts := check.VerifyOptions{Update: *update, Tol: *tol, TelemetryDir: *telemetryDir}
-		if err := check.VerifyOptimize(dir, opts, out); err != nil {
-			return err
-		}
-		if !*update {
-			fmt.Fprintln(out, "optimize corpus verified (search deterministic at workers 1/2/8, winners beat paper defaults)")
-		}
-		return nil
-	}
-	if *fidelity {
-		if *update {
-			return fmt.Errorf("verify: -fidelity has no goldens to -update")
-		}
-		if err := check.VerifyFidelity(*dir, *seed, *tol, out); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "workload round-trip fidelity verified")
-		return nil
-	}
-	opts := check.VerifyOptions{Update: *update, Tol: *tol, TelemetryDir: *telemetryDir}
-	// A partial failure no longer aborts the corpus: every fixture gets
-	// its PASS/FAIL line and the summary error below is the one-line
-	// verdict (non-zero exit via main).
-	if err := check.VerifyGolden(*dir, opts, out); err != nil {
-		return err
-	}
-	if !*update {
-		fmt.Fprintln(out, "golden corpus verified")
-	}
-	return nil
+	return check.Verify(*dir, check.VerifyOptions{Update: *update, TelemetryDir: *telemetryDir}, out)
 }

@@ -9,8 +9,9 @@ import (
 
 // This file holds trace-manipulation utilities: the paper's workflow
 // (slice a 30-minute window out of a week-long web trace, merge
-// per-device cello streams, rebase to zero) needs them constantly, and
-// they back the tracer CLI's slice/merge/shift subcommands.
+// per-device cello streams, retarget capacities) needs them
+// constantly, and they back the tracer CLI's slice/merge/remap
+// subcommands.
 
 // Slice returns the bunches with from <= Time < to, rebased so the
 // window starts at zero.
@@ -27,20 +28,6 @@ func Slice(t *Trace, from, to simtime.Duration) (*Trace, error) {
 			Time:     b.Time - from,
 			Packages: append([]IOPackage(nil), b.Packages...),
 		})
-	}
-	return out, nil
-}
-
-// Shift returns the trace with all timestamps moved by delta; the
-// result must not go negative.
-func Shift(t *Trace, delta simtime.Duration) (*Trace, error) {
-	out := t.Clone()
-	for i := range out.Bunches {
-		nt := out.Bunches[i].Time + delta
-		if nt < 0 {
-			return nil, fmt.Errorf("blktrace: shift by %v sends bunch %d negative", delta, i)
-		}
-		out.Bunches[i].Time = nt
 	}
 	return out, nil
 }
@@ -75,26 +62,6 @@ func Merge(device string, traces ...*Trace) (*Trace, error) {
 		}
 	}
 	return builder.Trace(), nil
-}
-
-// Concat appends b after a, shifting b's timestamps past a's horizon
-// plus gap.
-func Concat(a, b *Trace, gap simtime.Duration) (*Trace, error) {
-	if gap < 0 {
-		return nil, fmt.Errorf("blktrace: negative gap %v", gap)
-	}
-	out := a.Clone()
-	base := a.Duration() + gap
-	for _, bn := range b.Bunches {
-		out.Bunches = append(out.Bunches, Bunch{
-			Time:     base + bn.Time,
-			Packages: append([]IOPackage(nil), bn.Packages...),
-		})
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RemapAddresses scales and wraps sector addresses so a trace collected

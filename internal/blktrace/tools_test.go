@@ -46,33 +46,11 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestShift(t *testing.T) {
-	tr := spaced(5, simtime.Millisecond)
-	got, err := Shift(tr, simtime.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Bunches[0].Time != simtime.Second {
-		t.Fatalf("first bunch at %v", got.Bunches[0].Time)
-	}
-	if _, err := Shift(tr, -simtime.Second); err == nil {
-		t.Fatal("negative-result shift accepted")
-	}
-	// back-shift within range is fine
-	if _, err := Shift(got, -simtime.Second); err != nil {
-		t.Fatal(err)
-	}
-	// original untouched
-	if tr.Bunches[0].Time != 0 {
-		t.Fatal("Shift mutated input")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := spaced(10, 2*simtime.Millisecond) // 0,2,4,...
-	b, err := Shift(spaced(10, 2*simtime.Millisecond), simtime.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	b := spaced(10, 2*simtime.Millisecond)
+	for i := range b.Bunches {
+		b.Bunches[i].Time += simtime.Millisecond // 1,3,5,...
 	}
 	got, err := Merge("merged", a, b)
 	if err != nil {
@@ -117,29 +95,6 @@ func TestMergeRejectsInvalid(t *testing.T) {
 	bad := &Trace{Bunches: []Bunch{{Time: 0}}}
 	if _, err := Merge("m", spaced(2, 1), bad); err == nil {
 		t.Fatal("invalid input accepted")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := spaced(10, simtime.Millisecond)
-	b := spaced(5, simtime.Millisecond)
-	got, err := Concat(a, b, simtime.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumIOs() != 15 {
-		t.Fatalf("IOs = %d", got.NumIOs())
-	}
-	// b's first bunch lands at a.Duration()+gap.
-	wantStart := a.Duration() + simtime.Second
-	if got.Bunches[10].Time != wantStart {
-		t.Fatalf("appended start = %v, want %v", got.Bunches[10].Time, wantStart)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Concat(a, b, -1); err == nil {
-		t.Fatal("negative gap accepted")
 	}
 }
 

@@ -157,7 +157,7 @@ func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
 	return g, nil
 }
 
-// VerifyCache runs the cache conformance pass:
+// verifyCache runs the cache conformance pass:
 //
 //  1. Pass-through gate: every committed replay golden under corpusDir
 //     is rebuilt with a zero-capacity cache interposed and must match
@@ -169,29 +169,26 @@ func CacheChecked(name string, trace *blktrace.Trace) (*CacheGolden, error) {
 //
 // On the first fixture diff failure a full telemetry export of the
 // DRAM gate cell lands in opts.TelemetryDir (the artifact CI uploads).
-func VerifyCache(dir, corpusDir string, opts VerifyOptions, out io.Writer) error {
-	var passErr error
-	if corpusDir != "" {
-		passErr = walkFixtures("verify cache pass-through", corpusDir, out, func(name string, trace *blktrace.Trace) error {
-			want, err := os.ReadFile(filepath.Join(corpusDir, name+GoldenSuffix))
-			if err != nil {
-				return nil // trace without a committed golden; nothing to cross-check
-			}
-			g, err := BuildGolden(name, trace, &experiments.CacheSpec{})
-			if err != nil {
-				return err
-			}
-			got, err := marshalGolden(g)
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(want, got) {
-				return fmt.Errorf("zero-capacity cache output differs from committed %s", name+GoldenSuffix)
-			}
-			fmt.Fprintf(out, "PASS passthrough/%s (byte-identical)\n", name)
-			return nil
-		})
-	}
+func verifyCache(dir, corpusDir string, opts VerifyOptions, out io.Writer) error {
+	passErr := walkFixtures("verify cache pass-through", corpusDir, out, func(name string, trace *blktrace.Trace) error {
+		want, err := os.ReadFile(filepath.Join(corpusDir, name+GoldenSuffix))
+		if err != nil {
+			return nil // trace without a committed golden; nothing to cross-check
+		}
+		g, err := BuildGolden(name, trace, &experiments.CacheSpec{})
+		if err != nil {
+			return err
+		}
+		got, err := marshalGolden(g)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(want, got) {
+			return fmt.Errorf("zero-capacity cache output differs from committed %s", name+GoldenSuffix)
+		}
+		fmt.Fprintf(out, "PASS passthrough/%s (byte-identical)\n", name)
+		return nil
+	})
 	return errors.Join(passErr, verifyGoldens(goldenGate[CacheGolden]{
 		label:     "verify cache",
 		suffix:    CacheGoldenSuffix,

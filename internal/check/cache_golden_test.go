@@ -14,8 +14,8 @@ import (
 // the golden corpus flag).
 func TestCacheCorpus(t *testing.T) {
 	var buf bytes.Buffer
-	err := VerifyCache("testdata/golden/cache", "testdata/golden",
-		VerifyOptions{Update: *update, Tol: DefaultTol}, &buf)
+	err := verifyCache("testdata/golden/cache", "testdata/golden",
+		VerifyOptions{Update: *update}, &buf)
 	t.Log("\n" + buf.String())
 	if err != nil {
 		t.Fatal(err)

@@ -41,13 +41,11 @@ type FidelityResult struct {
 	Kind experiments.ArrayKind
 	// Cells compares IOPS, MBPS, IOPS/Watt and MBPS/kW.
 	Cells []FidelityCell
-	// Tol is the tolerance the cells were judged against.
-	Tol float64
 }
 
-// Err returns nil when every metric agrees within tolerance, or one
-// error listing the offenders (invariant violations surface earlier,
-// from RoundTripFidelity itself).
+// Err returns nil when every metric agrees within DefaultFidelityTol,
+// or one error listing the offenders (invariant violations surface
+// earlier, from roundTripFidelity itself).
 func (r *FidelityResult) Err() error {
 	bad := r.offenders()
 	if len(bad) == 0 {
@@ -60,9 +58,9 @@ func (r *FidelityResult) Err() error {
 func (r *FidelityResult) offenders() []string {
 	var bad []string
 	for _, c := range r.Cells {
-		if c.Err > r.Tol {
+		if c.Err > DefaultFidelityTol {
 			bad = append(bad, fmt.Sprintf("%s: original %.3f, synthetic %.3f (err %.1f%% > %.0f%%)",
-				c.Metric, c.Original, c.Synthetic, c.Err*100, r.Tol*100))
+				c.Metric, c.Original, c.Synthetic, c.Err*100, DefaultFidelityTol*100))
 		}
 	}
 	return bad
@@ -81,21 +79,18 @@ func fidelityCell(metric string, orig, syn float64) FidelityCell {
 	}
 }
 
-// RoundTripFidelity profiles the trace, synthesizes a derived trace
-// under the seed, replays both on a fresh array of the given kind with
+// roundTripFidelity profiles the trace, synthesizes a derived trace
+// under seed 1, replays both on a fresh array of the given kind with
 // the full invariant suite armed, and compares the four efficiency
 // metrics.  Setup failures and invariant violations (on either replay)
 // return an error; metric disagreement is reported via Result.Err so
 // callers can render the cells.
-func RoundTripFidelity(trace *blktrace.Trace, name string, kind experiments.ArrayKind, seed uint64, tol float64) (*FidelityResult, error) {
-	if tol <= 0 {
-		tol = DefaultFidelityTol
-	}
+func roundTripFidelity(trace *blktrace.Trace, name string, kind experiments.ArrayKind) (*FidelityResult, error) {
 	profile, err := workload.Analyze(trace, name)
 	if err != nil {
 		return nil, err
 	}
-	syn, err := workload.Synthesize(profile, workload.SynthOptions{Seed: seed, ReadRatio: -1})
+	syn, err := workload.Synthesize(profile, workload.SynthOptions{Seed: 1, ReadRatio: -1})
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +121,6 @@ func RoundTripFidelity(trace *blktrace.Trace, name string, kind experiments.Arra
 	return &FidelityResult{
 		Name: name,
 		Kind: kind,
-		Tol:  tol,
 		Cells: []FidelityCell{
 			fidelityCell("iops", oe.IOPS, se.IOPS),
 			fidelityCell("mbps", oe.MBPS, se.MBPS),
@@ -136,14 +130,14 @@ func RoundTripFidelity(trace *blktrace.Trace, name string, kind experiments.Arra
 	}, nil
 }
 
-// VerifyFidelity runs the round trip for every *.trace.txt fixture
+// verifyFidelity runs the round trip for every *.trace.txt fixture
 // under dir on the golden HDD array, printing one PASS/FAIL line per
 // fixture (with each offending metric indented under a FAIL) to out.
 // A broken fixture does not stop the rest of the corpus.  The returned
 // error is non-nil when any fixture fails or the corpus is empty.
-func VerifyFidelity(dir string, seed uint64, tol float64, out io.Writer) error {
+func verifyFidelity(dir string, out io.Writer) error {
 	return walkFixtures("fidelity", dir, out, func(name string, trace *blktrace.Trace) error {
-		res, err := RoundTripFidelity(trace, name, experiments.HDDArray, seed, tol)
+		res, err := roundTripFidelity(trace, name, experiments.HDDArray)
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ import (
 // and MBPS/Kilowatt.
 func TestGoldenRoundTripFidelity(t *testing.T) {
 	var buf bytes.Buffer
-	if err := VerifyFidelity("testdata/golden", 1, DefaultFidelityTol, &buf); err != nil {
+	if err := verifyFidelity("testdata/golden", &buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	if got := strings.Count(buf.String(), "PASS"); got != 3 {
@@ -29,7 +29,7 @@ func TestRoundTripFidelitySSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RoundTripFidelity(trace, "mixed-rw", experiments.SSDArray, 1, DefaultFidelityTol)
+	res, err := roundTripFidelity(trace, "mixed-rw", experiments.SSDArray)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRoundTripFidelitySSD(t *testing.T) {
 
 func TestVerifyFidelityEmptyCorpus(t *testing.T) {
 	var buf bytes.Buffer
-	if err := VerifyFidelity(t.TempDir(), 1, 0, &buf); err == nil {
+	if err := verifyFidelity(t.TempDir(), &buf); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
 }

@@ -1,5 +1,6 @@
-// Gate harness: what every `tracer verify` gate shares.  One typed
-// golden diff, one JSON read/write pair, one worker-count list with its
+// Gate harness: what every `tracer verify` gate shares.  One entry
+// point that runs every gate, one typed golden diff and one byte-exact
+// one, one JSON read/write pair, one worker-count list with its
 // identity runner, and one fixture walk that carries the -update
 // bootstrap and the first-failure export.  A new golden gate is a
 // golden struct plus a function that builds it from a fixture trace.
@@ -16,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/blktrace"
@@ -23,6 +25,57 @@ import (
 	"repro/internal/replay"
 	"repro/internal/telemetry"
 )
+
+// Verify runs every conformance gate against the golden corpus rooted
+// at dir, in turn: the replay corpus (dir itself), the cache gate
+// (dir/cache, cross-checking dir's replay goldens through a disabled
+// tier), the optimize gate (dir/optimize), the SLO gate (dir/slo),
+// round-trip fidelity over dir's fixtures, and the paper gate
+// (dir/paper).  opts.Update rewrites every golden; fidelity has none
+// and still runs its check.  With opts.TelemetryDir set, each gate
+// exports its failure artifacts into a subdirectory named after it.
+// A failing gate prints a FAIL line and the rest still run; the
+// returned error names every gate that failed.
+func Verify(dir string, opts VerifyOptions, out io.Writer) error {
+	gates := []struct {
+		name string
+		// golden is false for a gate -update has nothing to rewrite in.
+		golden bool
+		run    func(opts VerifyOptions) error
+		// verified is the line a passing gate ends with.
+		verified string
+	}{
+		{"replay", true, func(o VerifyOptions) error { return verifyGolden(dir, o, out) },
+			"golden corpus verified"},
+		{"cache", true, func(o VerifyOptions) error { return verifyCache(filepath.Join(dir, "cache"), dir, o, out) },
+			"cache corpus verified (study deterministic at workers 1/2/8, zero-capacity tier byte-identical, DRAM tier beats uncached)"},
+		{"optimize", true, func(o VerifyOptions) error { return verifyOptimize(filepath.Join(dir, "optimize"), o, out) },
+			"optimize corpus verified (search deterministic at workers 1/2/8, winners beat paper defaults)"},
+		{"slo", true, func(o VerifyOptions) error { return verifySLO(filepath.Join(dir, "slo"), o, out) },
+			"slo corpus verified (rebuild storm fires and resolves, alerts byte-identical at workers 1/2/8, scrape agrees with summary.json)"},
+		{"fidelity", false, func(VerifyOptions) error { return verifyFidelity(dir, out) },
+			"workload round-trip fidelity verified"},
+		{"paper", true, func(o VerifyOptions) error { return verifyPaper(filepath.Join(dir, "paper"), o, out) },
+			"paper artifacts verified"},
+	}
+	var failed []string
+	for _, g := range gates {
+		o := opts
+		if o.TelemetryDir != "" {
+			o.TelemetryDir = filepath.Join(opts.TelemetryDir, g.name)
+		}
+		if err := g.run(o); err != nil {
+			fmt.Fprintf(out, "FAIL %s gate: %v\n", g.name, err)
+			failed = append(failed, g.name)
+		} else if !opts.Update || !g.golden {
+			fmt.Fprintln(out, g.verified)
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("verify: %d of %d gates failed (%s)", len(failed), len(gates), strings.Join(failed, ", "))
+	}
+	return nil
+}
 
 // workerCounts are the fan-out widths every determinism gate
 // cross-checks: each width must reproduce the first one byte for byte.
@@ -204,6 +257,31 @@ func writeGoldenBytes(path string, blob []byte) error {
 	return os.WriteFile(path, blob, 0o644)
 }
 
+// diffGoldenBytes requires the fresh artifact to match the committed
+// bytes exactly, and names the first line where the two part.
+func diffGoldenBytes(path string, fresh []byte) error {
+	want, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(want, fresh) {
+		return nil
+	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(fresh), "\n")
+	i := 0
+	for i < len(wl) && i < len(gl) && wl[i] == gl[i] {
+		i++
+	}
+	line := func(lines []string) string {
+		if i < len(lines) {
+			return strconv.Quote(lines[i])
+		}
+		return "end of file"
+	}
+	return fmt.Errorf("%s drifted from the committed golden at line %d: want %s, got %s (re-run with -update if intended)",
+		filepath.Base(path), i+1, line(wl), line(gl))
+}
+
 // errNoFixtures reports a fixture directory without a single trace.
 var errNoFixtures = errors.New("no " + TraceSuffix + " fixtures")
 
@@ -285,10 +363,6 @@ func verifyGoldens[G any](gate goldenGate[G], dir string, opts VerifyOptions, ou
 			return err
 		}
 	}
-	tol := opts.Tol
-	if tol <= 0 {
-		tol = DefaultTol
-	}
 	var export func(dir string, out io.Writer)
 	err := walkFixtures(gate.label, dir, out, func(name string, trace *blktrace.Trace) error {
 		got, exportFn, err := gate.build(name, trace)
@@ -307,7 +381,7 @@ func verifyGoldens[G any](gate goldenGate[G], dir string, opts VerifyOptions, ou
 		if err != nil {
 			return fmt.Errorf("%w (run with -update to create)", err)
 		}
-		if diffs := diffGolden(want, got, tol); len(diffs) > 0 {
+		if diffs := diffGolden(want, got, DefaultTol); len(diffs) > 0 {
 			if export == nil && opts.TelemetryDir != "" {
 				export = exportFn
 			}

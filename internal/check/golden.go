@@ -1,8 +1,9 @@
 // Golden fixtures: small committed traces with committed replay
-// outputs.  `tracer verify` and the golden_test.go driver re-run every
-// fixture on the simulated arrays and diff the results against the
-// committed JSON through the gate harness (gate.go); `-update`
-// regenerates the JSON after an intentional model change.
+// outputs.  The replay gate of `tracer verify` and the golden_test.go
+// driver re-run every fixture on the simulated arrays and diff the
+// results against the committed JSON through the gate harness
+// (gate.go); `-update` regenerates the JSON after an intentional model
+// change.
 package check
 
 import (
@@ -85,7 +86,7 @@ type Golden struct {
 // that does not conform to the physics must never be committed.  A nil
 // cache builds the bare arrays; a non-nil one fronts every array with
 // that cache tier, and a disabled &experiments.CacheSpec{} must rebuild
-// the bare document byte for byte — the pass-through gate VerifyCache
+// the bare document byte for byte — the pass-through gate verifyCache
 // runs over the committed replay corpus.
 func BuildGolden(name string, trace *blktrace.Trace, cache *experiments.CacheSpec) (*Golden, error) {
 	g := &Golden{Name: name, Trace: traceInfo(trace)}
@@ -153,23 +154,23 @@ func LoadFixtureTrace(path string) (*blktrace.Trace, error) {
 	return tr, nil
 }
 
-// VerifyOptions configure a golden-corpus verification pass.
+// VerifyOptions configure a verification pass.
 type VerifyOptions struct {
-	// Update rewrites the committed JSON instead of diffing.
+	// Update rewrites the committed goldens instead of diffing.
 	Update bool
-	// Tol is the relative float tolerance (0 = DefaultTol).
-	Tol float64
 	// TelemetryDir, when non-empty, receives the failure artifacts of
 	// the first fixture that fails its diff — what CI uploads so a
 	// conformance break can be inspected without re-running anything
 	// locally.  The replay and cache gates re-run one golden cell with
 	// full telemetry (replay spans, time series, power CSV, viewable in
 	// Perfetto); the optimize gate writes the winners' decision
-	// ledgers; the SLO gate writes its run's artifacts.
+	// ledgers; the SLO gate writes its run's artifacts; the paper gate
+	// writes its fresh text.  Verify gives each gate its own
+	// subdirectory.
 	TelemetryDir string
 }
 
-// VerifyGolden re-runs every *.trace.txt fixture under dir and diffs
+// verifyGolden re-runs every *.trace.txt fixture under dir and diffs
 // the rebuilt output against the committed *.golden.json.  With
 // opts.Update it rewrites the JSON instead of diffing.  Progress and
 // diffs go to out (one PASS/FAIL/UPDATED line per fixture).  A fixture
@@ -177,7 +178,7 @@ type VerifyOptions struct {
 // remaining fixtures still run, and the returned error is a one-line
 // summary counting the failures (wrapping the first underlying error,
 // so callers can still errors.Is/As into it).
-func VerifyGolden(dir string, opts VerifyOptions, out io.Writer) error {
+func verifyGolden(dir string, opts VerifyOptions, out io.Writer) error {
 	return verifyGoldens(goldenGate[Golden]{
 		label:  "verify",
 		suffix: GoldenSuffix,

@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite golden fixture outputs instead 
 // the committed outputs (or regenerates them under -update).
 func TestGoldenCorpus(t *testing.T) {
 	var buf bytes.Buffer
-	err := VerifyGolden("testdata/golden", VerifyOptions{Update: *update, Tol: DefaultTol}, &buf)
+	err := verifyGolden("testdata/golden", VerifyOptions{Update: *update}, &buf)
 	t.Log("\n" + buf.String())
 	if err != nil {
 		t.Fatal(err)
@@ -61,18 +61,18 @@ func TestGoldenUpdateRegenerates(t *testing.T) {
 	n := copyCorpusTraces(t, dir)
 
 	// Verifying without goldens fails and points at -update.
-	if err := VerifyGolden(dir, VerifyOptions{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-update") {
+	if err := verifyGolden(dir, VerifyOptions{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-update") {
 		t.Fatalf("missing goldens not reported: %v", err)
 	}
 
 	var buf bytes.Buffer
-	if err := VerifyGolden(dir, VerifyOptions{Update: true}, &buf); err != nil {
+	if err := verifyGolden(dir, VerifyOptions{Update: true}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(buf.String(), "UPDATED"); got != n {
 		t.Fatalf("updated %d of %d fixtures:\n%s", got, n, buf.String())
 	}
-	if err := VerifyGolden(dir, VerifyOptions{}, &bytes.Buffer{}); err != nil {
+	if err := verifyGolden(dir, VerifyOptions{}, &bytes.Buffer{}); err != nil {
 		t.Fatalf("freshly regenerated corpus does not verify: %v", err)
 	}
 
@@ -90,7 +90,7 @@ func TestGoldenUpdateRegenerates(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	err = VerifyGolden(dir, VerifyOptions{}, &buf)
+	err = verifyGolden(dir, VerifyOptions{}, &buf)
 	if err == nil || !strings.Contains(buf.String(), ".iops") {
 		t.Fatalf("tampered golden not caught: err=%v\n%s", err, buf.String())
 	}
@@ -148,7 +148,7 @@ func TestDiffGoldenReportsKindsWithoutARule(t *testing.T) {
 
 // TestVerifyGoldenEmptyDir requires a non-empty corpus.
 func TestVerifyGoldenEmptyDir(t *testing.T) {
-	if err := VerifyGolden(t.TempDir(), VerifyOptions{}, &bytes.Buffer{}); err == nil {
+	if err := verifyGolden(t.TempDir(), VerifyOptions{}, &bytes.Buffer{}); err == nil {
 		t.Fatal("empty corpus passed")
 	}
 }
@@ -163,7 +163,7 @@ func TestVerifyGoldenTruncatedFixture(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := VerifyGolden(dir, VerifyOptions{}, &bytes.Buffer{})
+	err := verifyGolden(dir, VerifyOptions{}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "cut"+TraceSuffix) {
 		t.Fatalf("truncated fixture not labelled: %v", err)
 	}
@@ -178,14 +178,14 @@ func TestVerifyGoldenContinuesPastFailure(t *testing.T) {
 		name   string
 		verify func(dir string, out io.Writer) error
 	}{
-		{"golden", func(dir string, out io.Writer) error { return VerifyGolden(dir, VerifyOptions{}, out) }},
-		{"fidelity", func(dir string, out io.Writer) error { return VerifyFidelity(dir, 1, DefaultFidelityTol, out) }},
+		{"golden", func(dir string, out io.Writer) error { return verifyGolden(dir, VerifyOptions{}, out) }},
+		{"fidelity", func(dir string, out io.Writer) error { return verifyFidelity(dir, out) }},
 	}
 	for _, gate := range gates {
 		t.Run(gate.name, func(t *testing.T) {
 			dir := t.TempDir()
 			n := copyCorpusTraces(t, dir)
-			if err := VerifyGolden(dir, VerifyOptions{Update: true}, &bytes.Buffer{}); err != nil {
+			if err := verifyGolden(dir, VerifyOptions{Update: true}, &bytes.Buffer{}); err != nil {
 				t.Fatal(err)
 			}
 			// An unreadable fixture sorted first must not shadow the healthy rest.
@@ -215,7 +215,7 @@ func TestVerifyGoldenContinuesPastFailure(t *testing.T) {
 func TestVerifyGoldenFailureTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	copyCorpusTraces(t, dir)
-	if err := VerifyGolden(dir, VerifyOptions{Update: true}, &bytes.Buffer{}); err != nil {
+	if err := verifyGolden(dir, VerifyOptions{Update: true}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	goldens, err := filepath.Glob(filepath.Join(dir, "*"+GoldenSuffix))
@@ -232,7 +232,7 @@ func TestVerifyGoldenFailureTelemetry(t *testing.T) {
 	}
 	telDir := filepath.Join(t.TempDir(), "telemetry")
 	var buf bytes.Buffer
-	if err := VerifyGolden(dir, VerifyOptions{TelemetryDir: telDir}, &buf); err == nil {
+	if err := verifyGolden(dir, VerifyOptions{TelemetryDir: telDir}, &buf); err == nil {
 		t.Fatal("tampered corpus passed")
 	}
 	sum, err := telemetry.ReadSummary(telDir)

@@ -230,13 +230,13 @@ func optimizePolicyChecked(ctx context.Context, space optimize.Space, trace *blk
 	}, run, nil
 }
 
-// VerifyOptimize re-runs every *.trace.txt fixture under dir through
+// verifyOptimize re-runs every *.trace.txt fixture under dir through
 // the OptimizeChecked gate and diffs against the committed
 // *.optimize.json.  With opts.Update it rewrites the JSON instead —
 // and bootstraps the canonical fixture trace if the directory is
 // empty.  On the first diff failure the winners' decision ledgers are
 // exported to opts.TelemetryDir (the artifact CI uploads).
-func VerifyOptimize(dir string, opts VerifyOptions, out io.Writer) error {
+func verifyOptimize(dir string, opts VerifyOptions, out io.Writer) error {
 	return verifyGoldens(goldenGate[OptimizeGolden]{
 		label:     "verify optimize",
 		suffix:    OptimizeGoldenSuffix,

@@ -17,7 +17,7 @@ import (
 // regenerates it under -update, sharing the golden corpus flag).
 func TestOptimizeCorpus(t *testing.T) {
 	var buf bytes.Buffer
-	err := VerifyOptimize("testdata/golden/optimize", VerifyOptions{Update: *update, Tol: DefaultTol}, &buf)
+	err := verifyOptimize("testdata/golden/optimize", VerifyOptions{Update: *update}, &buf)
 	t.Log("\n" + buf.String())
 	if err != nil {
 		t.Fatal(err)
@@ -59,18 +59,18 @@ func TestOptimizeUpdateBootstraps(t *testing.T) {
 	dir := t.TempDir()
 
 	// Verifying an empty directory fails and points at -update.
-	if err := VerifyOptimize(dir, VerifyOptions{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-update") {
+	if err := verifyOptimize(dir, VerifyOptions{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-update") {
 		t.Fatalf("empty corpus not reported: %v", err)
 	}
 
 	var buf bytes.Buffer
-	if err := VerifyOptimize(dir, VerifyOptions{Update: true}, &buf); err != nil {
+	if err := verifyOptimize(dir, VerifyOptions{Update: true}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "CREATED") || !strings.Contains(buf.String(), "UPDATED") {
 		t.Fatalf("bootstrap did not create fixture + golden:\n%s", buf.String())
 	}
-	if err := VerifyOptimize(dir, VerifyOptions{}, &bytes.Buffer{}); err != nil {
+	if err := verifyOptimize(dir, VerifyOptions{}, &bytes.Buffer{}); err != nil {
 		t.Fatalf("freshly regenerated corpus does not verify: %v", err)
 	}
 
@@ -85,7 +85,7 @@ func TestOptimizeUpdateBootstraps(t *testing.T) {
 	}
 	artDir := filepath.Join(t.TempDir(), "artifacts")
 	buf.Reset()
-	err = VerifyOptimize(dir, VerifyOptions{TelemetryDir: artDir}, &buf)
+	err = verifyOptimize(dir, VerifyOptions{TelemetryDir: artDir}, &buf)
 	if err == nil || !strings.Contains(buf.String(), ".fitness") {
 		t.Fatalf("tampered golden not caught: err=%v\n%s", err, buf.String())
 	}

@@ -245,15 +245,17 @@ func exportSummary(set *telemetry.Set) ([]byte, error) {
 	return os.ReadFile(filepath.Join(dir, telemetry.SummaryFile))
 }
 
-// VerifySLO runs the SLO conformance pass against the committed corpus
+// verifySLO runs the SLO conformance pass against the committed corpus
 // under dir: it loads the committed spec (bootstrapping it with the
 // canonical StormSpec under -update), runs the rebuild-storm scenario
 // at every worker count, requires the alert stream and snapshot to be
 // byte-identical across counts, and diffs them against the committed
-// goldens.  opts.Update rewrites the goldens instead of diffing.  On a
+// goldens byte for byte: every value in the SLO surfaces is an integer
+// or a quotient of two integers, so no float tolerance applies.
+// opts.Update rewrites the goldens instead of diffing.  On a
 // failure with opts.TelemetryDir set, the first worker count's
 // artifacts (exportSLOFailure) are written there for CI to upload.
-func VerifySLO(dir string, opts VerifyOptions, out io.Writer) error {
+func verifySLO(dir string, opts VerifyOptions, out io.Writer) error {
 	spec, err := loadOrInitStormSpec(dir, opts.Update, out)
 	if err != nil {
 		return err
@@ -346,20 +348,6 @@ func countAlerts(blob []byte) int {
 		return -1
 	}
 	return len(alerts)
-}
-
-// diffGoldenBytes requires the fresh artifact to match the committed
-// bytes exactly; every value in the SLO surfaces is an integer or a
-// quotient of two integers, so no float tolerance applies.
-func diffGoldenBytes(path string, fresh []byte) error {
-	want, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(want, fresh) {
-		return fmt.Errorf("%s drifted from the committed golden (re-run with -update if intended)", filepath.Base(path))
-	}
-	return nil
 }
 
 // exportSLOFailure writes the failing run's artifacts into dir for CI

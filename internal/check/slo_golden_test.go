@@ -16,7 +16,7 @@ import (
 // goldens (or regenerated under -update, sharing the corpus flag).
 func TestSLOCorpus(t *testing.T) {
 	var buf bytes.Buffer
-	err := VerifySLO("testdata/golden/slo", VerifyOptions{Update: *update}, &buf)
+	err := verifySLO("testdata/golden/slo", VerifyOptions{Update: *update}, &buf)
 	t.Log("\n" + buf.String())
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestStormSpecIsValid(t *testing.T) {
 // TestVerifySLOEmptyDirNeedsUpdate requires a committed corpus: a bare
 // directory without -update is an error pointing at the bootstrap.
 func TestVerifySLOEmptyDirNeedsUpdate(t *testing.T) {
-	err := VerifySLO(t.TempDir(), VerifyOptions{}, &bytes.Buffer{})
+	err := verifySLO(t.TempDir(), VerifyOptions{}, &bytes.Buffer{})
 	if err == nil {
 		t.Fatal("empty corpus passed")
 	}
@@ -47,16 +47,24 @@ func TestVerifySLOEmptyDirNeedsUpdate(t *testing.T) {
 }
 
 // TestDiffGoldenBytesCatchesDrift flips one byte of a committed golden
-// and requires the exact-bytes diff to flag it.
+// and requires the exact-bytes diff to flag it, naming the first line
+// that differs; a missing or extra line is named too.
 func TestDiffGoldenBytesCatchesDrift(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.jsonl")
-	if err := os.WriteFile(path, []byte("{\"seq\":1}\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("{\"seq\":0}\n{\"seq\":1}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := diffGoldenBytes(path, []byte("{\"seq\":1}\n")); err != nil {
+	if err := diffGoldenBytes(path, []byte("{\"seq\":0}\n{\"seq\":1}\n")); err != nil {
 		t.Fatalf("identical bytes flagged: %v", err)
 	}
-	if err := diffGoldenBytes(path, []byte("{\"seq\":2}\n")); err == nil {
-		t.Fatal("drift not detected")
+	for fresh, want := range map[string]string{
+		"{\"seq\":0}\n{\"seq\":2}\n":              `at line 2: want "{\"seq\":1}", got "{\"seq\":2}"`,
+		"{\"seq\":0}\n":                           `at line 2: want "{\"seq\":1}", got ""`,
+		"{\"seq\":0}\n{\"seq\":1}\n{\"seq\":2}\n": `at line 3: want "", got "{\"seq\":2}"`,
+		"{\"seq\":0}\n{\"seq\":1}":                `at line 3: want "", got end of file`,
+	} {
+		if err := diffGoldenBytes(path, []byte(fresh)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("fresh %q: error %v, want one containing %s", fresh, err, want)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section VI) on the simulated testbed.  Each
 // experiment function returns structured rows/series; Render* helpers
-// print them in the shape the paper reports, and bench_test.go at the
-// repository root exposes one testing.B benchmark per experiment.
+// print them in the shape the paper reports.  Artifacts lists them all
+// in one table, and RenderArtifacts prints it: `tracer paper` writes
+// that text to stdout, and the paper gate of `tracer verify` pins it
+// byte for byte in a committed golden.
 //
 // Durations are scaled down from the paper's minutes to seconds of
 // virtual time by default — the simulated array is deterministic, so

@@ -165,7 +165,7 @@ func accuracyFromSweep(mode synth.Mode, loads []float64, ms []Measurement) *Fig8
 // RenderFig8 prints the accuracy table under the figure.
 func RenderFig8(w io.Writer, r *Fig8Result) {
 	fmt.Fprintf(w, "Fig. 8 — load control accuracy (%s)\n", r.Mode)
-	fmt.Fprintln(w, "configured%\tIOPS\tMBPS\tmeasured%%(IOPS)\tacc(IOPS)\tmeasured%%(MBPS)\tacc(MBPS)")
+	fmt.Fprintln(w, "configured%\tIOPS\tMBPS\tmeasured%(IOPS)\tacc(IOPS)\tmeasured%(MBPS)\tacc(MBPS)")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%.0f\t%.1f\t%.2f\t%.3f\t%.4f\t%.3f\t%.4f\n",
 			row.ConfiguredLoad*100, row.IOPS, row.MBPS,
@@ -491,34 +491,57 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 	return &Fig12Result{Series: series}, nil
 }
 
-// RenderFig12 prints a compact timeline table (IOPS per 10-interval
-// average to keep the table readable).
+// RenderFig12 prints a compact timeline table: each row is one 10 s
+// bucket of sampling cycles, and each cell the bucket's IOs over the
+// seconds it covers, so a short final cycle weighs by its length.  A
+// bucket covering less than one sampling cycle (the drain after the
+// trace ends) is left out, and a series without a row's bucket prints
+// "-".
 func RenderFig12(w io.Writer, r *Fig12Result) {
 	fmt.Fprintln(w, "Fig. 12 — web trace replay timelines (per-interval mean IOPS, 10s buckets)")
 	fmt.Fprint(w, "bucket")
-	for _, s := range r.Series {
+	cols := make([][]float64, len(r.Series))
+	rows := 0
+	for i, s := range r.Series {
 		fmt.Fprintf(w, "\tload%.0f%%", s.Load*100)
+		cols[i] = fig12Buckets(s.Intervals)
+		rows = max(rows, len(cols[i]))
 	}
 	fmt.Fprintln(w)
-	if len(r.Series) == 0 {
-		return
-	}
-	buckets := len(r.Series[0].Intervals)/10 + 1
-	for b := 0; b < buckets; b++ {
+	for b := 0; b < rows; b++ {
 		fmt.Fprintf(w, "%d", b)
-		for _, s := range r.Series {
-			var sum float64
-			var n int
-			for i := b * 10; i < (b+1)*10 && i < len(s.Intervals); i++ {
-				sum += s.Intervals[i].IOPS
-				n++
-			}
-			if n > 0 {
-				fmt.Fprintf(w, "\t%.1f", sum/float64(n))
+		for _, col := range cols {
+			if b < len(col) {
+				fmt.Fprintf(w, "\t%.1f", col[b])
 			} else {
 				fmt.Fprint(w, "\t-")
 			}
 		}
 		fmt.Fprintln(w)
 	}
+}
+
+// fig12Buckets folds a timeline into 10-cycle buckets of time-weighted
+// IOPS, dropping a final bucket shorter than one sampling cycle.  Every
+// interval but the last spans exactly one cycle, so the first one's
+// span is the cycle.
+func fig12Buckets(ivs []replay.Interval) []float64 {
+	if len(ivs) == 0 {
+		return nil
+	}
+	cycle := ivs[0].End.Sub(ivs[0].Start).Seconds()
+	var out []float64
+	for b := 0; b < len(ivs); b += 10 {
+		var ios int64
+		var secs float64
+		for _, iv := range ivs[b:min(b+10, len(ivs))] {
+			ios += iv.IOs
+			secs += iv.End.Sub(iv.Start).Seconds()
+		}
+		if secs < cycle {
+			break
+		}
+		out = append(out, float64(ios)/secs)
+	}
+	return out
 }

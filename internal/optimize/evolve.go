@@ -21,12 +21,15 @@ type EvolveOptions struct {
 	// runs with the same seed (and space/trace/options) are
 	// byte-identical regardless of worker count.
 	Seed uint64
-	// TournamentK is the selection tournament size (default 3).
-	TournamentK int
-	// MutSigma is the Gaussian mutation step in index space — how many
-	// grid positions a parameter typically jumps (default 1).
-	MutSigma float64
 }
+
+const (
+	// tournamentK is the selection tournament size.
+	tournamentK = 3
+	// mutSigma is the Gaussian mutation step in index space — how many
+	// grid positions a parameter typically jumps.
+	mutSigma = 1.0
+)
 
 func (o EvolveOptions) normalized() EvolveOptions {
 	o.Options = o.Options.normalized()
@@ -35,12 +38,6 @@ func (o EvolveOptions) normalized() EvolveOptions {
 	}
 	if o.Population <= 0 {
 		o.Population = 12
-	}
-	if o.TournamentK <= 0 {
-		o.TournamentK = 3
-	}
-	if o.MutSigma <= 0 {
-		o.MutSigma = 1
 	}
 	return o
 }
@@ -78,7 +75,7 @@ func Evolve(ctx context.Context, space Space, trace *blktrace.Trace, opts Evolve
 		out := make(genome, len(g))
 		for d := range g {
 			n := len(space.Dims[d].Values)
-			idx := g[d] + int(rng.NormFloat64()*opts.MutSigma+0.5)
+			idx := g[d] + int(rng.NormFloat64()*mutSigma+0.5)
 			if idx < 0 {
 				idx = 0
 			}
@@ -144,7 +141,7 @@ func Evolve(ctx context.Context, space Space, trace *blktrace.Trace, opts Evolve
 		next := make([]genome, opts.Population)
 		for i := range next {
 			best := rng.IntN(len(pop))
-			for k := 1; k < opts.TournamentK; k++ {
+			for k := 1; k < tournamentK; k++ {
 				c := rng.IntN(len(pop))
 				if scored[c].Fitness > scored[best].Fitness {
 					best = c

@@ -213,30 +213,3 @@ func (Identity) Name() string { return "identity" }
 
 // Apply implements Filter.
 func (Identity) Apply(t *blktrace.Trace) *blktrace.Trace { return t.Clone() }
-
-// Chain applies filters left to right.
-type Chain []Filter
-
-// Name implements Filter.
-func (c Chain) Name() string {
-	name := ""
-	for i, f := range c {
-		if i > 0 {
-			name += "+"
-		}
-		name += f.Name()
-	}
-	return name
-}
-
-// Apply implements Filter.
-func (c Chain) Apply(t *blktrace.Trace) *blktrace.Trace {
-	out := t
-	for _, f := range c {
-		out = f.Apply(out)
-	}
-	if out == t {
-		out = t.Clone()
-	}
-	return out
-}

@@ -301,30 +301,6 @@ func TestIntervalScaler(t *testing.T) {
 	}
 }
 
-func TestChain(t *testing.T) {
-	tr := makeTrace(100)
-	c := Chain{UniformFilter{Proportion: 0.5}, IntervalScaler{Intensity: 2}}
-	got := c.Apply(tr)
-	if got.NumBunches() != 50 {
-		t.Fatalf("chained bunches = %d", got.NumBunches())
-	}
-	if got.Duration() >= tr.Duration()/2+simtime.Millisecond {
-		t.Fatalf("chained duration = %v", got.Duration())
-	}
-	if c.Name() != "uniform-50%+scale-200%" {
-		t.Fatalf("chain name = %q", c.Name())
-	}
-	// Empty chain clones.
-	e := Chain{}.Apply(tr)
-	if !reflect.DeepEqual(e, tr) {
-		t.Fatal("empty chain should clone")
-	}
-	e.Bunches[0].Packages[0].Sector = 777
-	if tr.Bunches[0].Packages[0].Sector == 777 {
-		t.Fatal("empty chain aliases input")
-	}
-}
-
 func TestFilterNames(t *testing.T) {
 	if (UniformFilter{Proportion: 0.3}).Name() != "uniform-30%" {
 		t.Fatal("uniform name")

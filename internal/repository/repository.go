@@ -187,16 +187,6 @@ func (r *Repository) Load(nameOrPath string) (*blktrace.Trace, error) {
 	return t, nil
 }
 
-// LookupSynthetic loads the trace collected on device under mode m.
-func (r *Repository) LookupSynthetic(device string, m synth.Mode) (*blktrace.Trace, error) {
-	return r.Load(SyntheticName(device, m))
-}
-
-// LookupReal loads the named real-world trace for device.
-func (r *Repository) LookupReal(device, label string) (*blktrace.Trace, error) {
-	return r.Load(RealName(device, label))
-}
-
 // List enumerates repository entries, sorted by file name.  Files that
 // do not follow the naming convention are skipped.
 func (r *Repository) List() ([]Entry, error) {
@@ -218,15 +208,4 @@ func (r *Repository) List() ([]Entry, error) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Path < entries[j].Path })
 	return entries, nil
-}
-
-// Remove deletes a trace by bare name.
-func (r *Repository) Remove(name string) error {
-	if err := os.Remove(filepath.Join(r.dir, name)); err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return fmt.Errorf("repository: %w", err)
-	}
-	return nil
 }

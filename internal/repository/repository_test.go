@@ -146,7 +146,7 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 	if e.Path == "" || e.Mode != m {
 		t.Fatalf("entry = %+v", e)
 	}
-	got, err := repo.LookupSynthetic("raid5", m)
+	got, err := repo.Load(SyntheticName("raid5", m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestLoadMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.LookupReal("raid5", "nothing"); !errors.Is(err, ErrNotFound) {
+	if _, err := repo.Load(RealName("raid5", "nothing")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }
@@ -220,22 +220,6 @@ func TestStoreRejectsInvalidTrace(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	repo, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repo.StoreReal("d", "x", tinyTrace()); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Remove(RealName("d", "x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Remove(RealName("d", "x")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double remove: %v", err)
-	}
-}
-
 func TestOverwrite(t *testing.T) {
 	repo, err := Open(t.TempDir())
 	if err != nil {
@@ -250,7 +234,7 @@ func TestOverwrite(t *testing.T) {
 	if _, err := repo.StoreReal("d", "x", t2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := repo.LookupReal("d", "x")
+	got, err := repo.Load(RealName("d", "x"))
 	if err != nil {
 		t.Fatal(err)
 	}

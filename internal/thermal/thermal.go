@@ -19,7 +19,6 @@ package thermal
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
 	"repro/internal/powersim"
 	"repro/internal/simtime"
@@ -44,12 +43,6 @@ type Model struct {
 // time constant (a drive idling at 8 W settles near 42-43 C).
 func HDDModel() Model {
 	return Model{AmbientC: 25, RthCPerW: 2.2, Tau: 4 * simtime.Minute}
-}
-
-// SSDModel returns parameters for an SLC SSD: lower dissipation and a
-// faster, smaller package.
-func SSDModel() Model {
-	return Model{AmbientC: 25, RthCPerW: 3.0, Tau: 90 * simtime.Second}
 }
 
 // Validate reports parameter errors.
@@ -95,92 +88,4 @@ func (m Model) relax(temp, watts float64, dt simtime.Duration) float64 {
 	tss := m.SteadyStateC(watts)
 	alpha := math.Exp(-dt.Seconds() / m.Tau.Seconds())
 	return tss + (temp-tss)*alpha
-}
-
-// Sample is one temperature reading.
-type Sample struct {
-	// Time is the instant of the reading.
-	Time simtime.Time
-	// TempC is the modelled (or sensed) temperature.
-	TempC float64
-}
-
-// Trace samples the temperature every cycle over [t0, t1], starting
-// from the model's initial temperature at time zero.
-func (m Model) Trace(tl *powersim.Timeline, t0, t1 simtime.Time, cycle simtime.Duration) ([]Sample, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if cycle <= 0 {
-		cycle = simtime.Second
-	}
-	// Advance exactly to t0 first.
-	temp := m.initial()
-	cursor := simtime.Time(0)
-	advance := func(to simtime.Time) {
-		for _, seg := range tl.Segments(cursor, to) {
-			temp = m.relax(temp, seg.Watts, seg.End.Sub(seg.Start))
-		}
-		cursor = to
-	}
-	advance(t0)
-	var out []Sample
-	for t := t0; t <= t1; t = t.Add(cycle) {
-		advance(t)
-		out = append(out, Sample{Time: t, TempC: temp})
-	}
-	return out, nil
-}
-
-// MaxC returns the hottest sample.
-func MaxC(samples []Sample) float64 {
-	max := math.Inf(-1)
-	for _, s := range samples {
-		if s.TempC > max {
-			max = s.TempC
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
-// MeanC returns the average sampled temperature.
-func MeanC(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += s.TempC
-	}
-	return sum / float64(len(samples))
-}
-
-// Sensor wraps a model with read noise, mirroring the power meter: a
-// thermocouple reports the modelled temperature plus Gaussian error.
-type Sensor struct {
-	// Model is the underlying thermal model.
-	Model Model
-	// NoiseC is the 1-sigma absolute read noise in Celsius.
-	NoiseC float64
-	// Seed makes the noise stream reproducible.
-	Seed uint64
-}
-
-// Read samples like Model.Trace with sensor noise applied.
-func (s Sensor) Read(tl *powersim.Timeline, t0, t1 simtime.Time, cycle simtime.Duration) ([]Sample, error) {
-	samples, err := s.Model.Trace(tl, t0, t1, cycle)
-	if err != nil {
-		return nil, err
-	}
-	if s.NoiseC <= 0 {
-		return samples, nil
-	}
-	rng := rand.New(rand.NewPCG(s.Seed, 0x7e39))
-	for i := range samples {
-		samples[i].TempC += rng.NormFloat64() * s.NoiseC
-	}
-	return samples, nil
 }

@@ -55,63 +55,45 @@ func TestConstantPowerConvergesToSteadyState(t *testing.T) {
 	}
 }
 
+// TestStepPowerRisesAndFalls: a power step up heats the device
+// monotonically toward the new steady state without passing it, and a
+// step down cools it monotonically back.
 func TestStepPowerRisesAndFalls(t *testing.T) {
 	m := Model{AmbientC: 25, RthCPerW: 2, Tau: 5 * sec}
 	tl := powersim.NewTimeline(5)    // 35 C steady
 	tl.Set(simtime.Time(60*sec), 15) // jump to 55 C steady
 	tl.Set(simtime.Time(120*sec), 5) // back down
-	samples, err := m.Trace(tl, 0, simtime.Time(240*sec), simtime.Duration(sec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(s simtime.Time) float64 {
-		for _, sm := range samples {
-			if sm.Time == s {
-				return sm.TempC
-			}
+	at := func(d simtime.Duration) float64 {
+		t.Helper()
+		v, err := m.At(tl, simtime.Time(d))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("no sample at %v", s)
-		return 0
+		return v
 	}
-	if v := at(simtime.Time(59 * sec)); math.Abs(v-35) > 0.1 {
+	if v := at(59 * sec); math.Abs(v-35) > 0.1 {
 		t.Fatalf("pre-step temp %v, want ~35", v)
 	}
-	if v := at(simtime.Time(119 * sec)); math.Abs(v-55) > 0.1 {
+	if v := at(119 * sec); math.Abs(v-55) > 0.1 {
 		t.Fatalf("hot steady temp %v, want ~55", v)
 	}
-	if v := at(simtime.Time(239 * sec)); math.Abs(v-35) > 0.1 {
+	if v := at(239 * sec); math.Abs(v-35) > 0.1 {
 		t.Fatalf("cooled temp %v, want ~35", v)
 	}
-	// Monotone rise during the hot phase.
-	prev := at(simtime.Time(61 * sec))
-	for s := simtime.Time(62 * sec); s <= simtime.Time(119*sec); s += simtime.Time(10 * sec) {
-		cur := at(s)
-		if cur < prev-1e-9 {
-			t.Fatalf("temperature fell during heating at %v", s)
+	prev := at(60 * sec)
+	for d := 61 * sec; d <= 120*sec; d += sec {
+		cur := at(d)
+		if cur < prev-1e-9 || cur > 55+1e-9 {
+			t.Fatalf("heating at %v: %v after %v", d, cur, prev)
 		}
 		prev = cur
 	}
-	if MaxC(samples) > 55.01 {
-		t.Fatalf("MaxC = %v exceeds hot steady state", MaxC(samples))
-	}
-	if mean := MeanC(samples); mean <= 35 || mean >= 55 {
-		t.Fatalf("MeanC = %v out of band", mean)
-	}
-}
-
-func TestTraceWindowing(t *testing.T) {
-	m := Model{AmbientC: 20, RthCPerW: 1, Tau: sec}
-	tl := powersim.NewTimeline(10)
-	// Sampling a late window must account for earlier heating.
-	samples, err := m.Trace(tl, simtime.Time(30*sec), simtime.Time(35*sec), simtime.Duration(sec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 6 {
-		t.Fatalf("samples = %d", len(samples))
-	}
-	if math.Abs(samples[0].TempC-30) > 0.01 {
-		t.Fatalf("window start temp %v, want ~steady 30", samples[0].TempC)
+	for d := 121 * sec; d <= 240*sec; d += sec {
+		cur := at(d)
+		if cur > prev+1e-9 || cur < 35-1e-9 {
+			t.Fatalf("cooling at %v: %v after %v", d, cur, prev)
+		}
+		prev = cur
 	}
 }
 
@@ -131,50 +113,6 @@ func TestInitialTemperature(t *testing.T) {
 	}
 	if early < 25 || early > 60 {
 		t.Fatalf("cooling trajectory out of range: %v", early)
-	}
-}
-
-func TestSensorNoise(t *testing.T) {
-	tl := powersim.NewTimeline(8)
-	s := Sensor{Model: HDDModel(), NoiseC: 0.5, Seed: 3}
-	a, err := s.Read(tl, 0, simtime.Time(100*sec), simtime.Duration(sec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Read(tl, 0, simtime.Time(100*sec), simtime.Duration(sec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := s.Model.Trace(tl, 0, simtime.Time(100*sec), simtime.Duration(sec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var differs bool
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed produced different readings")
-		}
-		if a[i] != clean[i] {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Fatal("noise had no effect")
-	}
-	// Unbiased: mean error small over 100 samples.
-	if math.Abs(MeanC(a)-MeanC(clean)) > 0.3 {
-		t.Fatalf("noise biased the mean: %v vs %v", MeanC(a), MeanC(clean))
-	}
-	noNoise := Sensor{Model: HDDModel()}
-	c, err := noNoise.Read(tl, 0, simtime.Time(10*sec), simtime.Duration(sec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean10, _ := HDDModel().Trace(tl, 0, simtime.Time(10*sec), simtime.Duration(sec))
-	for i := range c {
-		if c[i] != clean10[i] {
-			t.Fatal("zero-noise sensor altered samples")
-		}
 	}
 }
 
@@ -203,11 +141,5 @@ func TestPropertyTemperatureBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaxMeanEmpty(t *testing.T) {
-	if MaxC(nil) != 0 || MeanC(nil) != 0 {
-		t.Fatal("empty sample helpers should return 0")
 	}
 }

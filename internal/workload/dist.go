@@ -115,27 +115,6 @@ func (d Distribution) total() int64 {
 	return t
 }
 
-// Mean reports the distribution mean (0 when empty).
-func (d Distribution) Mean() float64 {
-	if len(d.Values) > 0 {
-		var sum float64
-		var n int64
-		for i, v := range d.Values {
-			sum += float64(v) * float64(d.Counts[i])
-			n += d.Counts[i]
-		}
-		return sum / float64(n)
-	}
-	if len(d.Quantiles) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range d.Quantiles {
-		sum += float64(v)
-	}
-	return sum / float64(len(d.Quantiles))
-}
-
 // Sample draws one value by inverse-CDF sampling.
 func (d Distribution) Sample(rng *rand.Rand) int64 {
 	if len(d.Values) > 0 {

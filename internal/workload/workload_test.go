@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/blktrace"
@@ -63,8 +64,8 @@ func TestAnalyzeCapturesStructure(t *testing.T) {
 	if math.Abs(p.ReadRatio-st.ReadRatio) > 1e-12 {
 		t.Fatalf("read ratio %v, stats say %v", p.ReadRatio, st.ReadRatio)
 	}
-	if got := p.RequestSize.Mean(); got != 4096 {
-		t.Fatalf("request size mean %v, want 4096", got)
+	if rs := p.RequestSize; !slices.Equal(rs.Values, []int64{4096}) || !slices.Equal(rs.Counts, []int64{60}) {
+		t.Fatalf("request sizes %+v, want 60 x 4096", rs)
 	}
 	// Half the IOs continue the previous one.
 	if math.Abs(p.Spatial.SeqRatio-float64(st.IOs-st.Seeks)/float64(st.IOs)) > 1e-12 {
@@ -367,7 +368,7 @@ func TestDistributionQuantileFallback(t *testing.T) {
 
 func TestDistributionEmpty(t *testing.T) {
 	var d Distribution
-	if !d.Empty() || d.Mean() != 0 {
+	if !d.Empty() {
 		t.Fatalf("zero distribution: %+v", d)
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
