@@ -82,18 +82,37 @@ func TestGenRealAndTest(t *testing.T) {
 func TestBadInvocations(t *testing.T) {
 	var buf bytes.Buffer
 	repoDir := filepath.Join(t.TempDir(), "repo")
-	cases := [][]string{
-		{},
-		{"frobnicate"},
-		{"stats"},
-		{"test"},
-		{"test", "-trace", "x", "-loads", "abc"},
-		{"test", "-trace", "x", "-device", "floppy"},
-		{"gen-real", "-kind", "nope", "-repo", repoDir},
+	// Every command that reads a trace file names a corrupt one, or a
+	// directory, once.
+	const truncated = "../../internal/check/testdata/corrupt/truncated.replay"
+	const corrupt = "load trace " + truncated + ": blktrace: malformed trace file: bunch 17: package count 1 exceeds file size"
+	dir := t.TempDir()
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"frobnicate"}, ""},
+		{[]string{"stats"}, ""},
+		{[]string{"test"}, ""},
+		{[]string{"test", "-trace", "x", "-loads", "abc"}, ""},
+		{[]string{"test", "-trace", "x", "-device", "floppy"}, ""},
+		{[]string{"gen-real", "-kind", "nope", "-repo", repoDir}, ""},
+		{[]string{"analyze", "-in", truncated}, corrupt},
+		{[]string{"optimize", "-policy", "tpm", "-in", truncated}, corrupt},
+		{[]string{"cachestudy", "-in", truncated}, corrupt},
+		{[]string{"replay", "-in", truncated}, corrupt},
+		{[]string{"analyze", "-in", dir}, "read " + dir + ": is a directory"},
+		{[]string{"replay", "-in", dir}, "read " + dir + ": is a directory"},
 	}
-	for _, args := range cases {
-		if err := run(args, &buf); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+	for _, c := range cases {
+		err := run(c.args, &buf)
+		if err == nil {
+			t.Errorf("run(%v) succeeded, want error", c.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) || c.want != "" && strings.Count(err.Error(), c.args[len(c.args)-1]) != 1 {
+			t.Errorf("run(%v): %v, want an error containing %q that names the file once", c.args, err, c.want)
 		}
 	}
 	// A rejected gen-real must not create its repository.

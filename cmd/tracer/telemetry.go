@@ -58,9 +58,7 @@ func cmdReplay(args []string, out io.Writer) error {
 	}
 	var tr *blktrace.Trace
 	if *in != "" {
-		if tr, err = blktrace.ReadFile(*in); err != nil {
-			err = fmt.Errorf("replay: load trace %s: %w", *in, err)
-		}
+		tr, err = blktrace.ReadFile(*in)
 	} else {
 		var repo *repository.Repository
 		if repo, err = repository.Open(*dir); err == nil {

@@ -19,11 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"repro/internal/simtime"
 	"repro/internal/storage"
@@ -281,7 +283,9 @@ func Read(r io.Reader) (*Trace, error) {
 
 // ReadFile decodes a binary .replay trace from a file.  The file's size
 // bounds the counts its header may claim and sizes the package buffer
-// in one allocation.
+// in one allocation.  Every error names the file once: opening a
+// missing file or a directory fails with an *fs.PathError, and a
+// decoding error is wrapped with the path.
 func ReadFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -290,9 +294,16 @@ func ReadFile(path string) (*Trace, error) {
 	defer f.Close()
 	var size int64
 	if fi, err := f.Stat(); err == nil {
+		if fi.IsDir() {
+			return nil, &fs.PathError{Op: "read", Path: path, Err: syscall.EISDIR}
+		}
 		size = fi.Size()
 	}
-	return readBinary(bufio.NewReaderSize(f, fileBufSize), size)
+	tr, err := readBinary(bufio.NewReaderSize(f, fileBufSize), size)
+	if err != nil {
+		return nil, fmt.Errorf("load trace %s: %w", path, err)
+	}
+	return tr, nil
 }
 
 func readBinary(br *bufio.Reader, size int64) (*Trace, error) {

@@ -36,6 +36,15 @@
 // zero to the value the energy studies run.  What no study varies (the
 // drive model and count, the chunk size, PDC's migration budget and
 // decay, MAID's cache directory size) is a package constant.
+//
+// Once warm, every technique serves a request without allocating, as
+// a bare replay does, except that MAID allocates an entry when a chunk
+// enters its cache directory.  JBOD, PDC and MAID split a request on chunk
+// boundaries and complete it through a recycled join; TPM, DRPM and
+// eRAID requests, MAID's cache fill after a miss and PDC's migration
+// write after its read complete through recycled in-flight records.
+// Both bind their landing callback once, and a repeated completion
+// panics with a labelled message rather than complete a later request.
 package conserve
 
 import (
@@ -200,37 +209,43 @@ func (m *ManagedDisk) landed(r *inflight, finish simtime.Time) {
 	done(finish)
 }
 
-// inflight is one request in flight through a ManagedDisk or DRPMDisk.
-// Records recycle through their disk's free list and bind their landing
-// callback once, when first created, so a warm request path allocates
-// nothing.
+// inflight is one request in flight through a conservation device that
+// completes it in one piece: a ManagedDisk's, DRPMDisk's or
+// ERAIDArray's request, MAID's data-disk read on a cache miss, or PDC's
+// migration read.  chunk and to carry what a chained follow-up needs:
+// the chunk MAID fills into cache, and the chunk PDC writes to member
+// to.  Records recycle through their device's free list and bind their
+// landing callback once, when first created, so a warm request path
+// allocates nothing.
 type inflight struct {
-	disk lander
-	done func(simtime.Time)
-	land func(simtime.Time) // onLand, bound once
+	dev   lander
+	done  func(simtime.Time)
+	chunk int64
+	to    int
+	land  func(simtime.Time) // onLand, bound once
 }
 
-// lander is the disk half of a completion: the policy's bookkeeping
-// for one landed request.
+// lander is the device half of a completion: the device's bookkeeping,
+// or its follow-up, for one landed request.
 type lander interface {
 	landed(r *inflight, finish simtime.Time)
 }
 
-func (r *inflight) onLand(finish simtime.Time) { r.disk.landed(r, finish) }
+func (r *inflight) onLand(finish simtime.Time) { r.dev.landed(r, finish) }
 
 // inflightList is a LIFO free list of idle in-flight records.  Each
-// list belongs to one disk, and only the goroutine driving that disk's
-// engine touches it.
+// list belongs to one device, and only the goroutine driving that
+// device's engine touches it.
 type inflightList []*inflight
 
-// get takes an idle record for disk, or makes one, and loads done.
-func (l *inflightList) get(disk lander, done func(simtime.Time)) *inflight {
+// get takes an idle record for dev, or makes one, and loads done.
+func (l *inflightList) get(dev lander, done func(simtime.Time)) *inflight {
 	var r *inflight
 	if n := len(*l); n > 0 {
 		r = (*l)[n-1]
 		*l = (*l)[:n-1]
 	} else {
-		r = &inflight{disk: disk}
+		r = &inflight{dev: dev}
 		r.land = r.onLand
 	}
 	r.done = done
@@ -238,16 +253,89 @@ func (l *inflightList) get(disk lander, done func(simtime.Time)) *inflight {
 }
 
 // put recycles a landed record and returns the done it carried.  A
-// record carrying none is not in flight: the wrapped disk completed a
+// record carrying none is not in flight: the wrapped device completed a
 // request twice, and the record may already serve a later one.
 func (l *inflightList) put(r *inflight, finish simtime.Time) func(simtime.Time) {
 	done := r.done
 	if done == nil {
-		panic(fmt.Sprintf("conserve: request completion at %v landed on an idle record (the wrapped disk completed a request twice)", finish))
+		panic(fmt.Sprintf("conserve: request completion at %v landed on an idle record (the wrapped device completed a request twice)", finish))
 	}
 	r.done = nil
 	*l = append(*l, r)
 	return done
+}
+
+// discard completes a request nobody waits for: a destage, a cache
+// fill or a migration's write.
+func discard(simtime.Time) {}
+
+// chunksSpanned counts the chunks [off, off+size) touches: the
+// fragments a chunked device splits a request of positive size into.
+func chunksSpanned(off, size int64) int {
+	return int((off+size-1)/chunkBytes - off/chunkBytes + 1)
+}
+
+// join completes one request a device split into fragments when its
+// slowest fragment lands.  Joins recycle through their device's
+// joinList and bind their landing callback once, when first created, so
+// a warm request path allocates nothing.
+type join struct {
+	list    *joinList
+	done    func(simtime.Time)
+	waiting int
+	latest  simtime.Time
+	land    func(simtime.Time) // onLand, bound once
+}
+
+// joinList is a LIFO free list of idle joins for one chunked device
+// (JBOD, PDC or MAID).  Only the goroutine driving the device's engine
+// touches it.
+type joinList struct {
+	// device names the device in the panic of a repeated completion.
+	device string
+	// settle, when not nil, is the device's bookkeeping as a request
+	// completes; it runs before the request's done.
+	settle func()
+	free   []*join
+}
+
+// get takes an idle join, or makes one, armed to complete done when
+// waiting fragments have landed.  Arming it with every fragment before
+// issuing any means none can complete it early.
+func (l *joinList) get(done func(simtime.Time), waiting int) *join {
+	var jn *join
+	if n := len(l.free); n > 0 {
+		jn = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		jn = &join{list: l}
+		jn.land = jn.onLand
+	}
+	jn.done, jn.waiting = done, waiting
+	return jn
+}
+
+// onLand records one fragment's completion; the last one recycles the
+// join, settles the device and completes the request.  A join waiting
+// for nothing cannot be owed one: a member completed a fragment twice,
+// and the join may already belong to a later request.
+func (jn *join) onLand(t simtime.Time) {
+	if jn.waiting <= 0 {
+		panic(fmt.Sprintf("conserve: %s fragment completion at %v landed on an idle join (a member completed a fragment twice)", jn.list.device, t))
+	}
+	if t > jn.latest {
+		jn.latest = t
+	}
+	if jn.waiting--; jn.waiting > 0 {
+		return
+	}
+	l, done, latest := jn.list, jn.done, jn.latest
+	jn.done, jn.latest = nil, 0
+	l.free = append(l.free, jn)
+	if l.settle != nil {
+		l.settle()
+	}
+	done(latest)
 }
 
 // Capacity implements storage.Device.
@@ -285,6 +373,11 @@ type MAID struct {
 	lruHead *chunkState // most recent
 	lruTail *chunkState // least recent
 
+	// joins complete requests; misses carry a read miss from its
+	// data-disk read to its cache fill.
+	joins  joinList
+	misses inflightList
+
 	stats MAIDStats
 }
 
@@ -292,7 +385,7 @@ type MAID struct {
 // front of MAIDDataDisks data disks that spin down under TPM.
 func NewMAID(engine *simtime.Engine, spec Spec) *MAID {
 	spec = spec.WithDefaults()
-	m := &MAID{engine: engine, dir: make(map[int64]*chunkState)}
+	m := &MAID{engine: engine, dir: make(map[int64]*chunkState), joins: joinList{device: "MAID"}}
 	for i := 0; i < spec.MAIDCacheDisks; i++ {
 		m.cache = append(m.cache, disksim.NewHDD(engine, drive(fmt.Sprintf("maid-cache-%d", i), i, 7919)))
 	}
@@ -406,7 +499,7 @@ func (m *MAID) unlink(cs *chunkState) {
 func (m *MAID) destage(chunk int64) {
 	m.stats.Destages++
 	disk, off := m.dataDiskFor(chunk)
-	m.data[disk].Submit(storage.Request{Op: storage.Write, Offset: off, Size: chunkBytes}, func(simtime.Time) {})
+	m.data[disk].Submit(storage.Request{Op: storage.Write, Offset: off, Size: chunkBytes}, discard)
 }
 
 // Submit implements storage.Device.  Requests are split on chunk
@@ -415,66 +508,58 @@ func (m *MAID) Submit(req storage.Request, done func(simtime.Time)) {
 	if err := req.Validate(0); err != nil {
 		panic(fmt.Sprintf("conserve: invalid request: %v", err))
 	}
-	type frag struct {
-		chunk int64
-		off   int64 // offset within chunk
-		size  int64
-	}
-	var frags []frag
-	off, remaining := req.Offset%m.Capacity(), req.Size
-	for remaining > 0 {
+	off := req.Offset % m.Capacity()
+	jn := m.joins.get(done, chunksSpanned(off, req.Size))
+	for remaining := req.Size; remaining > 0; {
 		chunk := off / chunkBytes
 		within := off % chunkBytes
-		take := chunkBytes - within
-		if take > remaining {
-			take = remaining
-		}
-		frags = append(frags, frag{chunk: chunk, off: within, size: take})
+		take := min(chunkBytes-within, remaining)
+		m.submitFragment(req.Op, chunk, within, take, jn.land)
 		off += take
 		remaining -= take
 	}
-	outstanding := len(frags)
-	var latest simtime.Time
-	complete := func(t simtime.Time) {
-		if t > latest {
-			latest = t
+}
+
+// submitFragment serves the part of a request inside one chunk, from
+// within bytes into it, and completes it to land.
+func (m *MAID) submitFragment(op storage.Op, chunk, within, size int64, land func(simtime.Time)) {
+	switch op {
+	case storage.Write:
+		// Absorb in cache; destage on eviction.
+		m.stats.Writes++
+		cs := m.touch(chunk)
+		cs.dirty = true
+		disk, base := m.cacheDiskFor(chunk)
+		m.cache[disk].Submit(storage.Request{Op: storage.Write, Offset: base + within, Size: size}, land)
+	case storage.Read:
+		if _, ok := m.dir[chunk]; ok {
+			m.stats.ReadHits++
+			m.touch(chunk)
+			disk, base := m.cacheDiskFor(chunk)
+			m.cache[disk].Submit(storage.Request{Op: storage.Read, Offset: base + within, Size: size}, land)
+			return
 		}
-		outstanding--
-		if outstanding == 0 {
-			done(latest)
-		}
+		// Miss: read from the data disk (waking it if needed); landed
+		// fills the cache copy in the background.
+		m.stats.ReadMisses++
+		disk, off := m.dataDiskFor(chunk)
+		r := m.misses.get(m, land)
+		r.chunk = chunk
+		m.data[disk].Submit(storage.Request{Op: storage.Read, Offset: off + within, Size: size}, r.land)
 	}
-	for _, f := range frags {
-		switch req.Op {
-		case storage.Write:
-			// Absorb in cache; destage on eviction.
-			m.stats.Writes++
-			cs := m.touch(f.chunk)
-			cs.dirty = true
-			disk, base := m.cacheDiskFor(f.chunk)
-			m.cache[disk].Submit(storage.Request{Op: storage.Write, Offset: base + f.off, Size: f.size}, complete)
-		case storage.Read:
-			if _, ok := m.dir[f.chunk]; ok {
-				m.stats.ReadHits++
-				m.touch(f.chunk)
-				disk, base := m.cacheDiskFor(f.chunk)
-				m.cache[disk].Submit(storage.Request{Op: storage.Read, Offset: base + f.off, Size: f.size}, complete)
-				continue
-			}
-			// Miss: read from the data disk (waking it if needed) and
-			// populate the cache copy in the background.
-			m.stats.ReadMisses++
-			dDisk, dOff := m.dataDiskFor(f.chunk)
-			chunk := f.chunk
-			m.data[dDisk].Submit(storage.Request{Op: storage.Read, Offset: dOff + f.off, Size: f.size}, func(t simtime.Time) {
-				cs := m.touch(chunk)
-				cs.dirty = false
-				cDisk, cBase := m.cacheDiskFor(chunk)
-				m.cache[cDisk].Submit(storage.Request{Op: storage.Write, Offset: cBase, Size: chunkBytes}, func(simtime.Time) {})
-				complete(t)
-			})
-		}
-	}
+}
+
+// landed completes a read miss once its data-disk read lands: the chunk
+// enters the cache clean, its fill is issued, and then the fragment
+// completes.
+func (m *MAID) landed(r *inflight, finish simtime.Time) {
+	chunk := r.chunk
+	land := m.misses.put(r, finish)
+	cs := m.touch(chunk)
+	cs.dirty = false
+	disk, base := m.cacheDiskFor(chunk)
+	m.cache[disk].Submit(storage.Request{Op: storage.Write, Offset: base, Size: chunkBytes}, discard)
+	land(finish)
 }
 
 var (

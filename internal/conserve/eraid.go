@@ -30,6 +30,8 @@ type ERAIDArray struct {
 	windowIOs   int64
 	outstanding int
 	armed       bool // whether a tick is scheduled
+	// free is a LIFO list of idle in-flight records.
+	free inflightList
 
 	ctl *Control
 
@@ -141,10 +143,14 @@ func (e *ERAIDArray) Submit(req storage.Request, done func(simtime.Time)) {
 	if !e.armed {
 		e.armed = scheduleClamped(e.engine, e.engine.Now().Add(e.window), e)
 	}
-	e.array.Submit(req, func(t simtime.Time) {
-		e.outstanding--
-		done(t)
-	})
+	e.array.Submit(req, e.free.get(e, done).land)
+}
+
+// landed completes one request: the array's bookkeeping, then done.
+func (e *ERAIDArray) landed(r *inflight, finish simtime.Time) {
+	done := e.free.put(r, finish)
+	e.outstanding--
+	done(finish)
 }
 
 // Capacity implements storage.Device.

@@ -1,8 +1,9 @@
 package conserve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/disksim"
 	"repro/internal/powersim"
@@ -20,7 +21,9 @@ import (
 // The model tracks per-chunk access counts (with exponential decay),
 // periodically recomputes the popularity ranking, and migrates chunks
 // whose placement changed, paying real read+write I/O on the member
-// disks for every moved chunk.
+// disks for every moved chunk.  While every counted chunk fits on the
+// first disk, only the chunks elsewhere are ranked: they are the only
+// ones that can move, in the order the full ranking gives them.
 type PDC struct {
 	engine *simtime.Engine
 	// reorgEvery is how often popularity is re-evaluated.
@@ -38,6 +41,12 @@ type PDC struct {
 	outstanding int
 	armed       bool
 	windowIOs   int64
+
+	// joins complete requests and moves carry a migration from its
+	// source read to its destination write; rank is reorg's scratch.
+	joins joinList
+	moves inflightList
+	rank  []ranked
 
 	ctl *Control
 
@@ -60,6 +69,7 @@ func NewPDC(engine *simtime.Engine, spec Spec) *PDC {
 		counts:     map[int64]float64{},
 		ctl:        spec.Control,
 	}
+	d.joins = joinList{device: "PDC", settle: d.settle}
 	for i := 0; i < Drives; i++ {
 		hdd := disksim.NewHDD(engine, drive(fmt.Sprintf("pdc-%d", i), i, 32452843))
 		m := NewManagedDisk(engine, hdd, spec.SpinDownTimeout)
@@ -128,39 +138,31 @@ func (d *PDC) Submit(req storage.Request, done func(simtime.Time)) {
 	}
 	d.windowIOs++
 	d.outstanding++
-	off, remaining := req.Offset%d.Capacity(), req.Size
-	type frag struct {
-		disk   int
-		offset int64
-		size   int64
-	}
-	var frags []frag
-	for remaining > 0 {
+	off := req.Offset % d.Capacity()
+	jn := d.joins.get(done, chunksSpanned(off, req.Size))
+	for remaining := req.Size; remaining > 0; {
 		chunk := off / chunkBytes
 		within := off % chunkBytes
-		take := chunkBytes - within
-		if take > remaining {
-			take = remaining
-		}
+		take := min(chunkBytes-within, remaining)
 		d.counts[chunk]++
-		frags = append(frags, frag{disk: d.diskOf(chunk), offset: d.offsetOn(chunk) + within, size: take})
+		d.disks[d.diskOf(chunk)].Submit(storage.Request{Op: req.Op, Offset: d.offsetOn(chunk) + within, Size: take}, jn.land)
 		off += take
 		remaining -= take
 	}
-	outstanding := len(frags)
-	var latest simtime.Time
-	for _, f := range frags {
-		d.disks[f.disk].Submit(storage.Request{Op: req.Op, Offset: f.offset, Size: f.size}, func(t simtime.Time) {
-			if t > latest {
-				latest = t
-			}
-			outstanding--
-			if outstanding == 0 {
-				d.outstanding--
-				done(latest)
-			}
-		})
-	}
+}
+
+// settle is the PDC's bookkeeping as a request completes.
+func (d *PDC) settle() { d.outstanding-- }
+
+// ranked is a chunk and its access count as reorg ranks them.
+type ranked struct {
+	chunk int64
+	count float64
+}
+
+// byPopularity orders chunks hottest first, then by chunk number.
+func byPopularity(a, b ranked) int {
+	return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.chunk, b.chunk))
 }
 
 // reorg recomputes the popularity ranking and migrates chunks whose
@@ -168,50 +170,54 @@ func (d *PDC) Submit(req storage.Request, done func(simtime.Time)) {
 // disks.
 func (d *PDC) reorg() {
 	d.stats.Reorgs++
-	type ranked struct {
-		chunk int64
-		count float64
-	}
-	chunks := make([]ranked, 0, len(d.counts))
+	// While every counted chunk fits on disk 0, every rank targets it:
+	// only the chunks elsewhere can move, and they move in their order
+	// among themselves.  So only they are ranked, unless the counts
+	// outgrow one disk.  The same pass ages the counts, so the ranking
+	// tracks shifting popularity; the ranking uses the counts before
+	// aging.
+	all := int64(len(d.counts)) > d.perDisk
+	rank := d.rank[:0]
 	for c, n := range d.counts {
-		chunks = append(chunks, ranked{chunk: c, count: n})
-	}
-	sort.Slice(chunks, func(i, j int) bool {
-		if chunks[i].count != chunks[j].count {
-			return chunks[i].count > chunks[j].count
+		if all || d.diskOf(c) != 0 {
+			rank = append(rank, ranked{chunk: c, count: n})
 		}
-		return chunks[i].chunk < chunks[j].chunk
-	})
+		if n *= pdcDecay; n < 0.01 {
+			delete(d.counts, c)
+		} else {
+			d.counts[c] = n
+		}
+	}
+	slices.SortFunc(rank, byPopularity)
+	d.rank = rank
 	// Concentrate: hottest chunks fill disk 0, then disk 1, ...
 	migrated := 0
-	for i, r := range chunks {
-		target := i / int(d.perDisk)
-		if target >= len(d.disks) {
+	for i, r := range rank {
+		target := 0
+		if all {
+			target = i / int(d.perDisk)
+		}
+		if target >= len(d.disks) || migrated == pdcMaxMigrations {
 			break
 		}
-		if cur := d.diskOf(r.chunk); cur != target && migrated < pdcMaxMigrations {
-			if !d.ctl.propose(Decision{
-				At:          int64(d.engine.Now()),
-				Kind:        DecisionMigrate,
-				Policy:      "pdc",
-				Disk:        cur,
-				Chunk:       r.chunk,
-				FromDisk:    cur,
-				ToDisk:      target,
-				Outstanding: d.outstanding,
-			}) {
-				continue // vetoed: the chunk stays where it is
-			}
-			d.migrate(r.chunk, cur, target)
-			migrated++
+		cur := d.diskOf(r.chunk)
+		if cur == target {
+			continue
 		}
-	}
-	// Age history so the ranking tracks shifting popularity.
-	for c := range d.counts {
-		d.counts[c] *= pdcDecay
-		if d.counts[c] < 0.01 {
-			delete(d.counts, c)
+		if !d.ctl.propose(Decision{
+			At:          int64(d.engine.Now()),
+			Kind:        DecisionMigrate,
+			Policy:      "pdc",
+			Disk:        cur,
+			Chunk:       r.chunk,
+			FromDisk:    cur,
+			ToDisk:      target,
+			Outstanding: d.outstanding,
+		}) {
+			continue // vetoed: the chunk stays where it is
 		}
+		d.migrate(r.chunk, cur, target)
+		migrated++
 	}
 	// Keep reorganising while load is present; go quiet with the
 	// workload (the next Submit re-arms).
@@ -234,11 +240,17 @@ func (d *PDC) migrate(chunk int64, from, to int) {
 	} else {
 		d.placement[chunk] = to
 	}
-	off := d.offsetOn(chunk)
-	size := int64(chunkBytes)
-	d.disks[from].Submit(storage.Request{Op: storage.Read, Offset: off, Size: size}, func(simtime.Time) {
-		d.disks[to].Submit(storage.Request{Op: storage.Write, Offset: off, Size: size}, func(simtime.Time) {})
-	})
+	r := d.moves.get(d, discard)
+	r.chunk, r.to = chunk, to
+	d.disks[from].Submit(storage.Request{Op: storage.Read, Offset: d.offsetOn(chunk), Size: chunkBytes}, r.land)
+}
+
+// landed issues a migration's destination write once its source read
+// lands.
+func (d *PDC) landed(r *inflight, finish simtime.Time) {
+	chunk, to := r.chunk, r.to
+	d.moves.put(r, finish)
+	d.disks[to].Submit(storage.Request{Op: storage.Write, Offset: d.offsetOn(chunk), Size: chunkBytes}, discard)
 }
 
 var _ storage.Device = (*PDC)(nil)

@@ -7,7 +7,10 @@
 // function over virtual time).  A PSU converts the summed DC load into
 // AC wall power, and a Meter integrates the wall-power step function
 // over each sampling cycle — exactly the quantity a Hall-loop meter
-// reports — optionally corrupted by Gaussian sensor noise.
+// reports — optionally corrupted by Gaussian sensor noise.  A meter
+// reads its source through one cursor that walks each timeline forward
+// once, cycle after cycle, with the float expressions of the sources'
+// own MeanWatts; post-hoc Measure and the online Ticker share it.
 package powersim
 
 import (
@@ -194,21 +197,35 @@ func (tl *Timeline) Add(t simtime.Time, dw float64) {
 	tl.Set(t, tl.last.w+dw) // last is the current draw; zero when empty
 }
 
-// chunkAt returns chunk k, counting the current chunk last, with its
+// chunkAt returns chunk k, counting the current chunk last, and its
 // palette.
-func (tl *Timeline) chunkAt(k int) chunk {
+func (tl *Timeline) chunkAt(k int) (*chunk, *palette) {
 	if k < len(tl.sealed) {
-		return tl.sealed[k]
+		c := &tl.sealed[k]
+		return c, c.pal
 	}
-	c := tl.cur
-	c.pal = &tl.pal
-	return c
+	return &tl.cur, &tl.pal
 }
 
-// step decodes step i of the chunk.
-func (c chunk) step(i int) step {
-	e := c.steps[i]
-	return step{at: c.base + simtime.Time(e>>idxBits), w: math.Float64frombits(c.pal.w[e&idxMask])}
+// chunkEnd reports when chunk k's last step ends: at the next chunk's
+// base, where that chunk's first step sits, or never for the current
+// chunk.
+func (tl *Timeline) chunkEnd(k int) simtime.Time {
+	switch {
+	case k+1 < len(tl.sealed):
+		return tl.sealed[k+1].base
+	case k < len(tl.sealed):
+		return tl.cur.base
+	}
+	return simtime.MaxTime
+}
+
+// at decodes the time of step i of the chunk.
+func (c *chunk) at(i int) simtime.Time { return c.base + simtime.Time(c.steps[i]>>idxBits) }
+
+// step decodes step i of the chunk, whose palette is pal.
+func (c *chunk) step(i int, pal *palette) step {
+	return step{at: c.at(i), w: math.Float64frombits(pal.w[c.steps[i]&idxMask])}
 }
 
 // locate returns the chunk and index of the last step at or before t,
@@ -222,7 +239,7 @@ func (tl *Timeline) locate(t simtime.Time) (k, i int) {
 	if k == 0 {
 		return 0, 0 // t precedes the first step
 	}
-	c := tl.chunkAt(k - 1)
+	c, _ := tl.chunkAt(k - 1)
 	i = len(c.steps) - 1
 	if d := uint64(t) - uint64(c.base); d <= maxOffset {
 		key := d<<idxBits | idxMask
@@ -239,36 +256,57 @@ func (tl *Timeline) At(t simtime.Time) float64 {
 		return 0
 	}
 	k, i := tl.locate(t)
-	c := tl.chunkAt(k)
-	return c.step(i).w
+	c, pal := tl.chunkAt(k)
+	return c.step(i, pal).w
 }
 
 // EnergyJ integrates the timeline over [t0, t1), returning joules.
 func (tl *Timeline) EnergyJ(t0, t1 simtime.Time) float64 {
-	return tl.integrate(t0, t1, nil)
+	return tl.integrate(t0, t1, nil, nil)
+}
+
+// mark is a scan position in a timeline: step i of chunk k, counting
+// the current chunk last.  The zero mark is unset.
+type mark struct {
+	k, i int
+	set  bool
+}
+
+// resumes reports whether a scan of a window opening at t0 may start at
+// m: m names a stored step that starts by t0, so one not after the step
+// in force there.  Set only appends steps or rewrites the last one, so
+// a mark stays in range unless a same-time overwrite that misses a full
+// palette moved the step it names into a chunk of its own.
+func (tl *Timeline) resumes(m mark, t0 simtime.Time) bool {
+	c, _ := tl.chunkAt(m.k)
+	return m.set && m.i < len(c.steps) && c.at(m.i) <= t0
 }
 
 // integrate returns the energy over [t0, t1) and, when segs is not nil,
 // appends to it the constant-power spans covering that window, clipped
-// to it.  The scan starts at the step in force at t0: every earlier
-// span ends by t0, so a window costs O(log steps) plus the steps inside
-// it.
-func (tl *Timeline) integrate(t0, t1 simtime.Time, segs *[]Segment) float64 {
+// to it.  The scan starts at the step in force at t0, or at *from when
+// from is not nil and resumes there: every earlier span ends by t0 and
+// adds nothing.  It stops at the first step lasting to t1 or beyond,
+// which is not after the step in force at t1, and stores that position
+// in *from, so consecutive windows walk the timeline forward once.  A
+// lone window costs O(log steps) plus the steps inside it.
+func (tl *Timeline) integrate(t0, t1 simtime.Time, segs *[]Segment, from *mark) float64 {
 	if t1 <= t0 || len(tl.cur.steps) == 0 {
 		return 0
 	}
+	var k, i int
+	if from != nil && tl.resumes(*from, t0) {
+		k, i = from.k, from.i
+	} else {
+		k, i = tl.locate(t0)
+	}
 	var joules float64
-	k, i := tl.locate(t0)
-	for ; k <= len(tl.sealed); k, i = k+1, 0 {
-		c := tl.chunkAt(k)
-		steps, base, pal := c.steps, c.base, c.pal
-		// A chunk's last step lasts until the next chunk's base, where
-		// that chunk's first step sits.
-		last := simtime.MaxTime
-		if k < len(tl.sealed) {
-			last = tl.chunkAt(k + 1).base
-		}
-		at := base + simtime.Time(steps[i]>>idxBits)
+	for ; ; k, i = k+1, 0 {
+		c, pal := tl.chunkAt(k)
+		steps, base := c.steps, c.base
+		// The timeline's last step lasts forever, so the scan stops.
+		last := tl.chunkEnd(k)
+		at := c.at(i)
 		for ; i < len(steps); i++ {
 			end := last
 			if i+1 < len(steps) {
@@ -282,21 +320,28 @@ func (tl *Timeline) integrate(t0, t1 simtime.Time, segs *[]Segment) float64 {
 					*segs = append(*segs, Segment{Start: lo, End: hi, Watts: w})
 				}
 			}
-			if at >= t1 {
+			if end >= t1 {
+				if from != nil {
+					*from = mark{k: k, i: i, set: true}
+				}
 				return joules
 			}
 			at = end
 		}
 	}
-	return joules
 }
 
 // MeanWatts reports the average power over [t0, t1).
 func (tl *Timeline) MeanWatts(t0, t1 simtime.Time) float64 {
+	return tl.meanWatts(t0, t1, nil)
+}
+
+// meanWatts is MeanWatts with integrate's optional scan position.
+func (tl *Timeline) meanWatts(t0, t1 simtime.Time, from *mark) float64 {
 	if t1 <= t0 {
 		return tl.At(t0)
 	}
-	return tl.EnergyJ(t0, t1) / t1.Sub(t0).Seconds()
+	return tl.integrate(t0, t1, nil, from) / t1.Sub(t0).Seconds()
 }
 
 // Steps reports the number of recorded steps (useful in tests).
@@ -318,7 +363,7 @@ type Segment struct {
 // to that window.  Thermal models integrate over these exactly.
 func (tl *Timeline) Segments(t0, t1 simtime.Time) []Segment {
 	var segs []Segment
-	tl.integrate(t0, t1, &segs)
+	tl.integrate(t0, t1, &segs, nil)
 	return segs
 }
 
@@ -451,11 +496,12 @@ func (m *Meter) noiseRNG() *rand.Rand {
 	return rand.New(rand.NewPCG(m.Seed, 0x7ace))
 }
 
-// sampleCycle takes one reading over [start, end) using the given noise
-// stream.  Measure and Ticker share it, so an online tick stream is
-// bit-identical to a post-hoc Measure over the same window.
-func (m *Meter) sampleCycle(rng *rand.Rand, start, end simtime.Time) Sample {
-	w := m.Source.MeanWatts(start, end)
+// sampleCycle takes one reading over [start, end) through the cursor,
+// using the given noise stream.  Measure and Ticker share it, so an
+// online tick stream is bit-identical to a post-hoc Measure over the
+// same window.
+func (m *Meter) sampleCycle(rng *rand.Rand, src *cursor, start, end simtime.Time) Sample {
+	w := src.meanWatts(start, end)
 	if m.NoiseFrac > 0 {
 		w *= 1 + rng.NormFloat64()*m.NoiseFrac
 	}
@@ -467,15 +513,70 @@ func (m *Meter) sampleCycle(rng *rand.Rand, start, end simtime.Time) Sample {
 }
 
 // Measure samples the source over [t0, t1) and returns one Sample per
-// complete or partial cycle.
+// complete or partial cycle, walking each timeline forward once.
 func (m *Meter) Measure(t0, t1 simtime.Time) []Sample {
+	if t1 <= t0 {
+		return nil
+	}
 	cycle := m.cycleOrDefault()
 	rng := m.noiseRNG()
-	var samples []Sample
+	src := newCursor(m.Source)
+	samples := make([]Sample, 0, (uint64(t1)-uint64(t0)-1)/uint64(cycle)+1)
 	for start := t0; start < t1; start = start.Add(cycle) {
-		samples = append(samples, m.sampleCycle(rng, start, minTime(start.Add(cycle), t1)))
+		samples = append(samples, m.sampleCycle(rng, &src, start, minTime(start.Add(cycle), t1)))
 	}
 	return samples
+}
+
+// cursor reads a source's mean power over consecutive cycles with the
+// float expression the source's own MeanWatts evaluates.  It mirrors
+// the source: a *Timeline resumes each cycle's scan where the last one
+// stopped, so a meter walks every timeline forward once; a Sum adds its
+// parts in order; a PSU converts its DC load; any other source is read
+// through MeanWatts.
+type cursor struct {
+	src   Source    // a source read through MeanWatts
+	tl    *Timeline // a timeline, scanned from at
+	at    mark
+	sum   []cursor // a Sum's parts
+	psu   []cursor // a PSU's DC load, converted by eff and lossW
+	eff   float64
+	lossW float64
+}
+
+// newCursor builds the cursor over src.
+func newCursor(src Source) cursor {
+	switch s := src.(type) {
+	case *Timeline:
+		return cursor{tl: s}
+	case Sum:
+		c := cursor{sum: make([]cursor, len(s))}
+		for i, part := range s {
+			c.sum[i] = newCursor(part)
+		}
+		return c
+	case PSU:
+		return cursor{psu: []cursor{newCursor(s.Source)}, eff: s.eff(), lossW: s.StandbyW}
+	}
+	return cursor{src: src}
+}
+
+// meanWatts reads the mean power over [t0, t1), a window that follows
+// the last one read or starts a new scan.
+func (c *cursor) meanWatts(t0, t1 simtime.Time) float64 {
+	switch {
+	case c.tl != nil:
+		return c.tl.meanWatts(t0, t1, &c.at)
+	case c.sum != nil:
+		var w float64 // as Sum.MeanWatts
+		for i := range c.sum {
+			w += c.sum[i].meanWatts(t0, t1)
+		}
+		return w
+	case c.psu != nil:
+		return c.psu[0].meanWatts(t0, t1)/c.eff + c.lossW // as PSU.MeanWatts
+	}
+	return c.src.MeanWatts(t0, t1)
 }
 
 // Ticker samples a meter channel live on the simulation clock: one
@@ -484,11 +585,16 @@ func (m *Meter) Measure(t0, t1 simtime.Time) []Sample {
 // produces the same stream while the replay is still in flight, which
 // is what a monitoring daemon streams to clients.  Device models stamp
 // their power trajectory at service start (timestamps may lead the
-// clock), so a just-elapsed cycle is always fully recorded.
+// clock), so a just-elapsed cycle is always fully recorded.  The ticker
+// reads the meter's source, as it was at Tick, through Measure's
+// cursor; a timeline Set between two reads, even one that rewrites or
+// moves the step the cursor rests on, is read as Measure reads it,
+// because each read re-validates the cursor's position first.
 type Ticker struct {
 	engine *simtime.Engine
 	meter  *Meter
 	rng    *rand.Rand
+	src    cursor
 	until  simtime.Time
 	prev   simtime.Time // start of the cycle currently elapsing
 
@@ -504,6 +610,7 @@ func (m *Meter) Tick(engine *simtime.Engine, until simtime.Time) *Ticker {
 		engine: engine,
 		meter:  m,
 		rng:    m.noiseRNG(),
+		src:    newCursor(m.Source),
 		until:  until,
 		prev:   engine.Now(),
 	}
@@ -524,7 +631,7 @@ func (t *Ticker) arm() {
 // the elapsed cycle and re-arm.
 func (t *Ticker) OnEvent(e *simtime.Engine, _ simtime.EventArg) {
 	now := e.Now()
-	t.samples = append(t.samples, t.meter.sampleCycle(t.rng, t.prev, now))
+	t.samples = append(t.samples, t.meter.sampleCycle(t.rng, &t.src, t.prev, now))
 	t.prev = now
 	t.arm()
 }
@@ -614,9 +721,9 @@ func (tl *Timeline) CheckMonotone() error {
 	var prev step
 	i := 0
 	for k := 0; k <= len(tl.sealed); k++ {
-		c := tl.chunkAt(k)
+		c, pal := tl.chunkAt(k)
 		for j := range c.steps {
-			s := c.step(j)
+			s := c.step(j, pal)
 			if i > 0 && s.at <= prev.at {
 				return fmt.Errorf("powersim: timeline step %d at %v does not advance past %v", i, s.at, prev.at)
 			}

@@ -14,6 +14,7 @@ package repository
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -179,7 +180,7 @@ func (r *Repository) Load(nameOrPath string) (*blktrace.Trace, error) {
 	}
 	t, err := blktrace.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, nameOrPath)
 		}
 		return nil, fmt.Errorf("repository: %w", err)
