@@ -9,26 +9,21 @@ import (
 	"testing"
 
 	"repro/internal/blktrace"
-	"repro/internal/srt"
-	"repro/internal/storage"
 )
+
+// srtInput is a three-record SRT trace, two of its records on disk0.
+const srtInput = `# srt-text v1: timestamp device start-byte length op
+10.000000000 disk0 0 4096 R
+10.000050000 disk0 8192 8192 W
+11.000000000 disk1 512 512 R
+`
 
 func writeSRT(t *testing.T, dir string) string {
 	t.Helper()
 	path := filepath.Join(dir, "in.srt")
-	recs := []srt.Record{
-		{Timestamp: 10.0, Device: "disk0", StartByte: 0, Length: 4096, Op: storage.Read},
-		{Timestamp: 10.00005, Device: "disk0", StartByte: 8192, Length: 8192, Op: storage.Write},
-		{Timestamp: 11.0, Device: "disk1", StartByte: 512, Length: 512, Op: storage.Read},
-	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, []byte(srtInput), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := srt.WriteRecords(f, recs); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	return path
 }
 

@@ -65,6 +65,41 @@ func TestGenerateErrors(t *testing.T) {
 	if err := run([]string{"-out", filepath.Join(t.TempDir(), "x"), "-size", "-4"}, &buf); err == nil {
 		t.Fatal("bad size accepted")
 	}
+
+	// Profile synthesis: windows past the simulation horizon and
+	// non-finite options fail before any trace is synthesized.
+	dir := t.TempDir()
+	profile := writeTestProfile(t, dir)
+	window := func(name, period string) string {
+		path := filepath.Join(dir, name)
+		blob := `{"version":1,"name":"` + name + `","periods":[` + period + `]}`
+		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	farStart := window("far-start.json", `{"name":"w","start_ns":9223372036854775000,"duration_ns":1000000000,"load_scale":1,"read_ratio":-1}`)
+	longWindow := window("long.json", `{"name":"w","start_ns":0,"duration_ns":9223372036854775000,"load_scale":1,"read_ratio":-1}`)
+	out := filepath.Join(dir, "out.replay")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-periods", farStart}, "workload: period w (start 2562047h47m16.854775s, duration 1s) ends past the simulation horizon"},
+		{[]string{"-periods", longWindow}, "workload: period w (start 0s, duration 2562047h47m16.854775s) ends past the simulation horizon"},
+		{[]string{"-scale", "NaN"}, "workload: non-finite load scale NaN"},
+		{[]string{"-scale", "Inf"}, "workload: non-finite load scale +Inf"},
+		{[]string{"-read-mix", "NaN"}, "workload: read ratio is NaN"},
+	} {
+		args := append([]string{"-from-profile", profile, "-out", out}, c.args...)
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", c.args, err, c.want)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a rejected synthesis wrote %s (stat: %v)", out, err)
+	}
 }
 
 // writeTestProfile builds a small profile by analyzing a parametric

@@ -455,9 +455,10 @@ func TestFleetCommandTraceStream(t *testing.T) {
 	}
 }
 
-// TestFleetCommandErrors: flag validation, and SLO specs whose
-// defaulted eval interval is zero or whose slow window spans too many
-// intervals fail with the spec's error instead of a panic.
+// TestFleetCommandErrors: flag validation, SLO specs whose defaulted
+// eval interval is zero or whose slow window spans too many intervals,
+// and faults the run cannot honour fail with a labelled error instead
+// of a panic or a diluted run.
 func TestFleetCommandErrors(t *testing.T) {
 	dir := t.TempDir()
 	spec := func(name, windows string) string {
@@ -480,6 +481,10 @@ func TestFleetCommandErrors(t *testing.T) {
 		{[]string{"fleet", "-trace", "missing.replay", "-repo", t.TempDir()}, ""},
 		{[]string{"fleet", "-arrays", "2", "-duration", "50ms", "-slo", zeroInterval}, "zero-interval.json: slo: eval interval is zero"},
 		{[]string{"fleet", "-arrays", "2", "-duration", "50ms", "-slo", hugeRing}, "huge-ring.json: slo: slow window"},
+		// Faults past the stream or on a missing disk fail before the run.
+		{[]string{"fleet", "-arrays", "2", "-workers", "1", "-duration", "200ms", "-fail", "0@10s"}, "fleet: fault #0 at 10s is not before the stream's end at 200ms"},
+		{[]string{"fleet", "-arrays", "2", "-workers", "1", "-duration", "200ms", "-fail", "0@300000h"}, "fleet: fault #0 at 300000h0m0s is not before the stream's end at 200ms"},
+		{[]string{"fleet", "-arrays", "2", "-workers", "1", "-duration", "200ms", "-fail", "0@100ms:99"}, "fleet: fault #0 targets disk 99 of 6"},
 	} {
 		var buf bytes.Buffer
 		err := run(c.args, &buf)

@@ -383,9 +383,6 @@ func New(engine *simtime.Engine, backing storage.Device, backingSrc powersim.Sou
 	return c, nil
 }
 
-// Params reports the normalized configuration.
-func (c *Cache) Params() Params { return c.params }
-
 // Passthrough reports whether the cache is a strict pass-through.
 func (c *Cache) Passthrough() bool { return c.passthrough }
 

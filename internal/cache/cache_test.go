@@ -9,6 +9,11 @@ import (
 	"repro/internal/storage"
 )
 
+// handlerFunc adapts a closure to simtime.Handler for test scheduling.
+type handlerFunc func(*simtime.Engine, simtime.EventArg)
+
+func (f handlerFunc) OnEvent(e *simtime.Engine, arg simtime.EventArg) { f(e, arg) }
+
 // fakeDev is a scripted backing device: fixed latency, records every
 // request it receives.
 type fakeDev struct {
@@ -21,7 +26,7 @@ type fakeDev struct {
 func (d *fakeDev) Submit(req storage.Request, done func(simtime.Time)) {
 	d.reqs = append(d.reqs, req)
 	finish := d.engine.Now().Add(d.latency)
-	d.engine.Schedule(finish, func() { done(finish) })
+	d.engine.ScheduleEvent(finish, handlerFunc(func(*simtime.Engine, simtime.EventArg) { done(finish) }), simtime.EventArg{})
 }
 
 func (d *fakeDev) Capacity() int64 { return d.capacity }
@@ -231,9 +236,9 @@ func TestIdleDrainStaleGeneration(t *testing.T) {
 	c.Submit(storage.Request{Op: storage.Write, Offset: 0, Size: 4096}, func(simtime.Time) {})
 	// A second write lands before the first idle deadline; the second
 	// deadline supersedes the first and must drain.
-	engine.Schedule(engine.Now().Add(simtime.Second/2), func() {
+	engine.ScheduleEvent(engine.Now().Add(simtime.Second/2), handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 		c.Submit(storage.Request{Op: storage.Write, Offset: 128 << 10, Size: 4096}, func(simtime.Time) {})
-	})
+	}), simtime.EventArg{})
 	engine.Run()
 	st := c.Stats()
 	if st.IdleDrains != 1 {

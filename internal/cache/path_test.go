@@ -162,10 +162,10 @@ type twiceDev struct{ fakeDev }
 
 func (d *twiceDev) Submit(req storage.Request, done func(simtime.Time)) {
 	finish := d.engine.Now().Add(d.latency)
-	d.engine.Schedule(finish, func() {
+	d.engine.ScheduleEvent(finish, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 		done(finish)
 		done(finish)
-	})
+	}), simtime.EventArg{})
 }
 
 // TestDoubleCompletionPanics: a recycled front op or fill that is

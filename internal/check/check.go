@@ -16,8 +16,13 @@
 //   - golden fixtures (golden.go): committed traces with committed
 //     replay outputs, re-run and diffed with tolerance-aware
 //     comparison by `tracer verify` and the test driver;
-//   - randomized differential testing (fuzz.go): a seeded trace fuzzer
-//     plus metamorphic properties over the replay and kernel layers.
+//   - randomized differential testing, which is test code: a seeded
+//     trace fuzzer with its codec and load-scaling properties, the
+//     kernel held to a linear-scan reference on random re-entrant
+//     schedules and the sweep's worker-count identity live in
+//     fuzz_test.go, the fleet determinism gate in fleet_test.go, and
+//     the kernel's differential test against its frozen container/heap
+//     baseline in internal/simtime's tests.
 //
 // The golden gates (golden.go, cache.go, optimize.go, slo.go) and the
 // round-trip fidelity pass (fidelity.go) share one harness (gate.go):

@@ -9,7 +9,6 @@ package check
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
@@ -43,18 +42,9 @@ type FidelityResult struct {
 	Cells []FidelityCell
 }
 
-// Err returns nil when every metric agrees within DefaultFidelityTol,
-// or one error listing the offenders (invariant violations surface
-// earlier, from roundTripFidelity itself).
-func (r *FidelityResult) Err() error {
-	bad := r.offenders()
-	if len(bad) == 0 {
-		return nil
-	}
-	return fmt.Errorf("fidelity %s on %s:\n  %s", r.Name, r.Kind, strings.Join(bad, "\n  "))
-}
-
-// offenders describes each metric that disagrees beyond tolerance.
+// offenders describes each metric that disagrees beyond
+// DefaultFidelityTol (invariant violations surface earlier, from
+// roundTripFidelity itself).
 func (r *FidelityResult) offenders() []string {
 	var bad []string
 	for _, c := range r.Cells {
@@ -83,8 +73,8 @@ func fidelityCell(metric string, orig, syn float64) FidelityCell {
 // under seed 1, replays both on a fresh array of the given kind with
 // the full invariant suite armed, and compares the four efficiency
 // metrics.  Setup failures and invariant violations (on either replay)
-// return an error; metric disagreement is reported via Result.Err so
-// callers can render the cells.
+// return an error; metric disagreement is left in the cells, which
+// offenders reads, so callers can render them.
 func roundTripFidelity(trace *blktrace.Trace, name string, kind experiments.ArrayKind) (*FidelityResult, error) {
 	profile, err := workload.Analyze(trace, name)
 	if err != nil {

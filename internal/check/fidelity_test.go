@@ -33,8 +33,8 @@ func TestRoundTripFidelitySSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
+	if bad := res.offenders(); len(bad) > 0 {
+		t.Fatalf("fidelity %s on %s:\n  %s", res.Name, res.Kind, strings.Join(bad, "\n  "))
 	}
 	if len(res.Cells) != 4 {
 		t.Fatalf("cells: %+v", res.Cells)

@@ -10,6 +10,11 @@ import (
 	"repro/internal/storage"
 )
 
+// handlerFunc adapts a closure to simtime.Handler for test scheduling.
+type handlerFunc func(*simtime.Engine, simtime.EventArg)
+
+func (f handlerFunc) OnEvent(e *simtime.Engine, arg simtime.EventArg) { f(e, arg) }
+
 func newHDD(e *simtime.Engine) *disksim.HDD {
 	return disksim.NewHDD(e, disksim.Seagate7200())
 }
@@ -105,9 +110,9 @@ func TestManagedDiskStaysUpUnderActivity(t *testing.T) {
 	// Requests every 500 ms: never a full idle second.
 	for i := 0; i < 20; i++ {
 		at := simtime.Time(i) * simtime.Time(500*simtime.Millisecond)
-		e.Schedule(at, func() {
+		e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 			m.Submit(storage.Request{Op: storage.Read, Offset: 0, Size: 4096}, func(simtime.Time) {})
-		})
+		}), simtime.EventArg{})
 	}
 	e.RunUntil(simtime.Time(9*simtime.Second + 900*simtime.Millisecond))
 	if d.Stats().SpinDowns != 0 {
@@ -126,9 +131,9 @@ func TestManagedDiskSavesEnergyOnIdleWorkload(t *testing.T) {
 		// Sparse workload: a request every 30 s.
 		for i := 0; i < 4; i++ {
 			at := simtime.Time(i) * simtime.Time(30*simtime.Second)
-			e.Schedule(at, func() {
+			e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 				dev.Submit(storage.Request{Op: storage.Read, Offset: 0, Size: 4096}, func(simtime.Time) {})
-			})
+			}), simtime.EventArg{})
 		}
 		e.RunUntil(simtime.Time(2 * simtime.Minute))
 		return d.Timeline().EnergyJ(0, e.Now())
@@ -144,14 +149,14 @@ func TestManagedDiskResponsePenalty(t *testing.T) {
 	d := newHDD(e)
 	m := NewManagedDisk(e, d, simtime.Second)
 	var first, second simtime.Duration
-	e.Schedule(simtime.Time(5*simtime.Second), func() {
+	e.ScheduleEvent(simtime.Time(5*simtime.Second), handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 		issue := e.Now()
 		m.Submit(storage.Request{Op: storage.Read, Offset: 0, Size: 4096}, func(ft simtime.Time) { first = ft.Sub(issue) })
-	})
-	e.Schedule(simtime.Time(5*simtime.Second)+simtime.Time(7*simtime.Second), func() {
+	}), simtime.EventArg{})
+	e.ScheduleEvent(simtime.Time(5*simtime.Second)+simtime.Time(7*simtime.Second), handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 		issue := e.Now()
 		m.Submit(storage.Request{Op: storage.Read, Offset: 0, Size: 4096}, func(ft simtime.Time) { second = ft.Sub(issue) })
-	})
+	}), simtime.EventArg{})
 	e.Run()
 	// First arrival finds the disk asleep: pays ~6 s spin-up.
 	if first < 6*simtime.Second {
@@ -242,9 +247,9 @@ func TestMAIDSavesEnergyVersusAlwaysOnJBOD(t *testing.T) {
 		for i := 0; i < 140; i++ {
 			at := simtime.Time(i) * simtime.Time(2*simtime.Second)
 			off := rng.Int64N(8) * (64 << 10) // hot 512 KB set
-			e.Schedule(at, func() {
+			e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 				dev.Submit(storage.Request{Op: storage.Read, Offset: off, Size: 4096}, func(simtime.Time) {})
-			})
+			}), simtime.EventArg{})
 		}
 		e.RunUntil(simtime.Time(5 * simtime.Minute))
 	}

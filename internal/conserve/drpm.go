@@ -52,12 +52,6 @@ func NewDRPMDisk(engine *simtime.Engine, disk *disksim.HDD, levels []float64, st
 // Level reports the current policy level index (0 = full speed).
 func (d *DRPMDisk) Level() int { return d.level }
 
-// Levels exposes the declared speed-fraction table.
-func (d *DRPMDisk) Levels() []float64 { return d.levels }
-
-// Disk exposes the wrapped drive.
-func (d *DRPMDisk) Disk() *disksim.HDD { return d.disk }
-
 // AttachDecisions arms the policy's decision hooks: every RPM shift
 // (down-steps and the full-speed restore) is sequenced through ctl
 // under the "drpm" policy label and member index.

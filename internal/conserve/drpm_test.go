@@ -101,9 +101,9 @@ func TestDRPMRestoresSpeedUnderLoad(t *testing.T) {
 	d := NewDRPMDisk(e, hdd, DefaultDRPMLevels(), simtime.Second)
 	e.RunUntil(simtime.Time(10 * simtime.Second)) // idle to the floor
 	completed := false
-	e.Schedule(e.Now(), func() {
+	e.ScheduleEvent(e.Now(), handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 		d.Submit(storage.Request{Op: storage.Read, Offset: 0, Size: 4096}, func(simtime.Time) { completed = true })
-	})
+	}), simtime.EventArg{})
 	// Check right after the restoring shift completes (completion at
 	// ~10.02s, shift 0.6s) but before the next idle step-down fires at
 	// lastActivity+1s.
@@ -129,12 +129,12 @@ func TestDRPMNeverPaysSpinUpPenalty(t *testing.T) {
 	d := NewDRPMDisk(e, hdd, DefaultDRPMLevels(), simtime.Second)
 	e.RunUntil(simtime.Time(10 * simtime.Second))
 	var resp simtime.Duration
-	e.Schedule(e.Now(), func() {
+	e.ScheduleEvent(e.Now(), handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 		issue := e.Now()
 		d.Submit(storage.Request{Op: storage.Read, Offset: 1 << 30, Size: 4096}, func(ft simtime.Time) {
 			resp = ft.Sub(issue)
 		})
-	})
+	}), simtime.EventArg{})
 	e.Run()
 	if resp <= 0 || resp > simtime.Second {
 		t.Fatalf("low-speed response %v; DRPM must avoid spin-up-scale penalties", resp)
@@ -151,9 +151,9 @@ func TestDRPMSavesEnergyOnSparseWorkload(t *testing.T) {
 		}
 		for i := 0; i < 8; i++ {
 			at := simtime.Time(i) * simtime.Time(15*simtime.Second)
-			e.Schedule(at, func() {
+			e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 				dev.Submit(storage.Request{Op: storage.Read, Offset: 0, Size: 4096}, func(simtime.Time) {})
-			})
+			}), simtime.EventArg{})
 		}
 		e.RunUntil(simtime.Time(2 * simtime.Minute))
 		return hdd.Timeline().EnergyJ(0, e.Now())

@@ -49,9 +49,9 @@ func TestERAIDServesReadsWhileMemberRests(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		at := e.Now().Add(simtime.Duration(i) * simtime.Duration(200*simtime.Millisecond))
 		off := rng.Int64N(arr.Capacity()/4096-1) * 4096
-		e.Schedule(at, func() {
+		e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 			arr.Submit(storage.Request{Op: storage.Read, Offset: off, Size: 4096}, func(simtime.Time) { done++ })
-		})
+		}), simtime.EventArg{})
 	}
 	e.RunUntil(simtime.Time(20 * simtime.Second))
 	if done != 20 {
@@ -84,9 +84,9 @@ func TestERAIDWakesUnderHighLoad(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		at := e.Now().Add(simtime.Duration(i) * simtime.Duration(5*simtime.Millisecond))
 		off := rng.Int64N(arr.Capacity()/4096-1) * 4096
-		e.Schedule(at, func() {
+		e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 			arr.Submit(storage.Request{Op: storage.Read, Offset: off, Size: 4096}, func(simtime.Time) {})
-		})
+		}), simtime.EventArg{})
 	}
 	// Mid-burst the member must be awake and the array healthy again.
 	e.RunUntil(simtime.Time(15 * simtime.Second))

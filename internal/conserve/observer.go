@@ -118,11 +118,3 @@ func (c *Control) propose(d Decision) bool {
 	}
 	return approved
 }
-
-// Proposals reports how many decisions have been sequenced so far.
-func (c *Control) Proposals() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.seq
-}

@@ -279,26 +279,26 @@ func runPDCRanking(perDisk int64, reorg func(*PDC)) *pdcRun {
 		if rng.IntN(3) == 0 {
 			req.Op = storage.Write
 		}
-		e.Schedule(at, func() { r.d.Submit(req, func(simtime.Time) {}) })
+		e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) { r.d.Submit(req, func(simtime.Time) {}) }), simtime.EventArg{})
 		if i%1000 == 500 {
 			// A scan of 400 chunks within a second: more candidates than
 			// one pass may migrate.
 			for j := int64(0); j < 400; j++ {
 				req := storage.Request{Op: storage.Read, Offset: (1000 + 7*j) % capacity * chunkBytes, Size: 4096}
-				e.Schedule(at.Add(simtime.Duration(j)*2*simtime.Millisecond), func() { r.d.Submit(req, func(simtime.Time) {}) })
+				e.ScheduleEvent(at.Add(simtime.Duration(j)*2*simtime.Millisecond), handlerFunc(func(*simtime.Engine, simtime.EventArg) { r.d.Submit(req, func(simtime.Time) {}) }), simtime.EventArg{})
 			}
 		}
 	}
 	// Passes go on for a minute after the stream, while aging shrinks
 	// the counted set through every size.
 	for pass := simtime.Time(2 * simtime.Second); pass < at+simtime.Time(simtime.Minute); pass += simtime.Time(2 * simtime.Second) {
-		e.Schedule(pass, func() {
+		e.ScheduleEvent(pass, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 			r.passes++
 			if int64(len(r.d.counts)) > r.d.perDisk {
 				r.wide++
 			}
 			reorg(r.d)
-		})
+		}), simtime.EventArg{})
 	}
 	e.RunUntil(at + simtime.Time(2*simtime.Minute))
 	return r

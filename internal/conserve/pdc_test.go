@@ -46,9 +46,9 @@ func TestPDCConcentratesHotChunksOnFirstDisk(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		at := simtime.Time(i) * simtime.Time(20*simtime.Millisecond)
 		chunk := hot[rng.IntN(len(hot))]
-		e.Schedule(at, func() {
+		e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 			d.Submit(storage.Request{Op: storage.Read, Offset: chunk * chunkBytes, Size: 4096}, func(simtime.Time) {})
-		})
+		}), simtime.EventArg{})
 	}
 	e.RunUntil(simtime.Time(30 * simtime.Second))
 	if d.Stats().Reorgs == 0 || d.Stats().Migrations == 0 {
@@ -75,9 +75,9 @@ func TestPDCColdDisksSpinDown(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		at := simtime.Time(i) * simtime.Time(30*simtime.Millisecond)
 		chunk := int64(rng.IntN(12))
-		e.Schedule(at, func() {
+		e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 			d.Submit(storage.Request{Op: storage.Read, Offset: chunk * chunkBytes, Size: 4096}, func(simtime.Time) {})
-		})
+		}), simtime.EventArg{})
 	}
 	// Check mid-workload (requests continue to 60 s): the cold members
 	// must be asleep while the hot one is still serving.
@@ -105,9 +105,9 @@ func TestPDCEnergyBeatsPlainTPM(t *testing.T) {
 		for i := 0; i < 1200; i++ {
 			at := simtime.Time(i) * simtime.Time(100*simtime.Millisecond)
 			chunk := int64(rng.IntN(24))
-			e.Schedule(at, func() {
+			e.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 				dev.Submit(storage.Request{Op: storage.Read, Offset: chunk * (64 << 10), Size: 4096}, func(simtime.Time) {})
-			})
+			}), simtime.EventArg{})
 		}
 		e.RunUntil(simtime.Time(3 * simtime.Minute))
 	}

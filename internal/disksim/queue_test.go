@@ -9,6 +9,11 @@ import (
 	"repro/internal/storage"
 )
 
+// handlerFunc adapts a closure to simtime.Handler for test scheduling.
+type handlerFunc func(*simtime.Engine, simtime.EventArg)
+
+func (f handlerFunc) OnEvent(e *simtime.Engine, arg simtime.EventArg) { f(e, arg) }
+
 // TestDiskRequestPathAllocatesNothing: once warm, a request submitted
 // to an idle drive and drained costs no allocation, with one request
 // queued behind another so the queue's head advances every run.
@@ -158,8 +163,9 @@ func TestSchedulersMatchReference(t *testing.T) {
 					}
 				})
 			}
+			tick := handlerFunc(func(*simtime.Engine, simtime.EventArg) { submit() })
 			for i := range total / 3 {
-				e.Schedule(simtime.Time(i)*simtime.Time(3*simtime.Millisecond), submit)
+				e.ScheduleEvent(simtime.Time(i)*simtime.Time(3*simtime.Millisecond), tick, simtime.EventArg{})
 			}
 			e.Run()
 			if len(got) != submitted || submitted < total/2 {

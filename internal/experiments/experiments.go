@@ -192,19 +192,6 @@ func CollectModeTrace(cfg Config, kind ArrayKind, mode synth.Mode) (*blktrace.Tr
 	return collectTrace(cfg.normalize(), kind, mode)
 }
 
-// ModeSweep collects a peak trace for mode on a pristine array of the
-// given kind and measures it at every configured load level — the
-// building block of the paper's 125-trace x 10-load sweep (Section VI
-// step 1).
-func ModeSweep(cfg Config, kind ArrayKind, mode synth.Mode) ([]Measurement, error) {
-	cfg = cfg.normalize()
-	trace, err := collectTrace(cfg, kind, mode)
-	if err != nil {
-		return nil, err
-	}
-	return loadSweep(cfg, kind, trace)
-}
-
 // sizeLabel renders request sizes the way the paper's legends do.
 func sizeLabel(bytes int64) string {
 	switch {

@@ -87,7 +87,7 @@ func TestFig9EfficiencyLinearInLoad(t *testing.T) {
 		if !metrics.Monotone(eff, +1, 0.02) {
 			t.Fatalf("%s: efficiency not increasing with load: %v", s.Label, eff)
 		}
-		corr, err := metrics.Pearson(loads, eff)
+		corr, err := Pearson(loads, eff)
 		if err != nil || corr < 0.99 {
 			t.Fatalf("%s: efficiency-load correlation %.4f (%v), want ~linear", s.Label, corr, err)
 		}
@@ -159,13 +159,13 @@ func TestFig11ReadRatioShapes(t *testing.T) {
 	rand100 := effOf(r.Series[2]) // random 100%
 	// Sequential workloads dip for mixed read/write ratios: the curve
 	// must be U-shaped (paper VI-E).
-	if !metrics.UShaped(seq, 0.05) {
+	if !UShaped(seq, 0.05) {
 		t.Fatalf("random-0%% curve not U-shaped: %v", seq)
 	}
 	// Read ratio matters far more at random 0% than at random 100%
 	// (paper: "not very sensitive" at 50%/100%); compare dynamic range.
 	sens := func(eff []float64) float64 {
-		s := metrics.Summarize(eff)
+		s := Summarize(eff)
 		return s.Max / s.Min
 	}
 	if sens(seq) < 2*sens(rand100) {
@@ -210,7 +210,7 @@ func TestFig12ShapeSurvivesFiltering(t *testing.T) {
 	if n < 5 {
 		t.Fatalf("too few buckets: %d", n)
 	}
-	corr, err := metrics.Pearson(b20[:n], b100[:n])
+	corr, err := Pearson(b20[:n], b100[:n])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,19 @@ import (
 	"repro/internal/synth"
 )
 
+// ModeSweep collects a peak trace for mode on a pristine array of the
+// given kind and measures it at every configured load level — the
+// building block of the paper's 125-trace x 10-load sweep (Section VI
+// step 1).
+func ModeSweep(cfg Config, kind ArrayKind, mode synth.Mode) ([]Measurement, error) {
+	cfg = cfg.normalize()
+	trace, err := collectTrace(cfg, kind, mode)
+	if err != nil {
+		return nil, err
+	}
+	return loadSweep(cfg, kind, trace)
+}
+
 // parallelTestConfig is a scaled-down config for the determinism
 // regression tests: enough cells to keep several workers busy, short
 // enough to stay fast under -race.  Workers is explicit because
@@ -30,7 +43,7 @@ func TestModeSweepParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 4, 8} {
 		par, err := ModeSweep(parallelTestConfig(workers), HDDArray, mode)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

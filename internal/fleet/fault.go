@@ -68,20 +68,29 @@ func (ft *faultTask) OnEvent(e *simtime.Engine, _ simtime.EventArg) {
 	}
 }
 
-// validateFaults rejects out-of-range targets and duplicate arrays (a
+// validateFaults rejects a fault a run cannot honour before anything
+// is scheduled: an array or disk the fleet does not have, a negative
+// offset, a fault at or after span, the end of a stream that declares
+// its duration (span < 0 when it declares none), and two faults on one
+// array.  A fault past the stream would fire only in the final drain,
+// which runs the member on to the fault and its rebuild and so
+// stretches the run, diluting its rates, long after the last IO.  A
 // RAID5 member tolerates one failure; two faults on one array would
-// half-apply in time order, which is never what a scenario means).
-func validateFaults(faults []Fault, arrays int) error {
+// half-apply in time order, which is never what a scenario means.
+func validateFaults(faults []Fault, arrays, disks int, span simtime.Duration) error {
 	seen := make(map[int]bool)
 	for i, ft := range faults {
 		if ft.Array < 0 || ft.Array >= arrays {
 			return fmt.Errorf("fleet: fault #%d targets array %d of %d", i, ft.Array, arrays)
 		}
-		if ft.Disk < 0 {
-			return fmt.Errorf("fleet: fault #%d targets disk %d", i, ft.Disk)
+		if ft.Disk < 0 || ft.Disk >= disks {
+			return fmt.Errorf("fleet: fault #%d targets disk %d of %d", i, ft.Disk, disks)
 		}
 		if ft.At < 0 {
 			return fmt.Errorf("fleet: fault #%d at negative offset %v", i, ft.At)
+		}
+		if span >= 0 && ft.At >= span {
+			return fmt.Errorf("fleet: fault #%d at %v is not before the stream's end at %v", i, ft.At, span)
 		}
 		if seen[ft.Array] {
 			return fmt.Errorf("fleet: two faults target array %d; RAID5 tolerates one failure", ft.Array)

@@ -221,9 +221,6 @@ func New(cfg experiments.Config, kind experiments.ArrayKind, arrays, workers int
 // Size reports the number of member arrays.
 func (f *Fleet) Size() int { return len(f.members) }
 
-// Workers reports the worker-goroutine count.
-func (f *Fleet) Workers() int { return len(f.workers) }
-
 // Capacity reports the smallest member array's usable capacity — the
 // address bound a stream must respect on every member.
 func (f *Fleet) Capacity() int64 { return f.minCap }
@@ -364,7 +361,12 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("fleet: member clocks disagree (%v vs %v)", m.engine.Now(), start)
 		}
 	}
-	if err := validateFaults(opts.Faults, n); err != nil {
+	span := simtime.Duration(-1) // the stream declares no end
+	if d, ok := stream.(interface{ Duration() simtime.Duration }); ok {
+		span = d.Duration()
+	}
+	// Members share one kind, so member 0's disk count holds for all.
+	if err := validateFaults(opts.Faults, n, len(f.members[0].array.Disks()), span); err != nil {
 		return nil, err
 	}
 	// Fault events ride the target member's own engine: they fire
@@ -568,10 +570,8 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			end = m.engine.Now()
 		}
 	}
-	if d, okd := stream.(interface{ Duration() simtime.Duration }); okd {
-		if e := start.Add(d.Duration()); e > end {
-			end = e
-		}
+	if span >= 0 && start.Add(span) > end {
+		end = start.Add(span)
 	}
 	for _, m := range f.members {
 		m.engine.RunUntil(end)

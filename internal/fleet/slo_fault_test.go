@@ -99,7 +99,7 @@ func TestFaultsFromMTBFDeterministic(t *testing.T) {
 	if bytes.Equal(aj, cj) {
 		t.Fatal("different seeds drew identical scenarios")
 	}
-	if err := validateFaults(a, 64); err != nil {
+	if err := validateFaults(a, 64, 6, 2*simtime.Second); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(a); i++ {
@@ -110,20 +110,65 @@ func TestFaultsFromMTBFDeterministic(t *testing.T) {
 }
 
 func TestValidateFaults(t *testing.T) {
+	const span = 2 * simtime.Second
 	cases := [][]Fault{
 		{{Array: 9}},                      // out of range
 		{{Array: -1}},                     // negative
 		{{Array: 0, Disk: -1}},            // bad disk
 		{{Array: 0, At: -simtime.Second}}, // negative time
 		{{Array: 1}, {Array: 1, Disk: 2}}, // duplicate array
+		{{Array: 0, Disk: 6}},             // past the last disk
+		{{Array: 2, Disk: 99}},            // no such disk
+		{{Array: 0, At: span}},            // at the stream's end
+		{{Array: 0, At: 10 * span}},       // after it
+		{{Array: 0, At: 300000 * simtime.Hour}},
 	}
 	for i, fs := range cases {
-		if err := validateFaults(fs, 4); err == nil {
+		if err := validateFaults(fs, 4, 6, span); err == nil {
 			t.Errorf("case %d accepted: %+v", i, fs)
 		}
 	}
-	if err := validateFaults([]Fault{{Array: 0}, {Array: 3, At: simtime.Second}}, 4); err != nil {
+	valid := []Fault{{Array: 0}, {Array: 3, At: simtime.Second, Disk: 5}, {Array: 1, At: span - 1}}
+	if err := validateFaults(valid, 4, 6, span); err != nil {
 		t.Errorf("valid faults rejected: %v", err)
+	}
+	// A stream that declares no end bounds no fault time, and one that
+	// ends where it starts admits none.
+	if err := validateFaults([]Fault{{Array: 0, At: 300000 * simtime.Hour}}, 4, 6, -1); err != nil {
+		t.Errorf("fault on an unbounded stream rejected: %v", err)
+	}
+	if err := validateFaults([]Fault{{Array: 0}}, 4, 6, 0); err == nil {
+		t.Error("fault on a zero-length stream accepted")
+	}
+}
+
+// TestRunRejectsFaultsBeforeScheduling: a fault past the stream or on a
+// missing disk fails the run with a labelled error, and leaves the
+// fleet untouched.
+func TestRunRejectsFaultsBeforeScheduling(t *testing.T) {
+	f, err := New(experiments.DefaultConfig(), experiments.HDDArray, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultSynth()
+	p.Duration = 200 * simtime.Millisecond
+	for _, c := range []struct {
+		fault Fault
+		want  string
+	}{
+		{Fault{Array: 0, At: 10 * simtime.Second}, "fleet: fault #0 at 10s is not before the stream's end at 200ms"},
+		{Fault{Array: 0, At: 300000 * simtime.Hour}, "fleet: fault #0 at 300000h0m0s is not before the stream's end at 200ms"},
+		{Fault{Array: 0, At: 100 * simtime.Millisecond, Disk: 99}, "fleet: fault #0 targets disk 99 of 6"},
+	} {
+		_, err := f.Run(NewSynthStream(p), Options{Faults: []Fault{c.fault}})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("fault %+v: err %v, want %q", c.fault, err, c.want)
+		}
+	}
+	for i, e := range f.Engines() {
+		if e.Pending() != 0 || e.Now() != 0 {
+			t.Errorf("member %d: %d pending at %v after rejected runs", i, e.Pending(), e.Now())
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // IOPSPerWatt is the paper's first energy-efficiency metric: I/O
@@ -88,50 +87,6 @@ func (e Efficiency) String() string {
 		e.IOPS, e.MBPS, e.MeanWatts, e.IOPSPerWatt, e.MBPSPerKW)
 }
 
-// Summary holds order statistics of a sample set.
-type Summary struct {
-	N                   int
-	Mean, Std, Min, Max float64
-	Median              float64
-}
-
-// Summarize computes summary statistics; it returns the zero Summary
-// for an empty input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
-
 // NearestRank returns the nearest-rank q-quantile of s: the element
 // of 1-based rank int(q·n+0.5), clamped to [1, n], in the ascending
 // order cmp defines.  It selects instead of sorting: s is partially
@@ -199,31 +154,6 @@ func NearestRank[S ~[]E, E any](s S, q float64, cmp func(a, b E) int) E {
 	return s[k]
 }
 
-// Pearson computes the linear correlation coefficient of two equal-
-// length series; the paper's headline observation is that efficiency is
-// linearly proportional to load, which experiments assert via r ≈ 1.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("metrics: length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("metrics: need >= 2 points, got %d", len(xs))
-	}
-	mx := Summarize(xs).Mean
-	my := Summarize(ys).Mean
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, fmt.Errorf("metrics: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
 // Monotone reports whether the series is non-decreasing (dir > 0) or
 // non-increasing (dir < 0) within a relative tolerance.  Experiment
 // assertions use it to check trend shapes against the paper.
@@ -239,21 +169,4 @@ func Monotone(xs []float64, dir int, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// UShaped reports whether the series dips in the middle relative to its
-// endpoints by at least frac (relative), the shape Fig. 11 shows for
-// read-ratio sweeps at low random ratios.
-func UShaped(xs []float64, frac float64) bool {
-	if len(xs) < 3 {
-		return false
-	}
-	ends := math.Min(xs[0], xs[len(xs)-1])
-	mid := xs[0]
-	for _, x := range xs[1 : len(xs)-1] {
-		if x < mid {
-			mid = x
-		}
-	}
-	return mid < ends*(1-frac)
 }

@@ -52,50 +52,6 @@ func TestNewEfficiency(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("Std = %v", s.Std)
-	}
-	even := Summarize([]float64{4, 1, 3, 2})
-	if even.Median != 2.5 {
-		t.Fatalf("even median = %v", even.Median)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty summary = %+v", z)
-	}
-	one := Summarize([]float64{7})
-	if one.Std != 0 || one.Median != 7 {
-		t.Fatalf("singleton summary = %+v", one)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("perfect line r = %v (%v)", r, err)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(xs, neg)
-	if err != nil || math.Abs(r+1) > 1e-12 {
-		t.Fatalf("perfect anti-line r = %v (%v)", r, err)
-	}
-	if _, err := Pearson(xs, ys[:3]); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Pearson([]float64{1}, []float64{2}); err == nil {
-		t.Fatal("single point accepted")
-	}
-	if _, err := Pearson([]float64{3, 3, 3}, ys[:3]); err == nil {
-		t.Fatal("zero variance accepted")
-	}
-}
-
 func TestMonotone(t *testing.T) {
 	up := []float64{1, 2, 3, 3.01, 4}
 	if !Monotone(up, +1, 0.01) {
@@ -113,18 +69,6 @@ func TestMonotone(t *testing.T) {
 	}
 }
 
-func TestUShaped(t *testing.T) {
-	if !UShaped([]float64{10, 6, 5, 6.5, 9.5}, 0.2) {
-		t.Fatal("clear U rejected")
-	}
-	if UShaped([]float64{5, 5.1, 5.2, 5.1, 5}, 0.2) {
-		t.Fatal("flat series accepted as U")
-	}
-	if UShaped([]float64{1, 2}, 0.1) {
-		t.Fatal("too-short series accepted")
-	}
-}
-
 // Property: Accuracy(LP(a, a*p), p) == 1 for any positive throughput
 // and proportion — the identities compose.
 func TestPropertyAccuracyIdentity(t *testing.T) {
@@ -133,27 +77,6 @@ func TestPropertyAccuracyIdentity(t *testing.T) {
 		p := (float64(pRaw%100) + 1) / 100
 		lp := LoadProportion(total, total*p)
 		return math.Abs(Accuracy(lp, p)-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Summarize bounds: Min <= Median <= Max and Min <= Mean <= Max.
-func TestPropertySummaryBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			// Bound magnitudes so the sum cannot overflow to +/-Inf.
-			if !math.IsNaN(x) && math.Abs(x) < 1e100 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := Summarize(clean)
-		return s.Min <= s.Median && s.Median <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -70,9 +70,6 @@ func NewConn(c net.Conn) *Conn { return &Conn{raw: c} }
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
 
-// RemoteAddr reports the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
-
 // Send marshals body into an envelope of the given type and writes it.
 func (c *Conn) Send(typ string, seq uint64, body any) error {
 	var raw json.RawMessage

@@ -177,7 +177,7 @@ func FuzzMeterMatchesMeanWatts(f *testing.F) {
 		clock := simtime.Time(0)
 		for _, c := range calls {
 			clock = max(clock, c.t-simtime.Time(lead))
-			e.Schedule(clock, func() { online.Set(c.t, c.w) })
+			e.ScheduleEvent(clock, handlerFunc(func(*simtime.Engine, simtime.EventArg) { online.Set(c.t, c.w) }), simtime.EventArg{})
 		}
 		e.Run()
 		if err := sameSamples(ticker.Samples(), m.Measure(0, until)); err != nil {

@@ -192,11 +192,6 @@ func (tl *Timeline) seal() {
 	tl.sealed = append(tl.sealed, c)
 }
 
-// Add records a relative change of dw watts at time t.
-func (tl *Timeline) Add(t simtime.Time, dw float64) {
-	tl.Set(t, tl.last.w+dw) // last is the current draw; zero when empty
-}
-
 // chunkAt returns chunk k, counting the current chunk last, and its
 // palette.
 func (tl *Timeline) chunkAt(k int) (*chunk, *palette) {

@@ -12,6 +12,11 @@ import (
 	"repro/internal/simtime"
 )
 
+// handlerFunc adapts a closure to simtime.Handler for test scheduling.
+type handlerFunc func(*simtime.Engine, simtime.EventArg)
+
+func (f handlerFunc) OnEvent(e *simtime.Engine, arg simtime.EventArg) { f(e, arg) }
+
 const sec = simtime.Second
 
 func TestTimelineBase(t *testing.T) {
@@ -83,10 +88,15 @@ func TestTimelineSetPastPanics(t *testing.T) {
 	tl.Set(simtime.Time(sec), 7)
 }
 
+// A relative change is a Set of the draw in force plus the change.
 func TestTimelineAdd(t *testing.T) {
 	tl := NewTimeline(8)
-	tl.Add(simtime.Time(sec), 3.5)
-	tl.Add(simtime.Time(2*sec), -3.5)
+	for _, c := range []struct {
+		at simtime.Time
+		dw float64
+	}{{simtime.Time(sec), 3.5}, {simtime.Time(2 * sec), -3.5}} {
+		tl.Set(c.at, tl.At(c.at)+c.dw)
+	}
 	if got := tl.At(simtime.Time(sec + sec/2)); got != 11.5 {
 		t.Fatalf("At(1.5s) = %v, want 11.5", got)
 	}
@@ -605,10 +615,10 @@ func TestTickerMatchesMeasure(t *testing.T) {
 	// work, and mutate the timeline mid-run as a device model would.
 	for i := 1; i <= 10; i++ {
 		at := simtime.Time(simtime.Duration(i) * sec)
-		engine.Schedule(at, func() {})
+		engine.ScheduleEvent(at, handlerFunc(func(*simtime.Engine, simtime.EventArg) {}), simtime.EventArg{})
 	}
-	engine.Schedule(simtime.Time(3*sec+sec/4), func() { tl.Set(engine.Now(), 140) })
-	engine.Schedule(simtime.Time(7*sec), func() { tl.Set(engine.Now(), 60) })
+	engine.ScheduleEvent(simtime.Time(3*sec+sec/4), handlerFunc(func(*simtime.Engine, simtime.EventArg) { tl.Set(engine.Now(), 140) }), simtime.EventArg{})
+	engine.ScheduleEvent(simtime.Time(7*sec), handlerFunc(func(*simtime.Engine, simtime.EventArg) { tl.Set(engine.Now(), 60) }), simtime.EventArg{})
 	engine.Run()
 
 	got := ticker.Samples()
@@ -628,7 +638,7 @@ func TestTickerMatchesMeasure(t *testing.T) {
 
 func TestTickerStartsAtCurrentTime(t *testing.T) {
 	engine := simtime.NewEngine()
-	engine.Schedule(simtime.Time(2*sec), func() {})
+	engine.ScheduleEvent(simtime.Time(2*sec), handlerFunc(func(*simtime.Engine, simtime.EventArg) {}), simtime.EventArg{})
 	engine.Run() // advance clock to 2s
 	tl := NewTimeline(50)
 	m := &Meter{Source: tl, Cycle: sec, SupplyVolts: 220}

@@ -384,7 +384,7 @@ func (d *flakyDisk) Submit(req storage.Request, done func(simtime.Time)) {
 	case d.dup:
 		d.fakeDisk.Submit(req, done)
 		now := d.engine.Now()
-		d.engine.Schedule(now, func() { done(now) })
+		d.engine.ScheduleEvent(now, handlerFunc(func(*simtime.Engine, simtime.EventArg) { done(now) }), simtime.EventArg{})
 	}
 }
 

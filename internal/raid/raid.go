@@ -314,9 +314,6 @@ func (a *Array) Stats() Stats { return a.stats }
 // every miss fill, bypass and writeback must have reached the array.
 func (a *Array) FrontServed() int64 { return a.stats.Reads + a.stats.Writes }
 
-// Params returns the array configuration.
-func (a *Array) Params() Params { return a.params }
-
 // PowerSource returns the wall-power source for this array: disks plus
 // chassis behind the PSU.  Feed it to a powersim.Meter.
 func (a *Array) PowerSource() powersim.Source {

@@ -11,6 +11,11 @@ import (
 	"repro/internal/storage"
 )
 
+// handlerFunc adapts a closure to simtime.Handler for test scheduling.
+type handlerFunc func(*simtime.Engine, simtime.EventArg)
+
+func (f handlerFunc) OnEvent(e *simtime.Engine, arg simtime.EventArg) { f(e, arg) }
+
 // fakeDisk records member-disk traffic and completes instantly; it lets
 // controller tests assert exact op counts without device physics.
 type fakeDisk struct {
@@ -27,7 +32,7 @@ func newFakeDisk(e *simtime.Engine, capacity int64) *fakeDisk {
 func (f *fakeDisk) Submit(req storage.Request, done func(simtime.Time)) {
 	f.reqs = append(f.reqs, req)
 	now := f.engine.Now()
-	f.engine.Schedule(now, func() { done(now) })
+	f.engine.ScheduleEvent(now, handlerFunc(func(*simtime.Engine, simtime.EventArg) { done(now) }), simtime.EventArg{})
 }
 
 func (f *fakeDisk) Capacity() int64              { return f.capacity }

@@ -14,6 +14,11 @@ import (
 	"repro/internal/synth"
 )
 
+// handlerFunc adapts a closure to simtime.Handler for test scheduling.
+type handlerFunc func(*simtime.Engine, simtime.EventArg)
+
+func (f handlerFunc) OnEvent(e *simtime.Engine, arg simtime.EventArg) { f(e, arg) }
+
 // fixedLatencyDevice completes every request after a constant delay.
 type fixedLatencyDevice struct {
 	engine  *simtime.Engine
@@ -22,10 +27,57 @@ type fixedLatencyDevice struct {
 
 func (d *fixedLatencyDevice) Submit(req storage.Request, done func(simtime.Time)) {
 	finish := d.engine.Now().Add(d.latency)
-	d.engine.Schedule(finish, func() { done(finish) })
+	d.engine.ScheduleEvent(finish, handlerFunc(func(*simtime.Engine, simtime.EventArg) { done(finish) }), simtime.EventArg{})
 }
 
 func (d *fixedLatencyDevice) Capacity() int64 { return 1 << 40 }
+
+// Counter wraps a device and counts submissions, completions and bytes
+// moved, so a test can check what a replay issued.
+type Counter struct {
+	Dev                     storage.Device
+	Submitted, Completed    int64
+	BytesRead, BytesWritten int64
+}
+
+// Submit implements storage.Device.
+func (c *Counter) Submit(req storage.Request, done func(simtime.Time)) {
+	c.Submitted++
+	switch req.Op {
+	case storage.Read:
+		c.BytesRead += req.Size
+	case storage.Write:
+		c.BytesWritten += req.Size
+	}
+	c.Dev.Submit(req, func(t simtime.Time) {
+		c.Completed++
+		done(t)
+	})
+}
+
+// Capacity implements storage.Device.
+func (c *Counter) Capacity() int64 { return c.Dev.Capacity() }
+
+// instantDevice completes immediately; used to exercise Counter.
+type instantDevice struct{}
+
+func (instantDevice) Submit(req storage.Request, done func(simtime.Time)) { done(0) }
+func (instantDevice) Capacity() int64                                     { return 1 << 20 }
+
+func TestCounter(t *testing.T) {
+	c := &Counter{Dev: instantDevice{}}
+	c.Submit(storage.Request{Op: storage.Read, Offset: 0, Size: 4096}, func(simtime.Time) {})
+	c.Submit(storage.Request{Op: storage.Write, Offset: 0, Size: 512}, func(simtime.Time) {})
+	if c.Submitted != 2 || c.Completed != 2 {
+		t.Fatalf("counts: %+v", c)
+	}
+	if c.BytesRead != 4096 || c.BytesWritten != 512 {
+		t.Fatalf("bytes: %+v", c)
+	}
+	if c.Capacity() != 1<<20 {
+		t.Fatalf("capacity = %d", c.Capacity())
+	}
+}
 
 func TestReplayIssuesEverything(t *testing.T) {
 	e := simtime.NewEngine()
@@ -140,7 +192,7 @@ func TestReplayRejectsPackageLargerThanDevice(t *testing.T) {
 	for name, replay := range modes {
 		for _, size := range []int64{capacity + 1, 1 << 62} {
 			e := simtime.NewEngine()
-			dev := &storage.Counter{Dev: &smallDevice{fixedLatencyDevice{e, simtime.Millisecond}, capacity}}
+			dev := &Counter{Dev: &smallDevice{fixedLatencyDevice{e, simtime.Millisecond}, capacity}}
 			tr := makeTrace(3)
 			tr.Bunches[1].Packages[0].Size = size
 			_, err := replay(e, dev, tr)
@@ -187,7 +239,7 @@ func TestReplayRejectsBunchPastHorizon(t *testing.T) {
 	}
 	for name, replay := range modes {
 		e := simtime.NewEngine()
-		dev := &storage.Counter{Dev: &fixedLatencyDevice{e, simtime.Millisecond}}
+		dev := &Counter{Dev: &fixedLatencyDevice{e, simtime.Millisecond}}
 		_, err := replay(e, dev, farTrace(9223372036854775000))
 		const want = "replay: bunch 0 at 2562047h47m16.854775s lies past the simulation horizon"
 		if err == nil || !strings.Contains(err.Error(), want) {
@@ -280,10 +332,10 @@ type doubleDevice struct{ fixedLatencyDevice }
 
 func (d *doubleDevice) Submit(req storage.Request, done func(simtime.Time)) {
 	finish := d.engine.Now().Add(d.latency)
-	d.engine.Schedule(finish, func() {
+	d.engine.ScheduleEvent(finish, handlerFunc(func(*simtime.Engine, simtime.EventArg) {
 		done(finish)
 		done(finish)
-	})
+	}), simtime.EventArg{})
 }
 
 // TestReplayPanicsOnDoubleCompletion: a recycled in-flight record that

@@ -13,14 +13,14 @@
 // key's slot indexes a slab of 32-byte {Handler, EventArg} payloads
 // that recycle through a LIFO free list, so sift moves copy no pointer
 // and take no write barrier, and the collector never scans the heap.
-// Callbacks are scheduled in four forms:
+// Callbacks are scheduled in three forms, none of which takes a
+// closure:
 //
-//   - Schedule(at, func()) — the legacy closure form, kept as a thin
-//     compatibility wrapper.  Each call typically allocates the closure.
-//   - ScheduleEvent(at, Handler, EventArg) — the closure-free form hot
-//     device models use.  The handler is a prebound object (usually the
-//     device itself) and the argument is a small value struct, so
-//     steady-state scheduling performs zero heap allocations.
+//   - ScheduleEvent(at, Handler, EventArg) — one event; AfterEvent
+//     takes a delay from Now instead.  The handler is a prebound object
+//     (usually the device itself) and the argument is a small value
+//     struct, so steady-state scheduling performs zero heap
+//     allocations.
 //   - ScheduleSeries(n, at, Handler) — n time-ordered events for one
 //     handler (a trace's bunches) that occupy a single heap slot.
 //   - NewTimer(Handler, EventArg) — a re-armable deadline (an idle
@@ -97,8 +97,7 @@ type Handler interface {
 	OnEvent(e *Engine, arg EventArg)
 }
 
-// EventArg is the per-event payload of the closure-free scheduling path,
-// a 16-byte value with no pointers:
+// EventArg is the per-event payload, a 16-byte value with no pointers:
 //
 //   - Kind discriminates event types when one handler serves several
 //     (spin-up complete vs. service complete, say).
@@ -135,15 +134,8 @@ type payload struct {
 	arg EventArg
 }
 
-// funcHandler adapts the legacy closure API onto the handler path.  A
-// func value is pointer-shaped, so converting it to a Handler does not
-// allocate beyond the closure the caller already created.
-type funcHandler func()
-
-func (f funcHandler) OnEvent(*Engine, EventArg) { f() }
-
 // Engine is a discrete-event simulation executive.  The zero value is
-// ready to use; Schedule events and call Run.
+// ready to use; schedule events and call Run.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -176,7 +168,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) MaxHeapDepth() int { return e.maxHeap }
 
 // ScheduleEvent registers h to run at virtual time at with the given
-// argument.  This is the closure-free path: the event's key lives by
+// argument.  The event's key lives by
 // value in the heap slice and its payload in a recycled slab slot, so
 // scheduling allocates nothing once both have warmed up.  Scheduling
 // in the past (at < Now) panics: it indicates a bug in a device model,
@@ -338,21 +330,6 @@ func (e *Engine) AfterEvent(d Duration, h Handler, arg EventArg) {
 		panic(fmt.Sprintf("simtime: negative delay %v", d))
 	}
 	e.ScheduleEvent(e.now.Add(d), h, arg)
-}
-
-// Schedule registers fn to run at virtual time at.  It is the legacy
-// closure form, kept as a compatibility wrapper over ScheduleEvent; hot
-// paths should prebind a Handler instead.
-func (e *Engine) Schedule(at Time, fn func()) {
-	e.ScheduleEvent(at, funcHandler(fn), EventArg{})
-}
-
-// After registers fn to run d after the current virtual time.
-func (e *Engine) After(d Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("simtime: negative delay %v", d))
-	}
-	e.Schedule(e.now.Add(d), fn)
 }
 
 // siftUp restores the heap invariant after appending at index i, moving

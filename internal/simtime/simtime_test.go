@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func TestZeroEngineUsable(t *testing.T) {
 	var e Engine
 	ran := false
-	e.Schedule(5, func() { ran = true })
+	e.ScheduleEvent(5, handlerFunc(func(*Engine, EventArg) { ran = true }), EventArg{})
 	e.Run()
 	if !ran {
 		t.Fatal("scheduled event did not run")
@@ -25,9 +26,9 @@ func TestEventsRunInTimestampOrder(t *testing.T) {
 	e := NewEngine()
 	var order []Time
 	times := []Time{50, 10, 30, 20, 40, 10}
+	h := handlerFunc(func(_ *Engine, arg EventArg) { order = append(order, Time(arg.I64)) })
 	for _, at := range times {
-		at := at
-		e.Schedule(at, func() { order = append(order, at) })
+		e.ScheduleEvent(at, h, EventArg{I64: int64(at)})
 	}
 	e.Run()
 	if !sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] }) {
@@ -40,15 +41,14 @@ func TestEventsRunInTimestampOrder(t *testing.T) {
 
 func TestFIFOTieBreak(t *testing.T) {
 	e := NewEngine()
-	var order []int
+	r := &recorder{}
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(100, func() { order = append(order, i) })
+		e.ScheduleEvent(100, r, EventArg{I64: int64(i)})
 	}
 	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("equal-timestamp events not FIFO: %v", order)
+	for i, v := range r.args {
+		if v != int64(i) {
+			t.Fatalf("equal-timestamp events not FIFO: %v", r.args)
 		}
 	}
 }
@@ -80,70 +80,30 @@ func TestScheduleEventOrderAndArgs(t *testing.T) {
 	}
 }
 
-// sharedLog lets closure and closure-free events append to one slice,
-// so their interleaving is observable.
-type sharedLog struct{ got []int64 }
-
-func (l *sharedLog) OnEvent(_ *Engine, arg EventArg) { l.got = append(l.got, arg.I64) }
-
-func TestMixedClosureAndEventFIFO(t *testing.T) {
-	// Closure and closure-free events at the same timestamp interleave
-	// in scheduling order: the seq tie-break ignores the callback form.
-	e := NewEngine()
-	l := &sharedLog{}
-	for i := 0; i < 8; i++ {
-		i := int64(i)
-		if i%2 == 0 {
-			e.Schedule(100, func() { l.got = append(l.got, i) })
-		} else {
-			e.ScheduleEvent(100, l, EventArg{I64: i})
-		}
-	}
-	e.Run()
-	if len(l.got) != 8 {
-		t.Fatalf("ran %d events, want 8", len(l.got))
-	}
-	for i, v := range l.got {
-		if v != int64(i) {
-			t.Fatalf("mixed-form FIFO broken: %v", l.got)
-		}
-	}
-}
-
 func TestSchedulingFromWithinEvent(t *testing.T) {
 	e := NewEngine()
-	var got []Time
-	e.Schedule(10, func() {
-		got = append(got, e.Now())
-		e.After(5, func() { got = append(got, e.Now()) })
-	})
+	r := &recorder{}
+	e.ScheduleEvent(10, handlerFunc(func(e *Engine, arg EventArg) {
+		r.OnEvent(e, arg)
+		e.AfterEvent(5, r, EventArg{})
+	}), EventArg{})
 	e.Run()
 	want := []Time{10, 15}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	if got := r.times; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleEvent(10, nopHandler{}, EventArg{})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(5, func() {})
-}
-
-func TestNegativeAfterPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative After did not panic")
-		}
-	}()
-	e.After(-1, func() {})
+	e.ScheduleEvent(5, nopHandler{}, EventArg{})
 }
 
 func TestNegativeAfterEventPanics(t *testing.T) {
@@ -158,13 +118,12 @@ func TestNegativeAfterEventPanics(t *testing.T) {
 
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
-	var ran []Time
+	r := &recorder{}
 	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.Schedule(at, func() { ran = append(ran, at) })
+		e.ScheduleEvent(at, r, EventArg{})
 	}
 	e.RunUntil(25)
-	if len(ran) != 2 {
+	if ran := r.times; len(ran) != 2 {
 		t.Fatalf("ran %d events by t=25, want 2 (%v)", len(ran), ran)
 	}
 	if e.Now() != 25 {
@@ -174,14 +133,14 @@ func TestRunUntil(t *testing.T) {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
 	e.RunUntil(100)
-	if len(ran) != 4 || e.Now() != 100 {
+	if ran := r.times; len(ran) != 4 || e.Now() != 100 {
 		t.Fatalf("after final RunUntil: ran=%v now=%v", ran, e.Now())
 	}
 }
 
 func TestRunUntilDoesNotRewindClock(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(50, func() {})
+	e.ScheduleEvent(50, nopHandler{}, EventArg{})
 	e.Run()
 	e.RunUntil(10) // deadline earlier than now: clock must not go back
 	if e.Now() != 50 {
@@ -198,13 +157,13 @@ func TestRunUntilReentrantDeadlineScheduling(t *testing.T) {
 	e := NewEngine()
 	const deadline = Time(100)
 	var ran []string
-	e.Schedule(deadline, func() {
+	e.ScheduleEvent(deadline, handlerFunc(func(e *Engine, _ EventArg) {
 		ran = append(ran, "outer")
-		e.Schedule(deadline, func() {
+		e.ScheduleEvent(deadline, handlerFunc(func(e *Engine, _ EventArg) {
 			ran = append(ran, "inner")
-			e.Schedule(deadline, func() { ran = append(ran, "innermost") })
-		})
-	})
+			e.ScheduleEvent(deadline, handlerFunc(func(*Engine, EventArg) { ran = append(ran, "innermost") }), EventArg{})
+		}), EventArg{})
+	}), EventArg{})
 	e.RunUntil(deadline)
 	want := []string{"outer", "inner", "innermost"}
 	if len(ran) != len(want) {
@@ -275,7 +234,7 @@ func TestScheduleSeriesDecreasingTimePanics(t *testing.T) {
 
 func TestScheduleSeriesInThePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleEvent(10, nopHandler{}, EventArg{})
 	e.Run()
 	defer func() {
 		if recover() == nil {
@@ -291,13 +250,13 @@ func TestPropertyClockMonotone(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 42))
 		e := NewEngine()
-		var observed []Time
+		r := &recorder{}
 		count := int(n%64) + 1
 		for i := 0; i < count; i++ {
-			at := Time(rng.Int64N(1000))
-			e.Schedule(at, func() { observed = append(observed, e.Now()) })
+			e.ScheduleEvent(Time(rng.Int64N(1000)), r, EventArg{})
 		}
 		e.Run()
+		observed := r.times
 		if len(observed) != count {
 			return false
 		}
@@ -313,7 +272,7 @@ func TestPropertyClockMonotone(t *testing.T) {
 	}
 }
 
-// Property: random interleavings of Schedule/ScheduleEvent/
+// Property: random interleavings of ScheduleEvent/AfterEvent/
 // ScheduleSeries/Step drain in exact (at, seq) order, checked against a
 // reference stable sort of everything scheduled.  A series enters the
 // reference as that many ScheduleEvent calls made at the ScheduleSeries
@@ -371,8 +330,7 @@ func TestPropertyDrainsInAtSeqOrder(t *testing.T) {
 					schedule(at)
 				} else {
 					scheduled = append(scheduled, stamped{at: at, seq: seq})
-					s := seq
-					e.Schedule(at, func() { r.OnEvent(e, EventArg{I64: s}) })
+					e.AfterEvent(at.Sub(e.Now()), r, EventArg{I64: seq})
 					seq++
 				}
 			}
@@ -395,45 +353,131 @@ func TestPropertyDrainsInAtSeqOrder(t *testing.T) {
 	}
 }
 
-// Differential: the rewritten kernel executes random schedules in
-// exactly the order the frozen container/heap baseline does, including
-// re-entrant scheduling from inside events.  This is the kernel-level
-// form of the "experiment outputs are byte-identical" guarantee.
-func TestEngineMatchesBaseline(t *testing.T) {
-	run := func(schedule func(at Time, fn func()), now func() Time, drain func()) []Time {
-		rng := rand.New(rand.NewPCG(11, 13))
-		var observed []Time
-		var rec func(depth int) func()
-		rec = func(depth int) func() {
-			return func() {
-				observed = append(observed, now())
-				if depth < 2 {
-					schedule(now()+Time(rng.Int64N(50)), rec(depth+1))
-				}
-			}
-		}
-		for i := 0; i < 500; i++ {
-			schedule(Time(rng.Int64N(10_000)), rec(0))
-		}
-		drain()
-		return observed
-	}
+// fired is one dispatched event of a differential run: the node it ran
+// and its time.
+type fired struct {
+	id int64
+	at Time
+}
+
+// schedShape is one random schedule for the differential test.  It
+// schedules its roots through sched and returns what an event does
+// when it fires, which may schedule more events through sched; now
+// reads the kernel's clock.
+type schedShape func(sched func(at Time, id int64), now func() Time) (fire func(id int64))
+
+// onEngine runs shape on the production engine through ScheduleEvent.
+func onEngine(shape schedShape) ([]fired, Time) {
 	e := NewEngine()
+	var log []fired
+	var fire func(int64)
+	h := handlerFunc(func(e *Engine, arg EventArg) {
+		log = append(log, fired{arg.I64, e.Now()})
+		fire(arg.I64)
+	})
+	fire = shape(func(at Time, id int64) { e.ScheduleEvent(at, h, EventArg{I64: id}) }, e.Now)
+	e.Run()
+	return log, e.Now()
+}
+
+// onBaseline runs shape on the frozen container/heap kernel.
+func onBaseline(shape schedShape) ([]fired, Time) {
 	b := NewBaselineEngine()
-	got := run(e.Schedule, e.Now, e.Run)
-	want := run(b.Schedule, b.Now, b.Run)
-	if len(got) != len(want) {
-		t.Fatalf("ran %d events, baseline ran %d", len(got), len(want))
+	var log []fired
+	var fire func(int64)
+	fire = shape(func(at Time, id int64) {
+		b.Schedule(at, func() {
+			log = append(log, fired{id, b.Now()})
+			fire(id)
+		})
+	}, b.Now)
+	b.Run()
+	return log, b.Now()
+}
+
+// reentrantChains schedules 500 random roots, each of which schedules a
+// successor a random delay later, two levels deep; an event's id is its
+// depth.
+func reentrantChains(sched func(Time, int64), now func() Time) func(int64) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	for i := 0; i < 500; i++ {
+		sched(Time(rng.Int64N(10_000)), 0)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dispatch %d at %v, baseline at %v", i, got[i], want[i])
+	return func(depth int64) {
+		if depth < 2 {
+			sched(now()+Time(rng.Int64N(50)), depth+1)
 		}
 	}
 }
 
-// The closure-free path must not allocate once the heap slice has grown
-// to its working size.
+// tieForest builds a seeded forest of n nodes, each firing its parent's
+// time plus a delta and then scheduling its children.  Half the deltas
+// fall on four hot values, so (at, seq) ties are common.
+func tieForest(seed uint64, n int) schedShape {
+	rng := rand.New(rand.NewPCG(seed, 0xd1ff))
+	delta := make([]Duration, n)
+	children := make([][]int64, n)
+	var roots []int64
+	for i := range delta {
+		if rng.IntN(2) == 0 {
+			delta[i] = Duration(rng.Int64N(4)) * Millisecond
+		} else {
+			delta[i] = Duration(rng.Int64N(int64(Second)))
+		}
+		if i == 0 || rng.IntN(3) == 0 {
+			roots = append(roots, int64(i))
+		} else {
+			parent := rng.IntN(i)
+			children[parent] = append(children[parent], int64(i))
+		}
+	}
+	return func(sched func(Time, int64), now func() Time) func(int64) {
+		for _, r := range roots {
+			sched(Time(delta[r]), r)
+		}
+		return func(id int64) {
+			for _, c := range children[id] {
+				sched(now().Add(delta[c]), c)
+			}
+		}
+	}
+}
+
+// Differential: the production kernel executes random schedules in
+// exactly the order the frozen container/heap baseline does, including
+// re-entrant scheduling from inside events and heavy same-time ties.
+// This is the kernel-level form of the "experiment outputs are
+// byte-identical" guarantee.
+func TestEngineMatchesBaseline(t *testing.T) {
+	type input struct {
+		name   string
+		shape  schedShape
+		events int
+	}
+	inputs := []input{{"reentrant-chains", reentrantChains, 1500}}
+	for seed := uint64(1); seed <= 12; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("tie-forest-seed-%d", seed), tieForest(seed, 400), 400})
+	}
+	for _, in := range inputs {
+		got, gotEnd := onEngine(in.shape)
+		want, wantEnd := onBaseline(in.shape)
+		if len(got) != in.events || len(want) != in.events {
+			t.Fatalf("%s: engine fired %d events, baseline %d, want %d", in.name, len(got), len(want), in.events)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: dispatch %d is node %d at %v, baseline node %d at %v",
+					in.name, i, got[i].id, got[i].at, want[i].id, want[i].at)
+			}
+		}
+		if gotEnd != wantEnd {
+			t.Fatalf("%s: final clocks diverge: %v vs %v", in.name, gotEnd, wantEnd)
+		}
+	}
+}
+
+// ScheduleEvent must not allocate once the heap slice has grown to its
+// working size.
 func TestScheduleEventSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{}
@@ -466,7 +510,7 @@ func TestFiredAndMaxHeapDepth(t *testing.T) {
 	}
 	const n = 10
 	for i := 0; i < n; i++ {
-		e.Schedule(Time(i+1), func() {})
+		e.ScheduleEvent(Time(i+1), nopHandler{}, EventArg{})
 	}
 	if got := e.MaxHeapDepth(); got != n {
 		t.Fatalf("max heap depth = %d before running, want %d", got, n)
@@ -480,7 +524,7 @@ func TestFiredAndMaxHeapDepth(t *testing.T) {
 		t.Fatalf("max heap depth = %d after drain, want %d", got, n)
 	}
 	// One more event: fired keeps counting, the watermark holds.
-	e.Schedule(Time(n+1), func() {})
+	e.ScheduleEvent(Time(n+1), nopHandler{}, EventArg{})
 	e.Run()
 	if e.Fired() != n+1 || e.MaxHeapDepth() != n {
 		t.Fatalf("fired=%d maxheap=%d after extra event", e.Fired(), e.MaxHeapDepth())
@@ -508,16 +552,16 @@ func TestDurationConversions(t *testing.T) {
 	}
 }
 
-// nopHandler is the benchmark's closure-free callback.
+// nopHandler is a callback that does nothing.
 type nopHandler struct{}
 
 func (nopHandler) OnEvent(*Engine, EventArg) {}
 
 // BenchmarkEngineScheduleRun schedules and drains 1000 randomly-timed
 // events per iteration.  Sub-benchmarks compare the frozen
-// container/heap baseline, the legacy closure wrapper on the new
-// kernel, and the closure-free handler path (which must report
-// 0 allocs/op once the engine is reused across iterations).
+// container/heap baseline with the production kernel's handler path,
+// which must report 0 allocs/op once the engine is reused across
+// iterations.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	const events = 1000
 	reportRate := func(b *testing.B) {
@@ -527,19 +571,6 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.Run("baseline-container-heap", func(b *testing.B) {
 		rng := rand.New(rand.NewPCG(1, 2))
 		e := NewBaselineEngine()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < events; j++ {
-				e.Schedule(e.Now()+Time(rng.Int64N(1_000_000)), func() {})
-			}
-			e.Run()
-		}
-		reportRate(b)
-	})
-
-	b.Run("closure", func(b *testing.B) {
-		rng := rand.New(rand.NewPCG(1, 2))
-		e := NewEngine()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < events; j++ {

@@ -30,26 +30,6 @@ func TestKeyAndArgLayout(t *testing.T) {
 	}
 }
 
-// A closure converts to its Handler without allocating: Schedule costs
-// only the closure the caller made.
-func TestScheduleClosureAddsNoAllocation(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	fn := func() { n++ }
-	e.Schedule(0, fn)
-	e.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		e.Schedule(e.Now()+1, fn)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("Schedule+Step of a prebuilt closure allocates %v per op, want 0", allocs)
-	}
-	if n != 102 {
-		t.Fatalf("closure ran %d times, want 102", n)
-	}
-}
-
 // A timer whose deadline only moves later holds one heap slot, fires
 // once at its last deadline, and costs one pop per superseded slot
 // that came due, not one per Reset.
@@ -80,7 +60,7 @@ func TestTimerMovingLaterHoldsOneSlot(t *testing.T) {
 
 func TestTimerResetInThePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleEvent(10, nopHandler{}, EventArg{})
 	e.Run()
 	tm := e.NewTimer(&recorder{}, EventArg{})
 	defer func() {

@@ -7,13 +7,12 @@ import "testing"
 // event, and scheduling at the window boundary afterwards is legal.
 func TestDrainThrough(t *testing.T) {
 	e := NewEngine()
-	var fired []Time
-	note := func() { fired = append(fired, e.Now()) }
+	r := &recorder{}
 	for _, at := range []Time{5, 15, 25, 35} {
-		e.Schedule(at, note)
+		e.ScheduleEvent(at, r, EventArg{})
 	}
 	e.DrainThrough(20)
-	if len(fired) != 2 || fired[0] != 5 || fired[1] != 15 {
+	if fired := r.times; len(fired) != 2 || fired[0] != 5 || fired[1] != 15 {
 		t.Fatalf("DrainThrough(20) fired %v, want [5 15]", fired)
 	}
 	if e.Now() != 15 {
@@ -21,13 +20,13 @@ func TestDrainThrough(t *testing.T) {
 	}
 	// Scheduling exactly at the boundary must not panic even though the
 	// boundary exceeds the clock.
-	e.Schedule(20, note)
+	e.ScheduleEvent(20, r, EventArg{})
 	e.DrainThrough(20)
-	if len(fired) != 3 || fired[2] != 20 {
+	if fired := r.times; len(fired) != 3 || fired[2] != 20 {
 		t.Fatalf("boundary event did not fire: %v", fired)
 	}
 	e.DrainThrough(MaxTime)
-	if len(fired) != 5 || fired[4] != 35 {
+	if fired := r.times; len(fired) != 5 || fired[4] != 35 {
 		t.Fatalf("full drain fired %v", fired)
 	}
 	if e.Pending() != 0 {
@@ -39,16 +38,16 @@ func TestDrainThrough(t *testing.T) {
 // work inside the window keeps the drain going, matching RunUntil.
 func TestDrainThroughReentrant(t *testing.T) {
 	e := NewEngine()
-	var fired []Time
-	e.Schedule(10, func() {
-		fired = append(fired, e.Now())
-		e.Schedule(10, func() { fired = append(fired, e.Now()) }) // same-time follow-up
-		e.Schedule(12, func() { fired = append(fired, e.Now()) }) // in-window follow-up
-		e.Schedule(99, func() { fired = append(fired, e.Now()) }) // out-of-window
-	})
+	r := &recorder{}
+	e.ScheduleEvent(10, handlerFunc(func(e *Engine, arg EventArg) {
+		r.OnEvent(e, arg)
+		e.ScheduleEvent(10, r, EventArg{}) // same-time follow-up
+		e.ScheduleEvent(12, r, EventArg{}) // in-window follow-up
+		e.ScheduleEvent(99, r, EventArg{}) // out-of-window
+	}), EventArg{})
 	e.DrainThrough(12)
-	if len(fired) != 3 || fired[0] != 10 || fired[1] != 10 || fired[2] != 12 {
-		t.Fatalf("reentrant drain fired %v, want [10 10 12]", fired)
+	if fired := r.times; len(fired) != 3 || fired[0] != 10 || fired[1] != 10 || fired[2] != 12 {
+		t.Fatalf("reentrant drain fired %v, want [10 10 12]", r.times)
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want the out-of-window event", e.Pending())
@@ -59,35 +58,34 @@ func TestDrainThroughReentrant(t *testing.T) {
 // Run and through a sequence of windowed drains and requires identical
 // fire orders — the determinism contract fleet barriers rest on.
 func TestDrainThroughMatchesRun(t *testing.T) {
-	build := func(e *Engine, out *[]Time) {
+	build := func(e *Engine, r *recorder) {
 		for i := 0; i < 50; i++ {
-			at := Time((i * 37) % 100)
-			e.Schedule(at, func() { *out = append(*out, e.Now()) })
+			e.ScheduleEvent(Time((i*37)%100), r, EventArg{I64: int64(i)})
 		}
 	}
-	var serial, windowed []Time
+	serial, windowed := &recorder{}, &recorder{}
 	se := NewEngine()
-	build(se, &serial)
+	build(se, serial)
 	se.Run()
 	we := NewEngine()
-	build(we, &windowed)
+	build(we, windowed)
 	for limit := Time(0); limit <= 100; limit += 7 {
 		we.DrainThrough(limit)
 	}
 	we.DrainThrough(MaxTime)
-	if len(serial) != len(windowed) {
-		t.Fatalf("fired %d vs %d events", len(windowed), len(serial))
+	if len(serial.args) != len(windowed.args) {
+		t.Fatalf("fired %d vs %d events", len(windowed.args), len(serial.args))
 	}
-	for i := range serial {
-		if serial[i] != windowed[i] {
-			t.Fatalf("fire order diverges at %d: %v vs %v", i, windowed[i], serial[i])
+	for i := range serial.args {
+		if serial.args[i] != windowed.args[i] || serial.times[i] != windowed.times[i] {
+			t.Fatalf("fire order diverges at %d: event %d at %v vs %d at %v",
+				i, windowed.args[i], windowed.times[i], serial.args[i], serial.times[i])
 		}
 	}
 }
 
 // TestDrainThroughNoAlloc pins the zero-allocation contract of the
-// windowed hot loop: draining pre-scheduled closure-free events must not
-// allocate.
+// windowed hot loop: draining pre-scheduled events must not allocate.
 func TestDrainThroughNoAlloc(t *testing.T) {
 	e := NewEngine()
 	h := countHandler{n: new(int)}

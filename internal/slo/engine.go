@@ -123,9 +123,6 @@ func NewEngine(spec Spec) (*Engine, error) {
 	return e, nil
 }
 
-// Spec returns the engine's (defaulted) spec.
-func (e *Engine) Spec() Spec { return e.spec }
-
 // Classify attributes an arrival; see Spec.Classify.
 func (e *Engine) Classify(at simtime.Time, client uint64) int {
 	return e.spec.Classify(at, client)

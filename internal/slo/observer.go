@@ -14,7 +14,8 @@ import (
 //
 // Replay completion callbacks fire inside the simulation in finish
 // order, so the observer advances the engine to just before each
-// finish; Finish(end) seals the remaining ticks when the run drains.
+// finish; the engine's Finish(end) seals the remaining ticks when the
+// run drains.
 type TraceObserver struct {
 	engine *Engine
 	trace  *blktrace.Trace
@@ -57,9 +58,4 @@ func (o *TraceObserver) ObserveIssue(bunch, pkg int, at simtime.Time) {
 func (o *TraceObserver) ObserveComplete(bunch, pkg int, issued, finished simtime.Time) {
 	o.engine.Advance(finished)
 	o.engine.ObserveCompletion(o.classOf(bunch, pkg), 0, finished, finished.Sub(issued))
-}
-
-// Finish seals every tick through end once the replay drains.
-func (o *TraceObserver) Finish(end simtime.Time) {
-	o.engine.Advance(end)
 }

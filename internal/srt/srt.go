@@ -94,22 +94,6 @@ func Parse(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// WriteRecords writes records in the textual SRT layout; inverse of
-// Parse.  It is used by the synthetic real-world trace generators to
-// produce .srt fixtures exercising the converter end to end.
-func WriteRecords(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# srt-text v1: timestamp device start-byte length op")
-	for _, r := range recs {
-		op := "R"
-		if r.Op == storage.Write {
-			op = "W"
-		}
-		fmt.Fprintf(bw, "%.9f %s %d %d %s\n", r.Timestamp, r.Device, r.StartByte, r.Length, op)
-	}
-	return bw.Flush()
-}
-
 // ConvertOptions tune the SRT -> blktrace transformation.
 type ConvertOptions struct {
 	// Device filters records to one device name; empty keeps all.

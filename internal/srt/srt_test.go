@@ -1,8 +1,10 @@
 package srt
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -152,6 +154,21 @@ func TestConvertEmpty(t *testing.T) {
 	if tr.NumBunches() != 0 || tr.Device != "none" {
 		t.Fatalf("empty convert: %+v", tr)
 	}
+}
+
+// WriteRecords writes records in the textual SRT layout; inverse of
+// Parse.
+func WriteRecords(w io.Writer, recs []Record) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "# srt-text v1: timestamp device start-byte length op")
+	for _, r := range recs {
+		op := "R"
+		if r.Op == storage.Write {
+			op = "W"
+		}
+		fmt.Fprintf(bw, "%.9f %s %d %d %s\n", r.Timestamp, r.Device, r.StartByte, r.Length, op)
+	}
+	return bw.Flush()
 }
 
 func TestWriteRecordsRoundTrip(t *testing.T) {

@@ -87,29 +87,3 @@ type Device interface {
 	// Capacity reports the device size in bytes.
 	Capacity() int64
 }
-
-// Counter wraps a Device and counts submissions and completions; it is
-// used by tests and by the replay engine's bookkeeping.
-type Counter struct {
-	Dev                     Device
-	Submitted, Completed    int64
-	BytesRead, BytesWritten int64
-}
-
-// Submit implements Device.
-func (c *Counter) Submit(req Request, done func(simtime.Time)) {
-	c.Submitted++
-	switch req.Op {
-	case Read:
-		c.BytesRead += req.Size
-	case Write:
-		c.BytesWritten += req.Size
-	}
-	c.Dev.Submit(req, func(t simtime.Time) {
-		c.Completed++
-		done(t)
-	})
-}
-
-// Capacity implements Device.
-func (c *Counter) Capacity() int64 { return c.Dev.Capacity() }

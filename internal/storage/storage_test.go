@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"testing"
-
-	"repro/internal/simtime"
-)
+import "testing"
 
 func TestOpString(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" {
@@ -47,26 +43,5 @@ func TestRequestValidate(t *testing.T) {
 	}
 	if err := over.Validate(0); err != nil {
 		t.Errorf("capacity 0 should skip bounds check: %v", err)
-	}
-}
-
-// instantDevice completes immediately; used to exercise Counter.
-type instantDevice struct{}
-
-func (instantDevice) Submit(req Request, done func(simtime.Time)) { done(0) }
-func (instantDevice) Capacity() int64                             { return 1 << 20 }
-
-func TestCounter(t *testing.T) {
-	c := &Counter{Dev: instantDevice{}}
-	c.Submit(Request{Op: Read, Offset: 0, Size: 4096}, func(simtime.Time) {})
-	c.Submit(Request{Op: Write, Offset: 0, Size: 512}, func(simtime.Time) {})
-	if c.Submitted != 2 || c.Completed != 2 {
-		t.Fatalf("counts: %+v", c)
-	}
-	if c.BytesRead != 4096 || c.BytesWritten != 512 {
-		t.Fatalf("bytes: %+v", c)
-	}
-	if c.Capacity() != 1<<20 {
-		t.Fatalf("capacity = %d", c.Capacity())
 	}
 }

@@ -13,7 +13,7 @@ func buildPromSet() *Set {
 	r := s.Registry()
 	r.Counter("replay.events").Add(1234)
 	r.Counter("raid.rebuild-reads").Add(40) // '-' must fold to '_'
-	r.Gauge("fleet.inflight").Set(-3)
+	r.Gauge("fleet.inflight").Add(-3)
 	r.Watermark("heap.depth").Update(17)
 	r.ProbeCounter("engine.fired", func() float64 { return 999 })
 	h := r.Histogram("response_ns", []int64{10, 100, 1000})

@@ -97,13 +97,6 @@ func (c *Counter) Value() int64 {
 // Gauge is an instantaneous signed level, such as in-flight depth.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.  Safe on a nil receiver (no-op).
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // Add shifts the level by d and returns the new value (zero on nil).
 func (g *Gauge) Add(d int64) int64 {
 	if g == nil {
@@ -163,22 +156,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// Count reports the number of observations; zero on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum reports the total of all observations; zero on nil.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // HistSnapshot is a point-in-time copy of a histogram for export.

@@ -70,7 +70,6 @@ func TestNilInstrumentsAreAllocFreeNoOps(t *testing.T) {
 		c.Inc()
 		c.Add(2)
 		_ = c.Value()
-		g.Set(1)
 		_ = g.Add(1)
 		w.Update(9)
 		h.Observe(123)

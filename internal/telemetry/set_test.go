@@ -29,7 +29,7 @@ func TestSamplerWindowsAndDeltas(t *testing.T) {
 	} {
 		e.ScheduleEvent(simtime.Time(at), bump{c}, simtime.EventArg{})
 	}
-	g.Set(7)
+	g.Add(7)
 	s.StartSampling(e, simtime.Time(3*simtime.Second))
 	e.Run()
 

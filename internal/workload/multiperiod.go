@@ -67,8 +67,11 @@ func (s MultiPeriodSpec) PeriodAt(t simtime.Duration) (Period, bool) {
 }
 
 // Validate rejects malformed specs with labelled errors: no periods,
-// zero or negative durations, negative starts or load scales, read
-// ratios above 1, and overlapping or out-of-order windows.
+// zero or negative durations, negative starts, windows ending past
+// simtime.Horizon (where replay rejects every arrival), negative load
+// scales, read ratios above 1, and overlapping or out-of-order
+// windows.  Every window of an accepted
+// spec lies in [0, Horizon], so End cannot overflow.
 func (s MultiPeriodSpec) Validate() error {
 	if s.Version != 0 && s.Version != MultiPeriodVersion {
 		return fmt.Errorf("workload: multi-period spec version %d unsupported (want %d)", s.Version, MultiPeriodVersion)
@@ -86,6 +89,10 @@ func (s MultiPeriodSpec) Validate() error {
 		}
 		if p.Start < 0 {
 			return fmt.Errorf("workload: period %s has negative start %v", label, p.Start)
+		}
+		if p.Duration > simtime.Duration(simtime.Horizon)-p.Start {
+			return fmt.Errorf("workload: period %s (start %v, duration %v) ends past the simulation horizon %v",
+				label, p.Start, p.Duration, simtime.Duration(simtime.Horizon))
 		}
 		if p.LoadScale < 0 {
 			return fmt.Errorf("workload: period %s has negative load scale %v", label, p.LoadScale)

@@ -76,6 +76,27 @@ func TestMultiPeriodValidateRejections(t *testing.T) {
 			spec: MultiPeriodSpec{Version: 99, Periods: validPeriods()},
 			want: "version",
 		},
+		{
+			name: "start past the horizon",
+			spec: MultiPeriodSpec{Periods: []Period{
+				{Name: "far", Start: 9223372036854775000, Duration: simtime.Second, LoadScale: 1, ReadRatio: -1},
+			}},
+			want: "ends past the simulation horizon",
+		},
+		{
+			name: "duration past the horizon",
+			spec: MultiPeriodSpec{Periods: []Period{
+				{Name: "long", Start: 0, Duration: 9223372036854775000, LoadScale: 1, ReadRatio: -1},
+			}},
+			want: "ends past the simulation horizon",
+		},
+		{
+			name: "end one past the horizon",
+			spec: MultiPeriodSpec{Periods: []Period{
+				{Name: "edge", Start: simtime.Duration(simtime.Horizon) - simtime.Second, Duration: simtime.Second + 1, LoadScale: 1, ReadRatio: -1},
+			}},
+			want: "ends past the simulation horizon",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,6 +113,22 @@ func TestMultiPeriodValidateRejections(t *testing.T) {
 				t.Fatal("SynthesizeMulti accepted an invalid spec")
 			}
 		})
+	}
+}
+
+// A window may end exactly at the horizon, and the spec's duration is
+// then the horizon itself.
+func TestMultiPeriodWindowEndingAtHorizon(t *testing.T) {
+	h := simtime.Duration(simtime.Horizon)
+	spec := MultiPeriodSpec{Periods: []Period{
+		{Name: "first", Start: 0, Duration: simtime.Second, LoadScale: 1, ReadRatio: -1},
+		{Name: "last", Start: h - simtime.Second, Duration: simtime.Second, LoadScale: 0, ReadRatio: -1},
+	}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := spec.Duration(); got != h {
+		t.Fatalf("Duration() = %v, want the horizon %v", got, h)
 	}
 }
 

@@ -19,11 +19,12 @@ type SynthOptions struct {
 	// Bunches overrides the synthesized bunch count (0 = profile's).
 	Bunches int
 	// LoadScale multiplies the arrival rate: 2 halves every gap, 0.5
-	// doubles it.  0 means 1 (unscaled).
+	// doubles it.  0 means 1 (unscaled); it must be finite.
 	LoadScale float64
 	// ReadRatio overrides the read/write mix when in [0,1]; negative
-	// keeps the profile's mix.  The zero value would silently force an
-	// all-write trace, so use -1 (or any negative) for "keep".
+	// keeps the profile's mix, and NaN is rejected.  The zero value
+	// would silently force an all-write trace, so use -1 (or any
+	// negative) for "keep".
 	ReadRatio float64
 	// Device overrides the output trace's device label; empty derives
 	// "derived-<profile name>".
@@ -41,8 +42,14 @@ func (o SynthOptions) normalize(p *Profile) (SynthOptions, error) {
 	if o.LoadScale == 0 {
 		o.LoadScale = 1
 	}
+	if math.IsNaN(o.LoadScale) || math.IsInf(o.LoadScale, 0) {
+		return o, fmt.Errorf("workload: non-finite load scale %v", o.LoadScale)
+	}
 	if o.LoadScale < 0 {
 		return o, fmt.Errorf("workload: negative load scale %v", o.LoadScale)
+	}
+	if math.IsNaN(o.ReadRatio) {
+		return o, fmt.Errorf("workload: read ratio is NaN")
 	}
 	if o.ReadRatio > 1 {
 		return o, fmt.Errorf("workload: read ratio %v above 1", o.ReadRatio)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/blktrace"
@@ -320,6 +321,15 @@ func TestSynthesizeRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := Synthesize(p, SynthOptions{ReadRatio: 2}); err == nil {
 		t.Fatal("read ratio > 1 accepted")
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Synthesize(p, SynthOptions{LoadScale: scale, ReadRatio: -1})
+		if err == nil || !strings.Contains(err.Error(), "non-finite load scale") {
+			t.Fatalf("load scale %v: err %v, want a non-finite load scale error", scale, err)
+		}
+	}
+	if _, err := Synthesize(p, SynthOptions{ReadRatio: math.NaN()}); err == nil || !strings.Contains(err.Error(), "read ratio is NaN") {
+		t.Fatalf("NaN read ratio: err %v", err)
 	}
 	if _, err := Synthesize(&Profile{}, SynthOptions{}); err == nil {
 		t.Fatal("invalid profile accepted")
