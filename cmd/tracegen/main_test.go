@@ -80,6 +80,10 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	farStart := window("far-start.json", `{"name":"w","start_ns":9223372036854775000,"duration_ns":1000000000,"load_scale":1,"read_ratio":-1}`)
 	longWindow := window("long.json", `{"name":"w","start_ns":0,"duration_ns":9223372036854775000,"load_scale":1,"read_ratio":-1}`)
+	// Two 2000 h windows: each needs about 2.9e9 bunches of the
+	// profile's ~2.5 ms mean gap, under the cap, but not together.
+	twoLong := window("two-long.json", `{"name":"a","start_ns":0,"duration_ns":7200000000000000,"load_scale":1,"read_ratio":-1},`+
+		`{"name":"b","start_ns":7200000000000000,"duration_ns":7200000000000000,"load_scale":1,"read_ratio":-1}`)
 	out := filepath.Join(dir, "out.replay")
 	for _, c := range []struct {
 		args []string
@@ -90,6 +94,12 @@ func TestGenerateErrors(t *testing.T) {
 		{[]string{"-scale", "NaN"}, "workload: non-finite load scale NaN"},
 		{[]string{"-scale", "Inf"}, "workload: non-finite load scale +Inf"},
 		{[]string{"-read-mix", "NaN"}, "workload: read ratio is NaN"},
+		// Bunch counts past what a .replay file holds fail before
+		// anything is allocated: the diurnal night window alone asks for
+		// ~2.149e10 bunches.
+		{[]string{"-periods", "diurnal", "-periods-duration", "300000h"}, "workload: period 0 (night) needs 2.149e+10 bunches, more than the 4294967295 a .replay file holds"},
+		{[]string{"-periods", twoLong}, "workload: periods need 5.7"},
+		{[]string{"-bunches", "4294967296"}, "workload: 4294967296 bunches exceed the 4294967295 a .replay file holds"},
 	} {
 		args := append([]string{"-from-profile", profile, "-out", out}, c.args...)
 		err := run(args, &buf)

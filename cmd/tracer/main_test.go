@@ -284,6 +284,10 @@ func TestReplayAndReportCommands(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
+	// A replay samples windows, so its per-window columns hold numbers.
+	if f := reportRow(out, "replay.issued"); len(f) != 5 || f[3] == "-" || f[4] == "-" || f[4] == "0" {
+		t.Fatalf("replay.issued row %q in report output:\n%s", f, out)
+	}
 
 	// The same trace as a file on disk, at another load point.
 	fileTelDir := filepath.Join(dir, "telemetry-file")
@@ -434,11 +438,24 @@ func TestFleetCommand(t *testing.T) {
 		if i > 0 && !bytes.Equal(summaries[0], raw) {
 			t.Fatalf("summary.json diverges between 1 and %s workers", workers)
 		}
+		// The fleet samples no telemetry windows, so the per-window
+		// columns read "-", not a measured zero.
 		rep := runOK(t, "report", "-dir", telDir)
-		if !strings.Contains(rep, "fleet.offered") {
-			t.Fatalf("report output:\n%s", rep)
+		if f := reportRow(rep, "fleet.offered"); len(f) != 5 || f[2] == "0" || f[3] != "-" || f[4] != "-" {
+			t.Fatalf("fleet.offered row %q in report output:\n%s", f, rep)
 		}
 	}
+}
+
+// reportRow returns the fields of the `tracer report` metric row named
+// name, or nil.
+func reportRow(report, name string) []string {
+	for _, line := range strings.Split(report, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == name {
+			return f
+		}
+	}
+	return nil
 }
 
 // TestFleetCommandTraceStream: -trace replays a repository entry

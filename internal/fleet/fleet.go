@@ -1,20 +1,25 @@
 // Package fleet scales the simulation from one array to a storage
 // fleet: N independent arrays — each an experiments-provisioned
 // engine + RAID array — behind a front-end router, partitioned across
-// W worker goroutines that advance in lock-stepped shared-clock
-// windows.  Run is the repository's only windowed-barrier executor:
-// a single array always replays on one serial engine (DESIGN.md §12).
+// W worker goroutines that advance in shared-clock windows.  Run is
+// the repository's only windowed-barrier executor: a single array
+// always replays on one serial engine (DESIGN.md §12).
 //
 // Arrays only interact through the front end, so the conservative
 // lookahead is the router's decision interval: the coordinator routes
 // every arrival inside the window [t, t+Δ) using coordinator-owned
-// state, schedules the admitted requests onto their targets' engines,
-// then barrier-drains all workers through t+Δ.  Every routing and
-// admission decision happens on the coordinator at a barrier, and each
-// array's variate sequence is fixed by its fleet index (per-array PCG
-// seed derivation in experiments.Build), so fleet results are
-// byte-identical at any worker count — the determinism gate in
-// internal/check holds summary.json to that at workers 1/2/8.
+// state.  A window ends in a barrier only when something reads the
+// fleet's state after it: a policy that weighs ArrayState, an
+// OnBarrier hook, the telemetry watermark, an idle gap or the stream's
+// end, or a full routing budget (8 requests per member).  Otherwise the
+// coordinator routes on, and at the next barrier each worker replays
+// its members' routed windows one member at a time, making on each
+// engine exactly the calls a barrier after every window would have
+// made.  Every routing and admission decision happens on the
+// coordinator, and each array's variate sequence is fixed by its fleet
+// index (per-array PCG seed derivation in experiments.Build), so fleet
+// results are byte-identical at any worker count — the determinism
+// gate in internal/check holds summary.json to that at workers 1/2/8.
 package fleet
 
 import (
@@ -36,6 +41,11 @@ import (
 // lookahead between worker barriers.
 const DefaultWindow = 10 * simtime.Millisecond
 
+// barrierBudget bounds a batch: once barrierBudget requests per member
+// have been routed since the last barrier, the window ends in one.  It
+// caps the pending buffers and how far SLO evaluation trails routing.
+const barrierBudget = 8
+
 // completion records one finished IO for tail-latency accounting and
 // (when an SLO engine rides the run) per-class attribution.
 type completion struct {
@@ -49,6 +59,8 @@ type pending struct {
 	req   storage.Request
 	issue simtime.Time
 	class int
+	// window is the start of the router window that admitted it.
+	window simtime.Time
 }
 
 // member is one array of the fleet.  Its mutable fields are written by
@@ -149,19 +161,48 @@ func (p *workerProbe) observe(bytes int64, resp simtime.Duration) {
 	p.latency.Observe(int64(resp))
 }
 
+// batch is the run of router windows one barrier completes: from is
+// the start of the first window routed since the previous barrier,
+// limit the barrier time.
+type batch struct{ from, limit simtime.Time }
+
 // worker owns a static partition of the members (array i on worker
-// i mod W) and drains their engines through each window limit.
+// i mod W) and replays their routed windows at each barrier.
 type worker struct {
 	members []*member
 	probe   *workerProbe
-	limit   chan simtime.Time
+	batches chan batch
 	drained chan struct{}
 }
 
-func (w *worker) drain(limit simtime.Time) {
+func (w *worker) drain(b batch) {
 	for _, m := range w.members {
-		m.engine.DrainThrough(limit)
+		m.replay(b)
 	}
+}
+
+// replay makes on m's engine the calls a barrier after every window of
+// b would have made: for each window, drain through its start, then
+// schedule the window's arrivals in routing order; finally drain
+// through the limit.  The first window's drain is the previous
+// barrier's, already made: after an idle-gap jump its start lies past
+// that barrier, and draining through the start early would fire the
+// gap's events before the arrivals take their sequence numbers.
+// Windows without arrivals for m only drain, and consecutive drains
+// fire what one drain through the later limit fires, so m walks only
+// its own arrivals.
+func (m *member) replay(b batch) {
+	e := m.engine
+	window := b.from
+	for i := range m.pending {
+		p := &m.pending[i]
+		if p.window != window {
+			window = p.window
+			e.DrainThrough(window)
+		}
+		e.ScheduleEvent(p.issue, m, simtime.EventArg{I64: int64(i)})
+	}
+	e.DrainThrough(b.limit)
 }
 
 // Fleet is a set of independent arrays behind one front-end router.  A
@@ -249,8 +290,11 @@ type Options struct {
 	Policy Policy
 	// Admission paces the front end; nil admits everything.
 	Admission *TokenBucket
-	// Window is the router decision interval — the shared-clock
-	// lookahead between worker barriers (default DefaultWindow).
+	// Window is the router decision interval (default DefaultWindow).
+	// Routing, admission and SLO attribution happen per window; a
+	// window ends in a worker barrier when something reads the fleet's
+	// state after it (see the package doc), so Result.Windows counts
+	// windows, not barriers.
 	Window simtime.Duration
 	// Telemetry, when non-nil, receives fleet counters, the response
 	// histogram and the in-flight watermark; per-worker sets are
@@ -261,17 +305,20 @@ type Options struct {
 	PowerCapW float64
 	// SLO, when non-nil, attributes every admission, rejection and
 	// completion to a tenant class and evaluates burn-rate alerts at
-	// the window barriers.  The engine's alert stream and snapshot are
-	// byte-identical at any worker count.
+	// the window barriers, so evaluation may trail routing by the
+	// windows since the last barrier.  The engine's alert stream and
+	// snapshot are byte-identical at any worker count and barrier
+	// schedule.
 	SLO *slo.Engine
 	// Faults schedules member-disk failures with background rebuilds
 	// (the rebuild-storm scenario); see Fault.
 	Faults []Fault
 	// OnBarrier, when non-nil, is called on the coordinator goroutine
-	// after every window barrier with the barrier time — the hook the
-	// `tracer fleet -watch` dashboard refreshes from.  It must only
-	// read; mutating fleet or SLO state from it breaks worker-count
-	// determinism.
+	// after every window with the window's end — the hook the
+	// `tracer fleet -watch` dashboard refreshes from.  Setting it ends
+	// every window in a barrier, so the hook sees member and SLO state
+	// current to that time.  It must only read; mutating fleet or SLO
+	// state from it breaks worker-count determinism.
 	OnBarrier func(now simtime.Time)
 }
 
@@ -411,45 +458,45 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 	multi := len(f.workers) > 1
 	if multi {
 		for _, w := range f.workers {
-			w.limit = make(chan simtime.Time)
+			w.batches = make(chan batch)
 			w.drained = make(chan struct{})
 			go func(w *worker) {
-				for limit := range w.limit {
-					w.drain(limit)
+				for b := range w.batches {
+					w.drain(b)
 					w.drained <- struct{}{}
 				}
 			}(w)
 		}
 		defer func() {
 			for _, w := range f.workers {
-				close(w.limit)
+				close(w.batches)
 			}
 		}()
 	}
-	// barrier drains every worker through limit and republishes member
-	// state to the coordinator (the channel handshake orders the
-	// cross-goroutine field accesses).  It moves the members' new
-	// completions into the run's records.
+	// barrier has every worker replay its members' routed windows
+	// through b.limit and republishes member state to the coordinator
+	// (the channel handshake orders the cross-goroutine field accesses).
+	// It moves the members' new completions into the run's records.
 	outstanding := 0
 	states := make([]ArrayState, n)
-	barrier := func(limit simtime.Time) {
+	barrier := func(b batch) {
 		if multi {
 			for _, w := range f.workers {
-				w.limit <- limit
+				w.batches <- b
 			}
 			for _, w := range f.workers {
 				<-w.drained
 			}
 		} else {
 			for _, w := range f.workers {
-				w.drain(limit)
+				w.drain(b)
 			}
 		}
 		outstanding = 0
 		for i, m := range f.members {
 			states[i] = ArrayState{Outstanding: m.outstanding, QueuedBytes: m.queuedBytes, Admitted: m.admitted}
 			outstanding += m.outstanding
-			// Issue events through limit have fired; their pending
+			// Issue events through the limit have fired; their pending
 			// entries were captured by value, so the slab recycles.
 			m.pending = m.pending[:0]
 			// The SLO engine buckets completions by finish time, so the
@@ -463,14 +510,21 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			}
 			m.completions = m.completions[:0]
 		}
-		if sloEng != nil && limit != simtime.MaxTime {
+		if sloEng != nil && b.limit != simtime.MaxTime {
 			// Evaluation advances to the barrier, never past it.
-			sloEng.Advance(limit)
+			sloEng.Advance(b.limit)
 		}
-		if opts.OnBarrier != nil && limit != simtime.MaxTime {
-			opts.OnBarrier(limit)
+		if opts.OnBarrier != nil && b.limit != simtime.MaxTime {
+			opts.OnBarrier(b.limit)
 		}
 	}
+	// Something reads the fleet's state after every window when the
+	// policy weighs ArrayState, a hook watches the barriers, or the
+	// in-flight watermark samples each window; then every window ends in
+	// a barrier.
+	_, blind := pol.(stateBlind)
+	everyWindow := !blind || opts.OnBarrier != nil || tel != nil
+	budget := barrierBudget * n
 
 	var offered, admitted, rejected int64
 	bucket := opts.Admission
@@ -498,10 +552,16 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 	if err := pull(); err != nil {
 		return nil, err
 	}
+	// from is the start of the first window routed since the last
+	// barrier; routed counts the requests admitted since then.  The
+	// loop's condition and the idle-gap test read outstanding, which is
+	// current only right after a barrier, so a window followed by an
+	// exhausted stream or an idle gap always ends in one.
+	from, routed := t, 0
 	for ok || outstanding > 0 {
 		if !ok {
 			// Stream dry: one final unbounded window drains the tail.
-			barrier(simtime.MaxTime)
+			barrier(batch{from: from, limit: simtime.MaxTime})
 			windows++
 			break
 		}
@@ -510,9 +570,9 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			// instead of spinning empty barriers.
 			k := int64(next.At.Sub(t) / window)
 			t = t.Add(simtime.Duration(k) * window)
+			from = t
 		}
 		wend := t.Add(window)
-		routed := 0
 		for ok && next.At < wend {
 			offered++
 			offeredC.Inc()
@@ -543,8 +603,7 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			m.queuedBytes += next.Req.Size
 			m.admitted++
 			states[idx] = ArrayState{Outstanding: m.outstanding, QueuedBytes: m.queuedBytes, Admitted: m.admitted}
-			m.pending = append(m.pending, pending{req: next.Req, issue: next.At, class: class})
-			m.engine.ScheduleEvent(next.At, m, simtime.EventArg{I64: int64(len(m.pending) - 1)})
+			m.pending = append(m.pending, pending{req: next.Req, issue: next.At, class: class, window: t})
 			admitted++
 			admittedC.Inc()
 			if sloEng != nil {
@@ -555,10 +614,15 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 				return nil, err
 			}
 		}
+		// With telemetry on, every window ends in a barrier, so routed
+		// holds this window's requests alone.
 		inflight.Update(int64(outstanding + routed))
-		barrier(wend)
 		windows++
 		t = wend
+		if everyWindow || routed >= budget || !ok || next.At >= wend.Add(window) {
+			barrier(batch{from: from, limit: wend})
+			from, routed = t, 0
+		}
 	}
 
 	// Pin every engine to a common end so per-member state (disk
@@ -704,12 +768,16 @@ func tailStats(responses []simtime.Duration) Tails {
 		sum += r
 		hi = max(hi, r)
 	}
-	byValue := cmp.Compare[simtime.Duration]
+	var p [3]simtime.Duration
+	metrics.NearestRank(responses, fleetTails[:], p[:], cmp.Compare[simtime.Duration])
 	return Tails{
 		Mean: sum / simtime.Duration(len(responses)),
 		Max:  hi,
-		P50:  metrics.NearestRank(responses, 0.50, byValue),
-		P99:  metrics.NearestRank(responses, 0.99, byValue),
-		P999: metrics.NearestRank(responses, 0.999, byValue),
+		P50:  p[0],
+		P99:  p[1],
+		P999: p[2],
 	}
 }
+
+// fleetTails are the quantiles a fleet reports: p50, p99 and p999.
+var fleetTails = [...]float64{0.50, 0.99, 0.999}

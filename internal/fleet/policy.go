@@ -7,7 +7,9 @@ import "fmt"
 // completions become visible at window barriers, so every policy
 // decision depends only on coordinator-side state — never on worker
 // scheduling — which is what keeps fleet results independent of the
-// worker count.
+// worker count.  A policy that reads it gets a barrier after every
+// window, so each completion is visible from the window after the one
+// it lands in.
 type ArrayState struct {
 	// Outstanding is the number of admitted, not yet completed IOs.
 	Outstanding int
@@ -27,9 +29,18 @@ type Policy interface {
 	Pick(r ClientRequest, states []ArrayState) int
 }
 
+// stateBlind marks a policy whose Pick reads nothing of states but its
+// length.  The coordinator routes several windows between barriers for
+// such a policy; any other Policy, one from outside this package
+// included, counts as reading state and gets a barrier after every
+// window.
+type stateBlind interface{ ignoresState() }
+
 // RoundRobin rotates through the arrays in index order, one request
 // each, regardless of load.
 type RoundRobin struct{ next int }
+
+func (*RoundRobin) ignoresState() {}
 
 // NewRoundRobin returns a rotation starting at array 0.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
@@ -110,6 +121,8 @@ type Affinity struct{}
 
 // NewAffinity returns the client-affinity hashing policy.
 func NewAffinity() *Affinity { return &Affinity{} }
+
+func (*Affinity) ignoresState() {}
 
 // Name implements Policy.
 func (p *Affinity) Name() string { return "affinity" }

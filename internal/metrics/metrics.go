@@ -87,31 +87,54 @@ func (e Efficiency) String() string {
 		e.IOPS, e.MBPS, e.MeanWatts, e.IOPSPerWatt, e.MBPSPerKW)
 }
 
-// NearestRank returns the nearest-rank q-quantile of s: the element
-// of 1-based rank int(q·n+0.5), clamped to [1, n], in the ascending
-// order cmp defines.  It selects instead of sorting: s is partially
-// reordered, and the result compares equal to the element a full sort
-// would put at that rank, so percentiles read through it are the ones
-// a sort gives.  An empty sample yields the zero value.  Replay and
-// fleet response tails both report through it.
+// NearestRank stores in ranks[i] the nearest-rank qs[i]-quantile of
+// s: the element of 1-based rank int(q·n+0.5), clamped to [1, n], in
+// the ascending order cmp defines.  It selects instead of sorting: s is
+// partially reordered, and each result compares equal to the element a
+// full sort would put at that rank, so percentiles read through it are
+// the ones a sort gives.  An empty sample yields zero values.  Replay
+// and fleet response tails both report through it.
 //
-// The selection is a quickselect with a median-of-three pivot and
+// qs must not decrease, and ranks must hold len(qs) elements.  A
+// selected rank k leaves s[:k] <= s[k] <= s[k+1:], so each later
+// quantile is selected only inside s[k+1:], the part above the
+// previous one, and one call reads a population's whole tail.
+//
+// Each selection is a quickselect with a median-of-three pivot and
 // Hoare's partition, which swaps only misplaced pairs, so presorted
 // runs cost no swaps and equal values split evenly.  After
-// 2·⌈log₂ n⌉ partition rounds it sorts the range still open, which
-// bounds the worst case at O(n log n) comparisons.
-func NearestRank[S ~[]E, E any](s S, q float64, cmp func(a, b E) int) E {
+// 2·⌈log₂ m⌉ partition rounds on an m-element range it sorts the range
+// still open, which bounds the worst case at O(m log m) comparisons.
+func NearestRank[S ~[]E, E any](s S, qs []float64, ranks []E, cmp func(a, b E) int) {
 	n := len(s)
-	if n == 0 {
-		var zero E
-		return zero
+	lo, prev := 0, -1 // every rank below lo is in place
+	for i, q := range qs {
+		if i > 0 && !(q >= qs[i-1]) {
+			panic(fmt.Sprintf("metrics: quantile %v follows %v", q, qs[i-1]))
+		}
+		if n == 0 {
+			var zero E
+			ranks[i] = zero
+			continue
+		}
+		k := max(0, min(int(q*float64(n)+0.5)-1, n-1))
+		if k != prev {
+			selectRank(s, lo, k, cmp)
+			lo, prev = k+1, k
+		}
+		ranks[i] = s[k]
 	}
-	k := max(0, min(int(q*float64(n)+0.5)-1, n-1))
-	lo, hi := 0, n-1 // rank k lies in s[lo..hi]
-	for rounds := 2 * bits.Len(uint(n-1)); lo < hi; rounds-- {
+}
+
+// selectRank moves into s[k] the element a sort would put there, given
+// that every element of s[:lo] is in place and no greater than any of
+// s[lo:].  Afterwards s[:k] <= s[k] <= s[k+1:].
+func selectRank[S ~[]E, E any](s S, lo, k int, cmp func(a, b E) int) {
+	hi := len(s) - 1 // rank k lies in s[lo..hi]
+	for rounds := 2 * bits.Len(uint(hi-lo)); lo < hi; rounds-- {
 		if rounds == 0 {
 			slices.SortFunc(s[lo:hi+1], cmp)
-			break
+			return
 		}
 		// Order the first, middle and last entries; the middle one is
 		// the pivot, and the outer two bound the scans below.
@@ -148,10 +171,9 @@ func NearestRank[S ~[]E, E any](s S, q float64, cmp func(a, b E) int) E {
 		case k >= i:
 			lo = i
 		default:
-			return s[k]
+			return
 		}
 	}
-	return s[k]
 }
 
 // Monotone reports whether the series is non-decreasing (dir > 0) or

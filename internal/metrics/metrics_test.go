@@ -2,10 +2,12 @@ package metrics
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -85,24 +87,40 @@ func TestPropertyAccuracyIdentity(t *testing.T) {
 
 func TestNearestRank(t *testing.T) {
 	sorted := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, c := range []struct {
-		q    float64
-		want int64
-	}{{0.5, 5}, {1.0, 10}, {0.01, 1}, {0.95, 10}, {0.94, 9}, {0, 1}} {
-		if got := NearestRank(sorted, c.q, cmp.Compare[int64]); got != c.want {
-			t.Errorf("NearestRank(1..10, %v) = %v, want %v", c.q, got, c.want)
+	qs := []float64{0, 0.01, 0.5, 0.94, 0.95, 1.0}
+	want := []int64{1, 1, 5, 9, 10, 10}
+	got := make([]int64, len(qs))
+	NearestRank(sorted, qs, got, cmp.Compare[int64])
+	if !slices.Equal(got, want) {
+		t.Errorf("NearestRank(1..10, %v) = %v, want %v", qs, got, want)
+	}
+	for i, q := range qs {
+		var one [1]int64
+		NearestRank(sorted, []float64{q}, one[:], cmp.Compare[int64])
+		if one[0] != want[i] {
+			t.Errorf("NearestRank(1..10, %v) = %v, want %v", q, one[0], want[i])
 		}
 	}
-	if got := NearestRank([]int64(nil), 0.5, cmp.Compare[int64]); got != 0 {
-		t.Fatalf("empty sample = %v, want 0", got)
+	empty := []int64{-1, -1}
+	NearestRank([]int64(nil), []float64{0.5, 0.99}, empty, cmp.Compare[int64])
+	if empty[0] != 0 || empty[1] != 0 {
+		t.Fatalf("empty sample = %v, want zeros", empty)
 	}
 
-	// Differential: selection returns what a full sort puts at the
-	// nearest rank, for every shape and size, including when one slice
-	// is selected from repeatedly (as replay and fleet do) and so
-	// arrives partially reordered.
+	// Differential: selection returns what a full sort puts at each
+	// nearest rank, for every shape and size, whether the quantiles
+	// come in one call or one per call on a fresh copy, and when one
+	// slice is selected from repeatedly and so arrives partially
+	// reordered.
 	rng := rand.New(rand.NewPCG(5, 5))
 	shapes := map[string]func(n int) []int64{
+		"random": func(n int) []int64 {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = rng.Int64()
+			}
+			return xs
+		},
 		"duplicates": func(n int) []int64 {
 			xs := make([]int64, n)
 			for i := range xs {
@@ -133,22 +151,40 @@ func TestNearestRank(t *testing.T) {
 			return xs
 		},
 	}
+	ref := func(sorted []int64, q float64) int64 {
+		if len(sorted) == 0 {
+			return 0
+		}
+		return sorted[max(0, min(int(q*float64(len(sorted))+0.5)-1, len(sorted)-1))]
+	}
+	tails := []float64{0, 0.5, 0.95, 0.99, 0.999, 1}
 	for name, shape := range shapes {
 		for _, n := range []int{0, 1, 2, 13, 1000, 100_000} {
 			orig := shape(n)
-			xs := slices.Clone(orig)
 			want := slices.Clone(orig)
 			slices.Sort(want)
-			for _, q := range []float64{0, 0.5, 0.95, 0.99, 0.999, 1} {
-				var wantQ int64
-				if n > 0 {
-					wantQ = want[max(0, min(int(q*float64(n)+0.5)-1, n-1))]
+			// Random ascending quantiles, repeats and both ends included.
+			random := []float64{0, 1}
+			for range 6 {
+				random = append(random, rng.Float64())
+			}
+			random = append(random, random[2], random[3])
+			slices.Sort(random)
+			xs := slices.Clone(orig)
+			for _, qs := range [][]float64{tails, random, tails} {
+				got := make([]int64, len(qs))
+				NearestRank(xs, qs, got, cmp.Compare[int64])
+				for i, q := range qs {
+					if wantQ := ref(want, q); got[i] != wantQ {
+						t.Errorf("%s n=%d q=%v among %v: NearestRank = %d, sort gives %d", name, n, q, qs, got[i], wantQ)
+					}
 				}
-				if got := NearestRank(xs, q, cmp.Compare[int64]); got != wantQ {
-					t.Errorf("%s n=%d q=%v: NearestRank = %d, sort gives %d", name, n, q, got, wantQ)
-				}
-				if got := NearestRank(slices.Clone(orig), q, cmp.Compare[int64]); got != wantQ {
-					t.Errorf("%s n=%d q=%v on a fresh copy: NearestRank = %d, sort gives %d", name, n, q, got, wantQ)
+			}
+			for _, q := range tails {
+				var one [1]int64
+				NearestRank(slices.Clone(orig), []float64{q}, one[:], cmp.Compare[int64])
+				if wantQ := ref(want, q); one[0] != wantQ {
+					t.Errorf("%s n=%d q=%v on a fresh copy: NearestRank = %d, sort gives %d", name, n, q, one[0], wantQ)
 				}
 			}
 			slices.Sort(xs)
@@ -156,6 +192,32 @@ func TestNearestRank(t *testing.T) {
 				t.Errorf("%s n=%d: NearestRank did not permute its input", name, n)
 			}
 		}
+	}
+
+	// Descending quantiles would select below a rank already placed.
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "metrics: quantile 0.5 follows 0.99") {
+			t.Fatalf("recovered %v, want the descending-quantile panic", r)
+		}
+	}()
+	NearestRank([]int64{3, 1, 2}, []float64{0.99, 0.5}, make([]int64, 2), cmp.Compare[int64])
+}
+
+// TestNearestRankAllocatesNothing: reading a population's tails takes
+// no allocation beyond the caller's result array.
+func TestNearestRankAllocatesNothing(t *testing.T) {
+	xs := make([]int64, 4096)
+	rng := rand.New(rand.NewPCG(9, 9))
+	qs := []float64{0.5, 0.99, 0.999}
+	var got [3]int64
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := range xs {
+			xs[i] = rng.Int64N(1000)
+		}
+		NearestRank(xs, qs, got[:], cmp.Compare[int64])
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per call, want 0", allocs)
 	}
 }
 
@@ -198,18 +260,20 @@ func TestNearestRankWorstCase(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	NearestRank(items, 0.5, adversary)
+	var median [1]int
+	NearestRank(items, []float64{0.5}, median[:], adversary)
 
 	xs := slices.Clone(val)
 	want := slices.Clone(val)
 	slices.Sort(want)
 	comparisons := 0
-	got := NearestRank(xs, 0.5, func(a, b int64) int {
+	var got [1]int64
+	NearestRank(xs, []float64{0.5}, got[:], func(a, b int64) int {
 		comparisons++
 		return cmp.Compare(a, b)
 	})
-	if wantQ := want[n/2-1]; got != wantQ {
-		t.Fatalf("NearestRank = %d, sort gives %d", got, wantQ)
+	if wantQ := want[n/2-1]; got[0] != wantQ {
+		t.Fatalf("NearestRank = %d, sort gives %d", got[0], wantQ)
 	}
 	if comparisons <= n*logN {
 		t.Fatalf("%d comparisons: the input does not defeat median-of-three pivots", comparisons)

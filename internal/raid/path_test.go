@@ -2,12 +2,14 @@ package raid
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/disksim"
+	"repro/internal/powersim"
 	"repro/internal/simtime"
 	"repro/internal/storage"
 )
@@ -444,5 +446,41 @@ func TestDroppedMemberCompletionFailsInvariants(t *testing.T) {
 	err := a.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "1 member op completions landed for 2 issued") {
 		t.Fatalf("CheckInvariants = %v, want the landed/issued shortfall", err)
+	}
+}
+
+// TestNonFiniteMemberDrawFailsInvariants: a NaN draw on a member's
+// timeline fails the array's self-check both when the member checks
+// its own timeline (an HDD) and when it leaves that to the array (a
+// raid.Disk with no CheckInvariants of its own).
+func TestNonFiniteMemberDrawFailsInvariants(t *testing.T) {
+	hddArray := func(t *testing.T, e *simtime.Engine) (*Array, *powersim.Timeline) {
+		a, err := NewHDDArray(e, DefaultParams(), 4, disksim.Seagate7200())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, a.Disks()[2].Timeline()
+	}
+	fakeDisks := func(t *testing.T, e *simtime.Engine) (*Array, *powersim.Timeline) {
+		a, fakes := fakeArray(t, e, RAID5, 4)
+		return a, fakes[2].tl
+	}
+	for name, build := range map[string]func(*testing.T, *simtime.Engine) (*Array, *powersim.Timeline){
+		"hdd": hddArray, "bare disk": fakeDisks,
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := simtime.NewEngine()
+			a, tl := build(t, e)
+			a.Submit(storage.Request{Op: storage.Write, Offset: 0, Size: 4096}, func(simtime.Time) {})
+			e.Run()
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatalf("healthy array: %v", err)
+			}
+			tl.Set(e.Now().Add(simtime.Millisecond), math.NaN())
+			err := a.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), "raid: member 2: ") || !strings.Contains(err.Error(), "non-finite draw NaN") {
+				t.Fatalf("CheckInvariants = %v, want member 2's non-finite draw", err)
+			}
+		})
 	}
 }

@@ -266,6 +266,9 @@ type completion struct {
 	response simtime.Duration
 }
 
+// replayTails are the quantiles a replay reports: p50, p95 and p99.
+var replayTails = [...]float64{0.50, 0.95, 0.99}
+
 // byResponse orders completions by response time.
 func byResponse(a, b completion) int { return cmp.Compare(a.response, b.response) }
 
@@ -346,9 +349,9 @@ func finalize(res *Result, completions []completion, minEnd simtime.Time, cycle 
 		// responses into a scratch slice: the records are not needed in
 		// finish order past this point, so the percentile pass
 		// allocates nothing.
-		res.P50Response = metrics.NearestRank(completions, 0.50, byResponse).response
-		res.P95Response = metrics.NearestRank(completions, 0.95, byResponse).response
-		res.P99Response = metrics.NearestRank(completions, 0.99, byResponse).response
+		var tails [3]completion
+		metrics.NearestRank(completions, replayTails[:], tails[:], byResponse)
+		res.P50Response, res.P95Response, res.P99Response = tails[0].response, tails[1].response, tails[2].response
 	}
 	if secs := res.Duration().Seconds(); secs > 0 {
 		res.IOPS = float64(res.Completed) / secs

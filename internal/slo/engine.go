@@ -18,7 +18,9 @@ import (
 // (barrier time), which evaluates every whole eval-interval tick that
 // has closed.  Events are bucketed by timestamp, so the order the
 // coordinator feeds them in — which varies with worker count — cannot
-// change any count, and every evaluation happens at a tick boundary
+// change any count, and neither can how many router windows one
+// barrier closes, which only delays a tick's evaluation to the first
+// barrier past its end.  Every evaluation happens at a tick boundary
 // whose position depends only on the spec.  That is the whole
 // determinism argument: alerts.jsonl is a pure function of the spec
 // and the attributed event stream.

@@ -105,13 +105,13 @@ func RenderReport(w io.Writer, dir string) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\nMETRIC\tKIND\tTOTAL\tMEAN/WIN\tMAX/WIN")
 	for _, c := range sum.Columns {
-		st := byName[c.Name]
-		mean := 0.0
-		if st.n > 0 {
-			mean = st.sum / float64(st.n)
+		// A set that never sampled a window (a fleet run) has no
+		// per-window figure, which is not a measured zero.
+		mean, peak := "-", "-"
+		if st := byName[c.Name]; st.n > 0 {
+			mean, peak = fmtNum(st.sum/float64(st.n)), fmtNum(st.max)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n",
-			c.Name, c.Kind, fmtNum(c.Total), fmtNum(mean), fmtNum(st.max))
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", c.Name, c.Kind, fmtNum(c.Total), mean, peak)
 	}
 	if len(sum.Histogram) > 0 {
 		fmt.Fprintln(tw, "\nHISTOGRAM\tCOUNT\tMEAN\tP50\tP95\tP99")

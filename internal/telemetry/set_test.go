@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -223,6 +224,40 @@ func TestWriteDirArtifacts(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestRenderReportWithoutWindows: a set that never sampled a window
+// reports its totals and "-" in both per-window columns, not a zero
+// that reads as measured.
+func TestRenderReportWithoutWindows(t *testing.T) {
+	s := New(Options{Cadence: simtime.Second})
+	s.Registry().Counter("offered").Add(129)
+	s.Registry().Watermark("inflight").Update(7)
+	dir := t.TempDir()
+	if err := s.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderReport(&buf, dir); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = f
+		}
+	}
+	for name, want := range map[string][]string{
+		"offered":  {"offered", "counter", "129", "-", "-"},
+		"inflight": {"inflight", "watermark", "7", "-", "-"},
+	} {
+		if got := rows[name]; !reflect.DeepEqual(got, want) {
+			t.Errorf("row %q = %q, want %q in:\n%s", name, got, want, buf.String())
+		}
+	}
+	if !strings.Contains(buf.String(), "0 windows @ 1s") {
+		t.Errorf("report header:\n%s", buf.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/blktrace"
 	"repro/internal/simtime"
@@ -115,7 +116,9 @@ func (s MultiPeriodSpec) Validate() error {
 // the segments at their window offsets.  Each window draws from its
 // own seeded generator stream, so inserting or editing one window
 // never reshuffles the others; bunch counts derive from the window
-// duration, the profile's mean gap and the window's load scale.
+// duration, the profile's mean gap and the window's load scale.  A
+// window, or all of them together, needing more than MaxBunches fails
+// before any window is synthesized.
 func SynthesizeMulti(p *Profile, spec MultiPeriodSpec, opts SynthOptions) (*blktrace.Trace, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -133,17 +136,35 @@ func SynthesizeMulti(p *Profile, spec MultiPeriodSpec, opts SynthOptions) (*blkt
 			device += "-" + spec.Name
 		}
 	}
-	out := &blktrace.Trace{Device: device}
+	// Size each segment so its natural (rescaled) span fills the
+	// window: n-1 gaps of MeanNs/LoadScale each.  The counts are float64
+	// so a huge window cannot wrap int before it is refused.
+	counts := make([]int, len(spec.Periods))
+	total := 0.0
 	for i, win := range spec.Periods {
 		if win.LoadScale == 0 {
+			continue
+		}
+		n := 1 + math.Floor(float64(win.Duration)*win.LoadScale/p.Gaps.MeanNs)
+		if !(n <= MaxBunches) {
+			return nil, fmt.Errorf("workload: period %d (%s) needs %.4g bunches, more than the %d a .replay file holds",
+				i, win.Name, n, int64(MaxBunches))
+		}
+		counts[i] = int(n)
+		total += n
+	}
+	if total > MaxBunches {
+		return nil, fmt.Errorf("workload: periods need %.4g bunches together, more than the %d a .replay file holds",
+			total, int64(MaxBunches))
+	}
+	out := &blktrace.Trace{Device: device}
+	for i, win := range spec.Periods {
+		if counts[i] == 0 {
 			continue // a silent window contributes nothing
 		}
-		// Size the segment so its natural (rescaled) span fills the
-		// window: n-1 gaps of MeanNs/LoadScale each.
-		n := 1 + int(float64(win.Duration)*win.LoadScale/p.Gaps.MeanNs)
 		wopts := opts
 		wopts.Device = device
-		wopts.Bunches = n
+		wopts.Bunches = counts[i]
 		wopts.LoadScale = win.LoadScale
 		if win.ReadRatio >= 0 {
 			wopts.ReadRatio = win.ReadRatio

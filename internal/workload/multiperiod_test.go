@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -111,6 +112,46 @@ func TestMultiPeriodValidateRejections(t *testing.T) {
 			}
 			if _, serr := SynthesizeMulti(p, tc.spec, SynthOptions{ReadRatio: -1}); serr == nil {
 				t.Fatal("SynthesizeMulti accepted an invalid spec")
+			}
+		})
+	}
+}
+
+// TestSynthesizeMultiRejectsTooManyBunches: a window, or all windows
+// together, needing more bunches than a .replay file holds fails with
+// a label before any window is synthesized.
+func TestSynthesizeMultiRejectsTooManyBunches(t *testing.T) {
+	p, err := Analyze(fixedTrace(), "fix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A window of MaxBunches-1 mean gaps needs MaxBunches bunches, up
+	// to rounding: at the cap, but not past it.
+	capDur := simtime.Duration(float64(MaxBunches-1) * p.Gaps.MeanNs)
+	for _, tc := range []struct {
+		name    string
+		periods []Period
+		want    string
+	}{
+		{"one window", []Period{
+			{Name: "w", Duration: 2 * capDur, LoadScale: 1, ReadRatio: -1},
+		}, "workload: period 0 (w) needs 8.59e+09 bunches, more than the 4294967295 a .replay file holds"},
+		{"load scale", []Period{
+			{Name: "quiet", Duration: simtime.Second, LoadScale: 1, ReadRatio: -1},
+			{Name: "w", Start: simtime.Second, Duration: capDur, LoadScale: 1.5, ReadRatio: -1},
+		}, "workload: period 1 (w) needs 6.442e+09 bunches"},
+		{"NaN load scale", []Period{
+			{Name: "w", Duration: simtime.Second, LoadScale: math.NaN(), ReadRatio: -1},
+		}, "workload: period 0 (w) needs NaN bunches"},
+		{"together", []Period{
+			{Name: "a", Duration: capDur, LoadScale: 1, ReadRatio: -1},
+			{Name: "b", Start: capDur, Duration: simtime.Second, LoadScale: 1, ReadRatio: -1},
+		}, "workload: periods need 4.295e+09 bunches together, more than the 4294967295 a .replay file holds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := SynthesizeMulti(p, MultiPeriodSpec{Periods: tc.periods}, SynthOptions{ReadRatio: -1})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("SynthesizeMulti = %v, want an error containing %q", err, tc.want)
 			}
 		})
 	}

@@ -10,13 +10,20 @@ import (
 	"repro/internal/storage"
 )
 
+// MaxBunches is the most bunches one synthesis makes: the .replay
+// codec writes the bunch count as a uint32.  A trace below it can still
+// exceed memory; the cap only refuses what no file could hold before
+// anything is allocated.
+const MaxBunches = math.MaxUint32
+
 // SynthOptions perturb a synthesis run.  The zero value reproduces the
 // profile as faithfully as the model allows.
 type SynthOptions struct {
 	// Seed drives the generator; the same profile and seed always
 	// produce a byte-identical trace.
 	Seed uint64
-	// Bunches overrides the synthesized bunch count (0 = profile's).
+	// Bunches overrides the synthesized bunch count (0 = profile's); it
+	// may not exceed MaxBunches.
 	Bunches int
 	// LoadScale multiplies the arrival rate: 2 halves every gap, 0.5
 	// doubles it.  0 means 1 (unscaled); it must be finite.
@@ -38,6 +45,9 @@ func (o SynthOptions) normalize(p *Profile) (SynthOptions, error) {
 	}
 	if o.Bunches < 0 {
 		return o, fmt.Errorf("workload: negative bunch count %d", o.Bunches)
+	}
+	if int64(o.Bunches) > MaxBunches {
+		return o, fmt.Errorf("workload: %d bunches exceed the %d a .replay file holds", o.Bunches, int64(MaxBunches))
 	}
 	if o.LoadScale == 0 {
 		o.LoadScale = 1

@@ -334,6 +334,17 @@ func TestSynthesizeRejectsBadOptions(t *testing.T) {
 	if _, err := Synthesize(&Profile{}, SynthOptions{}); err == nil {
 		t.Fatal("invalid profile accepted")
 	}
+	// More bunches than a .replay file holds, asked for or declared by
+	// the profile, fail before anything is allocated.
+	const over = "bunches exceed the 4294967295 a .replay file holds"
+	if _, err := Synthesize(p, SynthOptions{Bunches: MaxBunches + 1, ReadRatio: -1}); err == nil || !strings.Contains(err.Error(), over) {
+		t.Fatalf("MaxBunches+1 bunches: err %v", err)
+	}
+	huge := *p
+	huge.Bunches = MaxBunches + 1
+	if _, err := Synthesize(&huge, SynthOptions{ReadRatio: -1}); err == nil || !strings.Contains(err.Error(), over) {
+		t.Fatalf("profile of MaxBunches+1 bunches: err %v", err)
+	}
 }
 
 func TestDistributionQuotaDraw(t *testing.T) {
