@@ -23,13 +23,14 @@ import (
 
 // scriptedStream replays a fixed arrival list and declares its span.
 // When f is set, every Next records how many distinct router windows
-// the members' pending arrivals span at that moment: a per-window
-// schedule never holds more than one.
+// of the given length the members' pending arrivals span at that
+// moment: a per-window schedule never holds more than one.
 type scriptedStream struct {
 	reqs        []ClientRequest
 	next        int
 	span        simtime.Duration
 	f           *Fleet
+	window      simtime.Duration
 	heldWindows int
 }
 
@@ -37,10 +38,10 @@ func (s *scriptedStream) Duration() simtime.Duration { return s.span }
 
 func (s *scriptedStream) Next() (ClientRequest, bool) {
 	if s.f != nil {
-		held := map[simtime.Time]bool{}
+		held := map[int64]bool{}
 		for _, m := range s.f.members {
 			for _, p := range m.pending {
-				held[p.window] = true
+				held[int64(p.issue)/int64(s.window)] = true // runs start at 0
 			}
 		}
 		s.heldWindows = max(s.heldWindows, len(held))
@@ -134,7 +135,11 @@ func runBarrierCase(t testing.TB, c barrierCase, workers int, everyWindow bool) 
 		t.Fatal(err)
 	}
 	span := c.reqs[len(c.reqs)-1].At.Sub(0) + 1
-	stream := &scriptedStream{reqs: c.reqs, span: span, f: f}
+	window := c.window
+	if window <= 0 {
+		window = DefaultWindow
+	}
+	stream := &scriptedStream{reqs: c.reqs, span: span, f: f, window: window}
 	opts := Options{Policy: c.policy(), Window: c.window, Faults: c.faults}
 	if c.admitRate > 0 {
 		opts.Admission = NewTokenBucket(c.admitRate, c.admitBurst)
@@ -253,6 +258,29 @@ func TestSharedBarriersMatchPerWindowBarriers(t *testing.T) {
 					t.Fatalf("shared barriers held at most %d window unreplayed: the run never shared a barrier", held)
 				}
 			})
+		}
+	}
+}
+
+// TestBatchEndsOnBudget: a round-robin fleet routed more than
+// barrierBudget requests per member within a few windows, with no idle
+// window to end a batch, still ends one on the budget — it holds more
+// than one window unreplayed, but fewer than the stream spans — and
+// leaves everything as per-window barriers do.
+func TestBatchEndsOnBudget(t *testing.T) {
+	const arrays, perWindow, windows = 4, 100, 20
+	var reqs []ClientRequest
+	for i := range perWindow * windows {
+		at := simtime.Time(int64(i) * int64(DefaultWindow) / perWindow)
+		reqs = append(reqs, ClientRequest{At: at, Client: uint64(i), Req: storage.Request{Op: storage.Op(i % 2), Offset: int64(i%4096) << 16, Size: 4096}})
+	}
+	if perWindow*windows <= barrierBudget*arrays {
+		t.Fatalf("%d requests never fill the %d-request budget", perWindow*windows, barrierBudget*arrays)
+	}
+	c := barrierCase{arrays: arrays, policy: func() Policy { return NewRoundRobin() }, reqs: reqs, slo: true}
+	for _, workers := range []int{1, 2} {
+		if held := compareBarrierSchedules(t, c, workers); held < 2 || held >= windows {
+			t.Fatalf("workers=%d: batches held at most %d of the stream's %d windows; a budget-ended batch holds from 2 to %d", workers, held, windows, windows-1)
 		}
 	}
 }

@@ -11,8 +11,8 @@
 // state.  A window ends in a barrier only when something reads the
 // fleet's state after it: a policy that weighs ArrayState, an
 // OnBarrier hook, the telemetry watermark, an idle gap or the stream's
-// end, or a full routing budget (8 requests per member).  Otherwise the
-// coordinator routes on, and at the next barrier each worker replays
+// end, or a full routing budget (64 requests per member).  Otherwise
+// the coordinator routes on, and at the next barrier each worker replays
 // its members' routed windows one member at a time, making on each
 // engine exactly the calls a barrier after every window would have
 // made.  Every routing and admission decision happens on the
@@ -23,9 +23,10 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -43,8 +44,13 @@ const DefaultWindow = 10 * simtime.Millisecond
 
 // barrierBudget bounds a batch: once barrierBudget requests per member
 // have been routed since the last barrier, the window ends in one.  It
-// caps the pending buffers and how far SLO evaluation trails routing.
-const barrierBudget = 8
+// caps the pending lists (32 B per request) and how far SLO evaluation
+// trails routing.  A barrier brings every member's engine, array and
+// drives back into cache, so the larger the batch, the more events
+// each visit fires.  In the sweep of DESIGN §13.1, 64 ran within 7% of
+// the fastest budget at every fleet size, and 128 gained little for a
+// third more peak memory.
+const barrierBudget = 64
 
 // completion records one finished IO for tail-latency accounting and
 // (when an SLO engine rides the run) per-class attribution.
@@ -54,13 +60,14 @@ type completion struct {
 	class    int
 }
 
-// pending is one admitted request waiting for its issue event.
+// pending is one admitted request waiting for its issue event.  The
+// coordinator appends one per request to its member's list, in routing
+// order, so the request is packed into 32 bytes, two to a cache line.
 type pending struct {
-	req   storage.Request
-	issue simtime.Time
-	class int
-	// window is the start of the router window that admitted it.
-	window simtime.Time
+	offset, size int64
+	issue        simtime.Time
+	op           storage.Op
+	class        int32
 }
 
 // member is one array of the fleet.  Its mutable fields are written by
@@ -68,20 +75,22 @@ type pending struct {
 // drains (completions); the limit/drained channel handshake orders the
 // two, so no field needs atomics.
 type member struct {
+	// Routing writes these four for every request, so they lead.
+	outstanding int
+	queuedBytes int64
+	admitted    int64
+	pending     []pending
+
 	index  int
 	engine *simtime.Engine
 	array  *raid.Array
 
-	outstanding int
-	queuedBytes int64
-	admitted    int64
-	completed   int64
-	bytes       int64
-	maxResp     simtime.Duration
+	completed int64
+	bytes     int64
+	maxResp   simtime.Duration
 	// completions holds the IOs finished since the last barrier, which
 	// gathers them into the run's buffers and truncates the slice.
 	completions []completion
-	pending     []pending
 	probe       *workerProbe
 	// free is a LIFO list of idle in-flight records.  Only the worker
 	// draining this member touches it.
@@ -112,8 +121,8 @@ func (m *member) OnEvent(_ *simtime.Engine, arg simtime.EventArg) {
 		r = &inflight{m: m}
 		r.done = r.onDone
 	}
-	r.size, r.issue, r.class = p.req.Size, p.issue, p.class
-	m.array.Submit(p.req, r.done)
+	r.size, r.issue, r.class = p.size, p.issue, int(p.class)
+	m.array.Submit(storage.Request{Op: p.op, Offset: p.offset, Size: p.size}, r.done)
 }
 
 // onDone accounts one completed request and recycles its record.
@@ -163,8 +172,13 @@ func (p *workerProbe) observe(bytes int64, resp simtime.Duration) {
 
 // batch is the run of router windows one barrier completes: from is
 // the start of the first window routed since the previous barrier,
-// limit the barrier time.
-type batch struct{ from, limit simtime.Time }
+// limit the barrier time, and window the windows' length.  Window
+// starts lie a whole number of windows past from, and each arrival
+// lies in the window that routed it.
+type batch struct {
+	from, limit simtime.Time
+	window      simtime.Duration
+}
 
 // worker owns a static partition of the members (array i on worker
 // i mod W) and replays their routed windows at each barrier.
@@ -193,12 +207,13 @@ func (w *worker) drain(b batch) {
 // its own arrivals.
 func (m *member) replay(b batch) {
 	e := m.engine
-	window := b.from
+	end := b.from.Add(b.window) // the end of the window being scheduled
 	for i := range m.pending {
 		p := &m.pending[i]
-		if p.window != window {
-			window = p.window
-			e.DrainThrough(window)
+		if p.issue >= end {
+			start := p.issue.Add(-p.issue.Sub(b.from) % b.window)
+			e.DrainThrough(start)
+			end = start.Add(b.window)
 		}
 		e.ScheduleEvent(p.issue, m, simtime.EventArg{I64: int64(i)})
 	}
@@ -561,7 +576,7 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 	for ok || outstanding > 0 {
 		if !ok {
 			// Stream dry: one final unbounded window drains the tail.
-			barrier(batch{from: from, limit: simtime.MaxTime})
+			barrier(batch{from: from, limit: simtime.MaxTime, window: window})
 			windows++
 			break
 		}
@@ -603,7 +618,7 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 			m.queuedBytes += next.Req.Size
 			m.admitted++
 			states[idx] = ArrayState{Outstanding: m.outstanding, QueuedBytes: m.queuedBytes, Admitted: m.admitted}
-			m.pending = append(m.pending, pending{req: next.Req, issue: next.At, class: class, window: t})
+			m.pending = append(m.pending, pending{offset: next.Req.Offset, size: next.Req.Size, issue: next.At, op: next.Req.Op, class: int32(class)})
 			admitted++
 			admittedC.Inc()
 			if sloEng != nil {
@@ -620,7 +635,7 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 		windows++
 		t = wend
 		if everyWindow || routed >= budget || !ok || next.At >= wend.Add(window) {
-			barrier(batch{from: from, limit: wend})
+			barrier(batch{from: from, limit: wend, window: window})
 			from, routed = t, 0
 		}
 	}
@@ -685,33 +700,24 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 		res.IOPS = float64(res.Completed) / dur
 		res.MBPS = float64(res.Bytes) / (1 << 20) / dur
 	}
+	// Tails read populations, not sequences, so the order barriers
+	// gathered the responses in cannot change them.
+	var all *tailPop
 	if sloEng != nil {
-		// Tails read populations, not sequences, so the class groups
-		// may take any order.  Group before the overall tails below
-		// reorder responses.
 		names := sloEng.ClassNames()
-		groups := groupByClass(f.responses, f.classes, len(names))
+		var groups []tailPop
+		all, groups = responseTails(f.responses, f.classes, len(names))
 		for i, name := range names {
-			cr := ClassResult{Class: name}
-			if rs := groups[i]; len(rs) > 0 {
-				cr.Completed = int64(len(rs))
-				t := tailStats(rs)
-				cr.MeanResponse, cr.MaxResponse = t.Mean, t.Max
-				cr.P50Response, cr.P99Response, cr.P999Response = t.P50, t.P99, t.P999
-			}
-			res.PerClass = append(res.PerClass, cr)
+			res.PerClass = append(res.PerClass, groups[i].classResult(name))
 		}
-		if rs := groups[len(names)]; len(rs) > 0 {
-			t := tailStats(rs)
-			res.PerClass = append(res.PerClass, ClassResult{
-				Class: "unmatched", Completed: int64(len(rs)),
-				MeanResponse: t.Mean, MaxResponse: t.Max,
-				P50Response: t.P50, P99Response: t.P99, P999Response: t.P999,
-			})
+		if g := &groups[len(names)]; g.n > 0 {
+			res.PerClass = append(res.PerClass, g.classResult("unmatched"))
 		}
+	} else {
+		all, _ = responseTails(f.responses, nil, 0)
 	}
-	if len(f.responses) > 0 {
-		t := tailStats(f.responses)
+	if all.n > 0 {
+		t := all.tails()
 		res.MeanResponse, res.P50Response, res.P99Response, res.P999Response = t.Mean, t.P50, t.P99, t.P999
 	}
 	if res.MeanWatts > 0 {
@@ -730,53 +736,151 @@ type Tails struct {
 	Mean, Max, P50, P99, P999 simtime.Duration
 }
 
-// groupByClass returns one copy of responses grouped by class: group
-// c < classes holds the responses of class c and group classes those
-// of class -1, each in its original order.  It counts each class, then
-// places every response.
-func groupByClass(responses []simtime.Duration, class []int32, classes int) [][]simtime.Duration {
-	slot := func(c int32) int {
-		if c < 0 {
-			return classes
-		}
-		return int(c)
+// tailSubBits sets the tail histogram's resolution: each power of two
+// splits into 2^tailSubBits buckets, so a bucket spans under 1.6% of
+// the values in it.
+const tailSubBits = 6
+
+// tailBuckets is the number of buckets tailBucket maps onto.
+const tailBuckets = (64-tailSubBits)<<tailSubBits + 1
+
+// tailBucket maps a response onto the tail histogram.  The map does
+// not decrease, so each bucket holds one range of values: negatives
+// share bucket 0, values below 2^(tailSubBits+1) get a bucket each,
+// and every power of two above that splits into 2^tailSubBits.
+func tailBucket(v simtime.Duration) int {
+	if v < 0 {
+		return 0
 	}
-	count := make([]int, classes+1)
-	for _, c := range class {
-		count[slot(c)]++
+	u := uint64(v)
+	if u < 2<<tailSubBits {
+		return 1 + int(u)
 	}
-	grouped := make([]simtime.Duration, len(responses))
-	groups := make([][]simtime.Duration, classes+1)
-	start := 0
-	for k, n := range count {
-		groups[k] = grouped[start : start : start+n]
-		start += n
-	}
-	for i, c := range class {
-		k := slot(c)
-		groups[k] = append(groups[k], responses[i])
-	}
-	return groups
+	shift := bits.Len64(u) - tailSubBits - 1
+	return 1 + shift<<tailSubBits + int(u>>shift)
 }
 
-// tailStats computes the tails of a non-empty response population,
-// reordering responses in place.
-func tailStats(responses []simtime.Duration) Tails {
-	var sum simtime.Duration
-	hi := responses[0]
-	for _, r := range responses {
-		sum += r
-		hi = max(hi, r)
+// tailPop is one response population: its count, sum, maximum and
+// histogram from the first pass over the run's responses, and from the
+// second the members of the buckets that hold its fleetTails ranks.
+type tailPop struct {
+	n        int
+	sum, max simtime.Duration
+	hist     []int
+	// Rank q is member offset[q] of bucket[q] in ascending order.  The
+	// lead rank of a bucket, the first one in it, collects its members.
+	bucket, offset [len(fleetTails)]int
+	lead           [len(fleetTails)]bool
+	picked         [len(fleetTails)][]simtime.Duration
+}
+
+func (p *tailPop) add(r simtime.Duration, b int) {
+	p.n++
+	p.sum += r
+	if p.n == 1 || r > p.max {
+		p.max = r
 	}
-	var p [3]simtime.Duration
-	metrics.NearestRank(responses, fleetTails[:], p[:], cmp.Compare[simtime.Duration])
-	return Tails{
-		Mean: sum / simtime.Duration(len(responses)),
-		Max:  hi,
-		P50:  p[0],
-		P99:  p[1],
-		P999: p[2],
+	p.hist[b]++
+}
+
+// locate places each rank in its bucket once the histogram is whole.
+func (p *tailPop) locate() {
+	if p.n == 0 {
+		return
 	}
+	b, below := 0, 0 // below counts the members of buckets before b
+	for q, quantile := range fleetTails {
+		k := metrics.NearestRankIndex(quantile, p.n)
+		for below+p.hist[b] <= k {
+			below += p.hist[b]
+			b++
+		}
+		p.bucket[q], p.offset[q] = b, k-below
+		if p.lead[q] = q == 0 || p.bucket[q-1] != b; p.lead[q] {
+			p.picked[q] = make([]simtime.Duration, 0, p.hist[b])
+		}
+	}
+}
+
+// pick collects r when its bucket b holds a rank.
+func (p *tailPop) pick(r simtime.Duration, b int) {
+	for q, lead := range p.lead {
+		if lead && p.bucket[q] == b {
+			p.picked[q] = append(p.picked[q], r)
+			return
+		}
+	}
+}
+
+// tails reads a non-empty population's tails: each rank is the
+// offset-th of its bucket's members, sorted, so it is the value a sort
+// of the whole population puts at that rank.
+func (p *tailPop) tails() Tails {
+	var v [len(fleetTails)]simtime.Duration
+	for q := range v {
+		lead := q
+		for !p.lead[lead] {
+			lead--
+		}
+		if lead == q {
+			slices.Sort(p.picked[q])
+		}
+		v[q] = p.picked[lead][p.offset[q]]
+	}
+	return Tails{Mean: p.sum / simtime.Duration(p.n), Max: p.max, P50: v[0], P99: v[1], P999: v[2]}
+}
+
+// classResult reports a class's share of the run.
+func (p *tailPop) classResult(name string) ClassResult {
+	cr := ClassResult{Class: name, Completed: int64(p.n)}
+	if p.n > 0 {
+		t := p.tails()
+		cr.MeanResponse, cr.MaxResponse = t.Mean, t.Max
+		cr.P50Response, cr.P99Response, cr.P999Response = t.P50, t.P99, t.P999
+	}
+	return cr
+}
+
+// responseTails finds the tails of every response and, when classes
+// is positive, of each class's share: class[i] is response i's class,
+// groups[c] holds class c < classes and groups[classes] class -1.  The
+// first pass counts each response into its class's histogram and the
+// overall one; the second collects only the members of the buckets
+// that hold a rank.
+func responseTails(responses []simtime.Duration, class []int32, classes int) (all *tailPop, groups []tailPop) {
+	all = &tailPop{hist: make([]int, tailBuckets)}
+	if classes > 0 {
+		groups = make([]tailPop, classes+1)
+		for i := range groups {
+			groups[i].hist = make([]int, tailBuckets)
+		}
+	}
+	slot := func(i int) *tailPop {
+		c := int(class[i])
+		if c < 0 {
+			c = classes
+		}
+		return &groups[c]
+	}
+	for i, r := range responses {
+		b := tailBucket(r)
+		all.add(r, b)
+		if groups != nil {
+			slot(i).add(r, b)
+		}
+	}
+	all.locate()
+	for i := range groups {
+		groups[i].locate()
+	}
+	for i, r := range responses {
+		b := tailBucket(r)
+		all.pick(r, b)
+		if groups != nil {
+			slot(i).pick(r, b)
+		}
+	}
+	return all, groups
 }
 
 // fleetTails are the quantiles a fleet reports: p50, p99 and p999.

@@ -3,6 +3,9 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -21,7 +24,7 @@ func TestTailStatsNearestRank(t *testing.T) {
 	for i := 10; i >= 1; i-- { // unsorted on purpose
 		rs = append(rs, simtime.Duration(i)*simtime.Millisecond)
 	}
-	got := tailStats(rs)
+	got := popTails(rs)
 	if got.Mean != 5500*simtime.Microsecond {
 		t.Errorf("mean %v, want 5.5ms", got.Mean)
 	}
@@ -44,7 +47,7 @@ func TestTailStatsNearestRank(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		rs = append(rs, simtime.Duration(i)*simtime.Microsecond)
 	}
-	got = tailStats(rs)
+	got = popTails(rs)
 	if got.P50 != 500*simtime.Microsecond {
 		t.Errorf("p50 %v, want 500us", got.P50)
 	}
@@ -56,7 +59,7 @@ func TestTailStatsNearestRank(t *testing.T) {
 	}
 
 	// Single sample: every tail is that sample.
-	got = tailStats([]simtime.Duration{7 * simtime.Millisecond})
+	got = popTails([]simtime.Duration{7 * simtime.Millisecond})
 	if got.P50 != 7*simtime.Millisecond || got.P999 != 7*simtime.Millisecond {
 		t.Errorf("single-sample tails %+v", got)
 	}
@@ -307,5 +310,76 @@ func TestSLOWorkerInvariance(t *testing.T) {
 	}
 	if len(alerts1) == 0 {
 		t.Fatal("invariance fixture produced no alerts")
+	}
+}
+
+// TestSLOReadsDuringRun: Snapshot and WriteAlerts called from another
+// goroutine while Run feeds the engine see published state only — each
+// snapshot at or past the one before — and change nothing: the final
+// snapshot and alerts equal those of a run nobody read.  Run it under
+// -race.
+func TestSLOReadsDuringRun(t *testing.T) {
+	run := func(read bool) (snapshot, alerts []byte, reads int) {
+		f, err := New(experiments.DefaultConfig(), experiments.HDDArray, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := slo.NewEngine(slo.ExampleSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := NewSynthStream(SynthParams{Duration: 2 * simtime.Second, MeanIOPS: 2400, Clients: 64, Size: 16 << 10, ReadRatio: 0.6, WorkingSet: 1 << 30, Seed: 3})
+		stop, done := make(chan struct{}), make(chan error)
+		if read {
+			go func() {
+				var last slo.Status
+				for {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					st := eng.Snapshot()
+					if st.EvaluatedTick < last.EvaluatedTick || len(st.Classes) > 0 && len(last.Classes) > 0 && st.Classes[0].Admitted < last.Classes[0].Admitted {
+						done <- fmt.Errorf("snapshot went back: evaluated %d after %d", st.EvaluatedTick, last.EvaluatedTick)
+						return
+					}
+					if err := eng.WriteAlerts(io.Discard); err != nil {
+						done <- err
+						return
+					}
+					last = st
+					reads++
+					runtime.Gosched()
+				}
+			}()
+		}
+		_, err = f.Run(stream, Options{SLO: eng, Faults: []Fault{{Array: 2, At: 500 * simtime.Millisecond, RebuildBytes: 16 << 20, ChunkBytes: 4 << 20}}})
+		if read {
+			close(stop)
+			if rerr := <-done; rerr != nil {
+				t.Fatal(rerr)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snapshot, err = json.Marshal(eng.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := eng.WriteAlerts(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return snapshot, buf.Bytes(), reads
+	}
+	snap, alerts, reads := run(true)
+	quietSnap, quietAlerts, _ := run(false)
+	if !bytes.Equal(snap, quietSnap) || !bytes.Equal(alerts, quietAlerts) {
+		t.Fatalf("concurrent reads changed the run:\nread  %s\nquiet %s", snap, quietSnap)
+	}
+	if reads == 0 {
+		t.Fatal("the reader never ran during the run")
 	}
 }

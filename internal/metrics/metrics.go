@@ -117,13 +117,20 @@ func NearestRank[S ~[]E, E any](s S, qs []float64, ranks []E, cmp func(a, b E) i
 			ranks[i] = zero
 			continue
 		}
-		k := max(0, min(int(q*float64(n)+0.5)-1, n-1))
+		k := NearestRankIndex(q, n)
 		if k != prev {
 			selectRank(s, lo, k, cmp)
 			lo, prev = k+1, k
 		}
 		ranks[i] = s[k]
 	}
+}
+
+// NearestRankIndex is the 0-based index of the nearest-rank
+// q-quantile in an ascending sample of n > 0: 1-based rank
+// int(q·n+0.5), clamped to [1, n].
+func NearestRankIndex(q float64, n int) int {
+	return max(0, min(int(q*float64(n)+0.5)-1, n-1))
 }
 
 // selectRank moves into s[k] the element a sort would put there, given

@@ -31,9 +31,12 @@ import (
 // Steps are stored exactly in 8 bytes each, in chunks: a step is its
 // offset from the chunk's base time above a 4-bit index into the
 // chunk's palette of draws.  Set appends to the current chunk and seals
-// it when it holds chunkSteps steps, when an offset would not fit in
-// offsetBits or when a new draw finds the palette full, so any Set
-// sequence is stored as is and an append copies at most one chunk.
+// it when it is full, when an offset would not fit in offsetBits or
+// when a new draw finds the palette full, so any Set sequence is stored
+// as is.  A chunk is full at chunkSteps steps, or, while its buffer is
+// shorter than a quarter chunk, at its buffer's length: a short
+// timeline grows by chunks of firstSteps, twice that, and so on, and
+// copies no step until it passes a quarter chunk.
 type Timeline struct {
 	// sealed holds the chunks before the current one, oldest first.
 	sealed []chunk
@@ -55,6 +58,8 @@ type step struct {
 const (
 	// chunkSteps fills the largest small-object size class, 32 KiB.
 	chunkSteps = 4096
+	// firstSteps is a new timeline's first buffer.
+	firstSteps = 16
 	// idxBits indexes a palette of 1<<idxBits draws; every device model
 	// here draws at most 14 distinct powers (a DRPM drive over four
 	// speeds).
@@ -91,6 +96,12 @@ func (p *palette) find(w float64) (uint64, bool) {
 	return 0, false
 }
 
+// equal reports whether two palettes list the same draws.  Entries
+// past n are zero in every palette, so the first n decide.
+func (p *palette) equal(q *palette) bool {
+	return p.n == q.n && slices.Equal(p.w[:p.n], q.w[:p.n])
+}
+
 // add appends w to the palette, which has room, and returns its index.
 func (p *palette) add(w float64) uint64 {
 	p.w[p.n] = math.Float64bits(w)
@@ -100,7 +111,7 @@ func (p *palette) add(w float64) uint64 {
 
 // NewTimeline returns a timeline drawing base watts from time zero.
 func NewTimeline(base float64) *Timeline {
-	tl := &Timeline{cur: chunk{steps: []uint64{0}}, last: step{at: 0, w: base}}
+	tl := &Timeline{cur: chunk{steps: make([]uint64, 1, firstSteps)}, last: step{at: 0, w: base}}
 	tl.pal.add(base)
 	return tl
 }
@@ -140,7 +151,7 @@ func (tl *Timeline) push(t simtime.Time, w float64) {
 	idx, ok := tl.pal.find(w)
 	full := !ok && tl.pal.n == 1<<idxBits
 	off := uint64(t) - uint64(c.base) // exact: t is not before base
-	if n := len(c.steps); n == 0 || n == chunkSteps || off > maxOffset || full {
+	if n := len(c.steps); n == 0 || isFull(c.steps) || off > maxOffset || full {
 		if n > 0 {
 			tl.seal()
 		}
@@ -159,35 +170,49 @@ func (tl *Timeline) push(t simtime.Time, w float64) {
 	tl.last = step{at: t, w: w}
 }
 
-// grow returns s with room for one more step.  Below a quarter chunk s
-// grows as append grows it, so a short timeline keeps little slack;
-// from there it grows straight to a full chunk, so a chunk is copied
-// at most once past a quarter of its size.
+// isFull reports whether a chunk holding s takes no further step: at
+// chunkSteps steps, or when a buffer shorter than a quarter chunk is
+// full, since it is cheaper to seal it than to copy it.
+func isFull(s []uint64) bool {
+	return len(s) == chunkSteps || len(s) == cap(s) && cap(s) < chunkSteps/4
+}
+
+// grow returns s with room for one more step: the zero Timeline's
+// first buffer, or a full chunk for a buffer of a quarter chunk or
+// more, so a chunk is copied at most once, past a quarter of its size.
 func grow(s []uint64) []uint64 {
-	if cap(s) < chunkSteps/4 {
-		return slices.Grow(s, 1)
+	if cap(s) == 0 {
+		return make([]uint64, 0, firstSteps)
 	}
 	return append(make([]uint64, 0, chunkSteps), s...)
 }
 
-// seal closes the current chunk.  A full chunk is kept as it is, and
-// the next one starts at a quarter chunk; a chunk closed early is
-// copied out at its length, and its buffer carries on.  The palette
-// carries over too, and consecutive chunks with equal palettes share
-// one copy.
+// seal closes the current chunk.  A full chunk is kept as it is: after
+// a short one the next buffer is twice as long, and after a chunkSteps
+// one it is a quarter chunk.  A chunk closed early is copied out at its
+// length, and its buffer carries on.  The palette carries over too,
+// and consecutive chunks with equal palettes share one copy.
 func (tl *Timeline) seal() {
 	c := tl.cur
-	if len(c.steps) == chunkSteps {
+	switch n := len(c.steps); {
+	case n == chunkSteps:
 		tl.cur.steps = make([]uint64, 0, chunkSteps/4)
-	} else {
+	case isFull(c.steps):
+		tl.cur.steps = make([]uint64, 0, 2*n)
+	default:
 		c.steps = slices.Clone(c.steps)
 		tl.cur.steps = tl.cur.steps[:0]
 	}
-	if n := len(tl.sealed); n > 0 && *tl.sealed[n-1].pal == tl.pal {
+	if n := len(tl.sealed); n > 0 && tl.sealed[n-1].pal.equal(&tl.pal) {
 		c.pal = tl.sealed[n-1].pal
 	} else {
 		p := tl.pal
 		c.pal = &p
+	}
+	if tl.sealed == nil {
+		// Room for the short chunks a timeline fills before its first
+		// quarter chunk.
+		tl.sealed = make([]chunk, 0, 8)
 	}
 	tl.sealed = append(tl.sealed, c)
 }

@@ -592,6 +592,42 @@ func TestTimelineMemoryPerStep(t *testing.T) {
 	runtime.KeepAlive(tl)
 }
 
+// TestShortTimelineCopiesNothing: a 700-step timeline, about a
+// fleet-storm drive's, fills chunks of firstSteps, twice that and so
+// on, each sealed exactly full, so no step is copied, and it allocates
+// at most what it retains plus one chunk.
+func TestShortTimelineCopiesNothing(t *testing.T) {
+	hdd := []float64{8, 13.5, 11.5, 0.8, 20}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tl := NewTimeline(hdd[0])
+	for i := 1; i < 700; i++ {
+		tl.Set(simtime.Time(i)*simtime.Time(simtime.Microsecond), hdd[i%len(hdd)])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	total := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d steps in %d chunks: %d B retained, %d B allocated", tl.Steps(), len(tl.sealed)+1, retained, total)
+	if tl.Steps() != 700 {
+		t.Fatalf("Steps() = %d, want 700", tl.Steps())
+	}
+	for k, c := range tl.sealed {
+		if want := firstSteps << k; len(c.steps) != want || cap(c.steps) != want {
+			t.Errorf("chunk %d holds %d steps in a buffer of %d, want exactly %d", k, len(c.steps), cap(c.steps), want)
+		}
+	}
+	if want := firstSteps << len(tl.sealed); cap(tl.cur.steps) != want {
+		t.Errorf("current chunk's buffer holds %d steps, want %d", cap(tl.cur.steps), want)
+	}
+	if total > retained+8*chunkSteps {
+		t.Errorf("allocated %d B, want at most the %d B retained plus one chunk (%d B)", total, retained, 8*chunkSteps)
+	}
+	runtime.KeepAlive(tl)
+}
+
 func TestApproxEqual(t *testing.T) {
 	if !ApproxEqual(100, 100.4, 0.005) {
 		t.Fatal("100 vs 100.4 within 0.5% should be equal")

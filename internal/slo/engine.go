@@ -2,6 +2,7 @@ package slo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,9 +26,20 @@ import (
 // determinism argument: alerts.jsonl is a pure function of the spec
 // and the attributed event stream.
 //
-// Observe*/Advance run on the coordinator goroutine; Snapshot may be
-// called concurrently from watch/HTTP goroutines, so a mutex guards
-// the state.
+// One goroutine feeds the engine: Observe*, Advance and Finish.  The
+// Observe* calls count into state only that goroutine touches — the
+// per-tick rows and each class's pending totals — and take no lock.
+// Advance and Finish take the mutex once, fold the pending totals into
+// the published ones and evaluate the closed ticks.  Snapshot, Alerts
+// and WriteAlerts may run on any goroutine (the watch dashboard, HTTP
+// handlers) and read only published state, so they see the engine as
+// of the last Advance or Finish.
+//
+// Per-tick storage is one row per tick that holds an event and that an
+// evaluation can still read: every tick not yet evaluated, and at most
+// fastTicks−1 evaluated ones, whose completions and bad-event
+// attribution the fast window still sums.  An idle gap holds no row,
+// however many ticks it spans.
 type Engine struct {
 	mu   sync.Mutex
 	spec Spec
@@ -36,46 +48,89 @@ type Engine struct {
 	fastTicks int // fast window length in ticks
 	slowTicks int // slow window length in ticks
 
-	// next tick index to evaluate; tick k covers
-	// [k*interval, (k+1)*interval).
-	nextTick int64
-
 	classes []*classState
 
 	// Power reports mean fleet watts over [start, end) of sim time;
 	// nil disables efficiency objectives.  Set before the run starts.
 	Power func(start, end simtime.Time) float64
 
-	unmatched int64 // events attributed to no class
+	// Published state, written under mu by Advance and Finish.
 
-	alerts []Alert
-	seq    int // alert sequence number, for stable drill-down keys
+	// next tick index to evaluate; tick k covers
+	// [k*interval, (k+1)*interval).
+	nextTick  int64
+	unmatched int64 // events attributed to no class
+	alerts    []Alert
+	seq       int // alert sequence number, for stable drill-down keys
+
+	// Feeder state, touched without the lock.
+
+	pendUnmatched int64
+	// rows[head:] are the live tick rows in ascending tick order; the
+	// rows below head and past len are recycled buffers.  hot is the
+	// row the last event counted into.
+	rows      []tickRow
+	head, hot int
+	// width counts a row's counters, of which the first goodBad are the
+	// objectives' good and bad counts.
+	width, goodBad int
+}
+
+// tickRow counts one tick's events: n holds a good and a bad counter
+// per objective (at objectiveState.good and the index after it) and a
+// completion counter per class with an efficiency objective
+// (classState.completions), and bad lists the tick's bad latency
+// events by class and serving array.
+type tickRow struct {
+	tick int64
+	n    []int64
+	bad  []arrayBad
+}
+
+// arrayBad charges n bad events of a class to the array that served
+// them.  Consecutive charges to one class and array share an entry.
+type arrayBad struct {
+	class, array int
+	n            int64
+}
+
+// charge records one bad event of class served by array.
+func (r *tickRow) charge(class, array int) {
+	if n := len(r.bad); n > 0 && r.bad[n-1].class == class && r.bad[n-1].array == array {
+		r.bad[n-1].n++
+		return
+	}
+	r.bad = append(r.bad, arrayBad{class: class, array: array, n: 1})
+}
+
+// classCounts are a class's admission and completion totals.
+type classCounts struct {
+	offered, admitted, rejected, completed int64
 }
 
 // classState accumulates one class's events.
 type classState struct {
-	spec ClassSpec
-	objs []*objectiveState
+	spec  ClassSpec
+	index int
+	objs  []*objectiveState
+	// avail and lat list the class's availability and latency
+	// objectives, the ones Observe* count into.
+	avail, lat []*objectiveState
+	// completions is the row index of the class's completion counter,
+	// or -1 when no efficiency objective reads it.
+	completions int
 
-	// Admission/completion totals (cumulative, for the snapshot).
-	offered, admitted, rejected, completed int64
-
-	// completions[k] counts completions bucketed into pending tick k.
-	completions map[int64]int64
-	// arrayBad[k][array] attributes bad events (any objective) to the
-	// array that served them, for top-contributor ranking.  Rejections
-	// carry array -1 and stay unattributed.
-	arrayBad map[int64]map[int]int64
+	// Published totals (cumulative, for the snapshot) and the totals
+	// observed since the last Advance or Finish.
+	total, pending classCounts
 }
 
 // objectiveState is one objective's tick ring and alert state.
 type objectiveState struct {
 	spec Objective
-
-	// good/bad[k] count events in pending tick k (map: ticks are
-	// evaluated and deleted in order, so the map stays small — at most
-	// a few open ticks plus the sliding window kept in rings below).
-	good, bad map[int64]int64
+	// good is the row index of the objective's good counter; its bad
+	// counter follows it.
+	good int
 
 	// ring of evaluated ticks, slowTicks long: ringGood[k%slowTicks]
 	// holds tick k's counts once evaluated.
@@ -100,27 +155,38 @@ func NewEngine(spec Spec) (*Engine, error) {
 		fastTicks: int(spec.FastWindow / spec.EvalInterval),
 		slowTicks: int(spec.SlowWindow / spec.EvalInterval),
 	}
-	for _, c := range spec.Classes {
-		cs := &classState{
-			spec:        c,
-			completions: make(map[int64]int64),
-			arrayBad:    make(map[int64]map[int]int64),
-		}
+	for i, c := range spec.Classes {
+		cs := &classState{spec: c, index: i, completions: -1}
 		for _, o := range c.Objectives {
 			os := &objectiveState{
 				spec:     o,
-				good:     make(map[int64]int64),
-				bad:      make(map[int64]int64),
+				good:     e.width,
 				ringGood: make([]int64, e.slowTicks),
 				ringBad:  make([]int64, e.slowTicks),
 				ringTick: make([]int64, e.slowTicks),
 			}
+			e.width += 2
 			for i := range os.ringTick {
 				os.ringTick[i] = -1
 			}
 			cs.objs = append(cs.objs, os)
+			switch o.Kind {
+			case KindAvailability:
+				cs.avail = append(cs.avail, os)
+			case KindLatency:
+				cs.lat = append(cs.lat, os)
+			}
 		}
 		e.classes = append(e.classes, cs)
+	}
+	e.goodBad = e.width
+	for _, cs := range e.classes {
+		for _, o := range cs.objs {
+			if o.spec.Kind == KindEfficiency && cs.completions < 0 {
+				cs.completions = e.width
+				e.width++
+			}
+		}
 	}
 	return e, nil
 }
@@ -134,22 +200,74 @@ func (e *Engine) tickOf(at simtime.Time) int64 {
 	return int64(at) / int64(e.interval)
 }
 
+// class returns the state of class, or nil when the index names none.
+func (e *Engine) class(class int) *classState {
+	if class < 0 || class >= len(e.classes) {
+		return nil
+	}
+	return e.classes[class]
+}
+
+// row returns the live row of tick k, opening an empty one in tick
+// order when k has none yet.
+func (e *Engine) row(k int64) *tickRow {
+	if h := e.hot; h >= e.head && h < len(e.rows) && e.rows[h].tick == k {
+		return &e.rows[h]
+	}
+	live := e.rows[e.head:]
+	i := e.head + sort.Search(len(live), func(i int) bool { return live[i].tick >= k })
+	if i == len(e.rows) || e.rows[i].tick != k {
+		i = e.open(i, k)
+	}
+	e.hot = i
+	return &e.rows[i]
+}
+
+// open inserts an empty row for tick k before live row i, reusing a
+// recycled buffer, and returns its index.
+func (e *Engine) open(i int, k int64) int {
+	if len(e.rows) == cap(e.rows) && e.head > 0 {
+		// Swap the live rows down, so the dropped ones' buffers follow
+		// them.
+		n := len(e.rows) - e.head
+		for j := range n {
+			e.rows[j], e.rows[e.head+j] = e.rows[e.head+j], e.rows[j]
+		}
+		e.rows, i, e.head = e.rows[:n], i-e.head, 0
+	}
+	n := len(e.rows)
+	if n == cap(e.rows) {
+		e.rows = append(e.rows, tickRow{})
+	} else {
+		e.rows = e.rows[:n+1]
+	}
+	r := e.rows[n]
+	copy(e.rows[i+1:], e.rows[i:n])
+	r.tick, r.bad = k, r.bad[:0]
+	if r.n == nil {
+		r.n = make([]int64, e.width)
+	} else {
+		clear(r.n)
+	}
+	e.rows[i] = r
+	return i
+}
+
 // ObserveAdmission records an admitted arrival for class (index from
 // Classify; -1 is counted as unmatched).
 func (e *Engine) ObserveAdmission(class int, at simtime.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if class < 0 || class >= len(e.classes) {
-		e.unmatched++
+	c := e.class(class)
+	if c == nil {
+		e.pendUnmatched++
 		return
 	}
-	c := e.classes[class]
-	c.offered++
-	c.admitted++
-	k := e.tickOf(at)
-	for _, o := range c.objs {
-		if o.spec.Kind == KindAvailability {
-			o.good[k]++
+	c.pending.offered++
+	c.pending.admitted++
+	// A tick already evaluated never reads its good or bad counts again.
+	if k := e.tickOf(at); len(c.avail) > 0 && k >= e.nextTick {
+		r := e.row(k)
+		for _, o := range c.avail {
+			r.n[o.good]++
 		}
 	}
 }
@@ -157,19 +275,17 @@ func (e *Engine) ObserveAdmission(class int, at simtime.Time) {
 // ObserveRejection records an admission-control rejection: a bad
 // availability event, unattributed to any array.
 func (e *Engine) ObserveRejection(class int, at simtime.Time) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if class < 0 || class >= len(e.classes) {
-		e.unmatched++
+	c := e.class(class)
+	if c == nil {
+		e.pendUnmatched++
 		return
 	}
-	c := e.classes[class]
-	c.offered++
-	c.rejected++
-	k := e.tickOf(at)
-	for _, o := range c.objs {
-		if o.spec.Kind == KindAvailability {
-			o.bad[k]++
+	c.pending.offered++
+	c.pending.rejected++
+	if k := e.tickOf(at); len(c.avail) > 0 && k >= e.nextTick {
+		r := e.row(k)
+		for _, o := range c.avail {
+			r.n[o.good+1]++
 		}
 	}
 }
@@ -177,32 +293,44 @@ func (e *Engine) ObserveRejection(class int, at simtime.Time) {
 // ObserveCompletion records a finished request: the response time is
 // judged against every latency objective of the class, and the serving
 // array is charged for any bad outcome.  Bucketing is by finish time.
+// A completion in a tick already evaluated still counts toward the
+// fast windows that include that tick: the efficiency objectives'
+// IOPS and the arrays an alert names.  Its good or bad count is never
+// read again.
 func (e *Engine) ObserveCompletion(class, array int, finish simtime.Time, response simtime.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if class < 0 || class >= len(e.classes) {
-		e.unmatched++
+	c := e.class(class)
+	if c == nil {
+		e.pendUnmatched++
 		return
 	}
-	c := e.classes[class]
-	c.completed++
-	k := e.tickOf(finish)
-	c.completions[k]++
-	for _, o := range c.objs {
-		if o.spec.Kind != KindLatency {
-			continue
+	c.pending.completed++
+	if k := e.tickOf(finish); (c.completions >= 0 || len(c.lat) > 0) && k > e.nextTick-int64(e.fastTicks) {
+		r := e.row(k)
+		if c.completions >= 0 {
+			r.n[c.completions]++
 		}
-		if response <= o.spec.ThresholdNs {
-			o.good[k]++
-		} else {
-			o.bad[k]++
-			m := c.arrayBad[k]
-			if m == nil {
-				m = make(map[int]int64)
-				c.arrayBad[k] = m
+		for _, o := range c.lat {
+			if response <= o.spec.ThresholdNs {
+				r.n[o.good]++
+			} else {
+				r.n[o.good+1]++
+				r.charge(c.index, array)
 			}
-			m[array]++
 		}
+	}
+}
+
+// publish folds the totals observed since the last call into the
+// published ones.  Called under mu.
+func (e *Engine) publish() {
+	e.unmatched += e.pendUnmatched
+	e.pendUnmatched = 0
+	for _, c := range e.classes {
+		c.total.offered += c.pending.offered
+		c.total.admitted += c.pending.admitted
+		c.total.rejected += c.pending.rejected
+		c.total.completed += c.pending.completed
+		c.pending = classCounts{}
 	}
 }
 
@@ -211,8 +339,14 @@ func (e *Engine) ObserveCompletion(class, array int, finish simtime.Time, respon
 func (e *Engine) Advance(now simtime.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Tick k closes at (k+1)*interval.
-	for (e.nextTick+1)*int64(e.interval) <= int64(now) {
+	e.publish()
+	e.evalThrough(now)
+}
+
+// evalThrough evaluates every tick that closes at or before now: tick
+// k closes at (k+1)*interval, so those before now/interval.
+func (e *Engine) evalThrough(now simtime.Time) {
+	for e.nextTick < e.tickOf(now) {
 		e.evalTick(e.nextTick)
 		e.nextTick++
 	}
@@ -220,29 +354,20 @@ func (e *Engine) Advance(now simtime.Time) {
 
 // Finish seals the stream at end: every tick closed by end is
 // evaluated, and a trailing partial tick still holding events is
-// evaluated too, so a run that ends mid-tick settles its alerts.  The
-// result depends only on end and the event stream, both of which are
+// evaluated too, so a run that ends mid-tick settles its alerts: every
+// tick through the latest one holding a good or bad count.  The result
+// depends only on end and the event stream, both of which are
 // worker-count invariant.
 func (e *Engine) Finish(end simtime.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for (e.nextTick+1)*int64(e.interval) <= int64(end) {
-		e.evalTick(e.nextTick)
-		e.nextTick++
-	}
+	e.publish()
+	e.evalThrough(end)
 	last := int64(-1)
-	for _, c := range e.classes {
-		for _, o := range c.objs {
-			for k := range o.good {
-				if k > last {
-					last = k
-				}
-			}
-			for k := range o.bad {
-				if k > last {
-					last = k
-				}
-			}
+	for i := len(e.rows) - 1; i >= e.head && e.rows[i].tick >= e.nextTick; i-- {
+		if slices.ContainsFunc(e.rows[i].n[:e.goodBad], func(n int64) bool { return n != 0 }) {
+			last = e.rows[i].tick
+			break
 		}
 	}
 	for e.nextTick <= last {
@@ -275,13 +400,23 @@ func (o *objectiveState) burn(k int64, n int) float64 {
 	return frac / (1 - o.spec.Target)
 }
 
+// window returns the live rows of the last n ticks ending at k.
+func (e *Engine) window(k int64, n int) []tickRow {
+	live := e.rows[e.head:]
+	lo := sort.Search(len(live), func(i int) bool { return live[i].tick > k-int64(n) })
+	hi := sort.Search(len(live), func(i int) bool { return live[i].tick > k })
+	return live[lo:max(lo, hi)]
+}
+
 // windowBad sums a class's attributed badness per array over the last
 // n ticks ending at k.
-func (c *classState) windowBad(k int64, n int) map[int]int64 {
+func (e *Engine) windowBad(c *classState, k int64, n int) map[int]int64 {
 	out := make(map[int]int64)
-	for t := k - int64(n) + 1; t <= k; t++ {
-		for arr, v := range c.arrayBad[t] {
-			out[arr] += v
+	for _, r := range e.window(k, n) {
+		for _, b := range r.bad {
+			if b.class == c.index {
+				out[b.array] += b.n
+			}
 		}
 	}
 	return out
@@ -308,15 +443,20 @@ func (o *objectiveState) budgetRemaining() float64 {
 // spec order — so the stream is deterministic.
 func (e *Engine) evalTick(k int64) {
 	end := simtime.Time((k + 1) * int64(e.interval))
+	var r *tickRow
+	if w := e.window(k, 1); len(w) > 0 {
+		r = &w[0]
+	}
 	for _, c := range e.classes {
 		for _, o := range c.objs {
 			slot := int(k % int64(e.slowTicks))
-			g, b := o.good[k], o.bad[k]
+			var g, b int64
+			if r != nil {
+				g, b = r.n[o.good], r.n[o.good+1]
+			}
 			o.ringGood[slot], o.ringBad[slot], o.ringTick[slot] = g, b, k
 			o.cumGood += g
 			o.cumBad += b
-			delete(o.good, k)
-			delete(o.bad, k)
 
 			switch o.spec.Kind {
 			case KindLatency, KindAvailability:
@@ -333,10 +473,13 @@ func (e *Engine) evalTick(k int64) {
 				e.evalEfficiency(end, k, c, o)
 			}
 		}
-		// Attribution older than the slow window can never be cited
-		// again; drop it so long runs stay bounded.
-		delete(c.arrayBad, k-int64(e.slowTicks))
-		delete(c.completions, k-int64(e.slowTicks))
+	}
+	// A later evaluation reads no tick at or before k+1−fastTicks.
+	for e.head < len(e.rows) && e.rows[e.head].tick <= k+1-int64(e.fastTicks) {
+		e.head++
+	}
+	if e.head == len(e.rows) {
+		e.rows, e.head = e.rows[:0], 0
 	}
 }
 
@@ -349,8 +492,8 @@ func (e *Engine) evalEfficiency(end simtime.Time, k int64, c *classState, o *obj
 		return
 	}
 	var done int64
-	for t := k - int64(e.fastTicks) + 1; t <= k; t++ {
-		done += c.completions[t]
+	for _, r := range e.window(k, e.fastTicks) {
+		done += r.n[c.completions]
 	}
 	span := simtime.Duration(int64(e.fastTicks) * int64(e.interval))
 	start := end.Add(-span)
@@ -378,7 +521,7 @@ func (e *Engine) evalEfficiency(end simtime.Time, k int64, c *classState, o *obj
 // arrays over the fast window (sorted by badness desc, index asc —
 // total order, so ties cannot reorder across runs).
 func (e *Engine) emit(at simtime.Time, c *classState, o *objectiveState, event string, fast, slow float64) {
-	bad := c.windowBad(e.tickOf(at)-1, e.fastTicks)
+	bad := e.windowBad(c, e.tickOf(at)-1, e.fastTicks)
 	type ab struct {
 		arr int
 		n   int64
@@ -417,8 +560,8 @@ func (e *Engine) emit(at simtime.Time, c *classState, o *objectiveState, event s
 	})
 }
 
-// Alerts returns the alert stream so far (shared slice; callers must
-// not mutate).
+// Alerts returns the alert stream as of the last Advance or Finish
+// (shared slice; callers must not mutate).
 func (e *Engine) Alerts() []Alert {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -465,8 +608,8 @@ type Status struct {
 	Classes       []ClassStatus    `json:"classes"`
 }
 
-// Snapshot renders the current budget table.  Safe to call from other
-// goroutines while the sim feeds the engine.
+// Snapshot renders the budget table as of the last Advance or Finish.
+// Safe to call from other goroutines while the sim feeds the engine.
 func (e *Engine) Snapshot() Status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -484,10 +627,10 @@ func (e *Engine) Snapshot() Status {
 	for _, c := range e.classes {
 		cs := ClassStatus{
 			Name:      c.spec.Name,
-			Offered:   c.offered,
-			Admitted:  c.admitted,
-			Rejected:  c.rejected,
-			Completed: c.completed,
+			Offered:   c.total.offered,
+			Admitted:  c.total.admitted,
+			Rejected:  c.total.rejected,
+			Completed: c.total.completed,
 		}
 		for _, o := range c.objs {
 			os := ObjectiveStatus{

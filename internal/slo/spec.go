@@ -245,12 +245,17 @@ func LoadSpec(path string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("slo: %w", err)
 	}
+	return decodeSpec(blob, path)
+}
+
+// decodeSpec parses and validates a spec's JSON, naming it in errors.
+func decodeSpec(blob []byte, name string) (Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(blob, &s); err != nil {
-		return Spec{}, fmt.Errorf("slo: spec %s: %w", path, err)
+		return Spec{}, fmt.Errorf("slo: spec %s: %w", name, err)
 	}
 	if err := s.Validate(); err != nil {
-		return Spec{}, fmt.Errorf("slo: spec %s: %w", path, err)
+		return Spec{}, fmt.Errorf("slo: spec %s: %w", name, err)
 	}
 	return s, nil
 }
@@ -310,7 +315,8 @@ func ClientOfSector(sector int64) uint64 {
 // them), then client-mod buckets; an empty match is a catch-all.
 // Returns -1 when no class matches.
 func (s *Spec) Classify(at simtime.Time, client uint64) int {
-	for i, c := range s.Classes {
+	for i := range s.Classes {
+		c := &s.Classes[i]
 		if c.Match.zero() {
 			return i
 		}

@@ -30,6 +30,7 @@ import (
 	"sort"
 
 	"repro/internal/blktrace"
+	"repro/internal/simtime"
 	"repro/internal/storage"
 )
 
@@ -112,8 +113,41 @@ func (p *Profile) Validate() error {
 	if p.Bunches <= 0 || p.IOs <= 0 {
 		return fmt.Errorf("workload: profile has no bunches/IOs (%d/%d)", p.Bunches, p.IOs)
 	}
-	if p.ReadRatio < 0 || p.ReadRatio > 1 {
+	if !(p.ReadRatio >= 0 && p.ReadRatio <= 1) {
 		return fmt.Errorf("workload: read ratio %v out of [0,1]", p.ReadRatio)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"gaps.start_burst", p.Gaps.StartBurst}, {"gaps.burst_stay", p.Gaps.BurstStay},
+		{"gaps.idle_stay", p.Gaps.IdleStay}, {"spatial.seq_ratio", p.Spatial.SeqRatio},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("workload: %s %v is not a probability in [0,1]", f.name, f.v)
+		}
+	}
+	if m := p.Gaps.MeanNs; !(m >= 0 && m <= float64(simtime.Horizon)) {
+		return fmt.Errorf("workload: gaps.mean_ns %v outside [0, %d]", m, int64(simtime.Horizon))
+	}
+	if z := p.Spatial.ZipfTheta; !(z >= 0 && z <= maxZipfTheta) {
+		return fmt.Errorf("workload: spatial.zipf_theta %v outside [0, %d], the range Analyze fits", z, maxZipfTheta)
+	}
+	if p.Spatial.BaseSector < 0 {
+		return fmt.Errorf("workload: spatial.base_sector %d is negative", p.Spatial.BaseSector)
+	}
+	if p.Spatial.Zones < 0 {
+		return fmt.Errorf("workload: spatial.zones %d is negative", p.Spatial.Zones)
+	}
+	seen := make(map[int]bool, len(p.Spatial.ZoneRank))
+	for i, z := range p.Spatial.ZoneRank {
+		if z < 0 || z >= p.Spatial.Zones {
+			return fmt.Errorf("workload: spatial.zone_rank[%d] = %d outside the %d zones", i, z, p.Spatial.Zones)
+		}
+		if seen[z] {
+			return fmt.Errorf("workload: spatial.zone_rank[%d] = %d repeats an earlier entry", i, z)
+		}
+		seen[z] = true
 	}
 	if p.BunchSize.Empty() || p.RequestSize.Empty() {
 		return fmt.Errorf("workload: empty bunch-size or request-size distribution")
@@ -264,6 +298,10 @@ func stayProb(stay, total int) float64 {
 	return float64(stay) / float64(total)
 }
 
+// maxZipfTheta is the largest zone skew Analyze fits and Validate
+// accepts.
+const maxZipfTheta = 4
+
 // fitZones counts per-zone accesses across the footprint, ranks the
 // zones hottest-first, and fits a Zipf exponent to the ranked counts by
 // log-log regression.
@@ -321,7 +359,7 @@ func fitZones(t *blktrace.Trace, s *SpatialModel) {
 		n := float64(len(ranked))
 		if denom := n*sxx - sx*sx; denom > 0 {
 			theta := -(n*sxy - sx*sy) / denom
-			s.ZipfTheta = math.Max(0, math.Min(4, theta))
+			s.ZipfTheta = math.Max(0, math.Min(maxZipfTheta, theta))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"path/filepath"
@@ -119,10 +120,17 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 }
 
 // TestValidateRejectsUnsynthesizableProfiles: profiles whose
-// histogram counts overflow int64, or whose bunch sizes include an
-// empty or negative bunch, fail Validate with the distribution named
-// instead of panicking in Synthesize.
+// histogram counts overflow int64, whose bunch sizes include an empty
+// or negative bunch, or whose footprint, zones, probabilities, mean
+// gap or zone skew make no sense fail Validate with the field named,
+// instead of panicking or synthesizing nonsense.
 func TestValidateRejectsUnsynthesizableProfiles(t *testing.T) {
+	fixture, err := Analyze(fixedTrace(), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtureZones, fixtureRanks := fixture.Spatial.Zones, len(fixture.Spatial.ZoneRank)
+	fixtureTopZone := fixture.Spatial.ZoneRank[0]
 	cases := []struct {
 		name string
 		mut  func(*Profile)
@@ -140,6 +148,28 @@ func TestValidateRejectsUnsynthesizableProfiles(t *testing.T) {
 		{"non-positive bunch in quantiles", func(p *Profile) {
 			p.BunchSize = Distribution{Quantiles: []int64{-1, 1, 2}}
 		}, "bunch_size: a bunch must hold at least one IO"},
+		{"negative base sector", func(p *Profile) { p.Spatial.BaseSector = -8 }, "spatial.base_sector -8 is negative"},
+		{"zone rank at zones", func(p *Profile) { p.Spatial.ZoneRank[0] = p.Spatial.Zones },
+			fmt.Sprintf("spatial.zone_rank[0] = %d outside the %d zones", fixtureZones, fixtureZones)},
+		{"zone rank above zones", func(p *Profile) { p.Spatial.ZoneRank[0] = 1 << 40 },
+			fmt.Sprintf("spatial.zone_rank[0] = %d outside the %d zones", 1<<40, fixtureZones)},
+		{"negative zone rank", func(p *Profile) { p.Spatial.ZoneRank[0] = -1 },
+			fmt.Sprintf("spatial.zone_rank[0] = -1 outside the %d zones", fixtureZones)},
+		{"repeated zone rank", func(p *Profile) { p.Spatial.ZoneRank = append(p.Spatial.ZoneRank, p.Spatial.ZoneRank[0]) },
+			fmt.Sprintf("spatial.zone_rank[%d] = %d repeats an earlier entry", fixtureRanks, fixtureTopZone)},
+		{"negative zones", func(p *Profile) { p.Spatial.Zones, p.Spatial.ZoneRank = -3, nil }, "spatial.zones -3 is negative"},
+		{"burst stay above 1", func(p *Profile) { p.Gaps.BurstStay = 1.5 }, "gaps.burst_stay 1.5 is not a probability in [0,1]"},
+		{"idle stay below 0", func(p *Profile) { p.Gaps.IdleStay = -0.25 }, "gaps.idle_stay -0.25 is not a probability in [0,1]"},
+		{"start burst above 1", func(p *Profile) { p.Gaps.StartBurst = 2 }, "gaps.start_burst 2 is not a probability in [0,1]"},
+		{"seq ratio below 0", func(p *Profile) { p.Spatial.SeqRatio = -1 }, "spatial.seq_ratio -1 is not a probability in [0,1]"},
+		{"NaN probability", func(p *Profile) { p.Gaps.BurstStay = math.NaN() }, "gaps.burst_stay NaN is not a probability in [0,1]"},
+		{"NaN read ratio", func(p *Profile) { p.ReadRatio = math.NaN() }, "read ratio NaN out of [0,1]"},
+		{"negative mean gap", func(p *Profile) { p.Gaps.MeanNs = -1 }, "gaps.mean_ns -1 outside [0, 4611686018427387904]"},
+		{"infinite mean gap", func(p *Profile) { p.Gaps.MeanNs = math.Inf(1) }, "gaps.mean_ns +Inf outside [0, 4611686018427387904]"},
+		{"mean gap past the horizon", func(p *Profile) { p.Gaps.MeanNs = 1e300 }, "gaps.mean_ns 1e+300 outside [0, 4611686018427387904]"},
+		{"huge zipf theta", func(p *Profile) { p.Spatial.ZipfTheta = 1e300 }, "spatial.zipf_theta 1e+300 outside [0, 4], the range Analyze fits"},
+		{"negative zipf theta", func(p *Profile) { p.Spatial.ZipfTheta = -1e300 }, "spatial.zipf_theta -1e+300 outside [0, 4], the range Analyze fits"},
+		{"NaN zipf theta", func(p *Profile) { p.Spatial.ZipfTheta = math.NaN() }, "spatial.zipf_theta NaN outside [0, 4], the range Analyze fits"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
