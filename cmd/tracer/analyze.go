@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/blktrace"
 	"repro/internal/repository"
 	"repro/internal/workload"
 )
@@ -29,22 +28,11 @@ func cmdAnalyze(args []string, out io.Writer) error {
 	if (*name == "") == (*in == "") {
 		return fmt.Errorf("analyze: exactly one of -trace or -in is required")
 	}
-	var tr *blktrace.Trace
-	var src string
-	var err error
-	if *in != "" {
-		tr, err = blktrace.ReadFile(*in)
-		src = *in
-	} else {
-		var repo *repository.Repository
-		if repo, err = repository.Open(*dir); err == nil {
-			tr, err = repo.Load(*name)
-		}
-		src = *name
-	}
+	tr, err := loadTrace(*dir, *name, *in)
 	if err != nil {
 		return err
 	}
+	src := *name + *in // exactly one is set
 	if *label == "" {
 		*label = profileLabel(src)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/repository"
 	"repro/internal/simtime"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
@@ -109,11 +108,7 @@ func cmdFleet(args []string, out io.Writer) error {
 
 	var stream fleet.Stream
 	if *name != "" {
-		repo, err := repository.Open(*dir)
-		if err != nil {
-			return err
-		}
-		tr, err := repo.Load(*name)
+		tr, err := loadTrace(*dir, *name, "")
 		if err != nil {
 			return err
 		}

@@ -12,13 +12,12 @@
 //	tracer repo      -repo DIR
 //	tracer stats     -repo DIR -trace NAME
 //	tracer analyze   -repo DIR -trace NAME | -in FILE [-out profile.json] [-name LABEL]
-//	tracer test      -repo DIR -trace NAME [-device hdd|ssd] [-loads 10,50,100] [-db FILE] [-workers N]
+//	tracer replay    -repo DIR -trace NAME | -in FILE [-device hdd|ssd] [-loads 10,50,100] [-db FILE] [-workers N] [-telemetry-dir DIR [-cadence D]] [-cache-tier dram|ssd [-cache-mb N] [-cache-evict P] [-cache-admit P]]
 //	tracer query     [-db FILE] [-device NAME] [-minload F] [-maxload F]
 //	tracer slice     -repo DIR -trace NAME -to D [-from D]
 //	tracer merge     -repo DIR -traces A,B[,C...] [-label L]
 //	tracer remap     -repo DIR -trace NAME -from-bytes N -to-bytes N
 //	tracer dump      -repo DIR -trace NAME [-n 10]
-//	tracer replay    -repo DIR -trace NAME | -in FILE [-device hdd|ssd] [-load PCT] [-telemetry-dir DIR] [-cadence D] [-cache-tier dram|ssd [-cache-mb N] [-cache-evict P] [-cache-admit P]]
 //	tracer cachestudy [-in FILE | -repo DIR -trace NAME] [-device hdd|ssd] [-loads 50,100] [-specs uncached,dram:32,ssd:256] [-workers N] [-json FILE]
 //	tracer fleet     -arrays N [-workers W] [-policy P] [-device hdd|ssd] [-duration D] [-iops F] [-admit-rate F] [-power-cap W] [-telemetry-dir DIR] [-slo SPEC [-watch]] [-fail A@T[:D],... | -mtbf D]
 //	tracer report    [-dir DIR] [-alert SEQ]
@@ -37,15 +36,15 @@ import (
 	"path/filepath"
 
 	"repro/internal/blktrace"
+	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/host"
-	"repro/internal/metrics"
 	"repro/internal/parsweep"
-	"repro/internal/powersim"
 	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/simtime"
 	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -71,8 +70,8 @@ func run(args []string, out io.Writer) error {
 		return cmdStats(args[1:], out)
 	case "analyze":
 		return cmdAnalyze(args[1:], out)
-	case "test":
-		return cmdTest(args[1:], out)
+	case "replay":
+		return cmdReplay(args[1:], out)
 	case "query":
 		return cmdQuery(args[1:], out)
 	case "slice":
@@ -83,8 +82,6 @@ func run(args []string, out io.Writer) error {
 		return cmdRemap(args[1:], out)
 	case "dump":
 		return cmdDump(args[1:], out)
-	case "replay":
-		return cmdReplay(args[1:], out)
 	case "cachestudy":
 		return cmdCacheStudy(args[1:], out)
 	case "fleet":
@@ -110,7 +107,7 @@ func run(args []string, out io.Writer) error {
 
 func usage(out io.Writer) {
 	fmt.Fprintln(out, `tracer — load-controllable energy-efficiency evaluation for storage systems
-subcommands: collect, gen-real, repo, stats, analyze, test, query, slice, merge, remap, dump, replay, cachestudy, fleet, report, verify, paper, optimize, whatif`)
+subcommands: collect, gen-real, repo, stats, analyze, replay, query, slice, merge, remap, dump, cachestudy, fleet, report, verify, paper, optimize, whatif`)
 }
 
 // cmdCollect builds peak synthetic traces into a repository.
@@ -272,11 +269,7 @@ func cmdStats(args []string, out io.Writer) error {
 	if *name == "" {
 		return fmt.Errorf("stats: -trace is required")
 	}
-	repo, err := repository.Open(*dir)
-	if err != nil {
-		return err
-	}
-	tr, err := repo.Load(*name)
+	tr, err := loadTrace(*dir, *name, "")
 	if err != nil {
 		return err
 	}
@@ -290,35 +283,59 @@ func cmdStats(args []string, out io.Writer) error {
 	return nil
 }
 
-// cmdTest runs energy-efficiency tests: replay at each load level with
-// power metering, print one row per level, and persist records.
-func cmdTest(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+// cmdReplay runs energy-efficiency tests, the paper's Section III-A
+// operation: each load level replays the trace on its own fresh array
+// while the wall meter samples it (experiments.Measure), prints one
+// row and, with -db, stores one record.  Levels fan out across
+// -workers and print in input order.
+//
+// -telemetry-dir instruments a single-level run with every telemetry
+// producer (replay probe, per-disk spans, power channel, kernel
+// gauges) and exports the artifact directory: summary.json,
+// series.csv, events.jsonl, power_wall.csv and a Chrome trace that
+// opens in Perfetto.  `tracer report -dir DIR` renders it.
+//
+// -cache-tier interposes a writeback cache (see internal/cache) between
+// the replay and the array; the remaining -cache-* flags tune it and
+// are rejected without a tier, so a typo cannot silently replay
+// uncached.
+func cmdReplay(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	dir := fs.String("repo", "traces", "trace repository directory")
 	name := fs.String("trace", "", "trace file name within the repository")
+	in := fs.String("in", "", "replay a trace file directly instead of a repository entry")
 	device := fs.String("device", "hdd", "array kind: hdd or ssd")
 	loadsStr := fs.String("loads", "100", "comma-separated load percentages (e.g. 10,50,100)")
 	dbPath := fs.String("db", "", "results database file (JSON); empty disables persistence")
 	workers := fs.Int("workers", 0, "parallel load-level replays (0 = all cores, 1 = sequential)")
+	telemetryDir := fs.String("telemetry-dir", "", "artifact output directory for a single load (empty disables)")
+	cadence := fs.Duration("cadence", 1_000_000_000, "time-series sampling cadence (sim time)")
+	cf := registerCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *name == "" {
-		return fmt.Errorf("test: -trace is required")
+	if (*name == "") == (*in == "") {
+		return fmt.Errorf("replay: exactly one of -trace or -in is required")
+	}
+	loads, err := replay.ParseLoads(*loadsStr)
+	if err != nil {
+		return fmt.Errorf("replay: -loads: %w", err)
+	}
+	var set *telemetry.Set
+	if *telemetryDir != "" {
+		if len(loads) > 1 {
+			return fmt.Errorf("replay: -telemetry-dir instruments one load, but -loads %s names %d", *loadsStr, len(loads))
+		}
+		set = telemetry.New(telemetry.Options{Cadence: simtime.FromStd(*cadence)})
+	}
+	if err := cf.validate("replay", fs); err != nil {
+		return err
 	}
 	kind, err := experiments.KindFromString(*device)
 	if err != nil {
 		return err
 	}
-	loads, err := replay.ParseLoads(*loadsStr)
-	if err != nil {
-		return err
-	}
-	repo, err := repository.Open(*dir)
-	if err != nil {
-		return err
-	}
-	tr, err := repo.Load(*name)
+	tr, err := loadTrace(*dir, *name, *in)
 	if err != nil {
 		return err
 	}
@@ -328,71 +345,70 @@ func cmdTest(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	cfg := experiments.DefaultConfig()
-	cfg.Workers = *workers
-
-	// Each load level replays on its own fresh array: fan the levels
-	// across the worker pool, then print and persist in input order.
-	type cell struct {
-		res     *replay.Result
-		samples []powersim.Sample
-		watts   float64
-		eff     metrics.Efficiency
+	spec := experiments.StackSpec{Kind: kind}
+	system := kind.String()
+	if *cf.tier != "" {
+		cs := cf.spec()
+		spec.Cache = &cs
+		system += "+" + cs.Label()
 	}
-	cells, err := parsweep.Map(context.Background(),
+
+	// Each load replays on its own fresh stack, which leaves its cache
+	// tier's counters in its own slot of tiers.
+	tiers := make([]cache.Stats, len(loads))
+	ms, err := parsweep.Map(context.Background(),
 		parsweep.Options{
-			Workers: cfg.Workers,
+			Workers: *workers,
 			Label:   func(i int) string { return fmt.Sprintf("load %v", loads[i]) },
 		},
 		len(loads),
-		func(i int) (cell, error) {
-			s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
+		func(i int) (*experiments.Measurement, error) {
+			s, err := experiments.Build(experiments.DefaultConfig(), spec)
 			if err != nil {
-				return cell{}, err
+				return nil, err
 			}
-			res, err := replay.ReplayAtLoad(s.Engine, s.Device, tr, loads[i], replay.Options{})
-			if err != nil {
-				return cell{}, err
+			m, err := experiments.Measure(s, tr, replay.UniformFilter{Proportion: loads[i]}, set)
+			if s.Cache != nil {
+				tiers[i] = s.Cache.Stats()
 			}
-			meter := powersim.DefaultMeter(s.PowerSource())
-			samples := meter.Measure(res.Start, res.End)
-			watts := powersim.MeanWatts(samples)
-			return cell{
-				res:     res,
-				samples: samples,
-				watts:   watts,
-				eff:     metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
-			}, nil
+			return m, err
 		})
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(out, "load%\tIOPS\tMBPS\tresp(ms)\twatts\tIOPS/W\tMBPS/kW")
-	for i, load := range loads {
-		res, samples, watts, eff := cells[i].res, cells[i].samples, cells[i].watts, cells[i].eff
+	for i, m := range ms {
+		res, p, eff := m.Result, m.Power, m.Eff
 		fmt.Fprintf(out, "%.0f\t%.1f\t%.3f\t%.2f\t%.1f\t%.3f\t%.2f\n",
-			load*100, res.IOPS, res.MBPS, res.MeanResponse.Seconds()*1000, watts, eff.IOPSPerWatt, eff.MBPSPerKW)
-		if db != nil {
-			var volts, amps float64
-			if len(samples) > 0 {
-				volts = samples[0].Volts
-				amps = watts / volts
-			}
-			db.Insert(host.Record{
-				Device:    kind.String(),
-				TraceName: *name,
-				Mode:      host.ModeVector{LoadProportion: load},
-				Power:     host.PowerData{MeanWatts: watts, MeanVolts: volts, MeanAmps: amps, EnergyJ: eff.EnergyJ, Samples: len(samples)},
-				Perf: host.PerfData{
-					IOPS: res.IOPS, MBPS: res.MBPS,
-					MeanResponseMs: res.MeanResponse.Seconds() * 1000,
-					MaxResponseMs:  res.MaxResponse.Seconds() * 1000,
-					DurationS:      res.Duration().Seconds(), IOs: res.Completed,
-				},
-				Efficiency: host.EfficiencyData{IOPSPerWatt: eff.IOPSPerWatt, MBPSPerKW: eff.MBPSPerKW},
-			})
+			loads[i]*100, res.IOPS, res.MBPS, res.MeanResponse.Seconds()*1000, p.Watts, eff.IOPSPerWatt, eff.MBPSPerKW)
+		if spec.Cache != nil {
+			st := tiers[i]
+			fmt.Fprintf(out, "cache: %.1f%% hit (%d/%d), %d writebacks (%.1f KiB), %d evictions\n",
+				st.HitRate()*100, st.Hits, st.Hits+st.Misses,
+				st.Writebacks, float64(st.WritebackBytes)/1024, st.Evictions)
 		}
+		if db == nil {
+			continue
+		}
+		var volts, amps float64
+		if len(p.Samples) > 0 {
+			volts = p.Samples[0].Volts
+			amps = p.Watts / volts
+		}
+		db.Insert(host.Record{
+			Device:    system,
+			TraceName: *name + *in, // exactly one is set
+			Mode:      host.ModeVector{LoadProportion: loads[i]},
+			Power:     host.PowerData{MeanWatts: p.Watts, MeanVolts: volts, MeanAmps: amps, EnergyJ: p.EnergyJ, Samples: len(p.Samples)},
+			Perf: host.PerfData{
+				IOPS: res.IOPS, MBPS: res.MBPS,
+				MeanResponseMs: res.MeanResponse.Seconds() * 1000,
+				MaxResponseMs:  res.MaxResponse.Seconds() * 1000,
+				DurationS:      res.Duration().Seconds(), IOs: res.Completed,
+			},
+			Efficiency: host.EfficiencyData{IOPSPerWatt: eff.IOPSPerWatt, MBPSPerKW: eff.MBPSPerKW},
+		})
 	}
 	if db != nil {
 		if err := db.Save(*dbPath); err != nil {
@@ -400,7 +416,27 @@ func cmdTest(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "saved %d records to %s\n", db.Len(), *dbPath)
 	}
+	if set != nil {
+		if err := set.WriteDir(*telemetryDir); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
+			*telemetryDir, *telemetryDir)
+	}
 	return nil
+}
+
+// loadTrace reads a command's trace: the -in file, or the -trace entry
+// of the -repo repository.
+func loadTrace(repoDir, name, in string) (*blktrace.Trace, error) {
+	if in != "" {
+		return blktrace.ReadFile(in)
+	}
+	repo, err := repository.Open(repoDir)
+	if err != nil {
+		return nil, err
+	}
+	return repo.Load(name)
 }
 
 // cmdQuery lists stored records.

@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/blktrace"
+	"repro/internal/host"
 	"repro/internal/replay"
 	"repro/internal/repository"
 	"repro/internal/simtime"
@@ -46,9 +48,9 @@ func TestCollectRepoStatsTestQueryFlow(t *testing.T) {
 		t.Fatalf("stats output: %s", out)
 	}
 
-	out = runOK(t, "test", "-repo", repoDir, "-trace", traceName, "-loads", "20,100", "-db", dbPath)
+	out = runOK(t, "replay", "-repo", repoDir, "-trace", traceName, "-loads", "20,100", "-db", dbPath)
 	if !strings.Contains(out, "IOPS/W") || !strings.Contains(out, "saved 2 records") {
-		t.Fatalf("test output: %s", out)
+		t.Fatalf("replay output: %s", out)
 	}
 
 	out = runOK(t, "query", "-db", dbPath)
@@ -58,6 +60,17 @@ func TestCollectRepoStatsTestQueryFlow(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3 { // header + 2 records
 		t.Fatalf("query lines = %d: %s", len(lines), out)
+	}
+
+	// A cached run prints the tier's line under its row, and its record
+	// names the tier, so a query can tell it from the uncached ones.
+	out = runOK(t, "replay", "-repo", repoDir, "-trace", traceName, "-loads", "50", "-cache-tier", "dram", "-db", dbPath)
+	if lines := strings.Split(out, "\n"); len(lines) < 3 || !strings.HasPrefix(lines[1], "50\t") || !strings.HasPrefix(lines[2], "cache: ") {
+		t.Fatalf("cached replay output: %s", out)
+	}
+	out = runOK(t, "query", "-db", dbPath, "-device", "raid5-hdd+dram-32MB")
+	if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) != 2 || !strings.HasPrefix(lines[1], "3\t") {
+		t.Fatalf("query of the cached record: %s", out)
 	}
 }
 
@@ -73,9 +86,56 @@ func TestGenRealAndTest(t *testing.T) {
 		t.Fatalf("gen-real oltp output: %s", out)
 	}
 	name := repository.RealName("raid5-hdd", "web-o4")
-	out = runOK(t, "test", "-repo", repoDir, "-trace", name, "-loads", "50")
+	out = runOK(t, "replay", "-repo", repoDir, "-trace", name, "-loads", "50")
 	if !strings.Contains(out, "50\t") {
-		t.Fatalf("test output: %s", out)
+		t.Fatalf("replay output: %s", out)
+	}
+	// Without -telemetry-dir a replay writes no artifacts.
+	if _, err := os.Stat("telemetry"); !os.IsNotExist(err) {
+		t.Fatalf("replay without -telemetry-dir left ./telemetry behind (stat: %v)", err)
+	}
+}
+
+// TestReplayLoadsWorkerIdentity: a list of loads fans out across the
+// worker pool, uncached and behind a cache tier, and stdout and the
+// stored records are the same at every worker count.
+func TestReplayLoadsWorkerIdentity(t *testing.T) {
+	dir := t.TempDir()
+	repoDir := filepath.Join(dir, "traces")
+	runOK(t, "gen-real", "-repo", repoDir, "-kind", "web")
+	name := repository.RealName("raid5-hdd", "web-o4")
+	for _, tc := range []struct {
+		tier  string
+		lines int // header, a row per load, a cache line per row, "saved"
+	}{{"", 4}, {"dram", 6}} {
+		var outs []string
+		var dbs []host.Record
+		for _, workers := range []string{"1", "4"} {
+			dbPath := filepath.Join(dir, tc.tier+"results-"+workers+".json")
+			args := []string{"replay", "-repo", repoDir, "-trace", name, "-loads", "20,100", "-workers", workers, "-db", dbPath}
+			if tc.tier != "" {
+				args = append(args, "-cache-tier", tc.tier)
+			}
+			out := runOK(t, args...)
+			outs = append(outs, strings.Replace(out, dbPath, "DB", 1))
+			db, err := host.LoadDB(dbPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range db.Select(host.Query{}) {
+				r.TestTime = time.Time{}
+				dbs = append(dbs, r)
+			}
+		}
+		if lines := strings.Split(strings.TrimSpace(outs[0]), "\n"); len(lines) != tc.lines || !strings.HasPrefix(lines[1], "20\t") {
+			t.Fatalf("replay output:\n%s", outs[0])
+		}
+		if outs[0] != outs[1] {
+			t.Fatalf("stdout differs between 1 and 4 workers:\n%s\n---\n%s", outs[0], outs[1])
+		}
+		if len(dbs) != 4 || dbs[0] != dbs[2] || dbs[1] != dbs[3] {
+			t.Fatalf("records differ between 1 and 4 workers: %+v", dbs)
+		}
 	}
 }
 
@@ -94,9 +154,13 @@ func TestBadInvocations(t *testing.T) {
 		{nil, ""},
 		{[]string{"frobnicate"}, ""},
 		{[]string{"stats"}, ""},
-		{[]string{"test"}, ""},
-		{[]string{"test", "-trace", "x", "-loads", "abc"}, ""},
-		{[]string{"test", "-trace", "x", "-device", "floppy"}, ""},
+		{[]string{"test"}, `unknown subcommand "test"`},
+		{[]string{"replay"}, "replay: exactly one of -trace or -in is required"},
+		{[]string{"replay", "-trace", "x", "-loads", "abc"}, `replay: -loads: bad load level "abc"`},
+		{[]string{"replay", "-trace", "x", "-loads", "0"}, `replay: -loads: bad load level "0"`},
+		{[]string{"replay", "-trace", "x", "-loads", "NaN"}, `replay: -loads: bad load level "NaN"`},
+		{[]string{"replay", "-trace", "x", "-telemetry-dir", dir, "-loads", "20,100"}, "replay: -telemetry-dir instruments one load, but -loads 20,100 names 2"},
+		{[]string{"replay", "-trace", "x", "-device", "floppy"}, `unknown array kind "floppy"`},
 		{[]string{"gen-real", "-kind", "nope", "-repo", repoDir}, ""},
 		{[]string{"analyze", "-in", truncated}, corrupt},
 		{[]string{"optimize", "-policy", "tpm", "-in", truncated}, corrupt},
@@ -268,8 +332,8 @@ func TestReplayAndReportCommands(t *testing.T) {
 	name := repository.RealName("raid5-hdd", "web-o4")
 	telDir := filepath.Join(dir, "telemetry")
 
-	out := runOK(t, "replay", "-repo", repoDir, "-trace", name, "-load", "50", "-telemetry-dir", telDir)
-	if !strings.Contains(out, "replayed") || !strings.Contains(out, "tracer report") {
+	out := runOK(t, "replay", "-repo", repoDir, "-trace", name, "-loads", "50", "-telemetry-dir", telDir)
+	if !strings.Contains(out, "IOPS/W") || !strings.Contains(out, "tracer report") {
 		t.Fatalf("replay output: %s", out)
 	}
 	for _, f := range []string{"summary.json", "series.csv", "events.jsonl", "trace.json", "power_wall.csv"} {
@@ -291,7 +355,7 @@ func TestReplayAndReportCommands(t *testing.T) {
 
 	// The same trace as a file on disk, at another load point.
 	fileTelDir := filepath.Join(dir, "telemetry-file")
-	runOK(t, "replay", "-in", filepath.Join(repoDir, name), "-load", "25", "-telemetry-dir", fileTelDir)
+	runOK(t, "replay", "-in", filepath.Join(repoDir, name), "-loads", "25", "-telemetry-dir", fileTelDir)
 	if _, err := os.Stat(filepath.Join(fileTelDir, "summary.json")); err != nil {
 		t.Fatalf("replay -in wrote no artifacts: %v", err)
 	}
@@ -302,7 +366,7 @@ func TestReplayAndReportErrors(t *testing.T) {
 	cases := [][]string{
 		{"replay"},                            // neither -trace nor -in
 		{"replay", "-trace", "a", "-in", "b"}, // both sources
-		{"replay", "-in", "x.replay", "-load", "0"},
+		{"replay", "-in", "x.replay", "-loads", "0"},
 		{"replay", "-in", "x.replay", "-device", "tape"},
 		{"report", "-dir", filepath.Join(t.TempDir(), "missing")},
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/experiments"
 	"repro/internal/optimize"
-	"repro/internal/repository"
 	"repro/internal/telemetry"
 )
 
@@ -30,23 +29,15 @@ const defaultOptimizeFixture = "internal/check/testdata/golden/optimize/idle-web
 // the committed idle-heavy fixture.
 func loadOptimizeTrace(repoDir, name, in string) (*blktrace.Trace, error) {
 	switch {
-	case in != "":
-		if strings.HasSuffix(in, check.TraceSuffix) {
-			return check.LoadFixtureTrace(in)
-		}
-		return blktrace.ReadFile(in)
-	case name != "":
-		repo, err := repository.Open(repoDir)
-		if err != nil {
-			return nil, err
-		}
-		return repo.Load(name)
-	default:
+	case strings.HasSuffix(in, check.TraceSuffix):
+		return check.LoadFixtureTrace(in)
+	case in == "" && name == "":
 		if _, err := os.Stat(defaultOptimizeFixture); err == nil {
 			return check.LoadFixtureTrace(defaultOptimizeFixture)
 		}
 		return check.OptimizeFixtureTrace(), nil
 	}
+	return loadTrace(repoDir, name, in)
 }
 
 // parseSpace decodes "-space timeout_s=2,10,60;levels=2,3,4" into a

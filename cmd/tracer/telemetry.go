@@ -10,97 +10,9 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"repro/internal/blktrace"
-	"repro/internal/experiments"
-	"repro/internal/replay"
-	"repro/internal/repository"
-	"repro/internal/simtime"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
-
-// cmdReplay runs one fully instrumented replay: the trace is filtered
-// to the requested load, replayed on a fresh array with every telemetry
-// producer wired (replay probe, per-disk spans, power channel, kernel
-// gauges), and the artifact directory is exported — summary.json,
-// series.csv, events.jsonl, power_wall.csv and a Chrome trace that
-// opens in Perfetto.  `tracer report -dir DIR` renders the result.
-//
-// -cache-tier interposes a writeback cache (see internal/cache) between
-// the replay and the array; the remaining -cache-* flags tune it and
-// are rejected without a tier, so a typo cannot silently replay
-// uncached.
-func cmdReplay(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	dir := fs.String("repo", "traces", "trace repository directory")
-	name := fs.String("trace", "", "trace file name within the repository")
-	in := fs.String("in", "", "replay a trace file directly instead of a repository entry")
-	device := fs.String("device", "hdd", "array kind: hdd or ssd")
-	load := fs.Float64("load", 100, "load percentage")
-	telemetryDir := fs.String("telemetry-dir", "telemetry", "artifact output directory")
-	cadence := fs.Duration("cadence", 1_000_000_000, "time-series sampling cadence (sim time)")
-	cf := registerCacheFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if (*name == "") == (*in == "") {
-		return fmt.Errorf("replay: exactly one of -trace or -in is required")
-	}
-	if !(*load > 0 && *load <= 1000) { // NaN fails every comparison
-		return fmt.Errorf("replay: bad load percentage %v", *load)
-	}
-	if err := cf.validate("replay", fs); err != nil {
-		return err
-	}
-	kind, err := experiments.KindFromString(*device)
-	if err != nil {
-		return err
-	}
-	var tr *blktrace.Trace
-	if *in != "" {
-		tr, err = blktrace.ReadFile(*in)
-	} else {
-		var repo *repository.Repository
-		if repo, err = repository.Open(*dir); err == nil {
-			tr, err = repo.Load(*name)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	spec := experiments.StackSpec{Kind: kind}
-	if *cf.tier != "" {
-		cs := cf.spec()
-		spec.Cache = &cs
-	}
-	s, err := experiments.Build(experiments.DefaultConfig(), spec)
-	if err != nil {
-		return err
-	}
-	set := telemetry.New(telemetry.Options{Cadence: simtime.FromStd(*cadence)})
-	m, err := experiments.Measure(s, tr, replay.UniformFilter{Proportion: *load / 100}, set)
-	if err != nil {
-		return err
-	}
-	if err := set.WriteDir(*telemetryDir); err != nil {
-		return err
-	}
-	r := m.Result
-	if s.Cache == nil {
-		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
-			r.Completed, *load, kind, r.IOPS, r.MBPS, m.Power)
-	} else {
-		st := s.Cache.Stats()
-		fmt.Fprintf(out, "replayed %d IOs at load %.0f%% on %s behind %s: %.1f IOPS, %.3f MBPS, %.1f W\n",
-			r.Completed, *load, kind, spec.Cache.Label(), r.IOPS, r.MBPS, m.Power)
-		fmt.Fprintf(out, "cache: %.1f%% hit (%d/%d), %d writebacks (%.1f KiB), %d evictions\n",
-			st.HitRate()*100, st.Hits, st.Hits+st.Misses,
-			st.Writebacks, float64(st.WritebackBytes)/1024, st.Evictions)
-	}
-	fmt.Fprintf(out, "telemetry written to %s (render with: tracer report -dir %s)\n",
-		*telemetryDir, *telemetryDir)
-	return nil
-}
 
 // cmdReport renders a telemetry artifact directory as text tables:
 // metric totals with per-window mean/max, histogram quantiles,

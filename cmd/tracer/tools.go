@@ -159,11 +159,7 @@ func cmdDump(args []string, out io.Writer) error {
 	if *name == "" {
 		return fmt.Errorf("dump: -trace is required")
 	}
-	repo, err := repository.Open(*dir)
-	if err != nil {
-		return err
-	}
-	tr, err := repo.Load(*name)
+	tr, err := loadTrace(*dir, *name, "")
 	if err != nil {
 		return err
 	}

@@ -10,56 +10,41 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/disksim"
-	"repro/internal/metrics"
-	"repro/internal/powersim"
-	"repro/internal/raid"
+	"repro/internal/experiments"
 	"repro/internal/replay"
-	"repro/internal/simtime"
 	"repro/internal/synth"
 )
 
 func main() {
-	// 1. Provision the system under test: six 7200 RPM drives behind a
-	// RAID-5 controller with a 128 KB strip, cache disabled (Table II).
-	engine := simtime.NewEngine()
-	array, err := raid.NewHDDArray(engine, raid.DefaultParams(), 6, disksim.Seagate7200())
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The system under test is six 7200 RPM drives behind a RAID-5
+	// controller with a 128 KB strip, cache disabled (Table II).
+	cfg := experiments.DefaultConfig()
 
-	// 2. Collect a peak trace the way the paper does with IOmeter:
-	// closed-loop, 4 KB requests, half reads, half random.
-	trace, err := synth.Collect(engine, array, synth.CollectParams{
-		Mode:            synth.Mode{RequestBytes: 4096, ReadRatio: 0.5, RandomRatio: 0.5},
-		Duration:        2 * simtime.Second,
-		QueueDepth:      8,
-		WorkingSetBytes: 8 << 30,
-		Seed:            1,
-	})
+	// 1. Collect a peak trace the way the paper does with IOmeter:
+	// closed-loop for 2 s at 8 outstanding IOs, 4 KB requests, half
+	// reads, half random.
+	trace, err := experiments.CollectModeTrace(cfg, experiments.HDDArray,
+		synth.Mode{RequestBytes: 4096, ReadRatio: 0.5, RandomRatio: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("collected peak trace: %d IOs in %d bunches\n", trace.NumIOs(), trace.NumBunches())
 
-	// 3. Replay at three configured load proportions on a fresh array
+	// 2. Replay at three configured load proportions on a fresh array
 	// each time, metering wall power like the Hall-effect analyzer.
 	fmt.Println("load%\tIOPS\tMBPS\tresp(ms)\twatts\tIOPS/W\tMBPS/kW")
 	for _, load := range []float64{0.2, 0.5, 1.0} {
-		e := simtime.NewEngine()
-		a, err := raid.NewHDDArray(e, raid.DefaultParams(), 6, disksim.Seagate7200())
+		s, err := experiments.Build(cfg, experiments.StackSpec{Kind: experiments.HDDArray})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := replay.ReplayAtLoad(e, a, trace, load, replay.Options{})
+		m, err := experiments.Measure(s, trace, replay.UniformFilter{Proportion: load}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		meter := powersim.DefaultMeter(a.PowerSource())
-		watts := powersim.MeanWatts(meter.Measure(res.Start, res.End))
-		eff := metrics.NewEfficiency(res.IOPS, res.MBPS, watts, 0)
+		res := m.Result
 		fmt.Printf("%.0f\t%.1f\t%.3f\t%.2f\t%.1f\t%.3f\t%.2f\n",
 			load*100, res.IOPS, res.MBPS, res.MeanResponse.Seconds()*1000,
-			watts, eff.IOPSPerWatt, eff.MBPSPerKW)
+			m.Power.Watts, m.Eff.IOPSPerWatt, m.Eff.MBPSPerKW)
 	}
 }

@@ -38,14 +38,14 @@ func evaluate(kind experiments.ArrayKind, mode synth.Mode) metrics.Efficiency {
 
 func main() {
 	// Idle baselines first (the paper reports 195.8 W for the SSD array).
+	cfg := experiments.DefaultConfig()
 	for _, kind := range []experiments.ArrayKind{experiments.HDDArray, experiments.SSDArray} {
-		s, err := experiments.Build(experiments.DefaultConfig(), experiments.StackSpec{Kind: kind})
+		s, err := experiments.Build(cfg, experiments.StackSpec{Kind: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
 		s.Engine.RunUntil(simtime.Time(5 * simtime.Second))
-		meter := powersim.DefaultMeter(s.PowerSource())
-		fmt.Printf("%s idle: %.1f W\n", kind, powersim.MeanWatts(meter.Measure(0, s.Engine.Now())))
+		fmt.Printf("%s idle: %.1f W\n", kind, powersim.Read(s.PowerSource(), cfg.Seed, 0, s.Engine.Now()).Watts)
 	}
 
 	modes := []synth.Mode{

@@ -273,7 +273,7 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for i := range seq {
 		a, b := seq[i], par[i]
-		if a.Load != b.Load || a.Power != b.Power ||
+		if a.Load != b.Load || !reflect.DeepEqual(a.Power, b.Power) ||
 			a.Result.IOPS != b.Result.IOPS || a.Result.MBPS != b.Result.MBPS ||
 			a.Result.Completed != b.Result.Completed ||
 			a.Result.MeanResponse != b.Result.MeanResponse ||

@@ -189,6 +189,10 @@ func (g *GeneratorAgent) serve(conn *netproto.Conn) {
 // runTest executes one replay test and reports results to the host
 // connection and samples to the analyzer.
 func (g *GeneratorAgent) runTest(conn *netproto.Conn, seq uint64, st netproto.StartTest) error {
+	cycle, err := samplingCycle(st.SamplingCycleMs)
+	if err != nil {
+		return err
+	}
 	trace, err := g.repo.Load(st.TraceName)
 	if err != nil {
 		return err
@@ -205,10 +209,6 @@ func (g *GeneratorAgent) runTest(conn *netproto.Conn, seq uint64, st netproto.St
 		f = replay.UniformFilter{Proportion: st.LoadProportion}
 	default:
 		f = replay.Identity{}
-	}
-	cycle := simtime.Duration(st.SamplingCycleMs) * simtime.Millisecond
-	if cycle <= 0 {
-		cycle = simtime.Second
 	}
 	opts := replay.Options{SamplingCycle: cycle}
 	// The filter materializes here (not inside ReplayFiltered) because
@@ -274,9 +274,8 @@ func (g *GeneratorAgent) runTest(conn *netproto.Conn, seq uint64, st netproto.St
 
 	// Tap the wall power over the run and push it to the analyzer.
 	if g.analyzer != "" {
-		meter := powersim.DefaultMeter(sut.Power)
-		samples := meter.Measure(res.Start, res.End)
-		if err := g.pushSamples(seq, samples); err != nil {
+		p := powersim.Read(sut.Power, 1, res.Start, res.End)
+		if err := g.pushSamples(seq, p.Samples); err != nil {
 			return fmt.Errorf("power tap: %w", err)
 		}
 	}
@@ -294,6 +293,25 @@ func (g *GeneratorAgent) runTest(conn *netproto.Conn, seq uint64, st netproto.St
 		DurationS:      res.Duration().Seconds(),
 		IOs:            res.Completed,
 	})
+}
+
+// maxSamplingCycleMs is the longest sampling cycle a test may ask for:
+// simtime.Horizon in milliseconds.
+const maxSamplingCycleMs = int64(simtime.Horizon) / int64(simtime.Millisecond)
+
+// samplingCycle converts StartTest.SamplingCycleMs to the replay's
+// sampling cycle; 0 is the 1 s default.  A negative cycle, or one past
+// simtime.Horizon whose nanosecond count would wrap, is an error: a
+// wrapped cycle can be a few nanoseconds long, and the replay would
+// size a throughput bucket, and stream a progress frame, per cycle.
+func samplingCycle(ms int64) (simtime.Duration, error) {
+	switch {
+	case ms == 0:
+		return simtime.Second, nil
+	case ms < 0 || ms > maxSamplingCycleMs:
+		return 0, fmt.Errorf("generator: sampling_cycle_ms %d outside [0, %d]", ms, maxSamplingCycleMs)
+	}
+	return simtime.Duration(ms) * simtime.Millisecond, nil
 }
 
 func (g *GeneratorAgent) pushSamples(seq uint64, samples []powersim.Sample) error {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -401,5 +402,65 @@ func TestPowerPipelineFidelity(t *testing.T) {
 	}
 	if !powersim.ApproxEqual(out.Power.MeanWatts, 100, 0.01) {
 		t.Fatalf("pipeline mean = %v, want ~100 (0.5%% meter noise)", out.Power.MeanWatts)
+	}
+}
+
+// TestSamplingCycleBounds: 0 is the 1 s default, every cycle up to
+// simtime.Horizon converts exactly, and a negative cycle or one whose
+// nanosecond count would wrap is a labelled error.
+func TestSamplingCycleBounds(t *testing.T) {
+	for _, c := range []struct {
+		ms   int64
+		want simtime.Duration
+	}{
+		{0, simtime.Second},
+		{1, simtime.Millisecond},
+		{500, 500 * simtime.Millisecond},
+		{maxSamplingCycleMs, simtime.Duration(maxSamplingCycleMs) * simtime.Millisecond},
+	} {
+		if got, err := samplingCycle(c.ms); err != nil || got != c.want {
+			t.Errorf("samplingCycle(%d) = %v, %v; want %v", c.ms, got, err, c.want)
+		}
+	}
+	if top, _ := samplingCycle(maxSamplingCycleMs); top <= 0 || simtime.Time(top) > simtime.Horizon {
+		t.Fatalf("longest cycle %v lies outside (0, Horizon]", top)
+	}
+	for _, ms := range []int64{-1, math.MinInt64, maxSamplingCycleMs + 1, 76480200929599801, math.MaxInt64} {
+		want := fmt.Sprintf("generator: sampling_cycle_ms %d outside [0, %d]", ms, maxSamplingCycleMs)
+		if got, err := samplingCycle(ms); err == nil || err.Error() != want {
+			t.Errorf("samplingCycle(%d) = %v, %v; want error %q", ms, got, err, want)
+		}
+	}
+}
+
+// TestGeneratorRejectsBadSamplingCycle: a generator answers a negative
+// or wrapping sampling cycle with a labelled error before it loads the
+// trace (a missing one shows the order), and the connection then
+// serves a valid test at a 500 ms cycle.
+func TestGeneratorRejectsBadSamplingCycle(t *testing.T) {
+	repo, _, traceName := buildRepo(t)
+	gen := NewGeneratorAgent(repo, hddFactory, "", "ch0", nil)
+	gAddr, err := gen.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gen.Close()
+	h, err := Dial(gAddr.String(), "", host.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	for _, ms := range []int64{-1, 76480200929599801} {
+		_, err := h.RunTest(netproto.StartTest{TraceName: "missing.replay", LoadProportion: 1, SamplingCycleMs: ms}, "d", host.ModeVector{})
+		if want := fmt.Sprintf("cluster: remote: generator: sampling_cycle_ms %d outside", ms); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("sampling_cycle_ms %d: err = %v, want prefix %q", ms, err, want)
+		}
+	}
+	out, err := h.RunTest(netproto.StartTest{TraceName: traceName, LoadProportion: 1, SamplingCycleMs: 500}, "raid5-hdd", host.ModeVector{LoadProportion: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Progress) == 0 || out.Progress[0].EndS-out.Progress[0].StartS != 0.5 {
+		t.Fatalf("progress at a 500 ms cycle: %+v", out.Progress)
 	}
 }

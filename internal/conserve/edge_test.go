@@ -112,7 +112,7 @@ func TestZeroLengthTraceAllPolicies(t *testing.T) {
 			}
 			for name, v := range map[string]float64{
 				"IOPS":    m.Result.IOPS,
-				"power":   m.Power,
+				"power":   m.Power.Watts,
 				"energy":  m.Eff.EnergyJ,
 				"iops/W":  m.Eff.IOPSPerWatt,
 				"mbps/kW": m.Eff.MBPSPerKW,

@@ -37,7 +37,7 @@ func runTechnique(t *testing.T, spec conserve.Spec, seed uint64) (experiments.St
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replay.ReplayAtLoad(sys.Engine, sys.Device, idleTrace(seed), 0.5, replay.Options{}); err != nil {
+	if _, err := replay.ReplayFiltered(sys.Engine, sys.Device, idleTrace(seed), replay.UniformFilter{Proportion: 0.5}, replay.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return sys, rec.decisions
@@ -310,7 +310,7 @@ func TestNilControlIsInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := replay.ReplayAtLoad(sys.Engine, sys.Device, idleTrace(16), 0.5, replay.Options{}); err != nil {
+		if _, err := replay.ReplayFiltered(sys.Engine, sys.Device, idleTrace(16), replay.UniformFilter{Proportion: 0.5}, replay.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		var total disksim.HDDStats

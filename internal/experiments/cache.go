@@ -172,7 +172,7 @@ func CacheStudy(cfg Config, kind ArrayKind, trace *blktrace.Trace, specs []Cache
 				Load:           load,
 				HitRate:        st.HitRate(),
 				IOPS:           m.Result.IOPS,
-				MeanWatts:      m.Power,
+				MeanWatts:      m.Power.Watts,
 				IOPSPerWatt:    m.Eff.IOPSPerWatt,
 				MeanMs:         m.Result.MeanResponse.Seconds() * 1000,
 				P99Ms:          m.Result.P99Response.Seconds() * 1000,

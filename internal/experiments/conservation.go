@@ -74,7 +74,7 @@ func ConservationStudy(cfg Config) (*ConservationResult, error) {
 				Technique:      technique,
 				Load:           load,
 				EnergyJ:        m.Eff.EnergyJ,
-				MeanWatts:      m.Power,
+				MeanWatts:      m.Power.Watts,
 				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
 				MaxResponseMs:  r.MaxResponse.Seconds() * 1000,
 				IOPS:           r.IOPS,

@@ -68,7 +68,7 @@ func ERAIDStudy(cfg Config) (*ERAIDResult, error) {
 			c := cell{row: ERAIDRow{
 				Config:         config,
 				EnergyJ:        m.Eff.EnergyJ,
-				MeanWatts:      m.Power,
+				MeanWatts:      m.Power.Watts,
 				MeanResponseMs: r.MeanResponse.Seconds() * 1000,
 				P99Ms:          r.P99Response.Seconds() * 1000,
 				IOPS:           r.IOPS,

@@ -19,6 +19,7 @@ import (
 	"repro/internal/blktrace"
 	"repro/internal/metrics"
 	"repro/internal/parsweep"
+	"repro/internal/powersim"
 	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/synth"
@@ -142,8 +143,8 @@ type Measurement struct {
 	Load float64
 	// Result is the replay's performance outcome.
 	Result *replay.Result
-	// Power is the metered mean wall power over the run.
-	Power float64
+	// Power is the wall meter's reading over the run.
+	Power powersim.Reading
 	// Eff derives the paper's combined metrics.
 	Eff metrics.Efficiency
 }

@@ -143,12 +143,10 @@ func SchedulerStudy(cfg Config) (*SchedulerResult, error) {
 			if err != nil {
 				return SchedulerRow{}, err
 			}
-			meter := powersim.DefaultMeter(array.PowerSource())
-			meter.Seed = cfg.Seed
-			samples := meter.Measure(r.Start, r.End)
+			p := powersim.Read(array.PowerSource(), cfg.Seed, r.Start, r.End)
 			return SchedulerRow{
 				Scheduler:  scheds[i].String(),
-				Meas:       Measurement{Load: 1, Result: r, Power: powersim.MeanWatts(samples), Eff: metrics.NewEfficiency(r.IOPS, r.MBPS, powersim.MeanWatts(samples), powersim.EnergyJ(samples))},
+				Meas:       Measurement{Load: 1, Result: r, Power: p, Eff: metrics.NewEfficiency(r.IOPS, r.MBPS, p.Watts, p.EnergyJ)},
 				MeanRespMs: r.MeanResponse.Seconds() * 1000,
 				P99Ms:      r.P99Response.Seconds() * 1000,
 			}, nil

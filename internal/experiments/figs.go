@@ -53,9 +53,7 @@ func Fig7(cfg Config, maxDisks int) (*Fig7Result, error) {
 					Efficiency: ch.PSUEfficiency,
 					StandbyW:   ch.PSUStandbyW,
 				}
-				meter := powersim.DefaultMeter(src)
-				meter.Seed = cfg.Seed
-				watts = powersim.MeanWatts(meter.Measure(0, simtime.Time(idleWindow)))
+				watts = powersim.Read(src, cfg.Seed, 0, simtime.Time(idleWindow)).Watts
 			} else {
 				e := simtime.NewEngine()
 				params := raid.DefaultParams()
@@ -65,9 +63,7 @@ func Fig7(cfg Config, maxDisks int) (*Fig7Result, error) {
 					return Fig7Row{}, err
 				}
 				e.RunUntil(simtime.Time(idleWindow))
-				meter := powersim.DefaultMeter(a.PowerSource())
-				meter.Seed = cfg.Seed
-				watts = powersim.MeanWatts(meter.Measure(0, e.Now()))
+				watts = powersim.Read(a.PowerSource(), cfg.Seed, 0, e.Now()).Watts
 			}
 			return Fig7Row{Disks: n, Watts: watts}, nil
 		})

@@ -162,7 +162,7 @@ func RenderSweep(w io.Writer, r *SweepResult) {
 	fmt.Fprintln(w, "mode\tload%\tIOPS\tMBPS\twatts\tIOPS/W\tMBPS/kW")
 	for i, m := range r.Cells {
 		fmt.Fprintf(w, "%s\t%.0f\t%.1f\t%.3f\t%.1f\t%.3f\t%.2f\n",
-			r.Modes[i/len(r.Loads)], m.Load*100, m.Result.IOPS, m.Result.MBPS, m.Power,
+			r.Modes[i/len(r.Loads)], m.Load*100, m.Result.IOPS, m.Result.MBPS, m.Power.Watts,
 			m.Eff.IOPSPerWatt, m.Eff.MBPSPerKW)
 	}
 	fmt.Fprintf(w, "%d runs (paper's full grid: 125 modes x 10 loads = 1250)\n", len(r.Cells))

@@ -44,9 +44,7 @@ func SSDStudy(cfg Config) (*SSDStudyResult, error) {
 			return nil, err
 		}
 		s.Engine.RunUntil(simtime.Time(10 * simtime.Second))
-		meter := powersim.DefaultMeter(s.PowerSource())
-		meter.Seed = cfg.Seed
-		res.IdleWatts = powersim.MeanWatts(meter.Measure(0, s.Engine.Now()))
+		res.IdleWatts = powersim.Read(s.PowerSource(), cfg.Seed, 0, s.Engine.Now()).Watts
 	}
 
 	// The random-ratio sweep, read-ratio sweep and HDD-vs-SSD

@@ -215,8 +215,8 @@ func (s *Stack) buildConserve(spec conserve.Spec) error {
 // "wall" power channel (plus a "cache" channel for a real tier), and
 // registry sampling up to a horizon of the filtered trace's duration
 // plus two cadence windows.  Completions beyond the horizon still run;
-// they just fall outside the sampled series.  The meter re-seeds per
-// Measure call, so the post-hoc reading is identical with and without
+// they just fall outside the sampled series.  The post-hoc reading is
+// powersim.Read with Config.Seed, so it is identical with and without
 // a set.
 func Measure(s Stack, trace *blktrace.Trace, f replay.Filter, set *telemetry.Set) (*Measurement, error) {
 	var probe *telemetry.ReplayProbe
@@ -233,11 +233,11 @@ func Measure(s Stack, trace *blktrace.Trace, f replay.Filter, set *telemetry.Set
 	filtered := f.Apply(trace)
 	probe.OnFilter(filtered.NumIOs(), trace.NumIOs()-filtered.NumIOs())
 
-	meter := powersim.DefaultMeter(s.PowerSource())
-	meter.Seed = s.seed
 	if set != nil {
 		horizon := s.Engine.Now().Add(filtered.Duration() + 2*set.Cadence())
-		set.AddPowerChannel(s.Engine, "wall", meter, horizon)
+		wall := powersim.DefaultMeter(s.PowerSource())
+		wall.Seed = s.seed
+		set.AddPowerChannel(s.Engine, "wall", wall, horizon)
 		if s.Cache != nil {
 			if tier := s.Cache.TierSource(); tier != nil {
 				set.AddPowerChannel(s.Engine, "cache", powersim.DefaultMeter(tier), horizon)
@@ -257,12 +257,11 @@ func Measure(s Stack, trace *blktrace.Trace, f replay.Filter, set *telemetry.Set
 		set.Flush(s.Engine.Now())
 	}
 
-	samples := meter.Measure(res.Start, res.End)
-	watts := powersim.MeanWatts(samples)
+	p := powersim.Read(s.PowerSource(), s.seed, res.Start, res.End)
 	m := &Measurement{
 		Result: res,
-		Power:  watts,
-		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, watts, powersim.EnergyJ(samples)),
+		Power:  p,
+		Eff:    metrics.NewEfficiency(res.IOPS, res.MBPS, p.Watts, p.EnergyJ),
 	}
 	if uf, ok := f.(replay.UniformFilter); ok {
 		m.Load = uf.Proportion

@@ -59,7 +59,7 @@ func TestMeasureAtLoadTelemetryMatchesPlainMeasurement(t *testing.T) {
 			run, plain := measure(set), measure(nil)
 			got, want := *run.Result, *plain.Result
 			got.Intervals, want.Intervals = nil, nil
-			if run.Load != plain.Load || run.Power != plain.Power || run.Eff != plain.Eff || !reflect.DeepEqual(got, want) {
+			if run.Load != plain.Load || !reflect.DeepEqual(run.Power, plain.Power) || run.Eff != plain.Eff || !reflect.DeepEqual(got, want) {
 				t.Fatalf("instrumented measurement diverges from plain:\n got %+v %+v\nwant %+v %+v",
 					run, got, plain, want)
 			}

@@ -56,7 +56,7 @@ func ThermalStudy(cfg Config) (*ThermalResult, error) {
 				return ThermalRow{}, err
 			}
 			array := s.Array
-			r, err := replay.ReplayAtLoad(s.Engine, array, trace, load, replay.Options{})
+			r, err := replay.ReplayFiltered(s.Engine, array, trace, replay.UniformFilter{Proportion: load}, replay.Options{})
 			if err != nil {
 				return ThermalRow{}, err
 			}

@@ -139,7 +139,7 @@ func RenderWorkloadStudy(w io.Writer, r *WorkloadStudyResult) {
 	fmt.Fprintf(w, "workload characterization study — source %s (%d bunches, %d IOs, seq %.0f%%, zipf %.2f)\n",
 		r.Source, r.Profile.Bunches, r.Profile.IOs, r.Profile.Spatial.SeqRatio*100, r.Profile.Spatial.ZipfTheta)
 	fmt.Fprintf(w, "baseline\t%.1f IOPS\t%.3f MBPS\t%.1f W\t%.3f IOPS/W\n",
-		r.Baseline.Result.IOPS, r.Baseline.Result.MBPS, r.Baseline.Power, r.Baseline.Eff.IOPSPerWatt)
+		r.Baseline.Result.IOPS, r.Baseline.Result.MBPS, r.Baseline.Power.Watts, r.Baseline.Eff.IOPSPerWatt)
 	fmt.Fprintln(w, "variant\tIOPS\tMBPS\tIOPS/W\tLP\tLP_config\tA\terr%")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%s\t%.1f\t%.3f\t%.3f\t%.3f\t%.2f\t%.3f\t%.2f\n",

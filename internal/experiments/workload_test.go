@@ -25,7 +25,7 @@ func TestWorkloadStudy(t *testing.T) {
 	if res.Profile == nil || res.Profile.IOs == 0 {
 		t.Fatalf("profile = %+v", res.Profile)
 	}
-	if res.Baseline.Result.IOPS <= 0 || res.Baseline.Power <= 0 {
+	if res.Baseline.Result.IOPS <= 0 || res.Baseline.Power.Watts <= 0 {
 		t.Fatalf("baseline = %+v", res.Baseline)
 	}
 	if len(res.Rows) != len(DefaultWorkloadVariants()) {

@@ -685,15 +685,12 @@ func (f *Fleet) Run(stream Stream, opts Options) (*Result, error) {
 		if m.maxResp > res.MaxResponse {
 			res.MaxResponse = m.maxResp
 		}
-		meter := powersim.DefaultMeter(m.array.PowerSource())
-		meter.Seed = f.cfg.Seed + uint64(m.index)
-		samples := meter.Measure(start, end)
-		w := powersim.MeanWatts(samples)
-		res.MeanWatts += w
-		res.EnergyJ += powersim.EnergyJ(samples)
+		p := powersim.Read(m.array.PowerSource(), f.cfg.Seed+uint64(m.index), start, end)
+		res.MeanWatts += p.Watts
+		res.EnergyJ += p.EnergyJ
 		res.PerArray = append(res.PerArray, ArrayResult{
 			Index: m.index, Admitted: m.admitted, Completed: m.completed,
-			Bytes: m.bytes, MeanWatts: w,
+			Bytes: m.bytes, MeanWatts: p.Watts,
 		})
 	}
 	if dur := end.Sub(start).Seconds(); dur > 0 {

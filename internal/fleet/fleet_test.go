@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/blktrace"
 	"repro/internal/experiments"
+	"repro/internal/powersim"
 	"repro/internal/simtime"
 	"repro/internal/slo"
 	"repro/internal/storage"
@@ -82,6 +83,29 @@ func TestFleetConservation(t *testing.T) {
 	}
 	if res.P50Response <= 0 || res.P99Response < res.P50Response || res.P999Response < res.P99Response {
 		t.Fatalf("tail latency disordered: p50=%v p99=%v p999=%v", res.P50Response, res.P99Response, res.P999Response)
+	}
+}
+
+// TestFleetMeterSeeds: member i's wall power is the reading of a meter
+// seeded cfg.Seed + i over the run, and the fleet's totals add the
+// members' readings in index order.
+func TestFleetMeterSeeds(t *testing.T) {
+	f := testFleet(t, 3, 2)
+	res, err := f.Run(testStream(), Options{Policy: NewRoundRobin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var watts, joules float64
+	for i, a := range f.Arrays() {
+		p := powersim.Read(a.PowerSource(), 5+uint64(i), res.Start, res.End)
+		if got := res.PerArray[i].MeanWatts; got != p.Watts {
+			t.Fatalf("array %d: %v W, want %v W from meter seed %d", i, got, p.Watts, 5+i)
+		}
+		watts += p.Watts
+		joules += p.EnergyJ
+	}
+	if res.MeanWatts != watts || res.EnergyJ != joules {
+		t.Fatalf("fleet power %v W, %v J; members add to %v W, %v J", res.MeanWatts, res.EnergyJ, watts, joules)
 	}
 }
 

@@ -177,8 +177,15 @@ func (db *DB) Save(path string) error {
 	return nil
 }
 
+// maxID is the largest record ID or next_id a database file may hold:
+// 2^53, the largest integer a float64 JSON reader keeps exactly.
+const maxID = 1 << 53
+
 // LoadDB reads a database saved by Save.  A missing file yields an
-// empty database, so first runs need no setup.
+// empty database, so first runs need no setup.  A record ID below 1 or
+// above 2^53, a repeated record ID, or a next_id above 2^53 is an
+// error naming the file, and IDs continue above the largest record ID
+// whatever next_id says, so Insert never reuses one.
 func LoadDB(path string) (*DB, error) {
 	blob, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -194,9 +201,20 @@ func LoadDB(path string) (*DB, error) {
 	if err := json.Unmarshal(blob, &raw); err != nil {
 		return nil, fmt.Errorf("host: corrupt database %s: %w", path, err)
 	}
-	db := &DB{nextID: raw.NextID, records: raw.Records}
-	if db.nextID < 1 {
-		db.nextID = 1
+	if raw.NextID > maxID {
+		return nil, fmt.Errorf("host: database %s: next_id %d exceeds %d", path, raw.NextID, maxID)
+	}
+	db := &DB{nextID: max(raw.NextID, 1), records: raw.Records}
+	seen := make(map[int64]bool, len(raw.Records))
+	for _, r := range raw.Records {
+		switch {
+		case r.ID < 1 || r.ID > maxID:
+			return nil, fmt.Errorf("host: database %s: record id %d outside [1, %d]", path, r.ID, maxID)
+		case seen[r.ID]:
+			return nil, fmt.Errorf("host: database %s: record id %d repeats", path, r.ID)
+		}
+		seen[r.ID] = true
+		db.nextID = max(db.nextID, r.ID+1)
 	}
 	return db, nil
 }

@@ -231,3 +231,61 @@ func TestSaveLoadPreservesAllFields(t *testing.T) {
 		t.Fatalf("field drift across save/load:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// writeDB writes blob as a database file and returns its path.
+func writeDB(t testing.TB, blob string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "results.json")
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadDBNeverReusesIDs: IDs continue above the largest record ID
+// even when next_id lags behind it, so Get finds the new record.
+func TestLoadDBNeverReusesIDs(t *testing.T) {
+	db, err := LoadDB(writeDB(t, `{"next_id": 1, "records": [{"id": 1}, {"id": 2, "notes": "second"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sampleRecord(0.5)
+	rec.Notes = "new"
+	if id := db.Insert(rec); id != 3 {
+		t.Fatalf("Insert after a lagging next_id = %d, want 3", id)
+	}
+	if r, ok := db.Get(3); !ok || r.Notes != "new" {
+		t.Fatalf("Get(3) = %+v, %v", r, ok)
+	}
+	// A next_id ahead of every record is kept.
+	db, err = LoadDB(writeDB(t, `{"next_id": 10, "records": [{"id": 4}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := db.Insert(rec); id != 10 {
+		t.Fatalf("Insert after next_id 10 = %d", id)
+	}
+}
+
+// TestLoadDBRejectsBadIDs: an ID Insert could reuse, or one past 2^53,
+// is an error naming the file and the ID.
+func TestLoadDBRejectsBadIDs(t *testing.T) {
+	for _, c := range []struct{ blob, want string }{
+		{`{"next_id": 9223372036854775807, "records": []}`, "next_id 9223372036854775807 exceeds 9007199254740992"},
+		{`{"next_id": 9007199254740993}`, "next_id 9007199254740993 exceeds 9007199254740992"},
+		{`{"records": [{"id": 0}]}`, "record id 0 outside [1, 9007199254740992]"},
+		{`{"records": [{"id": -3}]}`, "record id -3 outside [1, 9007199254740992]"},
+		{`{"records": [{"id": 9007199254740993}]}`, "record id 9007199254740993 outside [1, 9007199254740992]"},
+		{`{"next_id": 1, "records": [{"id": 1}, {"id": 2}, {"id": 1}]}`, "record id 1 repeats"},
+	} {
+		path := writeDB(t, c.blob)
+		want := "host: database " + path + ": " + c.want
+		if _, err := LoadDB(path); err == nil || err.Error() != want {
+			t.Errorf("LoadDB(%s) = %v, want %q", c.blob, err, want)
+		}
+	}
+	// The bounds themselves load.
+	if _, err := LoadDB(writeDB(t, `{"next_id": 9007199254740992, "records": [{"id": 1}, {"id": 9007199254740992}]}`)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -411,7 +411,7 @@ func Evaluate(opts Options, pt Point, trace *blktrace.Trace, ctl *conserve.Contr
 	spinUps, rpmShifts := s.WearCounts()
 	o := Objectives{
 		IOPS:        sanitize(m.Result.IOPS),
-		MeanWatts:   sanitize(m.Power),
+		MeanWatts:   sanitize(m.Power.Watts),
 		EnergyJ:     sanitize(m.Eff.EnergyJ),
 		IOPSPerWatt: sanitize(m.Eff.IOPSPerWatt),
 		P99Ms:       sanitize(m.Result.P99Response.Seconds() * 1000),

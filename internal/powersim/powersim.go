@@ -495,6 +495,23 @@ func DefaultMeter(src Source) *Meter {
 	return &Meter{Source: src, Cycle: simtime.Second, NoiseFrac: 0.005, SupplyVolts: 220, Seed: 1}
 }
 
+// Reading is one metered window: the meter's samples and their
+// cycle-weighted mean power and energy.
+type Reading struct {
+	Samples        []Sample
+	Watts, EnergyJ float64
+}
+
+// Read meters src over [t0, t1) with a DefaultMeter whose noise stream
+// is seeded with seed.  It is the one post-hoc reading of a finished
+// replay or idle window.
+func Read(src Source, seed uint64, t0, t1 simtime.Time) Reading {
+	m := DefaultMeter(src)
+	m.Seed = seed
+	samples := m.Measure(t0, t1)
+	return Reading{Samples: samples, Watts: MeanWatts(samples), EnergyJ: EnergyJ(samples)}
+}
+
 // cycleOrDefault reports the effective sampling period.
 func (m *Meter) cycleOrDefault() simtime.Duration {
 	if m.Cycle <= 0 {

@@ -214,6 +214,34 @@ func TestMeterDeterministicSeed(t *testing.T) {
 	}
 }
 
+// TestReadIsSeededDefaultMeter: Read is a DefaultMeter with the given
+// seed, measured over the window and aggregated by MeanWatts and
+// EnergyJ, bit for bit; an empty window reads nothing.
+func TestReadIsSeededDefaultMeter(t *testing.T) {
+	tl := NewTimeline(100)
+	tl.Set(simtime.Time(sec/3), 140)
+	tl.Set(simtime.Time(5*sec/2), 90)
+	t0, t1 := simtime.Time(sec/5), simtime.Time(4*sec+sec/7)
+	for _, seed := range []uint64{1, 7} {
+		m := DefaultMeter(tl)
+		m.Seed = seed
+		want := m.Measure(t0, t1)
+		got := Read(tl, seed, t0, t1)
+		if err := sameSamples(got.Samples, want); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !sameBits(got.Watts, MeanWatts(want)) || !sameBits(got.EnergyJ, EnergyJ(want)) {
+			t.Fatalf("seed %d: Read = %v W, %v J; want %v W, %v J", seed, got.Watts, got.EnergyJ, MeanWatts(want), EnergyJ(want))
+		}
+	}
+	if Read(tl, 1, t0, t1).Samples[0] == Read(tl, 7, t0, t1).Samples[0] {
+		t.Fatal("seeds 1 and 7 read the same noise")
+	}
+	if r := Read(tl, 1, t1, t0); r.Samples != nil || r.Watts != 0 || r.EnergyJ != 0 {
+		t.Fatalf("empty window read %+v", r)
+	}
+}
+
 func TestStateMachine(t *testing.T) {
 	sm := NewStateMachine(map[string]float64{"idle": 8, "seek": 13.5, "active": 11.5}, "idle")
 	if sm.State() != "idle" {

@@ -401,10 +401,3 @@ func ReplayFiltered(engine *simtime.Engine, dev storage.Device, trace *blktrace.
 	res.Filter = f.Name()
 	return res, nil
 }
-
-// ReplayAtLoad is the common case: replay at a configured load
-// proportion using the paper's uniform filter with the default group
-// size.
-func ReplayAtLoad(engine *simtime.Engine, dev storage.Device, trace *blktrace.Trace, proportion float64, opts Options) (*Result, error) {
-	return ReplayFiltered(engine, dev, trace, UniformFilter{Proportion: proportion}, opts)
-}

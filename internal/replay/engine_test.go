@@ -395,7 +395,7 @@ func TestLoadControlAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ReplayAtLoad(e, a, trace, p, Options{})
+		res, err := ReplayFiltered(e, a, trace, UniformFilter{Proportion: p}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

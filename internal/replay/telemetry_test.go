@@ -108,7 +108,7 @@ func TestTelemetryProbeCountsReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ReplayAtLoad(e, arr, tr, 0.5, Options{Telemetry: probe})
+		res, err := ReplayFiltered(e, arr, tr, UniformFilter{Proportion: 0.5}, Options{Telemetry: probe})
 		if err != nil {
 			t.Fatal(err)
 		}
